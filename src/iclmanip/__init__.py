@@ -76,8 +76,6 @@ from .prompts import (
     default_system_prompts,
     format_action,
     format_observation,
-    parse_example_input,
-    parse_observation,
     parse_response,
 )
 from .sim import (
@@ -87,7 +85,6 @@ from .sim import (
     PlacementError,
     SimObject,
     TaskId,
-    TaskSpec,
     TaskVariation,
     WorldState,
     add_pose_noise,

@@ -4,65 +4,40 @@ Subcommands:
   generate-demos   write scripted-expert episodes as line-delimited JSON
   build-prompt     assemble one prompt bundle and print it as JSON
   eval             run the closed pipeline and report the success rate
-  ablate           run one ablation sweep (sampling|shots|noise|prompts|loop)
+  ablate           run one ablation sweep from harness.SWEEPS
 
 Settings resolve in three layers: RunConfig defaults, then a JSON config
-file (--config), then explicit flags. The remote credential is never a
-flag; it is read from the environment variable named by credential_env.
+file (--config), then explicit flags; RunConfig.from_mapping validates the
+merged values. The remote credential is never a flag; it is read from the
+environment variable named by credential_env.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .harness import (
-    DEFAULT_NOISE_SCALES,
-    DEFAULT_SAMPLING_INTERVALS,
-    DEFAULT_SHOT_COUNTS,
+    SWEEPS,
     EvalReport,
     KeyframeMode,
     LoopMode,
-    NoiseSpec,
     RunConfig,
-    ablate_loop,
-    ablate_noise,
-    ablate_prompts,
-    ablate_sampling,
-    ablate_shots,
     build_demo_pool,
     demo_seeds,
     demo_task,
     emit_csv,
     eval_seeds,
     run_eval,
+    sweep,
 )
 from .llm import Provider
-from .model import WorkspaceBounds, save_episodes
+from .model import save_episodes
 from .prompts import assemble_prompt, build_example_input, default_system_prompts
 from .sim import TaskId, observations_of, reset, scripted_expert
-
-_CONFIG_KEYS = {
-    "task",
-    "n_demos",
-    "n_eval",
-    "delta",
-    "bounds",
-    "provider",
-    "endpoint",
-    "model",
-    "credential_env",
-    "system_prompt_index",
-    "keyframe_mode",
-    "uniform_interval",
-    "loop_mode",
-    "noise",
-    "seed",
-    "max_tokens",
-    "requests_per_second",
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -72,52 +47,20 @@ def _load_config_file(path: str) -> dict:
         raise SystemExit(f"cannot read config file {path}: {exc}")
     if not isinstance(raw, dict):
         raise SystemExit(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise SystemExit(f"config file {path} has unknown keys: {sorted(unknown)}")
     return raw
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    values = _load_config_file(args.config) if args.config else {}
+    for field in dataclasses.fields(RunConfig):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            values[key] = flag
-
+            values[field.name] = flag
     if "task" not in values:
         raise SystemExit("a task is required (flag --task or config file key \"task\")")
     try:
-        values["task"] = TaskId(values["task"]) if not isinstance(values["task"], TaskId) else values["task"]
-        if "provider" in values and not isinstance(values["provider"], Provider):
-            values["provider"] = Provider(values["provider"])
-        if "keyframe_mode" in values and not isinstance(values["keyframe_mode"], KeyframeMode):
-            values["keyframe_mode"] = KeyframeMode(values["keyframe_mode"])
-        if "loop_mode" in values and not isinstance(values["loop_mode"], LoopMode):
-            values["loop_mode"] = LoopMode(values["loop_mode"])
+        return RunConfig.from_mapping(values)
     except ValueError as exc:
-        raise SystemExit(str(exc))
-    if "bounds" in values and not isinstance(values["bounds"], WorkspaceBounds):
-        b = values["bounds"]
-        if not isinstance(b, (list, tuple)) or len(b) != 6:
-            raise SystemExit("bounds must be six numbers: x_min x_max y_min y_max z_min z_max")
-        values["bounds"] = WorkspaceBounds(*(float(v) for v in b))
-    if "noise" in values and values["noise"] is not None and not isinstance(values["noise"], NoiseSpec):
-        n = values["noise"]
-        if isinstance(n, (int, float)):
-            values["noise"] = NoiseSpec(k=float(n))
-        elif isinstance(n, dict):
-            try:
-                values["noise"] = NoiseSpec(**{k: float(v) for k, v in n.items()})
-            except (TypeError, ValueError) as exc:
-                raise SystemExit(f"bad noise spec: {exc}")
-        else:
-            raise SystemExit("noise must be a number (k) or an object with k and sigmas")
-    try:
-        return RunConfig(**values)
-    except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc))
 
 
@@ -204,19 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
-    if args.sweep == "sampling":
-        intervals = args.intervals or DEFAULT_SAMPLING_INTERVALS
-        reports = ablate_sampling(config, intervals)
-    elif args.sweep == "shots":
-        shots = args.shots or DEFAULT_SHOT_COUNTS
-        reports = ablate_shots(config, shots)
-    elif args.sweep == "noise":
-        scales = args.scales or DEFAULT_NOISE_SCALES
-        reports = ablate_noise(config, scales)
-    elif args.sweep == "prompts":
-        reports = ablate_prompts(config)
-    else:
-        reports = ablate_loop(config)
+    reports = sweep(config, args.sweep, getattr(args, f"{args.sweep}_values", None))
     if args.csv:
         emit_csv(reports, args.csv)
     for report in reports:
@@ -247,11 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation sweep")
-    p.add_argument("sweep", choices=("sampling", "shots", "noise", "prompts", "loop"))
+    p.add_argument("sweep", choices=tuple(SWEEPS))
     _add_config_flags(p)
-    p.add_argument("--intervals", type=int, nargs="+", help="uniform sampling intervals")
-    p.add_argument("--shots", type=int, nargs="+", help="demo counts for the shots sweep")
-    p.add_argument("--scales", type=float, nargs="+", help="noise scales k")
+    # A sweep's value flag stores to <sweep>_values; omitted, SWEEPS defaults apply.
+    p.add_argument(
+        "--intervals", dest="sampling_values", metavar="INTERVALS", type=int, nargs="+",
+        help="uniform sampling intervals",
+    )
+    p.add_argument(
+        "--shots", dest="shots_values", metavar="SHOTS", type=int, nargs="+",
+        help="demo counts for the shots sweep",
+    )
+    p.add_argument(
+        "--scales", dest="noise_values", metavar="SCALES", type=float, nargs="+",
+        help="noise scales k",
+    )
     p.add_argument("--csv", help="write per-episode rows to this CSV file")
     p.set_defaults(func=_cmd_ablate)
     return parser

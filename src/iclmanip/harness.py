@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,6 +129,43 @@ class RunConfig:
                     f"eval_seeds has {len(self.eval_seeds)} entries but n_eval is {self.n_eval}"
                 )
 
+    @classmethod
+    def from_mapping(cls, values: Mapping[str, Any]) -> RunConfig:
+        """The one schema for config files and CLI flags: enum fields take
+        their string values, bounds six numbers, noise null, a number (k) or
+        an object of NoiseSpec fields. eval_seeds is not accepted. Unknown
+        keys and bad values raise ValueError.
+        """
+        defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name != "eval_seeds"}
+        unknown = set(values) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**{k: _config_value(k, defaults[k], v) for k, v in values.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(str(exc)) from None
+
+
+def _config_value(name: str, default: Any, value: Any) -> Any:
+    kind = TaskId if name == "task" else type(default)
+    if issubclass(kind, Enum):
+        return kind(value)
+    if kind in (int, float, str):
+        accepted = (int, float) if kind is float else kind  # JSON writes 1.0 as 1
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if name == "bounds" and not isinstance(value, WorkspaceBounds):
+        if not isinstance(value, (list, tuple)) or len(value) != 6:
+            raise ValueError("bounds must be six numbers: x_min x_max y_min y_max z_min z_max")
+        return WorkspaceBounds(*(float(v) for v in value))
+    if name == "noise" and not (value is None or isinstance(value, NoiseSpec)):
+        if isinstance(value, dict):
+            return NoiseSpec(**{k: float(v) for k, v in value.items()})
+        if not isinstance(value, (int, float)):
+            raise ValueError("noise must be null, a number (k) or an object with k and sigmas")
+        return NoiseSpec(k=float(value))
+    return value
+
 
 @dataclass(frozen=True)
 class EpisodeRecord:
@@ -212,6 +249,7 @@ def obs_bins_vector(
 
 @dataclass(frozen=True)
 class _Demo:
+    seed: int
     episode: Episode
     example: IclExample
     record: DemoRecord
@@ -273,7 +311,7 @@ def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
         instruction=instruction,
         output=example.output,
     )
-    return _Demo(episode=episode, example=example, record=record)
+    return _Demo(seed=seed, episode=episode, example=example, record=record)
 
 
 def build_demo_pool(config: RunConfig) -> list[_Demo]:
@@ -317,9 +355,8 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     transport and protocol errors from the remote provider do abort.
     """
     demos = build_demo_pool(config)
-    d_seeds = demo_seeds(config)
     e_seeds = eval_seeds(config)
-    if config.eval_seeds is None and set(d_seeds) & set(e_seeds):
+    if config.eval_seeds is None and {d.seed for d in demos} & set(e_seeds):
         raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
 
     system = default_system_prompts()[config.system_prompt_index]
@@ -389,62 +426,81 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     )
 
 
+# name -> (leading fixed arms: config -> (config, label), default values,
+# value arm: (config, value) -> (config, label)). Every arm of a sweep shares
+# the caller's demo and eval seeds; only its setting varies.
+SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
+    "sampling": (
+        (lambda c: (dataclasses.replace(c, keyframe_mode=KeyframeMode.KEYFRAMES), "keyframes"),),
+        DEFAULT_SAMPLING_INTERVALS,
+        lambda c, n: (
+            dataclasses.replace(c, keyframe_mode=KeyframeMode.UNIFORM, uniform_interval=n),
+            f"uniform-{n}",
+        ),
+    ),
+    "shots": (
+        (),
+        DEFAULT_SHOT_COUNTS,
+        lambda c, n: (dataclasses.replace(c, n_demos=n), f"shots-{n}"),
+    ),
+    "noise": (
+        (),
+        DEFAULT_NOISE_SCALES,
+        lambda c, k: (
+            dataclasses.replace(c, noise=dataclasses.replace(c.noise or NoiseSpec(k=1.0), k=k)),
+            f"noise-{k:g}",
+        ),
+    ),
+    "prompts": (
+        (),
+        (0, 1, 2),
+        lambda c, i: (dataclasses.replace(c, system_prompt_index=i), f"prompt-{i}"),
+    ),
+    "loop": (
+        (),
+        tuple(LoopMode),
+        lambda c, m: (dataclasses.replace(c, loop_mode=m), f"loop-{m.value}"),
+    ),
+}
+
+
+def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
+    """Run the arms of SWEEPS[name] in order; values replace its defaults."""
+    lead, defaults, arm = SWEEPS[name]
+    arms = [make(config) for make in lead]
+    arms += [arm(config, v) for v in (defaults if values is None else values)]
+    return [run_eval(cfg, arm=label) for cfg, label in arms]
+
+
 def ablate_sampling(
     config: RunConfig, intervals: Sequence[int] = DEFAULT_SAMPLING_INTERVALS
 ) -> list[EvalReport]:
     """Keyframe selection vs fixed-interval sampling, shared seeds."""
-    reports = [
-        run_eval(
-            dataclasses.replace(config, keyframe_mode=KeyframeMode.KEYFRAMES), arm="keyframes"
-        )
-    ]
-    for interval in intervals:
-        cfg = dataclasses.replace(
-            config, keyframe_mode=KeyframeMode.UNIFORM, uniform_interval=interval
-        )
-        reports.append(run_eval(cfg, arm=f"uniform-{interval}"))
-    return reports
+    return sweep(config, "sampling", intervals)
 
 
 def ablate_shots(
     config: RunConfig, shot_counts: Sequence[int] = DEFAULT_SHOT_COUNTS
 ) -> list[EvalReport]:
     """Demo-count sweep; smaller pools are prefixes of larger ones."""
-    reports = []
-    for n in shot_counts:
-        cfg = dataclasses.replace(config, n_demos=n)
-        reports.append(run_eval(cfg, arm=f"shots-{n}"))
-    return reports
+    return sweep(config, "shots", shot_counts)
 
 
 def ablate_noise(
     config: RunConfig, scales: Sequence[float] = DEFAULT_NOISE_SCALES
 ) -> list[EvalReport]:
     """Observation-noise sweep; noise hits demo and test observations."""
-    base = config.noise or NoiseSpec(k=1.0)
-    reports = []
-    for k in scales:
-        cfg = dataclasses.replace(config, noise=dataclasses.replace(base, k=k))
-        reports.append(run_eval(cfg, arm=f"noise-{k:g}"))
-    return reports
+    return sweep(config, "noise", scales)
 
 
 def ablate_prompts(config: RunConfig) -> list[EvalReport]:
     """One arm per system prompt; mock providers must tie exactly."""
-    reports = []
-    for i in range(3):
-        cfg = dataclasses.replace(config, system_prompt_index=i)
-        reports.append(run_eval(cfg, arm=f"prompt-{i}"))
-    return reports
+    return sweep(config, "prompts")
 
 
 def ablate_loop(config: RunConfig) -> list[EvalReport]:
     """Open-loop vs closed-loop prompt construction."""
-    reports = []
-    for mode in (LoopMode.OPEN, LoopMode.CLOSED):
-        cfg = dataclasses.replace(config, loop_mode=mode)
-        reports.append(run_eval(cfg, arm=f"loop-{mode.value}"))
-    return reports
+    return sweep(config, "loop")
 
 
 def emit_csv(reports: Sequence[EvalReport], path: str | Path) -> None:

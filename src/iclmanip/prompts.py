@@ -274,13 +274,16 @@ def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteActi
     cleaned = _FENCE.sub("", text)
     actions: list[DiscreteAction] = []
     for match in _BRACKET.finditer(cleaned):
-        if not strict and _is_observation_echo(cleaned, match.start()):
-            continue
+        # Colon-preceded brackets holding an action's 7 integers ("Step 1: [...]")
+        # are actions, not echoes.
+        echo = not strict and _is_observation_echo(cleaned, match.start())
         try:
             values = _int_list(match.group(1))
         except ParseError as exc:
+            if echo:
+                continue
             raise ParseError(exc.kind, match.start(), str(exc)) from None
-        if values is None:
+        if values is None or (echo and len(values) != 7):
             continue
         if len(values) != 7:
             raise ParseError(

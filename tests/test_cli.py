@@ -147,3 +147,56 @@ def test_noise_flag_parses(capsys):
 def test_bounds_flag_wrong_arity_exits(capsys):
     with pytest.raises(SystemExit):
         main(["eval", "--task", "push_button", "--bounds", "-0.5", "0.5"])
+
+
+def _arms(out: str) -> list[str]:
+    return [line.split("arm=")[1].split()[0] for line in out.splitlines() if line]
+
+
+def test_ablate_sampling_respects_intervals_flag(capsys):
+    rc = main(
+        [
+            "ablate", "sampling",
+            "--task", "push_button",
+            "--n-demos", "2",
+            "--n-eval", "2",
+            "--intervals", "5", "20",
+        ]
+    )
+    assert rc == 0
+    assert _arms(capsys.readouterr().out) == ["keyframes", "uniform-5", "uniform-20"]
+
+
+def test_ablate_noise_respects_scales_flag(capsys):
+    rc = main(
+        [
+            "ablate", "noise",
+            "--task", "push_button",
+            "--n-demos", "2",
+            "--n-eval", "2",
+            "--scales", "0.5",
+        ]
+    )
+    assert rc == 0
+    assert _arms(capsys.readouterr().out) == ["noise-0.5"]
+
+
+@pytest.mark.parametrize(
+    "file_values, flags",
+    [
+        ({"bounds": [0.5, -0.5, -0.5, 0.5, 0.0, 0.5]}, []),  # inverted x limits
+        ({"bounds": ["a", 0.5, -0.5, 0.5, 0.0, 0.5]}, []),  # non-numeric
+        ({"noise": -1}, []),
+        ({"noise": {"k": -1}}, []),
+        ({}, ["--noise-k", "-1"]),
+        ({"eval_seeds": [1, 2]}, []),
+        ({"seed": "3"}, []),
+        ({"n_eval": 2.5}, []),
+    ],
+)
+def test_bad_config_values_exit_with_message(tmp_path, file_values, flags):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "push_button", "n_demos": 2, "n_eval": 2, **file_values}))
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--config", str(cfg), *flags])
+    assert isinstance(err.value.code, str)  # a message, not an argparse usage error

@@ -30,6 +30,7 @@ from iclmanip.harness import (
     run_eval,
 )
 from iclmanip.llm import CompletionResult, Provider, TransportError
+from iclmanip.model import WorkspaceBounds
 from iclmanip.sim import TaskId, reset, task_spec
 
 
@@ -52,6 +53,69 @@ def test_run_config_validation():
         config(uniform_interval=0)
     with pytest.raises(ValueError):
         config(n_eval=2, eval_seeds=(1, 2, 3))
+
+
+def test_from_mapping_coerces_json_values():
+    cfg = RunConfig.from_mapping(
+        {
+            "task": "stack_cube",
+            "provider": "mock-compositional",
+            "keyframe_mode": "uniform",
+            "loop_mode": "closed",
+            "bounds": [-1, 1, -1, 1, 0, 1],
+            "noise": None,
+            "n_demos": 3,
+            "delta": 1,
+        }
+    )
+    assert cfg.task is TaskId.STACK_CUBE
+    assert cfg.provider is Provider.MOCK_COMPOSITIONAL
+    assert cfg.keyframe_mode is KeyframeMode.UNIFORM
+    assert cfg.loop_mode is LoopMode.CLOSED
+    assert cfg.bounds == WorkspaceBounds(-1.0, 1.0, -1.0, 1.0, 0.0, 1.0)
+    assert cfg.noise is None and cfg.n_demos == 3 and cfg.delta == 1.0
+    assert RunConfig.from_mapping({"task": "push_button", "noise": 0.5}).noise == NoiseSpec(k=0.5)
+    spec = {"k": 2, "sigma_translation_m": 0.01}
+    assert RunConfig.from_mapping({"task": "push_button", "noise": spec}).noise == NoiseSpec(
+        k=2.0, sigma_translation_m=0.01
+    )
+    # Values that are already typed pass through unchanged.
+    assert RunConfig.from_mapping({"task": TaskId.PUSH_BUTTON}) == RunConfig(task=TaskId.PUSH_BUTTON)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"task": "push_button", "eval_seeds": [1, 2]},
+        {"task": "push_button", "walrus": 1},
+        {"n_eval": 2},
+        {"task": "juggle"},
+        {"task": "push_button", "loop_mode": "sideways"},
+        {"task": "push_button", "bounds": [0.5, -0.5, -0.5, 0.5, 0.0, 0.5]},
+        {"task": "push_button", "bounds": ["a", 0.5, -0.5, 0.5, 0.0, 0.5]},
+        {"task": "push_button", "bounds": [0, 1]},
+        {"task": "push_button", "noise": -1},
+        {"task": "push_button", "noise": "loud"},
+        {"task": "push_button", "noise": {"k": 1, "walrus": 2}},
+        {"task": "push_button", "n_demos": 0},
+        {"task": "push_button", "n_demos": "2"},
+        {"task": "push_button", "n_eval": 2.5},
+        {"task": "push_button", "seed": "3"},
+        {"task": "push_button", "delta": True},
+        {"task": "push_button", "endpoint": 5},
+    ],
+)
+def test_from_mapping_rejects_bad_values(values):
+    with pytest.raises(ValueError):
+        RunConfig.from_mapping(values)
+
+
+def test_run_eval_scans_demo_seeds_once(monkeypatch):
+    calls = []
+    scan = harness.demo_seeds
+    monkeypatch.setattr(harness, "demo_seeds", lambda cfg: calls.append(cfg) or scan(cfg))
+    run_eval(config(n_demos=2, n_eval=2))
+    assert len(calls) == 1
 
 
 def test_demo_task_mapping():

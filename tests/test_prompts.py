@@ -222,6 +222,11 @@ def test_parse_skips_observation_echoes():
     got = parse_response(text)
     assert len(got) == 2
     assert got[0].pose.tx == 5 and got[1].pose.tx == 6
+    # A colon-preceded bracket holding 7 integers is an action, not an echo.
+    got = parse_response("Step 1: [50, 0, 30, 0, 0, 1, 1]\nStep 2: [50, 0, 0, 0, 0, 0, 1]")
+    assert [a.pose.tz for a in got] == [30, 0]
+    got = parse_response("Here are the actions: [5, 5, 5, 0, 0, 0, 1], [6, 6, 6, 0, 0, 0, 0].")
+    assert [a.pose.tx for a in got] == [5, 6]
 
 
 def test_parse_bare_six_int_bracket_is_arity_error():
