@@ -39,10 +39,8 @@ from .harness import (
 )
 from .keyframes import KeyframeIndices, extract_keyframes, qualifying_indices, sample_uniform
 from .llm import (
-    CompletionRequest,
     CompletionResult,
     CompletionTimeout,
-    DemoRecord,
     OracleError,
     ProtocolError,
     Provider,

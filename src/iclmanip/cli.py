@@ -9,7 +9,8 @@ Subcommands:
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
 merged values. The remote credential is never a flag; it is read from the
-environment variable named by credential_env.
+environment variable named by credential_env. A ValueError raised while a
+command runs exits with its one-line message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             values[field.name] = flag
     if "task" not in values:
         raise SystemExit("a task is required (flag --task or config file key \"task\")")
-    try:
-        return RunConfig.from_mapping(values)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    return RunConfig.from_mapping(values)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -200,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad config values, unusable delta, unset credential
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -19,12 +20,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import dediscretize_action, discretize_pose
+from .discretize import dediscretize_action
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
-    CompletionRequest,
     CompletionResult,
-    DemoRecord,
     Provider,
     TokenBucket,
     complete_mock_compositional,
@@ -35,6 +34,7 @@ from .model import Episode, ObjectObservation, WorkspaceBounds, verify_object_co
 from .prompts import (
     IclExample,
     ParseError,
+    PromptBundle,
     assemble_prompt,
     build_closed_loop_example,
     build_example_input,
@@ -122,6 +122,10 @@ class RunConfig:
             raise ValueError(f"system_prompt_index must be 0, 1, or 2, got {self.system_prompt_index}")
         if self.uniform_interval < 1:
             raise ValueError(f"uniform_interval must be >= 1, got {self.uniform_interval}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.requests_per_second <= 0:
+            raise ValueError(f"requests_per_second must be positive, got {self.requests_per_second}")
         if self.eval_seeds is not None:
             object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
             if len(self.eval_seeds) != self.n_eval:
@@ -237,22 +241,11 @@ def _noise_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence([base, *tags]).generate_state(1)[0])
 
 
-def obs_bins_vector(
-    observations: Sequence[ObjectObservation], bounds: WorkspaceBounds
-) -> tuple[int, ...]:
-    """Concatenated discretized pose bins, observation order preserved."""
-    bins: list[int] = []
-    for obs in observations:
-        bins.extend(discretize_pose(obs.pose, bounds).as_tuple())
-    return tuple(bins)
-
-
 @dataclass(frozen=True)
 class _Demo:
     seed: int
     episode: Episode
     example: IclExample
-    record: DemoRecord
 
 
 def _noised(
@@ -285,6 +278,11 @@ def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
     world, instruction, _ = reset(task, seed, config.bounds)
     episode = scripted_expert(task, world, instruction)
     frames = _keyframes_for(config, episode)
+    if len(frames) < 2:
+        raise ValueError(
+            f"demo seed {seed} has {len(frames)} keyframe at delta {config.delta}; "
+            "a demo needs at least 2, so lower delta"
+        )
     if config.loop_mode is LoopMode.OPEN:
         start_obs = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
         example = build_icl_example(
@@ -302,16 +300,10 @@ def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
                 poses_by_t[t] = _noised(
                     observations_of(sim), config, _DEMO_NOISE_TAG, position, t
                 )
-        start_obs = poses_by_t[frames[0]]
         example = build_closed_loop_example(
             episode, frames, config.bounds, lambda t: poses_by_t[t]
         )
-    record = DemoRecord(
-        obs_bins=obs_bins_vector(start_obs, config.bounds),
-        instruction=instruction,
-        output=example.output,
-    )
-    return _Demo(seed=seed, episode=episode, example=example, record=record)
+    return _Demo(seed=seed, episode=episode, example=example)
 
 
 def build_demo_pool(config: RunConfig) -> list[_Demo]:
@@ -320,32 +312,22 @@ def build_demo_pool(config: RunConfig) -> list[_Demo]:
     return demos
 
 
-def _complete(
-    config: RunConfig,
-    demos: list[_Demo],
-    system: str,
-    body: str,
-    test_bins: tuple[int, ...],
-    instruction: str,
-    credential: str | None,
-    bucket: TokenBucket | None,
-) -> CompletionResult:
-    if config.provider is Provider.REMOTE:
-        request = CompletionRequest(
-            system=system,
-            user=body,
-            model=config.model,
-            max_tokens=config.max_tokens,
-            temperature=0.0,
-        )
-        assert credential is not None
-        return complete_remote(
-            request, config.endpoint, credential, rate_limiter=bucket
-        )
-    records = [d.record for d in demos]
+def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
     if config.provider is Provider.MOCK_NEAREST:
-        return complete_mock_nearest(records, test_bins, instruction)
-    return complete_mock_compositional(records, test_bins, instruction)
+        return complete_mock_nearest
+    if config.provider is Provider.MOCK_COMPOSITIONAL:
+        return complete_mock_compositional
+    credential = os.environ.get(config.credential_env)
+    if not credential:
+        raise ValueError(f"credential environment variable {config.credential_env!r} is not set")
+    return functools.partial(
+        complete_remote,
+        endpoint=config.endpoint,
+        credential=credential,
+        model=config.model,
+        max_tokens=config.max_tokens,
+        rate_limiter=TokenBucket(config.requests_per_second),
+    )
 
 
 def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
@@ -354,6 +336,7 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     Parse failures count as failed episodes and never abort the run;
     transport and protocol errors from the remote provider do abort.
     """
+    complete = _provider(config)
     demos = build_demo_pool(config)
     e_seeds = eval_seeds(config)
     if config.eval_seeds is None and {d.seed for d in demos} & set(e_seeds):
@@ -361,15 +344,6 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
 
     system = default_system_prompts()[config.system_prompt_index]
     examples = [d.example for d in demos]
-    credential = None
-    bucket = None
-    if config.provider is Provider.REMOTE:
-        credential = os.environ.get(config.credential_env)
-        if not credential:
-            raise ValueError(
-                f"credential environment variable {config.credential_env!r} is not set"
-            )
-        bucket = TokenBucket(config.requests_per_second)
 
     records = []
     for j, seed in enumerate(e_seeds):
@@ -377,44 +351,25 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
         test_obs = _noised(observations_of(world), config, _TEST_NOISE_TAG, j)
         test_input = build_example_input(test_obs, instruction, config.bounds)
         bundle = assemble_prompt(examples, test_input, system)
-        prompt_chars = len(bundle.system) + len(bundle.body)
-        result = _complete(
-            config,
-            demos,
-            system,
-            bundle.body,
-            obs_bins_vector(test_obs, config.bounds),
-            instruction,
-            credential,
-            bucket,
-        )
+        result = complete(bundle)
         try:
             predicted = parse_response(result.text)
         except ParseError:
-            records.append(
-                EpisodeRecord(
-                    seed=seed,
-                    success=False,
-                    parse_error=True,
-                    n_actions=0,
-                    latency_ms=result.latency_ms,
-                    prompt_chars=prompt_chars,
-                )
-            )
-            continue
-        try:
-            for da in predicted:
-                execute_action(world, dediscretize_action(da, config.bounds))
-        except ExecutionError:
-            pass  # stop early; score whatever state we reached
+            predicted = None
+        else:
+            try:
+                for da in predicted:
+                    execute_action(world, dediscretize_action(da, config.bounds))
+            except ExecutionError:
+                pass  # stop early; score whatever state we reached
         records.append(
             EpisodeRecord(
                 seed=seed,
-                success=check_success(config.task, world, variation),
-                parse_error=False,
-                n_actions=len(predicted),
+                success=predicted is not None and check_success(config.task, world, variation),
+                parse_error=predicted is None,
+                n_actions=len(predicted or ()),
                 latency_ms=result.latency_ms,
-                prompt_chars=prompt_chars,
+                prompt_chars=len(bundle.system) + len(bundle.body),
             )
         )
     return EvalReport(

@@ -1,9 +1,10 @@
 """Completion providers: a remote chat endpoint and two offline oracles.
 
-All three return a CompletionResult, so the evaluation harness does not
-care which one produced the text. The mocks receive structured demos
-(bin vectors plus instruction and stored output) rather than re-parsing
-prompt strings; retrieval quality is then a pure distance computation.
+All three take a PromptBundle and return a CompletionResult, so the
+evaluation harness does not care which one produced the text. Like a
+model, the mocks see only the prompt: they read the demos and the test
+input back out of the body with prompts.read_prompt, so retrieval is a
+distance computation over the bins printed in the prompt.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .prompts import format_action, parse_response
+from .prompts import PromptBundle, PromptDemo, format_action, parse_response, read_prompt
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_ATTEMPTS = 3
@@ -28,23 +29,6 @@ class Provider(Enum):
     REMOTE = "remote"
     MOCK_NEAREST = "mock-nearest"
     MOCK_COMPOSITIONAL = "mock-compositional"
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    """What gets sent to a provider."""
-
-    system: str
-    user: str
-    model: str = ""
-    max_tokens: int = 1024
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if not self.user:
-            raise ValueError("CompletionRequest.user must be non-empty")
-        if self.max_tokens < 1:
-            raise ValueError(f"CompletionRequest.max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,8 @@ class CompletionResult:
 
 
 class TransportError(Exception):
-    """The endpoint could not be reached or kept answering non-2xx."""
+    """The endpoint could not be reached, refused the request, or kept
+    answering with a retryable status."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
@@ -118,10 +103,17 @@ class TokenBucket:
         self._tokens -= cost
 
 
+def _retryable(status: int) -> bool:
+    return status in (408, 429) or status >= 500
+
+
 def complete_remote(
-    request: CompletionRequest,
+    bundle: PromptBundle,
     endpoint: str,
     credential: str,
+    *,
+    model: str = "",
+    max_tokens: int = 1024,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
@@ -130,8 +122,9 @@ def complete_remote(
 ) -> CompletionResult:
     """POST a chat completion and return the first choice's content.
 
-    Transient failures (non-2xx, connection errors, timeouts) are retried
-    with exponential backoff for `max_attempts` total attempts. The
+    Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
+    retried with exponential backoff for `max_attempts` total attempts; any
+    other non-2xx status raises TransportError after one attempt. The
     credential travels only in the Authorization header and is never part
     of raised messages.
     """
@@ -139,13 +132,13 @@ def complete_remote(
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     url = endpoint.rstrip("/") + "/v1/chat/completions"
     payload = {
-        "model": request.model,
+        "model": model,
         "messages": [
-            {"role": "system", "content": request.system},
-            {"role": "user", "content": request.user},
+            {"role": "system", "content": bundle.system},
+            {"role": "user", "content": bundle.body},
         ],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
+        "temperature": 0.0,
+        "max_tokens": max_tokens,
     }
     headers = {"Authorization": f"Bearer {credential}"}
     last_error: TransportError | None = None
@@ -167,6 +160,8 @@ def complete_remote(
             last_error = TransportError(
                 f"HTTP {response.status_code} from {url}", status=response.status_code
             )
+            if not _retryable(response.status_code):
+                raise last_error
             continue
         try:
             data = response.json()
@@ -181,22 +176,6 @@ def complete_remote(
     raise last_error
 
 
-@dataclass(frozen=True)
-class DemoRecord:
-    """A retrievable demo: observation bins, its instruction, its output text."""
-
-    obs_bins: tuple[int, ...]
-    instruction: str
-    output: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "obs_bins", tuple(int(b) for b in self.obs_bins))
-        if not self.obs_bins:
-            raise ValueError("DemoRecord.obs_bins must be non-empty")
-        if not self.instruction or not self.output:
-            raise ValueError("DemoRecord instruction and output must be non-empty")
-
-
 _COLOR_WORDS = re.compile(r"\b(?:red|yellow|green|blue)\b")
 
 
@@ -205,16 +184,7 @@ def instruction_template(text: str) -> str:
     return _COLOR_WORDS.sub("*", text)
 
 
-def _normalize_demos(demos: Sequence) -> list[DemoRecord]:
-    out = []
-    for d in demos:
-        out.append(d if isinstance(d, DemoRecord) else DemoRecord(tuple(d[0]), d[1], d[2]))
-    if not out:
-        raise OracleError("demo pool is empty")
-    return out
-
-
-def _candidate_indices(demos: list[DemoRecord], test_instruction: str) -> list[int]:
+def _candidate_indices(demos: Sequence[PromptDemo], test_instruction: str) -> list[int]:
     # Exact instruction matches first; only when none exist, fall back to
     # template matches with color words wildcarded.
     exact = [i for i, d in enumerate(demos) if d.instruction == test_instruction]
@@ -228,53 +198,53 @@ def _squared_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
-def complete_mock_nearest(
-    demos: Sequence,
-    test_obs_bins: Sequence[int],
-    test_instruction: str,
-) -> CompletionResult:
-    """Return the stored output of the nearest matching demo.
+def _nearest_output(
+    demos: Sequence[PromptDemo], test_bins: tuple[int, ...], test_instruction: str
+) -> str:
+    if not demos:
+        raise OracleError("demo pool is empty")
+    for i, d in enumerate(demos):
+        if len(d.bins) != len(test_bins):
+            raise ValueError(
+                f"demo {i} has obs vector length {len(d.bins)}, test has {len(test_bins)}"
+            )
+    candidates = _candidate_indices(demos, test_instruction)
+    if not candidates:
+        raise OracleError(f"no demo instruction matches {test_instruction!r}")
+    best = min(candidates, key=lambda i: (_squared_distance(demos[i].bins, test_bins), i))
+    return demos[best].output
+
+
+def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
+    """Return the output of the nearest matching demo in the prompt.
 
     Nearest means smallest squared distance in concatenated bin space,
     among demos whose instruction matches the test instruction (exact
     first, color-wildcarded template as fallback). Ties go to the lowest
     demo index.
     """
-    pool = _normalize_demos(demos)
-    test_vec = tuple(int(b) for b in test_obs_bins)
-    for i, d in enumerate(pool):
-        if len(d.obs_bins) != len(test_vec):
-            raise ValueError(
-                f"demo {i} has obs vector length {len(d.obs_bins)}, test has {len(test_vec)}"
-            )
-    candidates = _candidate_indices(pool, test_instruction)
-    if not candidates:
-        raise OracleError(f"no demo instruction matches {test_instruction!r}")
-    best = min(candidates, key=lambda i: (_squared_distance(pool[i].obs_bins, test_vec), i))
-    return CompletionResult(text=pool[best].output, latency_ms=0, provider=Provider.MOCK_NEAREST)
+    demos, test_bins, test_instruction = read_prompt(bundle.body)
+    text = _nearest_output(demos, test_bins, test_instruction)
+    return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_NEAREST)
 
 
 COMPOSITION_SEPARATOR = ", then "
 
 
-def complete_mock_compositional(
-    demos: Sequence,
-    test_obs_bins: Sequence[int],
-    test_instruction: str,
-) -> CompletionResult:
-    """Split the instruction on ', then ', retrieve per segment, concatenate.
+def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
+    """Split the test instruction on ', then ', retrieve per segment, concatenate.
 
     Each segment is answered by nearest-neighbor retrieval as in
     complete_mock_nearest; the parsed action lists are joined into a
     single response in the output grammar.
     """
-    segments = test_instruction.split(COMPOSITION_SEPARATOR)
+    demos, test_bins, test_instruction = read_prompt(bundle.body)
     actions = []
-    for segment in segments:
+    for segment in test_instruction.split(COMPOSITION_SEPARATOR):
         try:
-            partial = complete_mock_nearest(demos, test_obs_bins, segment)
+            text = _nearest_output(demos, test_bins, segment)
         except OracleError as exc:
             raise OracleError(f"segment {segment!r} is unresolvable: {exc}") from None
-        actions.extend(parse_response(partial.text))
+        actions.extend(parse_response(text))
     text = "{" + ", ".join(format_action(a) for a in actions) + "}"
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_COMPOSITIONAL)

@@ -11,14 +11,16 @@ for byte:
 
 parse_response is total: any byte string either yields actions or raises
 ParseError with a kind of no_actions, arity, range, or (strict mode only)
-grammar.
+grammar. read_prompt inverts a prompt body back into its demos and test
+input; the offline oracles answer from what it reads.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .discretize import (
     ROTATION_BINS,
@@ -297,37 +299,50 @@ def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteActi
     return actions
 
 
-_OBSERVATION = re.compile(r"\s*(.+?)\s*:\s*\[([^\[\]]*)\]\s*")
+class PromptDemo(NamedTuple):
+    """One demo read back out of a prompt body."""
+
+    bins: tuple[int, ...]  # every observation's six pose bins, in order
+    instruction: str
+    output: str
 
 
-def parse_observation(text: str) -> tuple[str, DiscretePose]:
-    """Inverse of format_observation; accepts surrounding whitespace."""
-    match = _OBSERVATION.fullmatch(text)
-    if match is None:
-        raise ParseError("no_actions", 0, f"not an observation: {text!r}")
-    values = _int_list(match.group(2))
-    if values is None or len(values) != 6:
-        raise ParseError("arity", match.start(2), f"observation needs 6 integer bins: {text!r}")
-    for (name, limit), v in zip(_COMPONENT_LIMITS, values):
-        if not 0 <= v < limit:
-            raise ParseError("range", match.start(2), f"{name} bin {v} out of range [0, {limit})")
-    return match.group(1), DiscretePose(*values)
+_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d+(?:, \d+){5})\], ")
+_DEMO_PAIR = re.compile(r"(\{[^{}]*\}) > (\{[^{}]*\}), ")
 
 
-def parse_example_input(text: str) -> tuple[list[tuple[str, DiscretePose]], str]:
-    """Split a formatted example input back into observations and instruction."""
-    body = text.strip()
-    if body.startswith("{") and body.endswith("}"):
-        body = body[1:-1]
-    observations: list[tuple[str, DiscretePose]] = []
-    cursor = 0
-    pattern = re.compile(r"([^{},]+?):\s*\[([^\[\]]*)\]")
-    for match in pattern.finditer(body):
-        observations.append(parse_observation(match.group(0)))
+def _read_input(text: str) -> tuple[tuple[int, ...], str]:
+    # Observations use [...] and never braces, so `{` and `}` only frame the input.
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"example input must be wrapped in braces: {text[:40]!r}")
+    bins: list[int] = []
+    cursor = 1
+    while (match := _INPUT_OBSERVATION.match(text, cursor)) is not None:
+        bins.extend(int(b) for b in match.group(1).split(", "))
         cursor = match.end()
-    instruction = body[cursor:].lstrip(", ").strip()
-    if not observations:
-        raise ParseError("no_actions", 0, "no observations found in example input")
-    if not instruction:
-        raise ParseError("no_actions", cursor, "no instruction found in example input")
-    return observations, instruction
+    instruction = text[cursor:-1]
+    if not bins or not instruction:
+        raise ValueError(f"example input needs observations and an instruction: {text[:40]!r}")
+    return tuple(bins), instruction
+
+
+@functools.lru_cache(maxsize=1)
+def _read_demos(prefix: str) -> tuple[PromptDemo, ...]:
+    # Every episode of a run shares this prefix, so it is parsed once per run.
+    demos = []
+    cursor = 0
+    while (match := _DEMO_PAIR.match(prefix, cursor)) is not None:
+        demos.append(PromptDemo(*_read_input(match.group(1)), match.group(2)))
+        cursor = match.end()
+    if cursor != len(prefix):
+        raise ValueError(f"prompt body is not a sequence of demos at offset {cursor}")
+    return tuple(demos)
+
+
+def read_prompt(body: str) -> tuple[tuple[PromptDemo, ...], tuple[int, ...], str]:
+    """Inverse of assemble_prompt over build_example_input inputs: the demos,
+    then the test input's concatenated pose bins and its instruction."""
+    if not body.endswith("} > "):
+        raise ValueError("prompt body must end with the test input and '> '")
+    split = body.rfind("{")
+    return (_read_demos(body[:split]), *_read_input(body[split:-3]))

@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 import iclmanip as m
-from iclmanip.harness import obs_bins_vector
-from iclmanip.llm import DemoRecord
 
 from conftest import BOUNDS, make_episode
 
@@ -169,7 +167,7 @@ def test_criterion_07_compositional_oracle_on_multi_button():
     while (episodes_run < 20 or lengths_seen != {1, 2, 3, 4, 5, 6}) and seed < 200:
         world, instruction, variation = m.reset(m.TaskId.PUSH_MULTIPLE_BUTTONS, seed, BOUNDS)
         seed += 1
-        records = []
+        examples = []
         for color in ("red", "yellow", "green", "blue"):
             single = f"push the {color} button"
             try:
@@ -178,10 +176,10 @@ def test_criterion_07_compositional_oracle_on_multi_button():
                 continue
             frames = m.extract_keyframes(ep, 0.01)
             example = m.build_icl_example(ep, frames, BOUNDS)
-            records.append(DemoRecord(obs_bins_vector(ep.objects, BOUNDS), single, example.output))
-        result = m.complete_mock_compositional(
-            records, obs_bins_vector(m.observations_of(world), BOUNDS), instruction
-        )
+            examples.append(example)
+        test_input = m.build_example_input(m.observations_of(world), instruction, BOUNDS)
+        system = m.default_system_prompts()[0]
+        result = m.complete_mock_compositional(m.assemble_prompt(examples, test_input, system))
         actions = m.parse_response(result.text)
         replay = world.clone()
         try:

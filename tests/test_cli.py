@@ -192,6 +192,8 @@ def test_ablate_noise_respects_scales_flag(capsys):
         ({"eval_seeds": [1, 2]}, []),
         ({"seed": "3"}, []),
         ({"n_eval": 2.5}, []),
+        ({}, ["--max-tokens", "0"]),
+        ({"requests_per_second": 0}, []),
     ],
 )
 def test_bad_config_values_exit_with_message(tmp_path, file_values, flags):
@@ -200,3 +202,33 @@ def test_bad_config_values_exit_with_message(tmp_path, file_values, flags):
     with pytest.raises(SystemExit) as err:
         main(["eval", "--config", str(cfg), *flags])
     assert isinstance(err.value.code, str)  # a message, not an argparse usage error
+
+
+@pytest.mark.parametrize(
+    "task, delta", [("push_button", "0.02"), ("stack_cube", "0.05")]
+)
+def test_delta_leaving_one_keyframe_exits_with_message(task, delta):
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--task", task, "--n-demos", "2", "--n-eval", "2", "--delta", delta])
+    assert isinstance(err.value.code, str)
+    assert "demo seed" in err.value.code
+    assert f"delta {delta}" in err.value.code
+
+
+def test_remote_without_credential_exits_with_message(monkeypatch):
+    monkeypatch.delenv("ICLMANIP_TEST_UNSET_KEY", raising=False)
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "eval",
+                "--task", "push_button",
+                "--n-demos", "2",
+                "--n-eval", "2",
+                "--provider", "remote",
+                "--endpoint", "http://127.0.0.1:9",
+                "--credential-env", "ICLMANIP_TEST_UNSET_KEY",
+            ]
+        )
+    assert err.value.code == (
+        "credential environment variable 'ICLMANIP_TEST_UNSET_KEY' is not set"
+    )

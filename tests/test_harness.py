@@ -177,7 +177,7 @@ def test_run_eval_success_rate_matches_records():
 
 
 def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
-    def bad_completion(demos, bins, instruction):
+    def bad_completion(bundle):
         return CompletionResult(text="no actions here", latency_ms=0, provider=Provider.MOCK_NEAREST)
 
     monkeypatch.setattr(harness, "complete_mock_nearest", bad_completion)

@@ -1,5 +1,6 @@
 """Remote bridge against a local throwaway HTTP server, rate limiter with
-an injected clock, and the two offline oracles against brute force.
+an injected clock, and the two offline oracles against brute force over
+demos they read from the prompt body.
 """
 
 import json
@@ -11,9 +12,7 @@ import numpy as np
 import pytest
 
 from iclmanip.llm import (
-    CompletionRequest,
     CompletionTimeout,
-    DemoRecord,
     OracleError,
     ProtocolError,
     Provider,
@@ -24,7 +23,7 @@ from iclmanip.llm import (
     complete_remote,
     instruction_template,
 )
-from iclmanip.prompts import parse_response
+from iclmanip.prompts import IclExample, PromptBundle, assemble_prompt, parse_response
 
 CREDENTIAL = "sk-test-0000-secret-credential"
 
@@ -73,16 +72,16 @@ def _ok_body(text="{[1, 2, 3, 4, 5, 6, 1]}"):
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
-@pytest.fixture
-def request_obj():
-    return CompletionRequest(system="sys", user="body > ", model="test-model", max_tokens=64)
+BUNDLE = PromptBundle(system="sys", body="body > ")
 
 
-def test_remote_happy_path(request_obj):
+def test_remote_happy_path():
     script = _Script([(200, _ok_body())])
     server, endpoint = _make_server(script)
     try:
-        result = complete_remote(request_obj, endpoint, CREDENTIAL, timeout_s=5)
+        result = complete_remote(
+            BUNDLE, endpoint, CREDENTIAL, model="test-model", max_tokens=64, timeout_s=5
+        )
     finally:
         server.shutdown()
     assert result.text == "{[1, 2, 3, 4, 5, 6, 1]}"
@@ -100,13 +99,13 @@ def test_remote_happy_path(request_obj):
     assert payload["messages"][1]["content"] == "body > "
 
 
-def test_remote_retries_through_transient_failures(request_obj):
+def test_remote_retries_through_transient_failures():
     script = _Script([(500, "oops"), (503, "busy"), (200, _ok_body("ok"))])
     server, endpoint = _make_server(script)
     sleeps = []
     try:
         result = complete_remote(
-            request_obj, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append
+            BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append
         )
     finally:
         server.shutdown()
@@ -116,26 +115,53 @@ def test_remote_retries_through_transient_failures(request_obj):
     assert sleeps == [0.5, 1.0]
 
 
-def test_remote_gives_up_after_max_attempts(request_obj):
+@pytest.mark.parametrize("status", [408, 429])
+def test_remote_retries_timeout_and_rate_limit_statuses(status):
+    script = _Script([(status, "later"), (200, _ok_body("ok"))])
+    server, endpoint = _make_server(script)
+    try:
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+    finally:
+        server.shutdown()
+    assert result.text == "ok"
+    assert len(script.requests) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_remote_client_errors_fail_after_one_request(status):
+    script = _Script([(status, "no"), (200, _ok_body())])
+    server, endpoint = _make_server(script)
+    sleeps = []
+    try:
+        with pytest.raises(TransportError) as err:
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+    finally:
+        server.shutdown()
+    assert err.value.status == status
+    assert len(script.requests) == 1
+    assert sleeps == []
+
+
+def test_remote_gives_up_after_max_attempts():
     script = _Script([(500, "a"), (500, "b"), (500, "c"), (500, "d")])
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(request_obj, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
     finally:
         server.shutdown()
     assert err.value.status == 500
     assert len(script.requests) == 3  # default max_attempts
 
 
-def test_remote_timeout_raises_completion_timeout(request_obj):
+def test_remote_timeout_raises_completion_timeout():
     script = _Script([(200, _ok_body())] * 3)
     script.delay_s = 0.5
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(CompletionTimeout):
             complete_remote(
-                request_obj,
+                BUNDLE,
                 endpoint,
                 CREDENTIAL,
                 timeout_s=0.05,
@@ -146,24 +172,24 @@ def test_remote_timeout_raises_completion_timeout(request_obj):
         server.shutdown()
 
 
-def test_remote_malformed_response_fails_fast(request_obj):
+def test_remote_malformed_response_fails_fast():
     # A 2xx with the wrong shape must raise immediately, not retry.
     script = _Script([(200, json.dumps({"unexpected": True})), (200, _ok_body())])
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(ProtocolError):
-            complete_remote(request_obj, endpoint, CREDENTIAL, timeout_s=5)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
     finally:
         server.shutdown()
     assert len(script.requests) == 1
 
 
-def test_remote_errors_never_leak_the_credential(request_obj):
+def test_remote_errors_never_leak_the_credential():
     script = _Script([(500, "x")] * 3)
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(request_obj, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
     finally:
         server.shutdown()
     assert CREDENTIAL not in str(err.value)
@@ -171,7 +197,7 @@ def test_remote_errors_never_leak_the_credential(request_obj):
 
     # Connection refused: the server is down now.
     with pytest.raises(TransportError) as err:
-        complete_remote(request_obj, endpoint, CREDENTIAL, timeout_s=1, sleep=lambda s: None)
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=1, sleep=lambda s: None)
     assert CREDENTIAL not in str(err.value)
 
 
@@ -208,13 +234,6 @@ def test_token_bucket_validation():
         bucket.acquire(cost=2.0)
 
 
-def test_completion_request_validation():
-    with pytest.raises(ValueError):
-        CompletionRequest(system="s", user="")
-    with pytest.raises(ValueError):
-        CompletionRequest(system="s", user="u", max_tokens=0)
-
-
 def test_instruction_template():
     assert instruction_template("push the red button") == "push the * button"
     assert instruction_template("stack the blue cube on the yellow cube") == (
@@ -225,12 +244,27 @@ def test_instruction_template():
     )
 
 
+def _input(bins, instruction):
+    """An example input in the prompt grammar: one observation per 6 bins."""
+    obs = [
+        f"object {k // 6}: [{', '.join(str(b) for b in bins[k:k + 6])}]"
+        for k in range(0, len(bins), 6)
+    ]
+    return "{" + ", ".join([*obs, instruction]) + "}"
+
+
+def _bundle(pool, test_bins, test_instruction):
+    """A prompt whose demos are (bins, instruction, output) triples."""
+    examples = [IclExample(_input(bins, instr), out) for bins, instr, out in pool]
+    return assemble_prompt(examples, _input(test_bins, test_instruction), "sys")
+
+
 def _random_pool(rng, n, width, instructions):
     pool = []
     for i in range(n):
         bins = tuple(int(b) for b in rng.integers(0, 100, size=width))
         instr = instructions[int(rng.integers(0, len(instructions)))]
-        pool.append(DemoRecord(bins, instr, f"{{[{i % 100}, 0, 0, 0, 0, 0, 1]}}"))
+        pool.append((bins, instr, f"{{[{i % 100}, 0, 0, 0, 0, 0, 1]}}"))
     return pool
 
 
@@ -242,70 +276,81 @@ def test_mock_nearest_matches_brute_force():
         "slide the block onto the target",
     ]
     for _ in range(200):
-        width = int(rng.integers(1, 13))
+        width = 6 * int(rng.integers(1, 3))
         pool = _random_pool(rng, int(rng.integers(1, 12)), width, instructions)
         test_bins = tuple(int(b) for b in rng.integers(0, 100, size=width))
         test_instr = instructions[int(rng.integers(0, len(instructions)))]
+        bundle = _bundle(pool, test_bins, test_instr)
 
-        exact = [i for i, d in enumerate(pool) if d.instruction == test_instr]
+        exact = [i for i, (_, instr, _) in enumerate(pool) if instr == test_instr]
         if not exact:
             t = instruction_template(test_instr)
-            exact = [i for i, d in enumerate(pool) if instruction_template(d.instruction) == t]
+            exact = [i for i, (_, instr, _) in enumerate(pool) if instruction_template(instr) == t]
         if not exact:
             with pytest.raises(OracleError):
-                complete_mock_nearest(pool, test_bins, test_instr)
+                complete_mock_nearest(bundle)
             continue
         best = min(
             exact,
-            key=lambda i: (sum((a - b) ** 2 for a, b in zip(pool[i].obs_bins, test_bins)), i),
+            key=lambda i: (sum((a - b) ** 2 for a, b in zip(pool[i][0], test_bins)), i),
         )
-        result = complete_mock_nearest(pool, test_bins, test_instr)
-        assert result.text == pool[best].output
+        result = complete_mock_nearest(bundle)
+        assert result.text == pool[best][2]
         assert result.latency_ms == 0
+
+
+def test_mock_nearest_answers_from_the_prompt_text():
+    pool = [
+        ((10,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+        ((40,) * 6, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
+    ]
+    bundle = _bundle(pool, (20,) * 6, "push the red button")
+    assert complete_mock_nearest(bundle).text == "{[1, 0, 0, 0, 0, 0, 1]}"
+    edited = PromptBundle(
+        system=bundle.system,
+        body=bundle.body.replace("{[1, 0, 0, 0, 0, 0, 1]}", "{[5, 6, 7, 0, 0, 0, 0]}"),
+    )
+    assert complete_mock_nearest(edited).text == "{[5, 6, 7, 0, 0, 0, 0]}"
+    # Moving the first demo's printed observation away hands the reply to the second.
+    moved = PromptBundle(
+        system=bundle.system, body=bundle.body.replace("[10, 10, 10, 10, 10, 10]", "[60, 60, 60, 60, 60, 60]")
+    )
+    assert complete_mock_nearest(moved).text == "{[2, 0, 0, 0, 0, 0, 1]}"
 
 
 def test_mock_nearest_tie_breaks_to_lowest_index():
     pool = [
-        DemoRecord((10, 10), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
-        DemoRecord((10, 10), "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
+        ((10,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+        ((10,) * 6, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
     ]
-    result = complete_mock_nearest(pool, (0, 0), "push the red button")
-    assert result.text == pool[0].output
+    result = complete_mock_nearest(_bundle(pool, (0,) * 6, "push the red button"))
+    assert result.text == pool[0][2]
 
 
 def test_mock_nearest_prefers_exact_instruction_over_closer_template():
     pool = [
         # Wrong color but identical observation vector.
-        DemoRecord((5, 5), "push the blue button", "{[9, 0, 0, 0, 0, 0, 1]}"),
+        ((5,) * 6, "push the blue button", "{[9, 0, 0, 0, 0, 0, 1]}"),
         # Right color, far away.
-        DemoRecord((90, 90), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+        ((90,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
     ]
-    result = complete_mock_nearest(pool, (5, 5), "push the red button")
-    assert result.text == pool[1].output
+    result = complete_mock_nearest(_bundle(pool, (5,) * 6, "push the red button"))
+    assert result.text == pool[1][2]
 
 
 def test_mock_nearest_rejects_mismatched_vector_lengths():
-    pool = [DemoRecord((1, 2, 3), "push the red button", "{[0, 0, 0, 0, 0, 0, 1]}")]
+    pool = [((1,) * 12, "push the red button", "{[0, 0, 0, 0, 0, 0, 1]}")]
     with pytest.raises(ValueError):
-        complete_mock_nearest(pool, (1, 2), "push the red button")
-
-
-def test_mock_nearest_accepts_raw_triples():
-    result = complete_mock_nearest(
-        [((3, 4), "push the red button", "{[7, 0, 0, 0, 0, 0, 1]}")],
-        (3, 4),
-        "push the red button",
-    )
-    assert result.text == "{[7, 0, 0, 0, 0, 0, 1]}"
+        complete_mock_nearest(_bundle(pool, (1,) * 6, "push the red button"))
 
 
 def test_mock_compositional_concatenates_segments():
     pool = [
-        DemoRecord((1, 1), "push the red button", "{[1, 1, 1, 0, 0, 0, 1], [2, 2, 2, 0, 0, 0, 1]}"),
-        DemoRecord((1, 1), "push the green button", "{[3, 3, 3, 0, 0, 0, 1]}"),
+        ((1,) * 6, "push the red button", "{[1, 1, 1, 0, 0, 0, 1], [2, 2, 2, 0, 0, 0, 1]}"),
+        ((1,) * 6, "push the green button", "{[3, 3, 3, 0, 0, 0, 1]}"),
     ]
     result = complete_mock_compositional(
-        pool, (1, 1), "push the red button, then push the green button"
+        _bundle(pool, (1,) * 6, "push the red button, then push the green button")
     )
     assert result.provider is Provider.MOCK_COMPOSITIONAL
     actions = parse_response(result.text)
@@ -315,21 +360,22 @@ def test_mock_compositional_concatenates_segments():
 
 
 def test_mock_compositional_single_segment_equals_nearest():
-    pool = [DemoRecord((1, 1), "push the red button", "{[4, 0, 0, 0, 0, 0, 1]}")]
-    a = complete_mock_compositional(pool, (1, 1), "push the red button")
-    b = complete_mock_nearest(pool, (1, 1), "push the red button")
+    pool = [((1,) * 6, "push the red button", "{[4, 0, 0, 0, 0, 0, 1]}")]
+    bundle = _bundle(pool, (1,) * 6, "push the red button")
+    a = complete_mock_compositional(bundle)
+    b = complete_mock_nearest(bundle)
     assert parse_response(a.text) == parse_response(b.text)
 
 
 def test_mock_compositional_reports_bad_segment():
-    pool = [DemoRecord((1, 1), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}")]
+    pool = [((1,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}")]
     with pytest.raises(OracleError) as err:
         complete_mock_compositional(
-            pool, (1, 1), "push the red button, then slide the block onto the target"
+            _bundle(pool, (1,) * 6, "push the red button, then slide the block onto the target")
         )
     assert "slide the block onto the target" in str(err.value)
 
 
 def test_mock_empty_pool():
     with pytest.raises(OracleError):
-        complete_mock_nearest([], (1,), "push the red button")
+        complete_mock_nearest(_bundle([], (1,) * 6, "push the red button"))

@@ -33,9 +33,8 @@ from iclmanip.prompts import (
     default_system_prompts,
     format_action,
     format_observation,
-    parse_example_input,
-    parse_observation,
     parse_response,
+    read_prompt,
 )
 
 from conftest import BOUNDS
@@ -295,17 +294,55 @@ def test_parse_megabyte_input():
     assert len(got) == 1
 
 
-def test_parse_observation_and_example_input():
-    name, dp = parse_observation("red button: [1, 2, 3, 4, 5, 6]")
-    assert name == "red button"
-    assert dp.as_tuple() == (1, 2, 3, 4, 5, 6)
+def test_read_prompt_inverts_assemble_prompt():
+    stack = "stack the blue cube on the yellow cube"
+    demos, test_bins, test_instruction = read_prompt(golden("open_loop_3demo.txt"))
+    assert [d.bins for d in demos] == [
+        (0, 0, 0, 0, 0, 0, 50, 50, 0, 0, 0, 1),
+        (60, 70, 0, 0, 0, 0, 30, 20, 0, 0, 2, 0),
+        (90, 39, 0, 71, 0, 0, 70, 60, 0, 0, 0, 0),
+    ]
+    assert [d.instruction for d in demos] == [stack] * 3
+    assert [d.output for d in demos] == [
+        "{[50, 50, 9, 0, 0, 0, 0]}",
+        "{[30, 20, 9, 0, 0, 0, 0]}",
+        "{[70, 60, 9, 0, 0, 0, 0]}",
+    ]
+    assert test_bins == (10, 80, 0, 0, 0, 0, 50, 40, 0, 0, 0, 0)
+    assert test_instruction == stack
 
-    obs, instruction = parse_example_input(
-        "{blue cube: [1, 2, 3, 4, 5, 6], yellow cube: [9, 8, 7, 6, 5, 4], "
-        "stack the blue cube on the yellow cube}"
+    # Closed-loop outputs carry observation blocks; they come back verbatim.
+    (demo,), test_bins, _ = read_prompt(golden("closed_loop_1demo.txt"))
+    assert demo.bins == (50, 0, 0, 0, 0, 0)
+    assert demo.output == (
+        "{[50, 50, 60, 0, 0, 0, 1], red button: [50, 0, 0, 0, 0, 0], [50, 0, 0, 0, 0, 0, 1]}"
     )
-    assert [n for n, _ in obs] == ["blue cube", "yellow cube"]
-    assert instruction == "stack the blue cube on the yellow cube"
+    assert test_bins == (0, 50, 0, 0, 0, 0)
+
+    # A composed instruction keeps its commas; a prompt without demos reads as none.
+    test_input = build_example_input(
+        (ObjectObservation("red button", pose(1, 2, 3)),),
+        "push the red button, then push the blue button",
+        BOUNDS,
+    )
+    demos, test_bins, test_instruction = read_prompt(assemble_prompt([], test_input, "s").body)
+    assert demos == ()
+    assert test_bins == (1, 2, 3, 0, 0, 0)
+    assert test_instruction == "push the red button, then push the blue button"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "{a} > ",  # no observations
+        "{red button: [1, 2, 3, 4, 5, 6]} > ",  # no instruction
+        "hello {red button: [1, 2, 3, 4, 5, 6], push} > ",  # text before the demos
+        "{red button: [1, 2, 3, 4, 5, 6], push} > {[1]} {red button: [1, 2, 3, 4, 5, 6], push} > ",
+    ],
+)
+def test_read_prompt_rejects_bodies_assemble_prompt_cannot_make(body):
+    with pytest.raises(ValueError):
+        read_prompt(body)
 
 
 def test_icl_example_rejects_empty_fields():
