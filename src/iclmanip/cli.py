@@ -9,8 +9,9 @@ Subcommands:
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
 merged values. The remote credential is never a flag; it is read from the
-environment variable named by credential_env. A ValueError raised while a
-command runs exits with its one-line message instead of a traceback.
+environment variable named by credential_env. A ValueError, a mock oracle
+that cannot answer, or a remote transport or protocol failure raised while
+a command runs exits with a one-line message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .harness import (
     run_eval,
     sweep,
 )
-from .llm import Provider
+from .llm import OracleError, ProtocolError, Provider, TransportError
 from .model import save_episodes
 from .prompts import assemble_prompt, build_example_input, default_system_prompts
 from .sim import TaskId, observations_of, reset, scripted_expert
@@ -200,8 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad config values, unusable delta, unset credential
+    except (ValueError, TransportError, ProtocolError) as exc:
+        # bad config values, unusable delta, unset credential, remote failure
         raise SystemExit(str(exc))
+    except OracleError as exc:
+        raise SystemExit(
+            f"mock provider cannot answer: {exc}; for instructions that chain "
+            "several demo steps, try --provider mock-compositional"
+        )
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ scanned upward from config.seed so that task variations cycle round-robin
 (and a smaller demo pool is always a prefix of a larger one); eval
 episodes use seeds offset by 100000, so the two sets never overlap unless
 the caller explicitly passes eval_seeds.
+
+Worlds are planned once per call: a store keyed on (task, seed, bounds)
+keeps each pristine reset and expert episode, so the demo seed scan, the
+demo builds and the eval loop never redraw a world. The arms of a sweep
+share one store, because they hold the demo and eval seeds fixed; each arm
+still runs its own seed scan, noise, keyframe selection and prompts.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ from .sim import (
     BASE_SIGMA_TRANSLATION_M,
     ExecutionError,
     TaskId,
+    TaskVariation,
+    WorldState,
     add_pose_noise,
     check_success,
     execute_action,
@@ -203,13 +211,43 @@ def demo_task(task: TaskId) -> TaskId:
     return TaskId.PUSH_BUTTON if task is TaskId.PUSH_MULTIPLE_BUTTONS else task
 
 
-def demo_seeds(config: RunConfig) -> tuple[int, ...]:
+class _Plans:
+    """Pristine resets and expert episodes keyed on (task, seed, bounds).
+
+    Nothing handed out may be mutated: callers clone a world before
+    executing actions in it. A store lives for one run_eval call or one
+    sweep, so nothing outlives the call that made it.
+    """
+
+    def __init__(self) -> None:
+        self._resets: dict[tuple, tuple[WorldState, str, TaskVariation]] = {}
+        self._experts: dict[tuple, Episode] = {}
+
+    def reset(
+        self, task: TaskId, seed: int, bounds: WorkspaceBounds
+    ) -> tuple[WorldState, str, TaskVariation]:
+        key = (task, seed, bounds)
+        if key not in self._resets:
+            self._resets[key] = reset(task, seed, bounds)
+        return self._resets[key]
+
+    def expert(self, task: TaskId, seed: int, bounds: WorkspaceBounds) -> Episode:
+        key = (task, seed, bounds)
+        if key not in self._experts:
+            world, instruction, _ = self.reset(task, seed, bounds)
+            self._experts[key] = scripted_expert(task, world, instruction)
+        return self._experts[key]
+
+
+def demo_seeds(config: RunConfig, plans: _Plans | None = None) -> tuple[int, ...]:
     """Scan seeds upward from config.seed, accepting one whose naturally
     drawn variation matches the next round-robin slot.
 
     Because acceptance depends only on earlier slots, a k-demo pool is a
-    prefix of any larger pool for the same config.
+    prefix of any larger pool for the same config. The scan's resets are
+    kept in `plans` when given.
     """
+    plans = plans or _Plans()
     task = demo_task(config.task)
     variations = task_spec(task).variations
     if not variations:
@@ -220,7 +258,7 @@ def demo_seeds(config: RunConfig) -> tuple[int, ...]:
     budget = config.n_demos * 200
     for slot in slots:
         while budget > 0:
-            _, _, variation = reset(task, seed, config.bounds)
+            _, _, variation = plans.reset(task, seed, config.bounds)
             seed += 1
             budget -= 1
             if variation == slot:
@@ -273,10 +311,9 @@ def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
     return sample_uniform(episode.length, config.uniform_interval)
 
 
-def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
+def _build_demo(config: RunConfig, position: int, seed: int, plans: _Plans) -> _Demo:
     task = demo_task(config.task)
-    world, instruction, _ = reset(task, seed, config.bounds)
-    episode = scripted_expert(task, world, instruction)
+    episode = plans.expert(task, seed, config.bounds)
     frames = _keyframes_for(config, episode)
     if len(frames) < 2:
         raise ValueError(
@@ -292,7 +329,7 @@ def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
         # Closed loop re-observes the scene at each keyframe; replay the
         # dense trajectory to know where objects actually are.
         poses_by_t: dict[int, tuple[ObjectObservation, ...]] = {}
-        sim = world.clone()
+        sim = plans.reset(task, seed, config.bounds)[0].clone()
         wanted = set(frames)
         for t, act in enumerate(episode.actions):
             execute_action(sim, act)
@@ -306,8 +343,9 @@ def _build_demo(config: RunConfig, position: int, seed: int) -> _Demo:
     return _Demo(seed=seed, episode=episode, example=example)
 
 
-def build_demo_pool(config: RunConfig) -> list[_Demo]:
-    demos = [_build_demo(config, i, s) for i, s in enumerate(demo_seeds(config))]
+def build_demo_pool(config: RunConfig, plans: _Plans | None = None) -> list[_Demo]:
+    plans = plans or _Plans()
+    demos = [_build_demo(config, i, s, plans) for i, s in enumerate(demo_seeds(config, plans))]
     verify_object_consistency([d.episode for d in demos])
     return demos
 
@@ -330,14 +368,17 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
     )
 
 
-def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
+def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) -> EvalReport:
     """Run the closed pipeline over n_eval fresh worlds and score successes.
 
     Parse failures count as failed episodes and never abort the run;
     transport and protocol errors from the remote provider do abort.
+    `plans` is shared by the arms of a sweep; by default each call plans
+    its own worlds.
     """
     complete = _provider(config)
-    demos = build_demo_pool(config)
+    plans = plans or _Plans()
+    demos = build_demo_pool(config, plans)
     e_seeds = eval_seeds(config)
     if config.eval_seeds is None and {d.seed for d in demos} & set(e_seeds):
         raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
@@ -347,7 +388,8 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
 
     records = []
     for j, seed in enumerate(e_seeds):
-        world, instruction, variation = reset(config.task, seed, config.bounds)
+        world, instruction, variation = plans.reset(config.task, seed, config.bounds)
+        world = world.clone()  # execute_action mutates it
         test_obs = _noised(observations_of(world), config, _TEST_NOISE_TAG, j)
         test_input = build_example_input(test_obs, instruction, config.bounds)
         bundle = assemble_prompt(examples, test_input, system)
@@ -420,11 +462,13 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
 
 
 def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
-    """Run the arms of SWEEPS[name] in order; values replace its defaults."""
+    """Run the arms of SWEEPS[name] in order; values replace its defaults.
+    The arms share one plan store, so each world is planned once."""
     lead, defaults, arm = SWEEPS[name]
     arms = [make(config) for make in lead]
     arms += [arm(config, v) for v in (defaults if values is None else values)]
-    return [run_eval(cfg, arm=label) for cfg, label in arms]
+    plans = _Plans()
+    return [run_eval(cfg, arm=label, plans=plans) for cfg, label in arms]
 
 
 def ablate_sampling(

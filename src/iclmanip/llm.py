@@ -22,6 +22,7 @@ from .prompts import PromptBundle, PromptDemo, format_action, parse_response, re
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE_S = 0.5
+MAX_RETRY_AFTER_S = 60.0
 DEFAULT_REQUESTS_PER_SECOND = 1.0
 
 
@@ -107,6 +108,15 @@ def _retryable(status: int) -> bool:
     return status in (408, 429) or status >= 500
 
 
+def _retry_after_s(response: requests.Response) -> float | None:
+    """A Retry-After delay in whole seconds, capped at MAX_RETRY_AFTER_S;
+    None when the header is absent, an HTTP date, or malformed."""
+    value = response.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), MAX_RETRY_AFTER_S)
+
+
 def complete_remote(
     bundle: PromptBundle,
     endpoint: str,
@@ -123,10 +133,11 @@ def complete_remote(
     """POST a chat completion and return the first choice's content.
 
     Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
-    retried with exponential backoff for `max_attempts` total attempts; any
-    other non-2xx status raises TransportError after one attempt. The
-    credential travels only in the Authorization header and is never part
-    of raised messages.
+    retried with exponential backoff for `max_attempts` total attempts; a
+    retryable status whose Retry-After header gives delay-seconds waits that
+    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status
+    raises TransportError after one attempt. The credential travels only in
+    the Authorization header and is never part of raised messages.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -142,10 +153,12 @@ def complete_remote(
     }
     headers = {"Authorization": f"Bearer {credential}"}
     last_error: TransportError | None = None
+    retry_after_s: float | None = None
     started = time.monotonic()
     for attempt in range(max_attempts):
         if attempt > 0:
-            sleep(backoff_base_s * (2 ** (attempt - 1)))
+            sleep(backoff_base_s * (2 ** (attempt - 1)) if retry_after_s is None else retry_after_s)
+            retry_after_s = None
         if rate_limiter is not None:
             rate_limiter.acquire()
         try:
@@ -162,6 +175,7 @@ def complete_remote(
             )
             if not _retryable(response.status_code):
                 raise last_error
+            retry_after_s = _retry_after_s(response)
             continue
         try:
             data = response.json()

@@ -14,7 +14,6 @@ another has z equal to the supporter's top face.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,7 +104,20 @@ class WorldState:
         raise KeyError(f"no object named {name!r} in world")
 
     def clone(self) -> "WorldState":
-        return copy.deepcopy(self)
+        """An independent copy: new objects and press log; poses and bounds
+        are frozen values, so the copy shares them."""
+        return WorldState(
+            objects=[
+                SimObject(o.name, o.kind, o.pose, o.size, o.pressed, o.supported_by)
+                for o in self.objects
+            ],
+            gripper_pose=self.gripper_pose,
+            gripper=self.gripper,
+            bounds=self.bounds,
+            attached=self.attached,
+            time=self.time,
+            press_log=list(self.press_log),
+        )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import iclmanip.harness as harness
 from iclmanip.cli import main
+from iclmanip.llm import ProtocolError, TransportError
 from iclmanip.model import load_episodes
 
 
@@ -232,3 +234,37 @@ def test_remote_without_credential_exits_with_message(monkeypatch):
     assert err.value.code == (
         "credential environment variable 'ICLMANIP_TEST_UNSET_KEY' is not set"
     )
+
+
+def test_unanswerable_mock_query_exits_with_message():
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--task", "push_multiple_buttons", "--n-demos", "2", "--n-eval", "4"])
+    assert isinstance(err.value.code, str)
+    assert "\n" not in err.value.code
+    assert "no demo instruction matches" in err.value.code
+    assert "--provider mock-compositional" in err.value.code
+
+
+@pytest.mark.parametrize(
+    "error",
+    [TransportError("HTTP 503 from http://127.0.0.1:9", status=503), ProtocolError("malformed reply")],
+)
+def test_remote_failure_exits_with_message(monkeypatch, error):
+    def failing(bundle, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "complete_remote", failing)
+    monkeypatch.setenv("ICLMANIP_TEST_KEY", "sk-test")
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "eval",
+                "--task", "push_button",
+                "--n-demos", "2",
+                "--n-eval", "2",
+                "--provider", "remote",
+                "--endpoint", "http://127.0.0.1:9",
+                "--credential-env", "ICLMANIP_TEST_KEY",
+            ]
+        )
+    assert err.value.code == str(error)

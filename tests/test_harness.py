@@ -5,7 +5,9 @@ Small demo and eval counts keep this module fast; the full-scale runs
 live in the acceptance suite.
 """
 
+import collections
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -17,6 +19,7 @@ from iclmanip.harness import (
     KeyframeMode,
     LoopMode,
     NoiseSpec,
+    SWEEPS,
     RunConfig,
     ablate_loop,
     ablate_noise,
@@ -28,6 +31,7 @@ from iclmanip.harness import (
     emit_csv,
     eval_seeds,
     run_eval,
+    sweep,
 )
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
@@ -113,7 +117,9 @@ def test_from_mapping_rejects_bad_values(values):
 def test_run_eval_scans_demo_seeds_once(monkeypatch):
     calls = []
     scan = harness.demo_seeds
-    monkeypatch.setattr(harness, "demo_seeds", lambda cfg: calls.append(cfg) or scan(cfg))
+    monkeypatch.setattr(
+        harness, "demo_seeds", lambda cfg, *rest: calls.append(cfg) or scan(cfg, *rest)
+    )
     run_eval(config(n_demos=2, n_eval=2))
     assert len(calls) == 1
 
@@ -297,3 +303,54 @@ def test_emit_csv_format_and_determinism(tmp_path):
 def test_episode_record_fields():
     r = EpisodeRecord(seed=1, success=True, parse_error=False, n_actions=5, latency_ms=0, prompt_chars=10)
     assert r.seed == 1 and r.success and r.n_actions == 5
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_plans_each_world_once(monkeypatch, name):
+    seed_of = {}  # id(world) -> seed, for every world reset hands out
+    resets, planned = [], []
+    real_reset, real_expert = harness.reset, harness.scripted_expert
+
+    def counting_reset(task, seed, bounds):
+        out = real_reset(task, seed, bounds)
+        resets.append((task, seed))
+        seed_of[id(out[0])] = seed
+        return out
+
+    def counting_expert(task, world, instruction):
+        planned.append(seed_of[id(world)])
+        return real_expert(task, world, instruction)
+
+    monkeypatch.setattr(harness, "reset", counting_reset)
+    monkeypatch.setattr(harness, "scripted_expert", counting_expert)
+    cfg = config(n_demos=3, n_eval=3)
+    reports = sweep(cfg, name)
+    monkeypatch.undo()
+
+    demo = {s for r in reports for s in demo_seeds(r.config)}
+    assert sorted(planned) == sorted(demo)
+    assert set(collections.Counter(resets).values()) == {1}
+    assert sorted(s for _, s in resets if s in eval_seeds(cfg)) == sorted(eval_seeds(cfg))
+
+
+# sha256 of emit_csv for each sweep at RunConfig(task, n_demos=4, n_eval=5),
+# captured before the arms of a sweep shared planned worlds.
+GOLDEN_SWEEP_CSV_SHA256 = {
+    ("stack_cube", "sampling"): "9455e02a306fcf6fcbda2f1364de43c2fa592ad7e54ba61a0871339caea3cd8b",
+    ("stack_cube", "shots"): "9894b283ea01746e71966666e957fb198ce7c5c9d9832864f5455bd73e811919",
+    ("stack_cube", "noise"): "0decbb9e276b7b77de07c2958d8625eba24e0dc455c3f4d162c6d78d0137b826",
+    ("stack_cube", "prompts"): "146cff224c5e9b3c892ad0ebfabde9aae21449d3ef66fe4beb41581e9699c4cc",
+    ("stack_cube", "loop"): "cf548bd0a72c6fe148f1daa0032d2d6e0ea32b6b4698c8dd164447fb259a9148",
+    ("push_button", "sampling"): "a6fa9362fcb02390036131c4583ded86b20bc4b708a9b95b0343bbf0eda772fe",
+    ("push_button", "shots"): "eaf8529fd5fa4f29403a338be877248ca2c8a7113e139b61ee58f72bf7cad682",
+    ("push_button", "noise"): "10662977ce9ca41f5332147032248e4442ac8b3d7b8aa14f111d0d78e598da88",
+    ("push_button", "prompts"): "e0554fa71f203a620a56daaf88bfe669ee63819f77ac7515256b92fbc35a9e66",
+    ("push_button", "loop"): "541c130cf4b8d880d81277c6a3f03d14ccb8b05198eb5b1b14d439133dde9720",
+}
+
+
+@pytest.mark.parametrize("task, name", sorted(GOLDEN_SWEEP_CSV_SHA256))
+def test_sweep_csv_matches_golden_hash(tmp_path, task, name):
+    path = tmp_path / "sweep.csv"
+    emit_csv(sweep(RunConfig(task=TaskId(task), n_demos=4, n_eval=5), name), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SWEEP_CSV_SHA256[task, name]

@@ -29,7 +29,8 @@ CREDENTIAL = "sk-test-0000-secret-credential"
 
 
 class _Script:
-    """Per-test server behavior: a list of (status, body) plus a request log."""
+    """Per-test server behavior: a list of (status, body) or (status, body,
+    headers) plus a request log."""
 
     def __init__(self, steps):
         self.steps = list(steps)
@@ -51,9 +52,11 @@ def _make_server(script):
             )
             if script.delay_s:
                 time.sleep(script.delay_s)
-            status, payload = script.steps.pop(0) if script.steps else (200, "{}")
+            status, payload, *extra = script.steps.pop(0) if script.steps else (200, "{}")
             data = payload.encode("utf-8")
             self.send_response(status)
+            for name, value in (extra[0] if extra else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
@@ -125,6 +128,43 @@ def test_remote_retries_timeout_and_rate_limit_statuses(status):
         server.shutdown()
     assert result.text == "ok"
     assert len(script.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("0", 0.0),
+        ("2", 2.0),
+        ("3600", 60.0),  # capped
+        (None, 0.5),  # absent: exponential backoff
+        ("soon", 0.5),
+        ("-1", 0.5),
+        ("1.5", 0.5),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # HTTP dates are not honored
+    ],
+)
+def test_remote_sleeps_for_retry_after_seconds(retry_after, slept):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    script = _Script([(429, "later", headers), (200, _ok_body("ok"))])
+    server, endpoint = _make_server(script)
+    sleeps = []
+    try:
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+    finally:
+        server.shutdown()
+    assert result.text == "ok"
+    assert sleeps == [slept]
+
+
+def test_remote_retry_after_applies_to_the_next_attempt_only():
+    script = _Script([(503, "busy", {"Retry-After": "2"}), (503, "busy"), (200, _ok_body("ok"))])
+    server, endpoint = _make_server(script)
+    sleeps = []
+    try:
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+    finally:
+        server.shutdown()
+    assert sleeps == [2.0, 1.0]
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404])

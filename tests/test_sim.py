@@ -312,12 +312,47 @@ def test_carried_cube_does_not_press():
 
 
 def test_clone_is_independent():
-    world = button_world()
+    objects = [
+        SimObject("red button", Kind.BUTTON, Pose6(0, 0, 0, 0, 0, 0), BUTTON_RADIUS_M),
+        SimObject("blue cube", Kind.CUBE, Pose6(0.2, 0.0, 0, 0, 0, 0), CUBE_EDGE_M),
+    ]
+    world = WorldState(objects, HOME_POSE, OPEN, BOUNDS)
+    before = [(o.pose, o.pressed, o.supported_by) for o in world.objects]
     copy = world.clone()
-    execute_action(world, act(0.0, 0.0, 0.005))
-    assert world.press_log == ["red button"]
-    assert copy.press_log == []
-    assert copy.gripper_pose == HOME_POSE
+    execute_action(copy, act(0.0, 0.0, 0.005))  # press
+    cx, cy, cz = copy.object("blue cube").center()
+    execute_action(copy, act(cx, cy, cz, OPEN))
+    execute_action(copy, act(cx, cy, cz, CLOSED))  # grasp
+    execute_action(copy, act(cx, cy, 0.2, CLOSED))  # carry
+    assert copy.attached == "blue cube"
+    assert copy.object("red button").pressed
+    assert copy.object("blue cube").pose.z > 0.1
+    assert [(o.pose, o.pressed, o.supported_by) for o in world.objects] == before
+    assert world.press_log == [] and world.attached is None and world.time == 0
+    assert world.gripper_pose == HOME_POSE and world.gripper is OPEN
+
+
+def test_clone_copies_every_field():
+    world = WorldState(
+        objects=[
+            SimObject("red button", Kind.BUTTON, Pose6(0, 0, 0, 0, 0, 0), BUTTON_RADIUS_M, pressed=True),
+            SimObject("green cube", Kind.CUBE, Pose6(0.2, 0, 0, 0, 0, 0.3), CUBE_EDGE_M),
+            SimObject(
+                "blue cube", Kind.CUBE, Pose6(0.2, 0, CUBE_EDGE_M, 0, 0, 0), CUBE_EDGE_M,
+                supported_by="green cube",
+            ),
+        ],
+        gripper_pose=Pose6(0.1, 0.1, 0.2, 0, 0, 0),
+        gripper=CLOSED,
+        bounds=BOUNDS,
+        attached="blue cube",
+        time=7,
+        press_log=["red button"],
+    )
+    copy = world.clone()
+    assert copy == world
+    assert copy.press_log is not world.press_log
+    assert all(a is not b for a, b in zip(copy.objects, world.objects))
 
 
 # --------------------------------------------------------- check_success
