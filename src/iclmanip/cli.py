@@ -9,9 +9,11 @@ Subcommands:
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
 merged values. The remote credential is never a flag; it is read from the
-environment variable named by credential_env. A ValueError, a mock oracle
-that cannot answer, or a remote transport or protocol failure raised while
-a command runs exits with a one-line message instead of a traceback.
+environment variable named by credential_env. A ValueError, bounds the
+simulator cannot place objects in, plan a demo in or replay a demo in, a
+mock oracle that cannot answer, or a remote transport or protocol failure
+raised while a command runs exits with a one-line message instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .harness import (
     LoopMode,
     RunConfig,
     build_demo_pool,
-    demo_seeds,
-    demo_task,
+    demo_episodes,
     emit_csv,
     eval_seeds,
     run_eval,
@@ -39,7 +40,7 @@ from .harness import (
 from .llm import OracleError, ProtocolError, Provider, TransportError
 from .model import save_episodes
 from .prompts import assemble_prompt, build_example_input, default_system_prompts
-from .sim import TaskId, observations_of, reset, scripted_expert
+from .sim import ExecutionError, ExpertError, PlacementError, TaskId, observations_of, reset
 
 
 def _load_config_file(path: str) -> dict:
@@ -107,12 +108,7 @@ def _summary_line(report: EvalReport) -> str:
 
 
 def _cmd_generate_demos(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    task = demo_task(config.task)
-    episodes = []
-    for seed in demo_seeds(config):
-        world, instruction, _ = reset(task, seed, config.bounds)
-        episodes.append(scripted_expert(task, world, instruction))
+    episodes = demo_episodes(_build_run_config(args))
     save_episodes(episodes, args.out)
     print(f"wrote {len(episodes)} episodes to {args.out}")
     return 0
@@ -201,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TransportError, ProtocolError) as exc:
-        # bad config values, unusable delta, unset credential, remote failure
+    except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError) as exc:
+        # bad config values, unusable delta or bounds, unset credential, remote failure
         raise SystemExit(str(exc))
     except OracleError as exc:
         raise SystemExit(

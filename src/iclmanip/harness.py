@@ -59,6 +59,7 @@ from .sim import (
     check_success,
     execute_action,
     observations_of,
+    replay_observations,
     reset,
     scripted_expert,
     task_spec,
@@ -269,6 +270,14 @@ def demo_seeds(config: RunConfig, plans: _Plans | None = None) -> tuple[int, ...
     return tuple(chosen)
 
 
+def demo_episodes(config: RunConfig, plans: _Plans | None = None) -> list[Episode]:
+    """The scripted expert's episode on each demo seed, planned on the
+    worlds the seed scan drew."""
+    plans = plans or _Plans()
+    task = demo_task(config.task)
+    return [plans.expert(task, seed, config.bounds) for seed in demo_seeds(config, plans)]
+
+
 def eval_seeds(config: RunConfig) -> tuple[int, ...]:
     if config.eval_seeds is not None:
         return config.eval_seeds
@@ -327,18 +336,14 @@ def _build_demo(config: RunConfig, position: int, seed: int, plans: _Plans) -> _
         )
     else:
         # Closed loop re-observes the scene at each keyframe; replay the
-        # dense trajectory to know where objects actually are.
-        poses_by_t: dict[int, tuple[ObjectObservation, ...]] = {}
-        sim = plans.reset(task, seed, config.bounds)[0].clone()
-        wanted = set(frames)
-        for t, act in enumerate(episode.actions):
-            execute_action(sim, act)
-            if t in wanted:
-                poses_by_t[t] = _noised(
-                    observations_of(sim), config, _DEMO_NOISE_TAG, position, t
-                )
+        # expert to know where objects actually are.
+        world = plans.reset(task, seed, config.bounds)[0].clone()
+        observed = replay_observations(world, episode, frames)
         example = build_closed_loop_example(
-            episode, frames, config.bounds, lambda t: poses_by_t[t]
+            episode,
+            frames,
+            config.bounds,
+            lambda t: _noised(observed[t], config, _DEMO_NOISE_TAG, position, t),
         )
     return _Demo(seed=seed, episode=episode, example=example)
 

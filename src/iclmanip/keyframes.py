@@ -4,13 +4,18 @@ A timestep qualifies when the arm is nearly still (joint-velocity norm
 below delta) or the gripper is about to change state. Runs of adjacent
 qualifying timesteps collapse to their last index, and the final timestep
 is always included, so a few hundred frames reduce to a handful.
+
+Both criteria are masks over the episode's arrays: the row norms of its
+T x 7 joint velocities and the changes in its T gripper bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Episode
+import numpy as np
+
+from .model import Episode, velocity_norms
 
 
 @dataclass(frozen=True)
@@ -44,36 +49,31 @@ class KeyframeIndices:
         return self.indices[item]
 
 
+def _qualifying_mask(episode: Episode, delta: float) -> np.ndarray:
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    mask = velocity_norms(episode.joint_velocities) < delta
+    bits = episode.gripper_bits
+    mask[:-1] |= bits[:-1] != bits[1:]
+    return mask
+
+
 def qualifying_indices(episode: Episode, delta: float) -> list[int]:
     """Return every timestep satisfying the raw criterion, pre-collapse.
 
     Index t qualifies iff the joint-velocity norm at t is below `delta`,
     or t < T-1 and the gripper state changes between t and t+1.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    T = episode.length
-    out = []
-    for t in range(T):
-        near_still = episode.velocities[t].norm() < delta
-        toggles = t < T - 1 and episode.actions[t].gripper != episode.actions[t + 1].gripper
-        if near_still or toggles:
-            out.append(t)
-    return out
+    return np.flatnonzero(_qualifying_mask(episode, delta)).tolist()
 
 
 def extract_keyframes(episode: Episode, delta: float) -> KeyframeIndices:
     """Collapse qualifying runs to their last index and ensure T-1 is kept."""
-    raw = qualifying_indices(episode, delta)
-    collapsed: list[int] = []
-    for i, t in enumerate(raw):
-        is_run_end = i + 1 == len(raw) or raw[i + 1] != t + 1
-        if is_run_end:
-            collapsed.append(t)
-    last = episode.length - 1
-    if not collapsed or collapsed[-1] != last:
-        collapsed.append(last)
-    return KeyframeIndices(tuple(collapsed), episode.length)
+    mask = _qualifying_mask(episode, delta)
+    run_ends = mask.copy()
+    run_ends[:-1] &= ~mask[1:]
+    run_ends[-1] = True
+    return KeyframeIndices(tuple(np.flatnonzero(run_ends).tolist()), episode.length)
 
 
 def sample_uniform(episode_length: int, interval: int) -> KeyframeIndices:

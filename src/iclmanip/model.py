@@ -1,17 +1,25 @@
 """Domain types shared across the toolkit, plus episode persistence.
 
+Poses, actions and joint velocities are small frozen per-frame values.
+An Episode holds its dense trajectory as read-only numpy arrays instead
+(T x 6 poses, T gripper bits, T x 7 joint velocities) and builds the
+per-frame values only when asked for them.
+
 Episodes are stored as line-delimited JSON, one episode per line, with
 full float round-trip precision.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,12 +42,19 @@ class GripperState(Enum):
         raise ValueError(f"gripper bit must be 0 or 1, got {bit!r}")
 
 
-def _wrap_angle(a: float) -> float:
+def wrap_angle(a: float) -> float:
     # Normalize to [0, 2*pi). The guard catches float mod landing exactly
     # on 2*pi for tiny negative inputs.
     r = a % TWO_PI
     if r >= TWO_PI:
         r = 0.0
+    return r
+
+
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise; np.mod rounds exactly as float % does."""
+    r = np.mod(a, TWO_PI)
+    r[r >= TWO_PI] = 0.0
     return r
 
 
@@ -67,9 +82,9 @@ class Pose6:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "roll", _wrap_angle(float(self.roll)))
-        object.__setattr__(self, "pitch", _wrap_angle(float(self.pitch)))
-        object.__setattr__(self, "yaw", _wrap_angle(float(self.yaw)))
+        object.__setattr__(self, "roll", wrap_angle(float(self.roll)))
+        object.__setattr__(self, "pitch", wrap_angle(float(self.pitch)))
+        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
 
     def translation(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -134,24 +149,55 @@ class ObjectObservation:
             raise ValueError(f"ObjectObservation.pose must be a Pose6, got {self.pose!r}")
 
 
-@dataclass(frozen=True)
+def velocity_norms(velocities: np.ndarray) -> np.ndarray:
+    """Row norms of a T x 7 velocity array, bit for bit JointVelocities.norm:
+    the squares are added column by column, left to right, so the result
+    does not hang on the order numpy picks for a reduction."""
+    squares = velocities * velocities
+    total = squares[:, 0].copy()
+    for j in range(1, squares.shape[1]):
+        total += squares[:, j]
+    return np.sqrt(total)
+
+
+def _checked_array(value, name: str, columns: int | None) -> np.ndarray:
+    """A float64 copy of `value`, shape (T,) or (T, columns), all finite."""
+    array = np.array(value, dtype=np.float64)
+    ndim, shape = (1, "(T,)") if columns is None else (2, f"(T, {columns})")
+    if array.ndim != ndim or (columns is not None and array.shape[1] != columns):
+        raise ValueError(f"Episode.{name} must have shape {shape}, got {array.shape}")
+    bad = np.flatnonzero(~np.isfinite(array.reshape(len(array), -1)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"Episode.{name}[{bad[0]}] must be finite, got {array[bad[0]].tolist()!r}")
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class Episode:
-    """One recorded demonstration.
+    """One recorded demonstration, held as read-only arrays.
 
     `objects` holds the scene observations at the start of the episode.
-    `velocities` and `actions` are dense, one entry per timestep, and must
-    have equal length T >= 2.
+    The dense trajectory has T >= 2 timesteps:
+
+    - `poses`: T x 6 commanded end-effector poses (x, y, z in meters;
+      roll, pitch, yaw in radians, wrapped to [0, 2*pi) on construction);
+    - `gripper_bits`: T gripper commands, 1 open and 0 closed;
+    - `joint_velocities`: T x 7 joint velocities, rad/s.
+
+    The arrays are validated once here. Per-frame objects exist only at
+    the API edge: `action(t)` builds one Action, and the cached `actions`
+    and `velocities` views build all of them. `from_frames` is the
+    per-frame constructor.
     """
 
     instruction: str
     objects: tuple[ObjectObservation, ...]
-    velocities: tuple[JointVelocities, ...]
-    actions: tuple[Action, ...]
+    poses: np.ndarray
+    gripper_bits: np.ndarray
+    joint_velocities: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "velocities", tuple(self.velocities))
-        object.__setattr__(self, "actions", tuple(self.actions))
         if not isinstance(self.instruction, str) or not self.instruction:
             raise ValueError("Episode.instruction must be a non-empty string")
         if not self.objects:
@@ -159,16 +205,71 @@ class Episode:
         names = [o.name for o in self.objects]
         if len(set(names)) != len(names):
             raise ValueError(f"Episode.objects names must be unique, got {names}")
-        if len(self.velocities) != len(self.actions):
+        poses = _checked_array(self.poses, "poses", 6)
+        bits = _checked_array(self.gripper_bits, "gripper_bits", None)
+        velocities = _checked_array(self.joint_velocities, "joint_velocities", 7)
+        if len(velocities) != len(poses) or len(bits) != len(poses):
             raise ValueError(
-                f"Episode length mismatch: {len(self.velocities)} velocities vs {len(self.actions)} actions"
+                f"Episode length mismatch: {len(velocities)} velocities vs {len(poses)} poses "
+                f"vs {len(bits)} gripper bits"
             )
-        if len(self.actions) < 2:
-            raise ValueError(f"Episode must have T >= 2 timesteps, got T={len(self.actions)}")
+        if len(poses) < 2:
+            raise ValueError(f"Episode must have T >= 2 timesteps, got T={len(poses)}")
+        bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
+        if bad.size:
+            raise ValueError(f"Episode.gripper_bits[{bad[0]}] must be 0 or 1, got {float(bits[bad[0]])!r}")
+        poses[:, 3:] = _wrap_angles(poses[:, 3:])
+        bits = bits.astype(np.int8)
+        for name, array in (("poses", poses), ("gripper_bits", bits), ("joint_velocities", velocities)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_frames(
+        cls,
+        instruction: str,
+        objects: Sequence[ObjectObservation],
+        velocities: Sequence[JointVelocities],
+        actions: Sequence[Action],
+    ) -> "Episode":
+        """Build an episode from per-frame objects, one entry per timestep."""
+        return cls(
+            instruction,
+            tuple(objects),
+            np.array([a.pose.as_list() for a in actions], dtype=np.float64).reshape(-1, 6),
+            np.array([a.gripper.to_bit() for a in actions], dtype=np.int8),
+            np.array([v.values for v in velocities], dtype=np.float64).reshape(-1, 7),
+        )
 
     @property
     def length(self) -> int:
-        return len(self.actions)
+        return len(self.poses)
+
+    def action(self, t: int) -> Action:
+        """The action commanded at timestep t."""
+        return Action(Pose6(*self.poses[t].tolist()), GripperState.from_bit(int(self.gripper_bits[t])))
+
+    @functools.cached_property
+    def actions(self) -> tuple[Action, ...]:
+        return tuple(self.action(t) for t in range(self.length))
+
+    @functools.cached_property
+    def velocities(self) -> tuple[JointVelocities, ...]:
+        return tuple(JointVelocities(tuple(row)) for row in self.joint_velocities.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Episode):
+            return NotImplemented
+        return (
+            self.instruction == other.instruction
+            and self.objects == other.objects
+            and np.array_equal(self.poses, other.poses)
+            and np.array_equal(self.gripper_bits, other.gripper_bits)
+            and np.array_equal(self.joint_velocities, other.joint_velocities)
+        )
+
+    def __hash__(self):
+        return hash((self.instruction, self.objects, self.length))
 
 
 @dataclass(frozen=True)
@@ -216,8 +317,11 @@ def _episode_to_json(ep: Episode) -> dict:
     return {
         "instruction": ep.instruction,
         "objects": [{"name": o.name, "pose": o.pose.as_list()} for o in ep.objects],
-        "velocities": [list(v.values) for v in ep.velocities],
-        "actions": [{"pose": a.pose.as_list(), "gripper": a.gripper.to_bit()} for a in ep.actions],
+        "velocities": ep.joint_velocities.tolist(),
+        "actions": [
+            {"pose": pose, "gripper": bit}
+            for pose, bit in zip(ep.poses.tolist(), ep.gripper_bits.tolist())
+        ],
     }
 
 
@@ -247,7 +351,7 @@ def _episode_from_json(data: dict) -> Episode:
         if bit not in (0, 1):
             raise ValueError(f"action.gripper must be 0 or 1, got {bit!r}")
         actions.append(Action(Pose6.from_list(pose), GripperState.from_bit(bit)))
-    return Episode(instruction, tuple(objects), tuple(velocities), tuple(actions))
+    return Episode.from_frames(instruction, objects, velocities, actions)
 
 
 def save_episodes(episodes: Iterable[Episode], path: str | Path) -> None:

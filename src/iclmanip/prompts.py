@@ -140,7 +140,7 @@ def build_icl_example(
             f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
         )
     actions = [
-        format_action(discretize_action(episode.actions[t], bounds)) for t in keyframes[1:]
+        format_action(discretize_action(episode.action(t), bounds)) for t in keyframes[1:]
     ]
     return IclExample(
         input=build_example_input(episode.objects, episode.instruction, bounds),
@@ -181,7 +181,7 @@ def build_closed_loop_example(
         if names != roster:
             raise ValueError(f"object_pose_fn names {names} at t={t} differ from episode roster {roster}")
         blocks.append(_observation_block(observations, bounds))
-    actions = [format_action(discretize_action(episode.actions[t], bounds)) for t in keyframes]
+    actions = [format_action(discretize_action(episode.action(t), bounds)) for t in keyframes]
     parts = [actions[0]]
     for block, act in zip(blocks[1:], actions[1:]):
         parts.append(block)

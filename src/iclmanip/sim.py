@@ -10,6 +10,12 @@ evaluation reproducible.
 Object pose convention: z is the object's resting base height (bottom
 face), so a cube sitting on the table has z = 0 and a cube stacked on
 another has z equal to the supporter's top face.
+
+Scripted experts record array-backed episodes: each leg and dwell of a
+plan is laid out with numpy as rows of the T x 6 pose and T gripper-bit
+arrays, and the T x 7 joint velocities follow from the pose steps.
+execute_action takes one per-frame Action; replay_observations replays a
+whole episode, executing only the frames that change what is observed.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,10 +31,10 @@ from .model import (
     Action,
     Episode,
     GripperState,
-    JointVelocities,
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
+    wrap_angle,
 )
 
 CUBE_EDGE_M = 0.04
@@ -322,6 +328,17 @@ def _press_zone(button: SimObject, pose: Pose6) -> bool:
     return in_xy and pose.z <= PRESS_HEIGHT_M
 
 
+def _check_reachable(bounds: WorkspaceBounds, translation: Sequence[float]) -> None:
+    for i, axis in enumerate(("x", "y", "z")):
+        lo, hi = bounds.axis(i)
+        margin = BOUNDS_INFLATION * (hi - lo)
+        v = translation[i]
+        if v < lo - margin or v > hi + margin:
+            raise ExecutionError(
+                f"action pose {axis}={v:.3f} outside inflated bounds [{lo - margin:.3f}, {hi + margin:.3f}]"
+            )
+
+
 def execute_action(world: WorldState, action: Action) -> None:
     """One macro-step: teleport the gripper, then apply grasp/release/press
     rules at the destination. Mutates the world in place.
@@ -330,14 +347,7 @@ def execute_action(world: WorldState, action: Action) -> None:
     bounds inflated by 10% of each axis span per side.
     """
     pose = action.pose
-    for i, axis in enumerate(("x", "y", "z")):
-        lo, hi = world.bounds.axis(i)
-        margin = BOUNDS_INFLATION * (hi - lo)
-        v = pose.translation()[i]
-        if v < lo - margin or v > hi + margin:
-            raise ExecutionError(
-                f"action pose {axis}={v:.3f} outside inflated bounds [{lo - margin:.3f}, {hi + margin:.3f}]"
-            )
+    _check_reachable(world.bounds, pose.translation())
 
     prev_pose = world.gripper_pose
     prev_grip = world.gripper
@@ -401,6 +411,41 @@ def execute_action(world: WorldState, action: Action) -> None:
     _validate_world(world)
 
 
+def replay_observations(
+    world: WorldState, episode: Episode, frames: Iterable[int]
+) -> dict[int, tuple[ObjectObservation, ...]]:
+    """Replay a dense episode from `world` and return the scene
+    observations after each timestep in `frames`.
+
+    The result, and the ExecutionError raised for the first pose outside
+    the inflated bounds, equal those of executing every frame in order.
+    One vectorized pass checks every pose first; then execute_action runs
+    only where the gripper bit changes and at the requested frames. A
+    skipped frame only moves the gripper, which observations do not show,
+    and the held cube, which tracks the gripper and is put under it again
+    at the next executed frame; a button it would latch is not observed
+    either. `world` is mutated; its clock, press flags and press log count
+    executed frames only.
+    """
+    b = world.bounds
+    lo = np.array([b.x_min, b.y_min, b.z_min])
+    hi = np.array([b.x_max, b.y_max, b.z_max])
+    margin = BOUNDS_INFLATION * (hi - lo)  # as _check_reachable computes it
+    xyz = episode.poses[:, :3]
+    outside = np.flatnonzero(((xyz < lo - margin) | (xyz > hi + margin)).any(axis=1))
+    if outside.size:
+        _check_reachable(b, xyz[outside[0]].tolist())
+    bits = episode.gripper_bits
+    previous = np.concatenate(([world.gripper.to_bit()], bits[:-1]))
+    wanted = set(frames)
+    observed = {}
+    for t in sorted(wanted.union(np.flatnonzero(bits != previous).tolist())):
+        execute_action(world, episode.action(t))
+        if t in wanted:
+            observed[t] = observations_of(world)
+    return observed
+
+
 def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> bool:
     """Task-specific goal predicate on the current world state."""
     if task is TaskId.STACK_CUBE:
@@ -432,29 +477,19 @@ def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> 
     raise ValueError(f"unknown task {task!r}")
 
 
-def synth_joint_velocities(trajectory: Sequence[Pose6]) -> tuple[JointVelocities, ...]:
-    """Stand-in joint velocities whose norm equals the translational speed.
+def synth_joint_velocities(poses: np.ndarray) -> np.ndarray:
+    """Stand-in joint velocities (T x 7) for a T x 6 pose trajectory, whose
+    row norm equals the translational speed.
 
     Each of the seven components is speed/sqrt(7), so a dwell step reads
     as exactly zero and a motion step's norm equals the step length.
     """
-    out = []
-    for t, pose in enumerate(trajectory):
-        if t == 0:
-            speed = 0.0
-        else:
-            prev = trajectory[t - 1]
-            speed = math.sqrt(
-                (pose.x - prev.x) ** 2 + (pose.y - prev.y) ** 2 + (pose.z - prev.z) ** 2
-            )
-        component = speed / math.sqrt(7.0)
-        out.append(JointVelocities((component,) * 7))
-    return tuple(out)
-
-
-def _lerp_yaw(a: float, b: float, frac: float) -> float:
-    delta = ((b - a + math.pi) % (2.0 * math.pi)) - math.pi
-    return a + delta * frac
+    steps = np.diff(poses[:, :3], axis=0).tolist()
+    # Python's float ** 2 and numpy's square differ in the last bit on some
+    # inputs; the squares stay Python's so recorded velocities do not move.
+    speeds = [0.0] + [math.sqrt(dx ** 2 + dy ** 2 + dz ** 2) for dx, dy, dz in steps]
+    components = np.array(speeds) / math.sqrt(7.0)
+    return np.repeat(components[:, np.newaxis], 7, axis=1)
 
 
 @dataclass(frozen=True)
@@ -468,41 +503,43 @@ class _Waypoint:
 
 def _expand_waypoints(
     start_pose: Pose6, start_grip: GripperState, waypoints: Sequence[_Waypoint]
-) -> list[Action]:
-    """Dense trajectory: linear legs at <= STEP_SIZE_M per step, then a
-    DWELL_STEPS dwell at each waypoint; gripper toggles happen inside dwells."""
-    frames: list[Action] = []
-    pose = start_pose
-    grip = start_grip
-    # Initial dwell marks the home keyframe.
-    for _ in range(DWELL_STEPS):
-        frames.append(Action(pose, grip))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense trajectory as T x 6 poses and T gripper bits: linear legs at
+    <= STEP_SIZE_M per step, then a DWELL_STEPS dwell at each waypoint;
+    gripper toggles happen inside dwells. Leg yaws turn the short way
+    round and are left unwrapped (the Episode wraps them)."""
+    # Segments of frames: (x, y, z, yaw) base, the leg span from it (None
+    # for a hold at the base), the frame count, and the gripper bit.
+    segments: list[tuple[tuple[float, ...], tuple[float, ...] | None, int, int]] = []
+    here = (start_pose.x, start_pose.y, start_pose.z, start_pose.yaw)
+    bit = start_grip.to_bit()
+    segments.append((here, None, DWELL_STEPS, bit))  # initial dwell marks the home keyframe
     for wp in waypoints:
-        dist = math.sqrt((wp.x - pose.x) ** 2 + (wp.y - pose.y) ** 2 + (wp.z - pose.z) ** 2)
+        x, y, z, yaw = here
+        dist = math.sqrt((wp.x - x) ** 2 + (wp.y - y) ** 2 + (wp.z - z) ** 2)
         steps = max(1, math.ceil(dist / STEP_SIZE_M)) if dist > 0 else 0
-        for s in range(1, steps + 1):
-            frac = s / steps
-            frames.append(
-                Action(
-                    Pose6(
-                        pose.x + (wp.x - pose.x) * frac,
-                        pose.y + (wp.y - pose.y) * frac,
-                        pose.z + (wp.z - pose.z) * frac,
-                        0.0,
-                        0.0,
-                        _lerp_yaw(pose.yaw, wp.yaw, frac),
-                    ),
-                    grip,
-                )
-            )
-        wp_pose = Pose6(wp.x, wp.y, wp.z, 0.0, 0.0, wp.yaw)
-        for i in range(DWELL_STEPS):
-            frames.append(Action(wp_pose, grip if i == 0 else wp.grip))
-        pose = wp_pose
-        grip = wp.grip
-    while len(frames) < MIN_EPISODE_STEPS:
-        frames.append(frames[-1])
-    return frames
+        if steps:
+            turn = ((wp.yaw - yaw + math.pi) % (2.0 * math.pi)) - math.pi
+            segments.append((here, (wp.x - x, wp.y - y, wp.z - z, turn), steps, bit))
+        here = (wp.x, wp.y, wp.z, wrap_angle(wp.yaw))
+        segments.append((here, None, 1, bit))
+        bit = wp.grip.to_bit()
+        segments.append((here, None, DWELL_STEPS - 1, bit))
+    total = sum(segment[2] for segment in segments)
+    if total < MIN_EPISODE_STEPS:
+        segments.append((here, None, MIN_EPISODE_STEPS - total, bit))
+
+    bases, spans, counts, bits = zip(*segments)
+    counts = np.array(counts)
+    base = np.repeat(np.array(bases), counts, axis=0)
+    span = np.repeat(np.array([d or (0.0,) * 4 for d in spans]), counts, axis=0)
+    is_leg = np.repeat([d is not None for d in spans], counts)
+    # frac = s/steps for the s-th frame (from 1) of each leg
+    s = np.arange(len(base)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    frac = s / np.repeat(counts, counts)
+    poses = np.zeros((len(base), 6))
+    poses[:, [0, 1, 2, 5]] = np.where(is_leg[:, np.newaxis], base + span * frac[:, np.newaxis], base)
+    return poses, np.repeat(np.array(bits, dtype=np.int8), counts)
 
 
 def _names_in_order(instruction: str, names: Sequence[str]) -> list[str]:
@@ -593,13 +630,13 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
     else:
         raise ExpertError(f"no expert for task {task!r}")
 
-    frames = _expand_waypoints(world.gripper_pose, world.gripper, waypoints)
-    velocities = synth_joint_velocities([a.pose for a in frames])
+    poses, bits = _expand_waypoints(world.gripper_pose, world.gripper, waypoints)
     return Episode(
         instruction=instruction,
         objects=observations_of(world),
-        velocities=velocities,
-        actions=tuple(frames),
+        poses=poses,
+        gripper_bits=bits,
+        joint_velocities=synth_joint_velocities(poses),
     )
 
 

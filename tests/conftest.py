@@ -31,7 +31,7 @@ def make_episode(norms, grips=None, instruction="push the red button"):
     actions = tuple(
         Action(Pose6(0.001 * t, 0.0, 0.1, 0.0, 0.0, 0.0), g) for t, g in enumerate(grips)
     )
-    return Episode(instruction, objects, velocities, actions)
+    return Episode.from_frames(instruction, objects, velocities, actions)
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@
 
 The oracle re-states the selection rule directly from its definition with
 no shared code: walk every t, test the two conditions, collapse runs by
-scanning forward.
+scanning forward. The per-frame rule (a loop over JointVelocities.norm
+and Action.gripper) is kept here as a second reference for the array
+masks the module uses.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from iclmanip.keyframes import (
     qualifying_indices,
     sample_uniform,
 )
-from iclmanip.model import GripperState
+from iclmanip.model import Episode, GripperState
 
 from conftest import make_episode
 
@@ -50,6 +52,36 @@ def oracle_extract(norms, grips, delta):
     if not kept or kept[-1] != T - 1:
         kept.append(T - 1)
     return kept
+
+
+def per_frame_qualifying(episode, delta):
+    T = episode.length
+    return [
+        t
+        for t in range(T)
+        if episode.velocities[t].norm() < delta
+        or (t < T - 1 and episode.actions[t].gripper != episode.actions[t + 1].gripper)
+    ]
+
+
+def per_frame_extract(episode, delta):
+    raw = per_frame_qualifying(episode, delta)
+    kept = [t for i, t in enumerate(raw) if i + 1 == len(raw) or raw[i + 1] != t + 1]
+    if not kept or kept[-1] != episode.length - 1:
+        kept.append(episode.length - 1)
+    return kept
+
+
+def array_episode(norms, grips):
+    """The make_episode trace built straight from arrays."""
+    T = len(norms)
+    ref = make_episode(norms, grips)
+    poses = np.zeros((T, 6))
+    poses[:, 0] = 0.001 * np.arange(T)
+    poses[:, 2] = 0.1
+    bits = np.array([g.to_bit() for g in grips])
+    velocities = np.repeat((np.array(norms) / np.sqrt(7))[:, np.newaxis], 7, axis=1)
+    return Episode(ref.instruction, ref.objects, poses, bits, velocities)
 
 
 def random_trace(rng):
@@ -89,7 +121,11 @@ def test_qualifying_matches_oracle_on_random_traces():
         norms, grips = random_trace(rng)
         delta = float(rng.uniform(0.01, 0.15))
         ep = make_episode(norms, grips)
-        assert list(qualifying_indices(ep, delta)) == oracle_qualifying(norms, grips, delta)
+        assert array_episode(norms, grips) == ep
+        expected = oracle_qualifying(norms, grips, delta)
+        assert list(qualifying_indices(ep, delta)) == expected
+        assert list(qualifying_indices(array_episode(norms, grips), delta)) == expected
+        assert per_frame_qualifying(ep, delta) == expected
 
 
 def test_extraction_matches_oracle_on_random_traces():
@@ -100,8 +136,24 @@ def test_extraction_matches_oracle_on_random_traces():
         ep = make_episode(norms, grips)
         got = list(extract_keyframes(ep, delta))
         assert got == oracle_extract(norms, grips, delta)
+        assert list(extract_keyframes(array_episode(norms, grips), delta)) == got
+        assert per_frame_extract(ep, delta) == got
         assert got[-1] == ep.length - 1
         assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_masks_match_per_frame_rule_at_the_threshold():
+    """Random seven-joint velocities with delta set to one frame's exact
+    per-frame norm: a mask norm one bit off would flip that frame."""
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        T = int(rng.integers(2, 40))
+        velocities = rng.normal(0.0, 0.05, size=(T, 7)) * rng.choice([0.0, 1.0], size=(T, 1), p=[0.2, 0.8])
+        bits = rng.integers(0, 2, size=T)
+        ep = Episode("push the red button", make_episode([0.0, 0.0]).objects, np.zeros((T, 6)), bits, velocities)
+        delta = ep.velocities[int(rng.integers(0, T))].norm() or 0.01
+        assert qualifying_indices(ep, delta) == per_frame_qualifying(ep, delta)
+        assert list(extract_keyframes(ep, delta)) == per_frame_extract(ep, delta)
 
 
 def test_delta_must_be_positive():

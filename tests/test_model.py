@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from iclmanip.model import (
@@ -13,8 +15,10 @@ from iclmanip.model import (
     WorkspaceBounds,
     load_episodes,
     save_episodes,
+    velocity_norms,
     verify_object_consistency,
 )
+from iclmanip.sim import TaskId, reset, scripted_expert
 
 from conftest import make_episode
 
@@ -67,16 +71,77 @@ def test_episode_validation():
     ep = make_episode([0.0, 0.5, 0.0])
     assert ep.length == 3
     with pytest.raises(ValueError):
-        Episode("", ep.objects, ep.velocities, ep.actions)
+        Episode.from_frames("", ep.objects, ep.velocities, ep.actions)
     with pytest.raises(ValueError):
-        Episode(ep.instruction, (), ep.velocities, ep.actions)
+        Episode.from_frames(ep.instruction, (), ep.velocities, ep.actions)
     with pytest.raises(ValueError):
-        Episode(ep.instruction, ep.objects, ep.velocities[:-1], ep.actions)
+        Episode.from_frames(ep.instruction, ep.objects, ep.velocities[:-1], ep.actions)
     with pytest.raises(ValueError):
-        Episode(ep.instruction, ep.objects, ep.velocities[:1], ep.actions[:1])
+        Episode.from_frames(ep.instruction, ep.objects, ep.velocities[:1], ep.actions[:1])
     dup = (ep.objects[0], ep.objects[0])
     with pytest.raises(ValueError):
-        Episode(ep.instruction, dup, ep.velocities, ep.actions)
+        Episode.from_frames(ep.instruction, dup, ep.velocities, ep.actions)
+
+
+def test_velocity_norms_match_per_frame_norm_bit_for_bit():
+    rng = np.random.default_rng(21)
+    rows = np.concatenate(
+        [
+            rng.normal(0.0, 1.0, size=(2000, 7)) * 10.0 ** rng.integers(-4, 4, size=(2000, 1)),
+            np.repeat(rng.uniform(0, 0.03, size=(500, 1)) / math.sqrt(7), 7, axis=1),
+            np.zeros((1, 7)),
+        ]
+    )
+    assert velocity_norms(rows).tolist() == [JointVelocities(tuple(r)).norm() for r in rows.tolist()]
+    for task in TaskId:
+        world, instruction, _ = reset(task, 5, WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5))
+        ep = scripted_expert(task, world, instruction)
+        assert velocity_norms(ep.joint_velocities).tolist() == [v.norm() for v in ep.velocities]
+
+
+def test_episode_arrays_are_validated_copies():
+    ep = make_episode([0.0, 0.5, 0.0], [GripperState.OPEN, GripperState.CLOSED, GripperState.CLOSED])
+    poses = np.array(ep.poses)
+    poses[1, 5] = -math.pi / 2  # wrapped on construction
+    bits = np.array([1, 0, 0])
+    vels = np.array(ep.joint_velocities)
+    built = Episode(ep.instruction, ep.objects, poses, bits, vels)
+    assert built.poses[1, 5] == pytest.approx(1.5 * math.pi)
+    assert built.action(1).pose.yaw == built.poses[1, 5]
+    poses[0, 0] = 9.0  # the episode holds its own copy
+    assert built.poses[0, 0] == ep.poses[0, 0]
+    for array in (built.poses, built.gripper_bits, built.joint_velocities):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert built.gripper_bits.dtype == np.int8
+
+    bad_pose = np.array(ep.poses)
+    bad_pose[2, 1] = math.inf
+    cases = [
+        ((bad_pose, bits, vels), "Episode.poses[2] must be finite"),
+        ((ep.poses, [1, 2, 0], vels), "Episode.gripper_bits[1] must be 0 or 1"),
+        ((ep.poses[:, :5], bits, vels), "Episode.poses must have shape (T, 6)"),
+        ((ep.poses, bits, vels[:2]), "Episode length mismatch"),
+        ((ep.poses[:1], bits[:1], vels[:1]), "T >= 2"),
+        ((ep.poses, bits, np.full((3, 7), math.nan)), "Episode.joint_velocities[0] must be finite"),
+    ]
+    for arrays, message in cases:
+        with pytest.raises(ValueError) as err:
+            Episode(ep.instruction, ep.objects, *arrays)
+        assert message in str(err.value)
+
+
+def test_episode_per_frame_views():
+    grips = [GripperState.OPEN, GripperState.CLOSED, GripperState.OPEN]
+    ep = make_episode([0.0, 0.5, 0.25], grips)
+    assert [a.gripper for a in ep.actions] == grips
+    assert [ep.action(t) for t in range(ep.length)] == list(ep.actions)
+    assert ep.actions[1].pose == Pose6(0.001, 0.0, 0.1, 0.0, 0.0, 0.0)
+    assert [v.norm() for v in ep.velocities] == pytest.approx([0.0, 0.5, 0.25])
+    assert Episode.from_frames(ep.instruction, ep.objects, ep.velocities, ep.actions) == ep
+    assert hash(make_episode([0.0, 0.5, 0.25], grips)) == hash(ep)
+    assert ep != make_episode([0.0, 0.5, 0.25])
+    assert ep != make_episode([0.0, 0.5, 0.3], grips)
 
 
 def test_workspace_bounds():
@@ -118,6 +183,31 @@ def test_load_reports_line_numbers(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("actions"), "episode missing field 'actions'"),
+        (lambda d: d["velocities"][1].pop(), "JointVelocities length 6 != 7"),
+        (lambda d: d["velocities"][1].__setitem__(0, "fast"), "could not convert string to float"),
+        (lambda d: d["actions"][0]["pose"].__setitem__(2, None), "Pose6.z must be a number"),
+        (lambda d: d["actions"][1].__setitem__("gripper", 3), "action.gripper must be 0 or 1"),
+        (lambda d: d["objects"][0].pop("pose"), "object missing field 'pose'"),
+        (lambda d: d.__setitem__("velocities", d["velocities"][:1]), "Episode length mismatch"),
+    ],
+)
+def test_load_errors_name_line_and_field(tmp_path, edit, message):
+    path = tmp_path / "episodes.jsonl"
+    save_episodes([make_episode([0.0, 0.5]), make_episode([0.1, 0.2, 0.3])], path)
+    first, second = path.read_text().splitlines()
+    record = json.loads(second)
+    edit(record)
+    path.write_text(first + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(PersistenceError) as err:
+        load_episodes(path)
+    assert ":2:" in str(err.value)
+    assert message in str(err.value)
+
+
 def test_load_skips_blank_lines(tmp_path):
     eps = [make_episode([0.0, 0.5, 0.0])]
     path = tmp_path / "episodes.jsonl"
@@ -134,7 +224,7 @@ def test_missing_file_raises(tmp_path):
 def test_verify_object_consistency():
     a = make_episode([0.0, 0.5, 0.0])
     verify_object_consistency([a, a])
-    other = Episode(
+    other = Episode.from_frames(
         a.instruction,
         (ObjectObservation("blue button", Pose6(0, 0, 0, 0, 0, 0)),),
         a.velocities,

@@ -72,7 +72,7 @@ def vel7(n=0.0):
 
 def episode_with_actions(objects, instruction, poses):
     actions = tuple(Action(p, OPEN) for p in poses)
-    return Episode(instruction, objects, (vel7(),) * len(actions), actions)
+    return Episode.from_frames(instruction, objects, (vel7(),) * len(actions), actions)
 
 
 def golden(name):
@@ -117,7 +117,7 @@ def test_open_loop_three_demos_match_golden():
             Action(pose(50, 50, 60), OPEN),
             Action(pose(*act), GripperState.CLOSED),
         )
-        ep = Episode(instruction, objects, (vel7(), vel7()), actions)
+        ep = Episode.from_frames(instruction, objects, (vel7(), vel7()), actions)
         examples.append(build_icl_example(ep, KeyframeIndices((0, 1), 2), BOUNDS))
     test_obs = (
         ObjectObservation("blue cube", pose(10, 80, 0)),

@@ -8,10 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from iclmanip.keyframes import extract_keyframes
+import iclmanip.sim as sim
+from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.model import (
     Action,
     GripperState,
+    JointVelocities,
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
@@ -37,6 +39,7 @@ from iclmanip.sim import (
     execute_action,
     observations_of,
     render_instruction,
+    replay_observations,
     reset,
     scripted_expert,
     synth_joint_velocities,
@@ -450,6 +453,66 @@ def test_expert_episodes_replay_to_success():
             assert check_success(task, replay, var), (task, seed)
 
 
+def dense_replay_observations(world, episode, frames):
+    """Reference for replay_observations: execute every frame in order."""
+    wanted = set(frames)
+    observed = {}
+    for t, action in enumerate(episode.actions):
+        execute_action(world, action)
+        if t in wanted:
+            observed[t] = observations_of(world)
+    return observed
+
+
+def replay_outcome(replay, world, episode, frames):
+    try:
+        return replay(world.clone(), episode, frames)
+    except ExecutionError as exc:
+        return f"ExecutionError: {exc}"
+
+
+HIGH_FLOOR = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.05, 0.5)  # button presses leave it
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, HIGH_FLOOR], ids=["default", "high-floor"])
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_event_replay_matches_dense_replay(task, bounds):
+    outcomes = []
+    for seed in range(50):
+        world, instruction, _ = reset(task, seed, bounds)
+        episode = scripted_expert(task, world, instruction)
+        for frames in (extract_keyframes(episode, 0.01), sample_uniform(episode.length, 10)):
+            dense = replay_outcome(dense_replay_observations, world, episode, frames)
+            event = replay_outcome(replay_observations, world, episode, frames)
+            assert event == dense, (task.value, seed, list(frames))
+            if not isinstance(dense, str):
+                assert sorted(dense) == list(frames)
+            outcomes.append(dense)
+    errors = {o for o in outcomes if isinstance(o, str)}
+    if bounds is HIGH_FLOOR and task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
+        assert errors == {"ExecutionError: action pose z=0.004 outside inflated bounds [0.005, 0.545]"}
+    else:
+        assert not errors
+
+
+def test_event_replay_executes_only_toggles_and_requested_frames(monkeypatch):
+    world, instruction, _ = reset(TaskId.STACK_CUBE, 3, BOUNDS)
+    episode = scripted_expert(TaskId.STACK_CUBE, world, instruction)
+    executed = []
+    original = sim.execute_action
+
+    def recording(w, action):
+        executed.append(action)
+        original(w, action)
+
+    monkeypatch.setattr(sim, "execute_action", recording)
+    bits = episode.gripper_bits
+    toggles = [t for t in range(1, episode.length) if bits[t] != bits[t - 1]]
+    replay_observations(world.clone(), episode, [5, 40])
+    assert len(executed) == len(set(toggles) | {5, 40})
+    assert len(toggles) == 2  # one grasp, one release
+
+
 def test_expert_does_not_mutate_world():
     world, instruction, _ = reset(TaskId.STACK_CUBE, 1, BOUNDS)
     before = [(o.name, o.pose) for o in world.objects]
@@ -492,15 +555,36 @@ def test_synth_velocities_norm_equals_step_distance():
         Pose6(STEP_SIZE_M, 0.0, 0.1, 0, 0, 0),
         Pose6(STEP_SIZE_M, 0.03, 0.1, 0, 0, 0),
     ]
-    vels = synth_joint_velocities(poses)
-    assert len(vels) == 4
+    array = synth_joint_velocities(np.array([p.as_list() for p in poses]))
+    assert array.shape == (4, 7)
+    vels = [JointVelocities(tuple(row)) for row in array]
     assert vels[0].norm() == pytest.approx(0.0, abs=1e-15)
     assert vels[1].norm() == pytest.approx(STEP_SIZE_M, abs=1e-12)
     assert vels[2].norm() == pytest.approx(0.0, abs=1e-15)
     assert vels[3].norm() == pytest.approx(0.03, abs=1e-12)
-    assert all(len(v.values) == 7 for v in vels)
     # Equal components: the norm is spread evenly over the seven joints.
     assert len(set(vels[1].values)) == 1
+
+
+def per_frame_velocities(poses):
+    """Reference for synth_joint_velocities: the per-frame formula on floats."""
+    rows = []
+    for t, pose in enumerate(poses):
+        prev = poses[t - 1] if t else pose
+        speed = math.sqrt((pose[0] - prev[0]) ** 2 + (pose[1] - prev[1]) ** 2 + (pose[2] - prev[2]) ** 2)
+        rows.append([speed / math.sqrt(7.0)] * 7)
+    return rows
+
+
+def test_synth_velocities_match_per_frame_formula_bit_for_bit():
+    # Seeds 0..199 include expert episodes (stack_cube 111 and 194,
+    # slide_block 60 and 110) where squaring with numpy instead of
+    # Python's float ** 2 changes the last bit of a velocity.
+    for task in TaskId:
+        for seed in range(200):
+            world, instruction, _ = reset(task, seed, BOUNDS)
+            poses = scripted_expert(task, world, instruction).poses
+            assert synth_joint_velocities(poses).tolist() == per_frame_velocities(poses.tolist()), (task, seed)
 
 
 def test_far_apart_cubes_make_long_episodes():
