@@ -4,7 +4,7 @@ Subcommands:
   generate-demos   write scripted-expert episodes as line-delimited JSON
   build-prompt     assemble one prompt bundle and print it as JSON
   eval             run the closed pipeline and report the success rate
-  ablate           run one ablation sweep from harness.SWEEPS
+  ablate           run one or more ablation sweeps from harness.SWEEPS
 
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
@@ -30,6 +30,7 @@ from .harness import (
     KeyframeMode,
     LoopMode,
     RunConfig,
+    _Plans,
     build_demo_pool,
     demo_episodes,
     emit_csv,
@@ -142,7 +143,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
-    reports = sweep(config, args.sweep, getattr(args, f"{args.sweep}_values", None))
+    plans = _Plans()  # every named sweep plans each world once, together
+    reports = [
+        report
+        for name in dict.fromkeys(args.sweep)
+        for report in sweep(config, name, getattr(args, f"{name}_values", None), plans)
+    ]
     if args.csv:
         emit_csv(reports, args.csv)
     for report in reports:
@@ -172,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-episode rows to this CSV file")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("ablate", help="run an ablation sweep")
-    p.add_argument("sweep", choices=tuple(SWEEPS))
+    p = sub.add_parser("ablate", help="run ablation sweeps")
+    p.add_argument("sweep", nargs="+", choices=tuple(SWEEPS), help="sweep names, run in order")
     _add_config_flags(p)
     # A sweep's value flag stores to <sweep>_values; omitted, SWEEPS defaults apply.
     p.add_argument(

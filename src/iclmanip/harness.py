@@ -11,6 +11,11 @@ keeps each pristine reset and expert episode, so the demo seed scan, the
 demo builds and the eval loop never redraw a world. The arms of a sweep
 share one store, because they hold the demo and eval seeds fixed; each arm
 still runs its own seed scan, noise, keyframe selection and prompts.
+
+The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
+an N x 7 int array, discretize.bin_centers maps the rows to poses, and
+each row replays as one Action. DiscreteAction and parse_response are the
+API-edge view of the same rows and are not built here.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import dediscretize_action
+from .discretize import bin_centers
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
     CompletionResult,
@@ -36,7 +41,15 @@ from .llm import (
     complete_mock_nearest,
     complete_remote,
 )
-from .model import Episode, ObjectObservation, WorkspaceBounds, verify_object_consistency
+from .model import (
+    Action,
+    Episode,
+    GripperState,
+    ObjectObservation,
+    Pose6,
+    WorkspaceBounds,
+    verify_object_consistency,
+)
 from .prompts import (
     IclExample,
     ParseError,
@@ -46,7 +59,7 @@ from .prompts import (
     build_example_input,
     build_icl_example,
     default_system_prompts,
-    parse_response,
+    parse_bins,
 )
 from .sim import (
     BASE_SIGMA_ROTATION_RAD,
@@ -182,7 +195,13 @@ def _config_value(name: str, default: Any, value: Any) -> Any:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """Outcome of one evaluation episode."""
+    """Outcome of one evaluation episode.
+
+    `n_executed` counts the actions that ran before an ExecutionError, and
+    equals n_actions when none was raised. `failure` is the ParseError kind
+    or the ExecutionError message, or None when the reply parsed and every
+    action ran.
+    """
 
     seed: int
     success: bool
@@ -190,6 +209,12 @@ class EpisodeRecord:
     n_actions: int
     latency_ms: int
     prompt_chars: int
+    n_executed: int | None = None  # None: all n_actions
+    failure: str | None = None
+
+    def __post_init__(self):
+        if self.n_executed is None:
+            object.__setattr__(self, "n_executed", self.n_actions)
 
 
 @dataclass(frozen=True)
@@ -377,7 +402,10 @@ def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) 
     """Run the closed pipeline over n_eval fresh worlds and score successes.
 
     Parse failures count as failed episodes and never abort the run;
-    transport and protocol errors from the remote provider do abort.
+    transport and protocol errors from the remote provider do abort. A
+    reply is parsed into bin rows, and each row's bin centers replay as
+    one Action; an action leaving the workspace ends the episode, which
+    is scored in the state reached and records the step and the message.
     `plans` is shared by the arms of a sweep; by default each call plans
     its own worlds.
     """
@@ -399,24 +427,29 @@ def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) 
         test_input = build_example_input(test_obs, instruction, config.bounds)
         bundle = assemble_prompt(examples, test_input, system)
         result = complete(bundle)
+        failure, n_executed = None, 0
         try:
-            predicted = parse_response(result.text)
-        except ParseError:
-            predicted = None
+            bins = parse_bins(result.text)
+        except ParseError as exc:
+            bins, failure = None, exc.kind
         else:
+            poses = bin_centers(bins[:, :6], config.bounds).tolist()
             try:
-                for da in predicted:
-                    execute_action(world, dediscretize_action(da, config.bounds))
-            except ExecutionError:
-                pass  # stop early; score whatever state we reached
+                for pose, bit in zip(poses, bins[:, 6].tolist()):
+                    execute_action(world, Action(Pose6(*pose), GripperState.from_bit(bit)))
+                    n_executed += 1
+            except ExecutionError as exc:
+                failure = str(exc)  # stop early; score whatever state we reached
         records.append(
             EpisodeRecord(
                 seed=seed,
-                success=predicted is not None and check_success(config.task, world, variation),
-                parse_error=predicted is None,
-                n_actions=len(predicted or ()),
+                success=bins is not None and check_success(config.task, world, variation),
+                parse_error=bins is None,
+                n_actions=0 if bins is None else len(bins),
                 latency_ms=result.latency_ms,
                 prompt_chars=len(bundle.system) + len(bundle.body),
+                n_executed=n_executed,
+                failure=failure,
             )
         )
     return EvalReport(
@@ -466,13 +499,16 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
 }
 
 
-def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
+def sweep(
+    config: RunConfig, name: str, values: Sequence | None = None, plans: _Plans | None = None
+) -> list[EvalReport]:
     """Run the arms of SWEEPS[name] in order; values replace its defaults.
-    The arms share one plan store, so each world is planned once."""
+    The arms share one plan store, so each world is planned once; pass
+    `plans` to share it with further sweeps of the same config."""
     lead, defaults, arm = SWEEPS[name]
     arms = [make(config) for make in lead]
     arms += [arm(config, v) for v in (defaults if values is None else values)]
-    plans = _Plans()
+    plans = plans or _Plans()
     return [run_eval(cfg, arm=label, plans=plans) for cfg, label in arms]
 
 

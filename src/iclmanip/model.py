@@ -51,7 +51,7 @@ def wrap_angle(a: float) -> float:
     return r
 
 
-def _wrap_angles(a: np.ndarray) -> np.ndarray:
+def wrap_angles(a: np.ndarray) -> np.ndarray:
     """wrap_angle elementwise; np.mod rounds exactly as float % does."""
     r = np.mod(a, TWO_PI)
     r[r >= TWO_PI] = 0.0
@@ -73,6 +73,22 @@ class Pose6:
     yaw: float  # rad
 
     def __post_init__(self):
+        x, y, z, roll, pitch, yaw = self.x, self.y, self.z, self.roll, self.pitch, self.yaw
+        if (
+            type(x) is float and type(y) is float and type(z) is float
+            and type(roll) is float and type(pitch) is float and type(yaw) is float
+            and math.isfinite(x + y + z + roll + pitch + yaw)
+        ):
+            # Fast path: six finite built-in floats (a non-finite term makes
+            # the sum non-finite). Angles already in (0, 2*pi) wrap to
+            # themselves; anything else, -0.0 included, goes through wrap_angle.
+            if not 0.0 < roll < TWO_PI:
+                object.__setattr__(self, "roll", wrap_angle(roll))
+            if not 0.0 < pitch < TWO_PI:
+                object.__setattr__(self, "pitch", wrap_angle(pitch))
+            if not 0.0 < yaw < TWO_PI:
+                object.__setattr__(self, "yaw", wrap_angle(yaw))
+            return
         for name in ("x", "y", "z", "roll", "pitch", "yaw"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -218,7 +234,7 @@ class Episode:
         bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
         if bad.size:
             raise ValueError(f"Episode.gripper_bits[{bad[0]}] must be 0 or 1, got {float(bits[bad[0]])!r}")
-        poses[:, 3:] = _wrap_angles(poses[:, 3:])
+        poses[:, 3:] = wrap_angles(poses[:, 3:])
         bits = bits.astype(np.int8)
         for name, array in (("poses", poses), ("gripper_bits", bits), ("joint_velocities", velocities)):
             array.flags.writeable = False

@@ -9,10 +9,14 @@ for byte:
     example out   {[action], [action], ...}
     prompt body   in > out, in > out, ..., test_in >
 
-parse_response is total: any byte string either yields actions or raises
-ParseError with a kind of no_actions, arity, range, or (strict mode only)
-grammar. read_prompt inverts a prompt body back into its demos and test
-input; the offline oracles answer from what it reads.
+Inside the pipeline bins stay int rows: examples are formatted straight
+from an episode's keyframe rows and from each observed pose's six bins,
+and parse_bins reads a reply into an N x 7 int array of action rows. It is
+total: any byte string either yields rows or raises ParseError with a kind
+of no_actions, arity, range, or (strict mode only) grammar.
+parse_response is its API-edge view, the same rows as DiscreteActions.
+read_prompt inverts a prompt body back into its demos and test input; the
+offline oracles answer from what it reads.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .discretize import (
     ROTATION_BINS,
     TRANSLATION_BINS,
     DiscreteAction,
     DiscretePose,
-    discretize_action,
-    discretize_pose,
+    pose_bin_row,
+    pose_bins,
 )
 from .keyframes import KeyframeIndices
 from .model import Episode, ObjectObservation, WorkspaceBounds
@@ -100,17 +106,31 @@ class ParseError(Exception):
         self.position = position
 
 
+_OBSERVATION_TEXT = "%s: [%d, %d, %d, %d, %d, %d]"
+_ACTION_TEXT = "[%d, %d, %d, %d, %d, %d, %d]"
+
+
 def format_observation(name: str, pose: DiscretePose) -> str:
-    return f"{name}: [{', '.join(str(b) for b in pose.as_tuple())}]"
+    return _OBSERVATION_TEXT % (name, *pose.as_tuple())
 
 
 def format_action(action: DiscreteAction) -> str:
-    return f"[{', '.join(str(b) for b in action.as_tuple())}]"
+    return _ACTION_TEXT % action.as_tuple()
+
+
+def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBounds) -> list[str]:
+    """The formatted actions at `frames`, binned straight from the arrays."""
+    index = list(frames)
+    rows = np.empty((len(index), 7), dtype=np.int64)
+    rows[:, :6] = pose_bins(episode.poses[index], bounds)
+    rows[:, 6] = episode.gripper_bits[index]
+    return [_ACTION_TEXT % tuple(row) for row in rows.tolist()]
 
 
 def _observation_block(observations: Sequence[ObjectObservation], bounds: WorkspaceBounds) -> str:
+    # A scene holds two to five objects: scalar binning beats numpy here.
     return ", ".join(
-        format_observation(o.name, discretize_pose(o.pose, bounds)) for o in observations
+        _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)) for o in observations
     )
 
 
@@ -139,12 +159,9 @@ def build_icl_example(
         raise ValueError(
             f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
         )
-    actions = [
-        format_action(discretize_action(episode.action(t), bounds)) for t in keyframes[1:]
-    ]
     return IclExample(
         input=build_example_input(episode.objects, episode.instruction, bounds),
-        output="{" + ", ".join(actions) + "}",
+        output="{" + ", ".join(_action_texts(episode, keyframes[1:], bounds)) + "}",
     )
 
 
@@ -181,7 +198,7 @@ def build_closed_loop_example(
         if names != roster:
             raise ValueError(f"object_pose_fn names {names} at t={t} differ from episode roster {roster}")
         blocks.append(_observation_block(observations, bounds))
-    actions = [format_action(discretize_action(episode.action(t), bounds)) for t in keyframes]
+    actions = _action_texts(episode, keyframes, bounds)
     parts = [actions[0]]
     for block, act in zip(blocks[1:], actions[1:]):
         parts.append(block)
@@ -209,6 +226,13 @@ _INT_TOKEN = re.compile(r"[+-]?\d+")
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
 _STRICT_ACTION = r"\[\d+(?:, \d+){6}\]"
 _STRICT_BODY = re.compile(r"\{" + _STRICT_ACTION + r"(?:, " + _STRICT_ACTION + r")*\}")
+# Brackets as build_icl_example and build_closed_loop_example write them,
+# in ASCII digits: an observation echo (six bins after "name: ", no
+# groups) or an action (seven bins, one group each).
+_BIN = r"[0-9]{1,6}"
+_CANONICAL_BRACKET = re.compile(
+    r": \[" + ", ".join([_BIN] * 6) + r"\]|\[" + ", ".join([f"({_BIN})"] * 7) + r"\]"
+)
 
 _COMPONENT_LIMITS = (
     ("tx", TRANSLATION_BINS),
@@ -218,6 +242,8 @@ _COMPONENT_LIMITS = (
     ("rp", ROTATION_BINS),
     ("ry", ROTATION_BINS),
 )
+# Exclusive upper bound of each action column; the gripper bit is 0 or 1.
+_ROW_LIMITS = np.array([limit for _, limit in _COMPONENT_LIMITS] + [2])
 
 
 def _int_list(content: str) -> list[int] | None:
@@ -238,7 +264,7 @@ def _int_list(content: str) -> list[int] | None:
     return values
 
 
-def _action_from_ints(values: list[int], position: int) -> DiscreteAction:
+def _check_row(values: list[int], position: int) -> list[int]:
     for (name, limit), v in zip(_COMPONENT_LIMITS, values):
         if not 0 <= v < limit:
             raise ParseError(
@@ -247,7 +273,7 @@ def _action_from_ints(values: list[int], position: int) -> DiscreteAction:
     g = values[6]
     if g not in (0, 1):
         raise ParseError("range", position, f"gripper bit {g} must be 0 or 1 at offset {position}")
-    return DiscreteAction(DiscretePose(*values[:6]), g)
+    return values
 
 
 def _is_observation_echo(text: str, bracket_start: int) -> bool:
@@ -258,23 +284,9 @@ def _is_observation_echo(text: str, bracket_start: int) -> bool:
     return j >= 0 and text[j] == ":"
 
 
-def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteAction]:
-    """Extract the predicted action sequence from a model reply.
-
-    Lenient mode tolerates surrounding prose, markdown fences, optional
-    braces, and observation echoes; it fails only on integer brackets with
-    the wrong arity, bins out of range, or no actions at all. Strict mode
-    additionally requires the exact output grammar.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-    if not isinstance(text, str):
-        raise ParseError("no_actions", 0, f"expected text, got {type(text).__name__}")
-    if strict:
-        if not _STRICT_BODY.fullmatch(text):
-            raise ParseError("grammar", 0, "text does not match the strict output grammar")
-    cleaned = _FENCE.sub("", text)
-    actions: list[DiscreteAction] = []
+def _rows_by_bracket(cleaned: str, strict: bool) -> list[list[int]]:
+    """The per-bracket rules: every bracket in order, first failure raised."""
+    rows: list[list[int]] = []
     for match in _BRACKET.finditer(cleaned):
         # Colon-preceded brackets holding an action's 7 integers ("Step 1: [...]")
         # are actions, not echoes.
@@ -293,10 +305,53 @@ def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteActi
                 match.start(),
                 f"action bracket has {len(values)} integers, expected 7, at offset {match.start()}",
             )
-        actions.append(_action_from_ints(values, match.start()))
-    if not actions:
+        rows.append(_check_row(values, match.start()))
+    return rows
+
+
+def parse_bins(text: str | bytes, strict: bool = False) -> np.ndarray:
+    """Extract the predicted actions from a model reply as a read-only
+    N x 7 int64 array of bin rows (tx ty tz rr rp ry g).
+
+    Lenient mode tolerates surrounding prose, markdown fences, optional
+    braces, and observation echoes; it fails only on integer brackets with
+    the wrong arity, bins out of range, or no actions at all. Strict mode
+    additionally requires the exact output grammar.
+
+    A reply whose every `[` opens a canonical bracket, an action or an
+    observation echo as the prompt's examples hold them, is read in one
+    regex pass and range-checked with one vector compare; any other reply,
+    and any range failure, goes through the per-bracket rules, which give
+    the error's kind, position and message.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    if not isinstance(text, str):
+        raise ParseError("no_actions", 0, f"expected text, got {type(text).__name__}")
+    if strict:
+        if not _STRICT_BODY.fullmatch(text):
+            raise ParseError("grammar", 0, "text does not match the strict output grammar")
+    cleaned = _FENCE.sub("", text)
+    found = _CANONICAL_BRACKET.findall(cleaned)
+    rows = None
+    if len(found) == cleaned.count("["):  # every `[` opens a canonical bracket
+        rows = np.array([f for f in found if f[0]], dtype=np.int64).reshape(-1, 7)
+        if not (rows < _ROW_LIMITS).all():
+            rows = None
+    if rows is None:
+        rows = np.array(_rows_by_bracket(cleaned, strict), dtype=np.int64).reshape(-1, 7)
+    if not len(rows):
         raise ParseError("no_actions", 0, "no action brackets found")
-    return actions
+    rows.flags.writeable = False
+    return rows
+
+
+def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteAction]:
+    """parse_bins at the API edge: the same rows as DiscreteActions, and
+    the same ParseError for a reply that does not parse."""
+    return [
+        DiscreteAction(DiscretePose(*row[:6]), row[6]) for row in parse_bins(text, strict).tolist()
+    ]
 
 
 class PromptDemo(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -14,6 +15,17 @@ from iclmanip.model import (
 )
 
 BOUNDS = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests take their example count from the active profile:
+    # "local" by default, "ci" when HYPOTHESIS_PROFILE=ci.
+    settings.register_profile("local", max_examples=300, derandomize=True, deadline=None)
+    settings.register_profile("ci", max_examples=2000, derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))
 
 
 def velocities_with_norm(norm: float) -> JointVelocities:

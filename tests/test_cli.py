@@ -346,6 +346,49 @@ def test_generate_demos_resets_each_seed_once(tmp_path, monkeypatch):
     assert calls and set(calls.values()) == {1}, calls
 
 
+def test_ablate_runs_several_sweeps_on_one_plan_store(tmp_path, monkeypatch, capsys):
+    seed_of = {}  # id(world) -> seed, for every world reset hands out
+    planned = collections.Counter()
+    real_reset, real_expert = harness.reset, harness.scripted_expert
+
+    def counting_reset(task, seed, bounds):
+        out = real_reset(task, seed, bounds)
+        seed_of[id(out[0])] = seed
+        return out
+
+    def counting_expert(task, world, instruction):
+        planned[seed_of[id(world)]] += 1
+        return real_expert(task, world, instruction)
+
+    monkeypatch.setattr(harness, "reset", counting_reset)
+    monkeypatch.setattr(harness, "scripted_expert", counting_expert)
+    names = ["sampling", "shots", "noise", "prompts", "loop"]
+    flags = ["--task", "push_button", "--n-demos", "3", "--n-eval", "2"]
+    assert main(["ablate", *names, *flags, "--csv", str(tmp_path / "all.csv")]) == 0
+    monkeypatch.undo()
+
+    # shots-10 draws the largest pool; every smaller pool is its prefix.
+    largest = harness.demo_seeds(harness.RunConfig(task=harness.TaskId.PUSH_BUTTON, n_demos=10))
+    assert sorted(planned) == sorted(largest)
+    assert set(planned.values()) == {1}, planned
+    combined = capsys.readouterr().out
+    rows = (tmp_path / "all.csv").read_text().splitlines()
+
+    # The same output as the sweeps run one at a time, concatenated.
+    singles, single_rows = "", []
+    for name in names:
+        assert main(["ablate", name, *flags, "--csv", str(tmp_path / f"{name}.csv")]) == 0
+        singles += capsys.readouterr().out
+        single_rows += (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+    assert combined == singles
+    assert rows[1:] == sorted(single_rows, key=_arm_seed)
+
+
+def _arm_seed(row):
+    fields = row.split(",")
+    return fields[2], int(fields[3])
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -10,6 +10,7 @@ from iclmanip.discretize import (
     TRANSLATION_BINS,
     DiscreteAction,
     DiscretePose,
+    bin_centers,
     dediscretize_action,
     dediscretize_pose,
     dediscretize_rotation,
@@ -18,8 +19,10 @@ from iclmanip.discretize import (
     discretize_pose,
     discretize_rotation,
     discretize_translation,
+    pose_bin_row,
+    pose_bins,
 )
-from iclmanip.model import Action, GripperState, Pose6
+from iclmanip.model import Action, GripperState, Pose6, WorkspaceBounds
 
 from conftest import BOUNDS
 
@@ -122,3 +125,58 @@ def test_discrete_action_round_trip():
     assert discretize_action(back, BOUNDS) == da
     with pytest.raises(ValueError):
         DiscreteAction(da.pose, 2)
+
+
+ASYMMETRIC = WorkspaceBounds(-0.37, 0.81, 0.05, 1.3, -0.2, 0.45)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]  # bit for bit, signed zeros included
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
+def test_bin_centers_equal_dediscretize_pose_on_every_bin(bounds):
+    # Row b puts translation bin b on every axis and walks every rotation bin.
+    rows = np.array(
+        [(b, b, b, b % ROTATION_BINS, (b + 1) % ROTATION_BINS, (b + 2) % ROTATION_BINS) for b in range(TRANSLATION_BINS)]
+    )
+    centers = bin_centers(rows, bounds)
+    assert centers.shape == rows.shape
+    for row, center in zip(rows.tolist(), centers.tolist()):
+        assert _hex(center) == _hex(dediscretize_pose(DiscretePose(*row), bounds).as_list())
+
+
+def _pose_rows(bounds):
+    rng = np.random.default_rng(23)
+    lo = np.array([bounds.x_min, bounds.y_min, bounds.z_min])
+    hi = np.array([bounds.x_max, bounds.y_max, bounds.z_max])
+    span = hi - lo
+    rows = [
+        np.concatenate((rng.uniform(lo - span, hi + span), rng.uniform(-4 * math.pi, 4 * math.pi, 3)))
+        for _ in range(2000)
+    ]
+    below_two_pi = math.nextafter(2 * math.pi, 0.0)
+    for k in range(TRANSLATION_BINS + 1):
+        edge = lo + k * span / TRANSLATION_BINS  # bin edges, and the values either side
+        for t in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+            a = math.radians(k * 360.0 / TRANSLATION_BINS)
+            rows.append(np.concatenate((t, [a, -a, below_two_pi])))
+    for b in range(ROTATION_BINS + 1):
+        a = math.radians(b * 5.0)  # rotation bin edges
+        rows.append(np.concatenate((lo, [a, math.nextafter(a, 0.0), math.nextafter(a, 7.0)])))
+    for t in (lo - 7.0, hi + 7.0, lo - 1e300, hi + 1e300):  # clamped to the edge bins
+        rows.append(np.concatenate((t, [-0.0, -1e-300, 2 * math.pi])))
+    rows.append(np.array([0.0, 0.0, 0.0, -math.pi / 2, -2 * math.pi, -1e-17]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
+def test_pose_bins_equal_discretize_pose(bounds):
+    rows = _pose_rows(bounds)
+    bins = pose_bins(rows, bounds)
+    assert bins.dtype == np.int64 and bins.shape == rows.shape
+    for row, got in zip(rows.tolist(), bins.tolist()):
+        pose = Pose6(*row)
+        expected = discretize_pose(pose, bounds).as_tuple()
+        assert tuple(got) == expected
+        assert pose_bin_row(pose, bounds) == expected

@@ -192,7 +192,33 @@ def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
     assert all(r.parse_error for r in report.records)
     assert all(not r.success for r in report.records)
     assert all(r.n_actions == 0 for r in report.records)
+    assert all(r.n_executed == 0 and r.failure == "no_actions" for r in report.records)
     assert report.success_rate == 0.0
+
+
+def test_run_eval_records_the_step_that_left_the_workspace(monkeypatch):
+    # Eval worlds narrower than the prompt's bounds: a bin center near the
+    # prompt's x edge lies outside the world's inflated bounds.
+    narrow = WorkspaceBounds(-0.2, 0.2, -0.2, 0.2, 0.0, 0.5)
+    real_reset = harness.reset
+
+    def narrow_eval_worlds(task, seed, bounds):
+        world, instruction, variation = real_reset(task, seed, bounds)
+        if seed >= EVAL_SEED_OFFSET:
+            world.bounds = narrow
+        return world, instruction, variation
+
+    reply = "{[50, 50, 50, 0, 0, 0, 1], [50, 50, 40, 0, 0, 0, 1], [99, 50, 50, 0, 0, 0, 1], [50, 50, 50, 0, 0, 0, 1]}"
+    monkeypatch.setattr(harness, "reset", narrow_eval_worlds)
+    monkeypatch.setattr(
+        harness,
+        "complete_mock_nearest",
+        lambda bundle: CompletionResult(text=reply, latency_ms=0, provider=Provider.MOCK_NEAREST),
+    )
+    report = run_eval(config(n_demos=2, n_eval=2))
+    for r in report.records:
+        assert (r.parse_error, r.success, r.n_actions, r.n_executed) == (False, False, 4, 2)
+        assert r.failure == "action pose x=0.495 outside inflated bounds [-0.240, 0.240]"
 
 
 def test_run_eval_remote_needs_credential(monkeypatch):
@@ -303,6 +329,7 @@ def test_emit_csv_format_and_determinism(tmp_path):
 def test_episode_record_fields():
     r = EpisodeRecord(seed=1, success=True, parse_error=False, n_actions=5, latency_ms=0, prompt_chars=10)
     assert r.seed == 1 and r.success and r.n_actions == 5
+    assert r.n_executed == 5 and r.failure is None
 
 
 @pytest.mark.parametrize("name", list(SWEEPS))

@@ -17,6 +17,7 @@ from iclmanip.model import (
     save_episodes,
     velocity_norms,
     verify_object_consistency,
+    wrap_angle,
 )
 from iclmanip.sim import TaskId, reset, scripted_expert
 
@@ -40,6 +41,59 @@ def test_pose_rejects_bad_values():
         Pose6("0.1", 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         Pose6(True, 0, 0, 0, 0, 0)
+
+
+_POSE_FIELDS = ("x", "y", "z", "roll", "pitch", "yaw")
+
+
+def _reference_pose6(*values):
+    """Pose6's field checks and conversions without its fast path."""
+    for name, v in zip(_POSE_FIELDS, values):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"Pose6.{name} must be a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"Pose6.{name} must be finite, got {v!r}")
+    x, y, z, roll, pitch, yaw = (float(v) for v in values)
+    return [x, y, z, wrap_angle(roll), wrap_angle(pitch), wrap_angle(yaw)]
+
+
+_BELOW_TWO_PI = math.nextafter(2 * math.pi, 0.0)
+_POSE6_CASES = [
+    (0.1, -0.2, 0.3, 1.0, 2.0, 3.0),
+    (1, 2, 3, 4, 5, 6),
+    (0, 0, 0, 0, 0, 0),
+    (True, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, False),
+    tuple(np.float64(v) for v in (0.1, -0.2, 0.3, -1.0, 7.0, 3.0)),
+    (0.1, np.float64(0.2), 0.3, 1.0, 2.0, np.float64(-0.5)),
+    (1e308, 1e308, 0.0, 0.0, 0.0, 0.0),  # finite terms whose sum overflows
+    (-1e308, 0.0, 0.0, -1e308, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1e308, 1e308, 1e308),
+    (0.0, 0.0, 0.0, -0.0, 2 * math.pi, -1e-300),
+    (0.0, 0.0, 0.0, _BELOW_TWO_PI, -_BELOW_TWO_PI, -2 * math.pi),
+    (0.0, 0.0, 0.0, -math.pi / 2, 5 * math.pi, 1e-300),
+    (-0.0, -0.0, -0.0, 0.0, 0.0, 0.0),
+    ("0.1", 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0, None),
+] + [
+    tuple(bad if i == k else 0.0 for i in range(6))
+    for k in range(6)
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("values", _POSE6_CASES, ids=repr)
+def test_pose_matches_reference_checks_bit_for_bit(values):
+    try:
+        expected = _reference_pose6(*values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Pose6(*values)
+        assert str(raised.value) == str(exc)
+        return
+    got = Pose6(*values).as_list()
+    assert [type(v) for v in got] == [float] * 6
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_pose_list_round_trip():
