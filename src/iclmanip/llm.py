@@ -5,6 +5,12 @@ evaluation harness does not care which one produced the text. Like a
 model, the mocks see only the prompt: they read the demos and the test
 input back out of the body with prompts.read_prompt, so retrieval is a
 distance computation over the bins printed in the prompt.
+
+Only the remote provider needs an HTTP client, so `requests` is imported
+inside the first remote request rather than with this module: offline
+runs load numpy and the standard library only. `llm.requests` still
+resolves (and imports it on first access) for callers that look up or
+patch `llm.requests.post`.
 """
 
 from __future__ import annotations
@@ -13,9 +19,7 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .prompts import PromptBundle, PromptDemo, format_action, parse_response, read_prompt
 
@@ -24,6 +28,18 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE_S = 0.5
 MAX_RETRY_AFTER_S = 60.0
 DEFAULT_REQUESTS_PER_SECOND = 1.0
+
+if TYPE_CHECKING:
+    import requests
+
+
+def __getattr__(name: str):
+    # PEP 562: `llm.requests` imports the HTTP stack on first access.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Provider(Enum):
@@ -141,6 +157,8 @@ def complete_remote(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    import requests
+
     url = endpoint.rstrip("/") + "/v1/chat/completions"
     payload = {
         "model": model,

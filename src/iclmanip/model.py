@@ -308,18 +308,18 @@ class WorkspaceBounds:
             if not lo < hi:
                 raise ValueError(f"WorkspaceBounds.{axis}_min {lo} must be < {axis}_max {hi}")
 
+    @functools.cached_property
+    def limits(self) -> tuple[tuple[float, float], ...]:
+        """((x_min, x_max), (y_min, y_max), (z_min, z_max)), built once per box."""
+        return ((self.x_min, self.x_max), (self.y_min, self.y_max), (self.z_min, self.z_max))
+
     def axis(self, index: int) -> tuple[float, float]:
         """Return (min, max) for axis 0=x, 1=y, 2=z."""
-        return [
-            (self.x_min, self.x_max),
-            (self.y_min, self.y_max),
-            (self.z_min, self.z_max),
-        ][index]
+        return self.limits[index]
 
     def contains(self, pose: Pose6, margin: float = 0.0) -> bool:
         """True if the pose translation lies inside the box grown by `margin` per side."""
-        for i, v in enumerate(pose.translation()):
-            lo, hi = self.axis(i)
+        for v, (lo, hi) in zip(pose.translation(), self.limits):
             if v < lo - margin or v > hi + margin:
                 return False
         return True

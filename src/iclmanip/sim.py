@@ -329,10 +329,8 @@ def _press_zone(button: SimObject, pose: Pose6) -> bool:
 
 
 def _check_reachable(bounds: WorkspaceBounds, translation: Sequence[float]) -> None:
-    for i, axis in enumerate(("x", "y", "z")):
-        lo, hi = bounds.axis(i)
+    for axis, v, (lo, hi) in zip("xyz", translation, bounds.limits):
         margin = BOUNDS_INFLATION * (hi - lo)
-        v = translation[i]
         if v < lo - margin or v > hi + margin:
             raise ExecutionError(
                 f"action pose {axis}={v:.3f} outside inflated bounds [{lo - margin:.3f}, {hi + margin:.3f}]"

@@ -1,9 +1,13 @@
 """Remote bridge against a local throwaway HTTP server, rate limiter with
-an injected clock, and the two offline oracles against brute force over
-demos they read from the prompt body.
+an injected clock, the two offline oracles against brute force over
+demos they read from the prompt body, and fresh interpreters checking
+that offline use never imports the HTTP stack.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import iclmanip
 from iclmanip.llm import (
     CompletionTimeout,
     OracleError,
@@ -419,3 +424,46 @@ def test_mock_compositional_reports_bad_segment():
 def test_mock_empty_pool():
     with pytest.raises(OracleError):
         complete_mock_nearest(_bundle([], (1,) * 6, "push the red button"))
+
+
+# -- import hygiene -----------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(iclmanip.__file__)))
+_HTTP_MODULES = 'print("http:", sorted(m for m in ("requests", "urllib3") if m in sys.modules))'
+
+
+def _loaded_http_modules(code, cwd):
+    """Run `code` in a fresh interpreter; return what each `_HTTP_MODULES` line printed."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [line[len("http: ") :] for line in done.stdout.splitlines() if line.startswith("http: ")]
+
+
+def test_offline_use_does_not_load_the_http_stack(tmp_path):
+    code = f"""import sys
+import iclmanip
+{_HTTP_MODULES}
+from iclmanip import Provider, RunConfig, TaskId, run_eval
+run_eval(RunConfig(task=TaskId.PUSH_BUTTON, n_demos=2, n_eval=2, provider=Provider.MOCK_NEAREST))
+{_HTTP_MODULES}
+from iclmanip.cli import main
+main(["build-prompt", "--task", "push_button", "--n-demos", "2", "--out", "bundle.json"])
+{_HTTP_MODULES}"""
+    assert _loaded_http_modules(code, tmp_path) == ["[]"] * 3
+
+
+def test_requests_attribute_imports_on_first_access(tmp_path):
+    code = f"""import sys
+import iclmanip.llm as llm
+assert "requests" not in sys.modules
+assert llm.requests.post is sys.modules["requests"].post
+{_HTTP_MODULES}"""
+    assert _loaded_http_modules(code, tmp_path) == ["['requests', 'urllib3']"]
