@@ -150,9 +150,9 @@ def discretize_pose(pose: Pose6, bounds: WorkspaceBounds) -> DiscretePose:
 
 def dediscretize_pose(dp: DiscretePose, bounds: WorkspaceBounds) -> Pose6:
     return Pose6(
-        dediscretize_translation(dp.tx, *bounds.axis(0)),
-        dediscretize_translation(dp.ty, *bounds.axis(1)),
-        dediscretize_translation(dp.tz, *bounds.axis(2)),
+        dediscretize_translation(dp.tx, *bounds.limits[0]),
+        dediscretize_translation(dp.ty, *bounds.limits[1]),
+        dediscretize_translation(dp.tz, *bounds.limits[2]),
         dediscretize_rotation(dp.rr),
         dediscretize_rotation(dp.rp),
         dediscretize_rotation(dp.ry),

@@ -4,7 +4,8 @@ A run is fully described by a RunConfig. Demo episodes come from seeds
 scanned upward from config.seed so that task variations cycle round-robin
 (and a smaller demo pool is always a prefix of a larger one); eval
 episodes use seeds offset by 100000, so the two sets never overlap unless
-the caller explicitly passes eval_seeds.
+the caller explicitly passes eval_seeds. Observation noise is one scale
+k (RunConfig.noise) on sim's fixed base sigmas.
 
 Worlds are planned once per call: a store keyed on (task, seed, bounds)
 keeps each pristine reset and expert episode, so the demo seed scan, the
@@ -62,8 +63,6 @@ from .prompts import (
     parse_bins,
 )
 from .sim import (
-    BASE_SIGMA_ROTATION_RAD,
-    BASE_SIGMA_TRANSLATION_M,
     ExecutionError,
     TaskId,
     TaskVariation,
@@ -98,19 +97,6 @@ class LoopMode(Enum):
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Observation noise: std per axis is k times the base sigma."""
-
-    k: float
-    sigma_translation_m: float = BASE_SIGMA_TRANSLATION_M
-    sigma_rotation_rad: float = BASE_SIGMA_ROTATION_RAD
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"NoiseSpec.k must be >= 0, got {self.k}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one evaluation run depends on."""
 
@@ -127,7 +113,7 @@ class RunConfig:
     keyframe_mode: KeyframeMode = KeyframeMode.KEYFRAMES
     uniform_interval: int = 10
     loop_mode: LoopMode = LoopMode.OPEN
-    noise: NoiseSpec | None = None
+    noise: float | None = None  # scale k on the base sigmas of sim.add_pose_noise
     seed: int = 0
     max_tokens: int = 1024
     requests_per_second: float = 1.0
@@ -148,6 +134,8 @@ class RunConfig:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.requests_per_second <= 0:
             raise ValueError(f"requests_per_second must be positive, got {self.requests_per_second}")
+        if self.noise is not None and self.noise < 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.eval_seeds is not None:
             object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
             if len(self.eval_seeds) != self.n_eval:
@@ -159,8 +147,8 @@ class RunConfig:
     def from_mapping(cls, values: Mapping[str, Any]) -> RunConfig:
         """The one schema for config files and CLI flags: enum fields take
         their string values, bounds six numbers, noise null, a number (k) or
-        an object of NoiseSpec fields. eval_seeds is not accepted. Unknown
-        keys and bad values raise ValueError.
+        {"k": number}. eval_seeds is not accepted. Unknown keys and bad
+        values raise ValueError.
         """
         defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name != "eval_seeds"}
         unknown = set(values) - set(defaults)
@@ -184,12 +172,12 @@ def _config_value(name: str, default: Any, value: Any) -> Any:
         if not isinstance(value, (list, tuple)) or len(value) != 6:
             raise ValueError("bounds must be six numbers: x_min x_max y_min y_max z_min z_max")
         return WorkspaceBounds(*(float(v) for v in value))
-    if name == "noise" and not (value is None or isinstance(value, NoiseSpec)):
-        if isinstance(value, dict):
-            return NoiseSpec(**{k: float(v) for k, v in value.items()})
-        if not isinstance(value, (int, float)):
-            raise ValueError("noise must be null, a number (k) or an object with k and sigmas")
-        return NoiseSpec(k=float(value))
+    if name == "noise" and value is not None:
+        if isinstance(value, dict) and list(value) == ["k"]:
+            value = value["k"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError('noise must be null, a number (k) or {"k": number}')
+        return float(value)
     return value
 
 
@@ -325,14 +313,7 @@ def _noised(
 ) -> tuple[ObjectObservation, ...]:
     if config.noise is None:
         return tuple(observations)
-    spec = config.noise
-    return add_pose_noise(
-        observations,
-        spec.k,
-        seed=_noise_seed(config.seed, *tags),
-        sigma_translation_m=spec.sigma_translation_m,
-        sigma_rotation_rad=spec.sigma_rotation_rad,
-    )
+    return add_pose_noise(observations, config.noise, seed=_noise_seed(config.seed, *tags))
 
 
 _DEMO_NOISE_TAG = 1
@@ -481,10 +462,7 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
     "noise": (
         (),
         DEFAULT_NOISE_SCALES,
-        lambda c, k: (
-            dataclasses.replace(c, noise=dataclasses.replace(c.noise or NoiseSpec(k=1.0), k=k)),
-            f"noise-{k:g}",
-        ),
+        lambda c, k: (dataclasses.replace(c, noise=k), f"noise-{k:g}"),
     ),
     "prompts": (
         (),

@@ -6,7 +6,8 @@ qualifying timesteps collapse to their last index, and the final timestep
 is always included, so a few hundred frames reduce to a handful.
 
 Both criteria are masks over the episode's arrays: the row norms of its
-T x 7 joint velocities and the changes in its T gripper bits.
+T x 7 joint velocities (model.velocity_norms, a plain sum of squares per
+row) and the changes in its T gripper bits.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Domain types shared across the toolkit, plus episode persistence.
 
-Poses, actions and joint velocities are small frozen per-frame values.
-An Episode holds its dense trajectory as read-only numpy arrays instead
-(T x 6 poses, T gripper bits, T x 7 joint velocities) and builds the
-per-frame values only when asked for them.
+Poses and actions are small frozen per-frame values. An Episode holds
+its dense trajectory as read-only numpy arrays instead (T x 6 poses,
+T gripper bits, T x 7 joint velocities) and builds Actions only when
+asked for them.
 
 Episodes are stored as line-delimited JSON, one episode per line, with
 full float round-trip precision.
@@ -105,9 +105,6 @@ class Pose6:
     def translation(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    def rotation(self) -> tuple[float, float, float]:
-        return (self.roll, self.pitch, self.yaw)
-
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.z, self.roll, self.pitch, self.yaw]
 
@@ -133,25 +130,6 @@ class Action:
 
 
 @dataclass(frozen=True)
-class JointVelocities:
-    """Instantaneous joint velocities for a 7-DoF arm, rad/s."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != 7:
-            raise ValueError(f"JointVelocities length {len(vals)} != 7")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(f"JointVelocities[{i}] must be finite, got {v!r}")
-        object.__setattr__(self, "values", vals)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-
-@dataclass(frozen=True)
 class ObjectObservation:
     """A named scene object and its observed pose."""
 
@@ -166,9 +144,10 @@ class ObjectObservation:
 
 
 def velocity_norms(velocities: np.ndarray) -> np.ndarray:
-    """Row norms of a T x 7 velocity array, bit for bit JointVelocities.norm:
-    the squares are added column by column, left to right, so the result
-    does not hang on the order numpy picks for a reduction."""
+    """Row norms of a T x 7 velocity array. The squares are added column by
+    column, left to right, so each norm equals math.sqrt(sum(v * v for v
+    in row)) bit for bit and does not hang on the order numpy picks for a
+    reduction."""
     squares = velocities * velocities
     total = squares[:, 0].copy()
     for j in range(1, squares.shape[1]):
@@ -177,9 +156,15 @@ def velocity_norms(velocities: np.ndarray) -> np.ndarray:
 
 
 def _checked_array(value, name: str, columns: int | None) -> np.ndarray:
-    """A float64 copy of `value`, shape (T,) or (T, columns), all finite."""
-    array = np.array(value, dtype=np.float64)
+    """A float64 copy of `value`, shape (T,) or (T, columns), all finite.
+    An empty `value` has zero rows."""
     ndim, shape = (1, "(T,)") if columns is None else (2, f"(T, {columns})")
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows or a non-number
+        raise ValueError(f"Episode.{name} must be a {shape} array of numbers: {exc}") from None
+    if columns is not None and array.size == 0:
+        array = array.reshape(0, columns)
     if array.ndim != ndim or (columns is not None and array.shape[1] != columns):
         raise ValueError(f"Episode.{name} must have shape {shape}, got {array.shape}")
     bad = np.flatnonzero(~np.isfinite(array.reshape(len(array), -1)).all(axis=1))
@@ -202,8 +187,7 @@ class Episode:
 
     The arrays are validated once here. Per-frame objects exist only at
     the API edge: `action(t)` builds one Action, and the cached `actions`
-    and `velocities` views build all of them. `from_frames` is the
-    per-frame constructor.
+    view builds all of them.
     """
 
     instruction: str
@@ -240,23 +224,6 @@ class Episode:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
-    @classmethod
-    def from_frames(
-        cls,
-        instruction: str,
-        objects: Sequence[ObjectObservation],
-        velocities: Sequence[JointVelocities],
-        actions: Sequence[Action],
-    ) -> "Episode":
-        """Build an episode from per-frame objects, one entry per timestep."""
-        return cls(
-            instruction,
-            tuple(objects),
-            np.array([a.pose.as_list() for a in actions], dtype=np.float64).reshape(-1, 6),
-            np.array([a.gripper.to_bit() for a in actions], dtype=np.int8),
-            np.array([v.values for v in velocities], dtype=np.float64).reshape(-1, 7),
-        )
-
     @property
     def length(self) -> int:
         return len(self.poses)
@@ -268,10 +235,6 @@ class Episode:
     @functools.cached_property
     def actions(self) -> tuple[Action, ...]:
         return tuple(self.action(t) for t in range(self.length))
-
-    @functools.cached_property
-    def velocities(self) -> tuple[JointVelocities, ...]:
-        return tuple(JointVelocities(tuple(row)) for row in self.joint_velocities.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Episode):
@@ -313,17 +276,6 @@ class WorkspaceBounds:
         """((x_min, x_max), (y_min, y_max), (z_min, z_max)), built once per box."""
         return ((self.x_min, self.x_max), (self.y_min, self.y_max), (self.z_min, self.z_max))
 
-    def axis(self, index: int) -> tuple[float, float]:
-        """Return (min, max) for axis 0=x, 1=y, 2=z."""
-        return self.limits[index]
-
-    def contains(self, pose: Pose6, margin: float = 0.0) -> bool:
-        """True if the pose translation lies inside the box grown by `margin` per side."""
-        for v, (lo, hi) in zip(pose.translation(), self.limits):
-            if v < lo - margin or v > hi + margin:
-                return False
-        return True
-
 
 class PersistenceError(Exception):
     """Raised when an episode file cannot be written or read."""
@@ -359,15 +311,16 @@ def _episode_from_json(data: dict) -> Episode:
         name = _require(item, "name", str, "object")
         pose = _require(item, "pose", list, "object")
         objects.append(ObjectObservation(name, Pose6.from_list(pose)))
-    velocities = [JointVelocities(tuple(v)) for v in _require(data, "velocities", list, "episode")]
-    actions = []
+    velocities = _require(data, "velocities", list, "episode")
+    poses, bits = [], []
     for item in _require(data, "actions", list, "episode"):
         pose = _require(item, "pose", list, "action")
         bit = item.get("gripper")
         if bit not in (0, 1):
             raise ValueError(f"action.gripper must be 0 or 1, got {bit!r}")
-        actions.append(Action(Pose6.from_list(pose), GripperState.from_bit(bit)))
-    return Episode.from_frames(instruction, objects, velocities, actions)
+        poses.append(Pose6.from_list(pose).as_list())
+        bits.append(bit)
+    return Episode(instruction, objects, poses, bits, velocities)
 
 
 def save_episodes(episodes: Iterable[Episode], path: str | Path) -> None:

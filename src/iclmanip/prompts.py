@@ -110,10 +110,6 @@ _OBSERVATION_TEXT = "%s: [%d, %d, %d, %d, %d, %d]"
 _ACTION_TEXT = "[%d, %d, %d, %d, %d, %d, %d]"
 
 
-def format_observation(name: str, pose: DiscretePose) -> str:
-    return _OBSERVATION_TEXT % (name, *pose.as_tuple())
-
-
 def format_action(action: DiscreteAction) -> str:
     return _ACTION_TEXT % action.as_tuple()
 
@@ -145,6 +141,15 @@ def build_example_input(
     return "{" + _observation_block(observations, bounds) + ", " + instruction + "}"
 
 
+def _check_keyframes(episode: Episode, keyframes: KeyframeIndices) -> None:
+    if len(keyframes) < 2:
+        raise ValueError(f"need at least 2 keyframes to build an example, got {len(keyframes)}")
+    if keyframes.episode_length != episode.length:
+        raise ValueError(
+            f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
+        )
+
+
 def build_icl_example(
     episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds
 ) -> IclExample:
@@ -153,12 +158,7 @@ def build_icl_example(
     The first keyframe's action is dropped; the starting action carries no
     information because every episode begins from the same home state.
     """
-    if len(keyframes) < 2:
-        raise ValueError(f"need at least 2 keyframes to build an example, got {len(keyframes)}")
-    if keyframes.episode_length != episode.length:
-        raise ValueError(
-            f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
-        )
+    _check_keyframes(episode, keyframes)
     return IclExample(
         input=build_example_input(episode.objects, episode.instruction, bounds),
         output="{" + ", ".join(_action_texts(episode, keyframes[1:], bounds)) + "}",
@@ -179,12 +179,7 @@ def build_closed_loop_example(
     the first keyframe's action. `object_pose_fn(t)` must supply the scene
     observations at timestep t for every keyframe.
     """
-    if len(keyframes) < 2:
-        raise ValueError(f"need at least 2 keyframes to build an example, got {len(keyframes)}")
-    if keyframes.episode_length != episode.length:
-        raise ValueError(
-            f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
-        )
+    _check_keyframes(episode, keyframes)
     roster = tuple(o.name for o in episode.objects)
     blocks: list[str] = []
     for t in keyframes:

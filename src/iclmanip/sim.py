@@ -276,9 +276,7 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         if not separated:
             continue
 
-        if task is TaskId.STACK_CUBE:
-            variation = _CUBE_VARIATIONS[int(rng.integers(0, 2))]
-        elif task is TaskId.DESTACK_CUBE:
+        if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
             variation = _CUBE_VARIATIONS[int(rng.integers(0, 2))]
         elif task is TaskId.PUSH_BUTTON:
             variation = _BUTTON_VARIATIONS[int(rng.integers(0, 4))]
@@ -639,13 +637,11 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
 
 
 def add_pose_noise(
-    observations: Sequence[ObjectObservation],
-    k: float,
-    seed: int,
-    sigma_translation_m: float = BASE_SIGMA_TRANSLATION_M,
-    sigma_rotation_rad: float = BASE_SIGMA_ROTATION_RAD,
+    observations: Sequence[ObjectObservation], k: float, seed: int
 ) -> tuple[ObjectObservation, ...]:
-    """Perturb poses with zero-mean Gaussian noise scaled by k.
+    """Perturb poses with zero-mean Gaussian noise whose std per axis is k
+    times BASE_SIGMA_TRANSLATION_M (x, y, z) or BASE_SIGMA_ROTATION_RAD
+    (roll, pitch, yaw).
 
     k = 0 returns the observations unchanged. Deterministic per seed.
     """
@@ -661,12 +657,12 @@ def add_pose_noise(
             ObjectObservation(
                 obs.name,
                 Pose6(
-                    obs.pose.x + draw[0] * k * sigma_translation_m,
-                    obs.pose.y + draw[1] * k * sigma_translation_m,
-                    obs.pose.z + draw[2] * k * sigma_translation_m,
-                    obs.pose.roll + draw[3] * k * sigma_rotation_rad,
-                    obs.pose.pitch + draw[4] * k * sigma_rotation_rad,
-                    obs.pose.yaw + draw[5] * k * sigma_rotation_rad,
+                    obs.pose.x + draw[0] * k * BASE_SIGMA_TRANSLATION_M,
+                    obs.pose.y + draw[1] * k * BASE_SIGMA_TRANSLATION_M,
+                    obs.pose.z + draw[2] * k * BASE_SIGMA_TRANSLATION_M,
+                    obs.pose.roll + draw[3] * k * BASE_SIGMA_ROTATION_RAD,
+                    obs.pose.pitch + draw[4] * k * BASE_SIGMA_ROTATION_RAD,
+                    obs.pose.yaw + draw[5] * k * BASE_SIGMA_ROTATION_RAD,
                 ),
             )
         )

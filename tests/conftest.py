@@ -4,15 +4,7 @@ import re
 
 import pytest
 
-from iclmanip.model import (
-    Action,
-    Episode,
-    GripperState,
-    JointVelocities,
-    ObjectObservation,
-    Pose6,
-    WorkspaceBounds,
-)
+from iclmanip.model import Episode, GripperState, ObjectObservation, Pose6, WorkspaceBounds
 
 BOUNDS = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
 
@@ -28,22 +20,17 @@ else:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "local"))
 
 
-def velocities_with_norm(norm: float) -> JointVelocities:
-    """Seven equal components whose euclidean norm is exactly `norm`."""
-    return JointVelocities(tuple([norm / math.sqrt(7)] * 7))
-
-
 def make_episode(norms, grips=None, instruction="push the red button"):
-    """Episode whose per-step velocity norms and gripper states are given."""
+    """Episode whose per-step velocity norms and gripper states are given:
+    step t has seven equal velocity components of norm norms[t] and the
+    pose (0.001 t, 0, 0.1, 0, 0, 0)."""
     T = len(norms)
     if grips is None:
         grips = [GripperState.OPEN] * T
     objects = (ObjectObservation("red button", Pose6(0.1, 0.1, 0.0, 0, 0, 0)),)
-    velocities = tuple(velocities_with_norm(n) for n in norms)
-    actions = tuple(
-        Action(Pose6(0.001 * t, 0.0, 0.1, 0.0, 0.0, 0.0), g) for t, g in enumerate(grips)
-    )
-    return Episode.from_frames(instruction, objects, velocities, actions)
+    poses = [[0.001 * t, 0.0, 0.1, 0.0, 0.0, 0.0] for t in range(T)]
+    velocities = [[n / math.sqrt(7)] * 7 for n in norms]
+    return Episode(instruction, objects, poses, [g.to_bit() for g in grips], velocities)
 
 
 @pytest.fixture

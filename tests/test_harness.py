@@ -18,7 +18,6 @@ from iclmanip.harness import (
     EpisodeRecord,
     KeyframeMode,
     LoopMode,
-    NoiseSpec,
     SWEEPS,
     RunConfig,
     ablate_loop,
@@ -78,11 +77,9 @@ def test_from_mapping_coerces_json_values():
     assert cfg.loop_mode is LoopMode.CLOSED
     assert cfg.bounds == WorkspaceBounds(-1.0, 1.0, -1.0, 1.0, 0.0, 1.0)
     assert cfg.noise is None and cfg.n_demos == 3 and cfg.delta == 1.0
-    assert RunConfig.from_mapping({"task": "push_button", "noise": 0.5}).noise == NoiseSpec(k=0.5)
-    spec = {"k": 2, "sigma_translation_m": 0.01}
-    assert RunConfig.from_mapping({"task": "push_button", "noise": spec}).noise == NoiseSpec(
-        k=2.0, sigma_translation_m=0.01
-    )
+    assert RunConfig.from_mapping({"task": "push_button", "noise": 0.5}).noise == 0.5
+    noise = RunConfig.from_mapping({"task": "push_button", "noise": {"k": 2}}).noise
+    assert noise == 2.0 and type(noise) is float
     # Values that are already typed pass through unchanged.
     assert RunConfig.from_mapping({"task": TaskId.PUSH_BUTTON}) == RunConfig(task=TaskId.PUSH_BUTTON)
 
@@ -107,6 +104,7 @@ def test_from_mapping_coerces_json_values():
         {"task": "push_button", "seed": "3"},
         {"task": "push_button", "delta": True},
         {"task": "push_button", "endpoint": 5},
+        {"task": "push_button", "noise": {"k": 2, "sigma_translation_m": 0.01}},
     ],
 )
 def test_from_mapping_rejects_bad_values(values):
@@ -253,7 +251,7 @@ def test_run_eval_remote_transport_error_aborts(monkeypatch):
 
 
 def test_run_eval_with_noise_completes():
-    cfg = config(n_demos=2, n_eval=2, noise=NoiseSpec(k=1.0))
+    cfg = config(n_demos=2, n_eval=2, noise=1.0)
     report = run_eval(cfg)
     assert len(report.records) == 2
     # Same config, same records: noise seeds derive from the run config.
@@ -288,7 +286,7 @@ def test_ablate_shots_arm_labels_and_nesting():
 def test_ablate_noise_arm_labels():
     reports = ablate_noise(config(n_demos=2, n_eval=2), scales=(0.5, 1.0, 2.0))
     assert [r.arm for r in reports] == ["noise-0.5", "noise-1", "noise-2"]
-    assert reports[2].config.noise.k == 2.0
+    assert reports[2].config.noise == 2.0
 
 
 def test_ablate_prompts_mock_results_identical():

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from iclmanip.model import (
-    Action,
     Episode,
     GripperState,
-    JointVelocities,
     ObjectObservation,
     PersistenceError,
     Pose6,
@@ -29,7 +27,7 @@ def test_pose_wraps_angles():
     assert p.roll == pytest.approx(3 * math.pi / 2)
     assert p.pitch == 0.0
     assert p.yaw == pytest.approx(math.pi)
-    assert all(0 <= a < 2 * math.pi for a in p.rotation())
+    assert all(0 <= a < 2 * math.pi for a in (p.roll, p.pitch, p.yaw))
 
 
 def test_pose_rejects_bad_values():
@@ -112,29 +110,26 @@ def test_gripper_bits():
         GripperState.from_bit(2)
 
 
-def test_joint_velocities_length_and_norm():
-    v = JointVelocities((3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0))
-    assert v.norm() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        JointVelocities((1.0,) * 6)
-    with pytest.raises(ValueError):
-        JointVelocities((float("nan"),) * 7)
-
-
 def test_episode_validation():
     ep = make_episode([0.0, 0.5, 0.0])
     assert ep.length == 3
+    arrays = (ep.poses, ep.gripper_bits, ep.joint_velocities)
     with pytest.raises(ValueError):
-        Episode.from_frames("", ep.objects, ep.velocities, ep.actions)
+        Episode("", ep.objects, *arrays)
     with pytest.raises(ValueError):
-        Episode.from_frames(ep.instruction, (), ep.velocities, ep.actions)
+        Episode(ep.instruction, (), *arrays)
     with pytest.raises(ValueError):
-        Episode.from_frames(ep.instruction, ep.objects, ep.velocities[:-1], ep.actions)
+        Episode(ep.instruction, ep.objects, ep.poses, ep.gripper_bits, ep.joint_velocities[:-1])
     with pytest.raises(ValueError):
-        Episode.from_frames(ep.instruction, ep.objects, ep.velocities[:1], ep.actions[:1])
+        Episode(ep.instruction, ep.objects, *(array[:1] for array in arrays))
     dup = (ep.objects[0], ep.objects[0])
     with pytest.raises(ValueError):
-        Episode.from_frames(ep.instruction, dup, ep.velocities, ep.actions)
+        Episode(ep.instruction, dup, *arrays)
+
+
+def per_frame_norms(velocities):
+    """The per-frame norm rule: a plain Python sum of squares per row."""
+    return [math.sqrt(sum(v * v for v in row)) for row in velocities.tolist()]
 
 
 def test_velocity_norms_match_per_frame_norm_bit_for_bit():
@@ -146,11 +141,11 @@ def test_velocity_norms_match_per_frame_norm_bit_for_bit():
             np.zeros((1, 7)),
         ]
     )
-    assert velocity_norms(rows).tolist() == [JointVelocities(tuple(r)).norm() for r in rows.tolist()]
+    assert velocity_norms(rows).tolist() == per_frame_norms(rows)
     for task in TaskId:
         world, instruction, _ = reset(task, 5, WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5))
         ep = scripted_expert(task, world, instruction)
-        assert velocity_norms(ep.joint_velocities).tolist() == [v.norm() for v in ep.velocities]
+        assert velocity_norms(ep.joint_velocities).tolist() == per_frame_norms(ep.joint_velocities)
 
 
 def test_episode_arrays_are_validated_copies():
@@ -191,8 +186,8 @@ def test_episode_per_frame_views():
     assert [a.gripper for a in ep.actions] == grips
     assert [ep.action(t) for t in range(ep.length)] == list(ep.actions)
     assert ep.actions[1].pose == Pose6(0.001, 0.0, 0.1, 0.0, 0.0, 0.0)
-    assert [v.norm() for v in ep.velocities] == pytest.approx([0.0, 0.5, 0.25])
-    assert Episode.from_frames(ep.instruction, ep.objects, ep.velocities, ep.actions) == ep
+    assert per_frame_norms(ep.joint_velocities) == pytest.approx([0.0, 0.5, 0.25])
+    assert Episode(ep.instruction, ep.objects, ep.poses, ep.gripper_bits, ep.joint_velocities) == ep
     assert hash(make_episode([0.0, 0.5, 0.25], grips)) == hash(ep)
     assert ep != make_episode([0.0, 0.5, 0.25])
     assert ep != make_episode([0.0, 0.5, 0.3], grips)
@@ -200,11 +195,8 @@ def test_episode_per_frame_views():
 
 def test_workspace_bounds():
     b = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
-    assert b.axis(0) == (-0.5, 0.5)
-    assert b.axis(2) == (0.0, 0.5)
-    assert b.contains(Pose6(0, 0, 0.1, 0, 0, 0))
-    assert not b.contains(Pose6(0.6, 0, 0.1, 0, 0, 0))
-    assert b.contains(Pose6(0.55, 0, 0.1, 0, 0, 0), margin=0.1)
+    assert b.limits[0] == (-0.5, 0.5)
+    assert b.limits[2] == (0.0, 0.5)
     with pytest.raises(ValueError):
         WorkspaceBounds(0.5, -0.5, -0.5, 0.5, 0.0, 0.5)
 
@@ -241,7 +233,7 @@ def test_load_reports_line_numbers(tmp_path):
     "edit, message",
     [
         (lambda d: d.pop("actions"), "episode missing field 'actions'"),
-        (lambda d: d["velocities"][1].pop(), "JointVelocities length 6 != 7"),
+        (lambda d: d["velocities"][1].pop(), "Episode.joint_velocities must be a (T, 7) array of numbers"),
         (lambda d: d["velocities"][1].__setitem__(0, "fast"), "could not convert string to float"),
         (lambda d: d["actions"][0]["pose"].__setitem__(2, None), "Pose6.z must be a number"),
         (lambda d: d["actions"][1].__setitem__("gripper", 3), "action.gripper must be 0 or 1"),
@@ -278,11 +270,12 @@ def test_missing_file_raises(tmp_path):
 def test_verify_object_consistency():
     a = make_episode([0.0, 0.5, 0.0])
     verify_object_consistency([a, a])
-    other = Episode.from_frames(
+    other = Episode(
         a.instruction,
         (ObjectObservation("blue button", Pose6(0, 0, 0, 0, 0, 0)),),
-        a.velocities,
-        a.actions,
+        a.poses,
+        a.gripper_bits,
+        a.joint_velocities,
     )
     with pytest.raises(ValueError):
         verify_object_consistency([a, other])

@@ -15,10 +15,8 @@ import pytest
 from iclmanip.discretize import DiscreteAction, DiscretePose
 from iclmanip.keyframes import KeyframeIndices
 from iclmanip.model import (
-    Action,
     Episode,
     GripperState,
-    JointVelocities,
     ObjectObservation,
     Pose6,
 )
@@ -32,7 +30,6 @@ from iclmanip.prompts import (
     build_icl_example,
     default_system_prompts,
     format_action,
-    format_observation,
     parse_response,
     read_prompt,
 )
@@ -66,13 +63,17 @@ def pose(bx, by, bz, br=0, bp=0, byaw=0):
     return Pose6(tc(bx), tc(by), zc(bz), rc(br), rc(bp), rc(byaw))
 
 
-def vel7(n=0.0):
-    return JointVelocities((n / math.sqrt(7),) * 7)
-
-
-def episode_with_actions(objects, instruction, poses):
-    actions = tuple(Action(p, OPEN) for p in poses)
-    return Episode.from_frames(instruction, objects, (vel7(),) * len(actions), actions)
+def episode_with_actions(objects, instruction, poses, grips=None):
+    """A still episode (zero velocities) commanding `poses`, gripper open
+    unless `grips` gives the states."""
+    grips = grips or [OPEN] * len(poses)
+    return Episode(
+        instruction,
+        objects,
+        [p.as_list() for p in poses],
+        [g.to_bit() for g in grips],
+        np.zeros((len(poses), 7)),
+    )
 
 
 def golden(name):
@@ -113,11 +114,9 @@ def test_open_loop_three_demos_match_golden():
             ObjectObservation("blue cube", pose(*blue)),
             ObjectObservation("yellow cube", pose(*yellow)),
         )
-        actions = (
-            Action(pose(50, 50, 60), OPEN),
-            Action(pose(*act), GripperState.CLOSED),
+        ep = episode_with_actions(
+            objects, instruction, [pose(50, 50, 60), pose(*act)], [OPEN, GripperState.CLOSED]
         )
-        ep = Episode.from_frames(instruction, objects, (vel7(), vel7()), actions)
         examples.append(build_icl_example(ep, KeyframeIndices((0, 1), 2), BOUNDS))
     test_obs = (
         ObjectObservation("blue cube", pose(10, 80, 0)),
@@ -353,7 +352,8 @@ def test_icl_example_rejects_empty_fields():
 
 
 def test_format_observation_shape():
+    observation = ObjectObservation("red button", pose(1, 2, 3, 4, 5, 6))
+    assert build_example_input((observation,), "push", BOUNDS) == "{red button: [1, 2, 3, 4, 5, 6], push}"
     dp = DiscretePose(1, 2, 3, 4, 5, 6)
-    assert format_observation("red button", dp) == "red button: [1, 2, 3, 4, 5, 6]"
     da = DiscreteAction(dp, 1)
     assert format_action(da) == "[1, 2, 3, 4, 5, 6, 1]"
