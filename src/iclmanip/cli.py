@@ -2,9 +2,12 @@
 
 Subcommands:
   generate-demos   write scripted-expert episodes as line-delimited JSON
-  build-prompt     assemble one prompt bundle and print it as JSON
+  build-prompt     print, as JSON, the first prompt bundle eval would send
   eval             run the closed pipeline and report the success rate
   ablate           run one or more ablation sweeps from harness.SWEEPS
+
+build-prompt and eval read their prompts from harness.eval_prompts, so
+the printed bundle is the one eval sends first, noise included.
 
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
@@ -31,17 +34,15 @@ from .harness import (
     LoopMode,
     RunConfig,
     _Plans,
-    build_demo_pool,
     demo_episodes,
     emit_csv,
-    eval_seeds,
+    eval_prompts,
     run_eval,
     sweep,
 )
 from .llm import OracleError, ProtocolError, Provider, TransportError
 from .model import save_episodes
-from .prompts import assemble_prompt, build_example_input, default_system_prompts
-from .sim import ExecutionError, ExpertError, PlacementError, TaskId, observations_of, reset
+from .sim import ExecutionError, ExpertError, PlacementError, TaskId
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,8 +103,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _summary_line(report: EvalReport) -> str:
+    config = report.config
     return (
-        f"task={report.task.value} provider={report.provider.value} arm={report.arm} "
+        f"task={config.task.value} provider={config.provider.value} arm={report.arm} "
         f"n={len(report.records)} success_rate={report.success_rate:.2f}"
     )
 
@@ -116,13 +118,7 @@ def _cmd_generate_demos(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_prompt(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    demos = build_demo_pool(config)
-    seed = eval_seeds(config)[0]
-    world, instruction, _ = reset(config.task, seed, config.bounds)
-    test_input = build_example_input(observations_of(world), instruction, config.bounds)
-    system = default_system_prompts()[config.system_prompt_index]
-    bundle = assemble_prompt([d.example for d in demos], test_input, system)
+    *_, bundle = next(eval_prompts(_build_run_config(args)))
     payload = json.dumps({"system": bundle.system, "body": bundle.body}, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
@@ -168,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output episodes file")
     p.set_defaults(func=_cmd_generate_demos)
 
-    p = sub.add_parser("build-prompt", help="assemble one prompt bundle")
+    p = sub.add_parser("build-prompt", help="print the first prompt eval would send")
     _add_config_flags(p)
     p.add_argument("--out", help="write the JSON bundle here instead of stdout")
     p.set_defaults(func=_cmd_build_prompt)

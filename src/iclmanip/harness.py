@@ -7,6 +7,11 @@ episodes use seeds offset by 100000, so the two sets never overlap unless
 the caller explicitly passes eval_seeds. Observation noise is one scale
 k (RunConfig.noise) on sim's fixed base sigmas.
 
+One prompt stage, eval_prompts, turns a config into the prompt for each
+eval seed: demo pool, fresh world, noised test observations, assembled
+bundle. run_eval completes, parses, replays and scores what it yields;
+`iclmanip build-prompt` prints its first bundle.
+
 Worlds are planned once per call: a store keyed on (task, seed, bounds)
 keeps each pristine reset and expert episode, so the demo seed scan, the
 demo builds and the eval loop never redraw a world. The arms of a sweep
@@ -28,7 +33,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -209,8 +214,6 @@ class EpisodeRecord:
 class EvalReport:
     """One arm's worth of episode records plus its config."""
 
-    task: TaskId
-    provider: Provider
     arm: str
     records: tuple[EpisodeRecord, ...]
     config: RunConfig
@@ -301,13 +304,6 @@ def _noise_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence([base, *tags]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class _Demo:
-    seed: int
-    episode: Episode
-    example: IclExample
-
-
 def _noised(
     observations: Sequence[ObjectObservation], config: RunConfig, *tags: int
 ) -> tuple[ObjectObservation, ...]:
@@ -326,9 +322,9 @@ def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
     return sample_uniform(episode.length, config.uniform_interval)
 
 
-def _build_demo(config: RunConfig, position: int, seed: int, plans: _Plans) -> _Demo:
-    task = demo_task(config.task)
-    episode = plans.expert(task, seed, config.bounds)
+def _demo_example(
+    config: RunConfig, position: int, seed: int, episode: Episode, plans: _Plans
+) -> IclExample:
     frames = _keyframes_for(config, episode)
     if len(frames) < 2:
         raise ValueError(
@@ -337,28 +333,31 @@ def _build_demo(config: RunConfig, position: int, seed: int, plans: _Plans) -> _
         )
     if config.loop_mode is LoopMode.OPEN:
         start_obs = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
-        example = build_icl_example(
+        return build_icl_example(
             dataclasses.replace(episode, objects=start_obs), frames, config.bounds
         )
-    else:
-        # Closed loop re-observes the scene at each keyframe; replay the
-        # expert to know where objects actually are.
-        world = plans.reset(task, seed, config.bounds)[0].clone()
-        observed = replay_observations(world, episode, frames)
-        example = build_closed_loop_example(
-            episode,
-            frames,
-            config.bounds,
-            lambda t: _noised(observed[t], config, _DEMO_NOISE_TAG, position, t),
-        )
-    return _Demo(seed=seed, episode=episode, example=example)
+    # Closed loop re-observes the scene at each keyframe; replay the
+    # expert to know where objects actually are.
+    world = plans.reset(demo_task(config.task), seed, config.bounds)[0].clone()
+    observed = replay_observations(world, episode, frames)
+    return build_closed_loop_example(
+        episode,
+        frames,
+        config.bounds,
+        [_noised(observed[t], config, _DEMO_NOISE_TAG, position, t) for t in frames],
+    )
 
 
-def build_demo_pool(config: RunConfig, plans: _Plans | None = None) -> list[_Demo]:
+def build_demo_pool(
+    config: RunConfig, plans: _Plans | None = None
+) -> tuple[tuple[int, ...], list[IclExample]]:
+    """The demo seeds and the ICL example built on each, in pool order."""
     plans = plans or _Plans()
-    demos = [_build_demo(config, i, s, plans) for i, s in enumerate(demo_seeds(config, plans))]
-    verify_object_consistency([d.episode for d in demos])
-    return demos
+    seeds = demo_seeds(config, plans)
+    episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
+    examples = [_demo_example(config, i, seeds[i], ep, plans) for i, ep in enumerate(episodes)]
+    verify_object_consistency(episodes)
+    return seeds, examples
 
 
 def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
@@ -379,34 +378,46 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
     )
 
 
-def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) -> EvalReport:
-    """Run the closed pipeline over n_eval fresh worlds and score successes.
+def eval_prompts(
+    config: RunConfig, plans: _Plans | None = None
+) -> Iterator[tuple[int, WorldState, TaskVariation, PromptBundle]]:
+    """The prompt stage: for each eval seed, the seed, a fresh copy of its
+    world (the caller may execute actions in it), its variation and the
+    prompt the provider is sent.
 
-    Parse failures count as failed episodes and never abort the run;
-    transport and protocol errors from the remote provider do abort. A
-    reply is parsed into bin rows, and each row's bin centers replay as
-    one Action; an action leaving the workspace ends the episode, which
-    is scored in the state reached and records the step and the message.
-    `plans` is shared by the arms of a sweep; by default each call plans
-    its own worlds.
+    The demo pool is built before the first prompt, and the test
+    observations carry the run's noise. run_eval and `iclmanip
+    build-prompt` both read their prompts from here.
     """
-    complete = _provider(config)
     plans = plans or _Plans()
-    demos = build_demo_pool(config, plans)
+    d_seeds, examples = build_demo_pool(config, plans)
     e_seeds = eval_seeds(config)
-    if config.eval_seeds is None and {d.seed for d in demos} & set(e_seeds):
+    if config.eval_seeds is None and set(d_seeds) & set(e_seeds):
         raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
-
     system = default_system_prompts()[config.system_prompt_index]
-    examples = [d.example for d in demos]
-
-    records = []
     for j, seed in enumerate(e_seeds):
         world, instruction, variation = plans.reset(config.task, seed, config.bounds)
         world = world.clone()  # execute_action mutates it
         test_obs = _noised(observations_of(world), config, _TEST_NOISE_TAG, j)
         test_input = build_example_input(test_obs, instruction, config.bounds)
-        bundle = assemble_prompt(examples, test_input, system)
+        yield seed, world, variation, assemble_prompt(examples, test_input, system)
+
+
+def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) -> EvalReport:
+    """Run the closed pipeline over n_eval fresh worlds and score successes.
+
+    The provider is resolved (and a remote credential checked) before any
+    world is planned. Parse failures count as failed episodes and never
+    abort the run; transport and protocol errors from the remote provider
+    do abort. A reply is parsed into bin rows, and each row's bin centers
+    replay as one Action; an action leaving the workspace ends the
+    episode, which is scored in the state reached and records the step and
+    the message. `plans` is shared by the arms of a sweep; by default each
+    call plans its own worlds.
+    """
+    complete = _provider(config)
+    records = []
+    for seed, world, variation, bundle in eval_prompts(config, plans):
         result = complete(bundle)
         failure, n_executed = None, 0
         try:
@@ -433,13 +444,7 @@ def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) 
                 failure=failure,
             )
         )
-    return EvalReport(
-        task=config.task,
-        provider=config.provider,
-        arm=arm,
-        records=tuple(records),
-        config=config,
-    )
+    return EvalReport(arm=arm, records=tuple(records), config=config)
 
 
 # name -> (leading fixed arms: config -> (config, label), default values,
@@ -528,8 +533,8 @@ def emit_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
         for record in report.records:
             rows.append(
                 (
-                    report.task.value,
-                    report.provider.value,
+                    report.config.task.value,
+                    report.config.provider.value,
                     report.arm,
                     record.seed,
                     int(record.success),

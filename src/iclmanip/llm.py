@@ -22,6 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .prompts import PromptBundle, PromptDemo, format_action, parse_response, read_prompt
+from .sim import CHAIN_SEPARATOR
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_ATTEMPTS = 3
@@ -83,41 +84,32 @@ class OracleError(Exception):
 
 
 class TokenBucket:
-    """Simple token-bucket rate limiter; acquire() blocks until a token is free."""
+    """Token-bucket rate limiter holding at most one token; acquire() blocks
+    until the token is free and takes it."""
 
     def __init__(
         self,
         rate_per_second: float = DEFAULT_REQUESTS_PER_SECOND,
-        capacity: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if rate_per_second <= 0:
             raise ValueError(f"rate_per_second must be positive, got {rate_per_second}")
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
         self.rate = rate_per_second
-        self.capacity = capacity
         self._clock = clock
         self._sleep = sleep
-        self._tokens = capacity
+        self._tokens = 1.0
         self._last = clock()
 
-    def _refill(self) -> None:
+    def acquire(self) -> None:
         now = self._clock()
-        self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
+        self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
         self._last = now
-
-    def acquire(self, cost: float = 1.0) -> None:
-        if cost > self.capacity:
-            raise ValueError(f"cost {cost} exceeds bucket capacity {self.capacity}")
-        self._refill()
-        if self._tokens < cost:
-            self._sleep((cost - self._tokens) / self.rate)
-            self._refill()
-            # Guard against coarse clocks leaving us marginally short.
-            self._tokens = max(self._tokens, cost)
-        self._tokens -= cost
+        if self._tokens < 1.0:
+            self._sleep((1.0 - self._tokens) / self.rate)
+            # The wait earned the rest of the token, however coarse the clock.
+            self._last = self._clock()
+        self._tokens = 0.0
 
 
 def _retryable(status: int) -> bool:
@@ -260,11 +252,9 @@ def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_NEAREST)
 
 
-COMPOSITION_SEPARATOR = ", then "
-
-
 def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
-    """Split the test instruction on ', then ', retrieve per segment, concatenate.
+    """Split the test instruction into its chained steps (sim.CHAIN_SEPARATOR),
+    retrieve per segment, concatenate.
 
     Each segment is answered by nearest-neighbor retrieval as in
     complete_mock_nearest; the parsed action lists are joined into a
@@ -272,7 +262,7 @@ def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     """
     demos, test_bins, test_instruction = read_prompt(bundle.body)
     actions = []
-    for segment in test_instruction.split(COMPOSITION_SEPARATOR):
+    for segment in test_instruction.split(CHAIN_SEPARATOR):
         try:
             text = _nearest_output(demos, test_bins, segment)
         except OracleError as exc:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,30 +169,26 @@ def build_closed_loop_example(
     episode: Episode,
     keyframes: KeyframeIndices,
     bounds: WorkspaceBounds,
-    object_pose_fn: Callable[[int], Sequence[ObjectObservation]],
+    observations: Sequence[Sequence[ObjectObservation]],
 ) -> IclExample:
     """Closed-loop example: one observation block per keyframe, paired with
     that keyframe's action.
 
     Input holds the first keyframe's observations plus the instruction;
     output interleaves the remaining blocks with the actions, starting with
-    the first keyframe's action. `object_pose_fn(t)` must supply the scene
-    observations at timestep t for every keyframe.
+    the first keyframe's action. `observations` holds the scene seen at
+    each keyframe, in keyframe order, in the episode's roster order.
     """
     _check_keyframes(episode, keyframes)
+    if len(observations) != len(keyframes):
+        raise ValueError(f"got {len(observations)} observation blocks for {len(keyframes)} keyframes")
     roster = tuple(o.name for o in episode.objects)
     blocks: list[str] = []
-    for t in keyframes:
-        try:
-            observations = object_pose_fn(t)
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"object_pose_fn has no observations for keyframe {t}") from exc
-        if observations is None:
-            raise ValueError(f"object_pose_fn has no observations for keyframe {t}")
-        names = tuple(o.name for o in observations)
+    for t, scene in zip(keyframes, observations):
+        names = tuple(o.name for o in scene)
         if names != roster:
-            raise ValueError(f"object_pose_fn names {names} at t={t} differ from episode roster {roster}")
-        blocks.append(_observation_block(observations, bounds))
+            raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
+        blocks.append(_observation_block(scene, bounds))
     actions = _action_texts(episode, keyframes, bounds)
     parts = [actions[0]]
     for block, act in zip(blocks[1:], actions[1:]):

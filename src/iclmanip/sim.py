@@ -52,6 +52,7 @@ PRESS_Z_M = 0.004
 HOME_POSE = Pose6(0.0, 0.0, 0.30, 0.0, 0.0, 0.0)
 STACK_TOLERANCE_M = 0.01
 BOUNDS_INFLATION = 0.1  # fraction of each axis span added per side
+CHAIN_SEPARATOR = ", then "  # joins the steps of a chained instruction
 
 BASE_SIGMA_TRANSLATION_M = 0.0168
 BASE_SIGMA_ROTATION_RAD = math.radians(4.61)
@@ -212,7 +213,7 @@ def render_instruction(task: TaskId, variation: TaskVariation) -> str:
     if task is TaskId.PUSH_BUTTON:
         return f"push the {variation.buttons[0]}"
     if task is TaskId.PUSH_MULTIPLE_BUTTONS:
-        return ", then ".join(f"push the {name}" for name in variation.buttons)
+        return CHAIN_SEPARATOR.join(f"push the {name}" for name in variation.buttons)
     if task is TaskId.SLIDE_BLOCK:
         return "slide the block onto the target"
     raise ValueError(f"unknown task {task!r}")
@@ -601,7 +602,7 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
         target = world.object("target")
         waypoints = _pick_and_place(block, target.pose.x, target.pose.y, block.size / 2.0)
     elif task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
-        segments = instruction.split(", then ")
+        segments = instruction.split(CHAIN_SEPARATOR)
         sequence = []
         for segment in segments:
             hit = _names_in_order(segment, names)

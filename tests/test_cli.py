@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-import iclmanip.cli as cli
 import iclmanip.harness as harness
 from iclmanip.cli import main
 from iclmanip.llm import ProtocolError, TransportError
@@ -275,38 +274,39 @@ def test_remote_failure_exits_with_message(monkeypatch, error):
 
 # sha256 of the bytes each command writes with --out, captured before
 # episodes became arrays. A mode of "noise" means the default keyframe
-# mode with --noise-k 1.
+# mode with --noise-k 1; those entries were taken again once build-prompt
+# noised the test observations as eval does.
 BUILD_PROMPT_SHA256 = {
     ("stack_cube", "open", "keyframes"): "b6c7fc473bdcabd9414dd583a5a86be127f10b23597b49d9c45532ee570cef25",
     ("stack_cube", "open", "uniform"): "934910bbb56d973e1b40a22c417f62fc6b257cd14b84199abb0ee83e59745b3b",
-    ("stack_cube", "open", "noise"): "7fbacce9e68a09c5bdd0804d9a85f2370751d458b3c16859c6b3b8ae0c030d5a",
+    ("stack_cube", "open", "noise"): "8c61fa235d22631ddf682f1d9537eb93382ca9b8d77721514409379632bcc222",
     ("stack_cube", "closed", "keyframes"): "6a19026315375f23b819833423c2bcb3a8480a3fc0526de433f241ff19811631",
     ("stack_cube", "closed", "uniform"): "2d6a99278a26b332fc30f63c7d635a5fa09660bd2748476ee363f0dc9192ed44",
-    ("stack_cube", "closed", "noise"): "b53442a29b201fabfaad1a227ca64d72ed1abe4dd1da455e428816f474e81522",
+    ("stack_cube", "closed", "noise"): "ed629da9b20b8148e369e0b46f7142fd3cb7961257c49c2513885a6752ecb902",
     ("destack_cube", "open", "keyframes"): "3b71394578c4e4539133ae625017643b906f10766e2019c0384b9e46ae9bf739",
     ("destack_cube", "open", "uniform"): "5b614889ac492f78ef2f29844a395a98d13463e9b40f316e74368889e0b20757",
-    ("destack_cube", "open", "noise"): "d2f799b686c49dd8b0e8177475cbf15df4893aeef95063f31378e9c14b7e7c37",
+    ("destack_cube", "open", "noise"): "93be14ec616dabd5ecaae69108cf9d0cc610e64c95d00dfb06406a797c472ffc",
     ("destack_cube", "closed", "keyframes"): "404aa38f20bfe4ad5c1805cc75311212ab9d3cfd9de5a311e48ea63618d944b5",
     ("destack_cube", "closed", "uniform"): "b5fa3752eed7cad73b92ee4ca77ad94cd090b01b9a41205f45a1c229529ca3e8",
-    ("destack_cube", "closed", "noise"): "c7ef86d2a78aab79efc7a780928a6f26a421d9ce6ecb60a4c636b84552ec358f",
+    ("destack_cube", "closed", "noise"): "cb9cd8ae0a62e22932bf5ba199895a46711ce5a7b937af7590efb9c059249b0c",
     ("push_button", "open", "keyframes"): "c7c0a56b9814e5afa12f680bf20f099ead57583731210793a980872008b9a345",
     ("push_button", "open", "uniform"): "9a7a551ffc239ccc1988e83f4f1c26612e53d2ecd8b1cb310216ac23d7568d81",
-    ("push_button", "open", "noise"): "ac8193786f555d72848edfe51182915667159593ffe0875fb327953a5afbf9c5",
+    ("push_button", "open", "noise"): "958cdfbdf5f9af1d943c1be5bebe4944f67925a70ba719cde9bcd85bfde0b56e",
     ("push_button", "closed", "keyframes"): "22f85a86e8c91e4dea9e95b8fbf02d2bec50419681547c08f6ffb6468d785560",
     ("push_button", "closed", "uniform"): "dc110cc947a656ec9ea4028cf72e3bf6d3923551c1f61ba8fcb624df444c7cc7",
-    ("push_button", "closed", "noise"): "d31fa88c22fdfe3796cfb4679d7abd5a0f9beb8e4d3bca726921bbb8c1660a7e",
+    ("push_button", "closed", "noise"): "5c9c60ee357e1e32b11e28b7f1e1fd780816bfda76ba1628ac585c519d37de9e",
     ("push_multiple_buttons", "open", "keyframes"): "7c09e068a869dac978ee8cfeb068d860535ce1723a598206e64cfb448be8e55e",
     ("push_multiple_buttons", "open", "uniform"): "6703a925a8974baa3b01b82b131a656fcc95f95218c30650881385b715362714",
-    ("push_multiple_buttons", "open", "noise"): "b11ba1e7ad5424e77364845be1f128c539ac2c8c234181342f02e605603e8abd",
+    ("push_multiple_buttons", "open", "noise"): "f75693268df135e6284c42d4d55717a5c6e0a8d55c5f08499617973983bb6cdf",
     ("push_multiple_buttons", "closed", "keyframes"): "2d8a34578d5475bb2d80854eceb7c7a7c4a6a0d58b822ab167b8a5cbd5214feb",
     ("push_multiple_buttons", "closed", "uniform"): "75da6473e13153b3f951faeb6da46044e8a99735f53b34bba680326e6dd0f14a",
-    ("push_multiple_buttons", "closed", "noise"): "3c48e31d1e20528b91d615439cc1a677e271c47bc098b7f02ae49089b54682d1",
+    ("push_multiple_buttons", "closed", "noise"): "03cdd13f38cf25df5a51b424993bf1062e0bddaa0a196cd1924c8ce8ff3734b0",
     ("slide_block", "open", "keyframes"): "464f934e35c8842dab5fca09cd36a688414558ea0cb56c9b727b5952a2df66ac",
     ("slide_block", "open", "uniform"): "04dcbf5dbf1d85dd5c4df609b359f977f22152a320f3f4664f41f23cf8a5c54a",
-    ("slide_block", "open", "noise"): "8ddf1632c15c9bbd782719bb2ac8559cf9d6707f9e94ed7d561171b406fe942b",
+    ("slide_block", "open", "noise"): "03c28b4e30f34832ea8dacf84b4614d5810f006590c1eb51e95a209052e1826a",
     ("slide_block", "closed", "keyframes"): "094f74d916e9b7a52c2a380bf89719507d8253cda2d9eaa13d92d253d1900f81",
     ("slide_block", "closed", "uniform"): "f8036ea1d81a3df90343e4249bd3fcd6b389c904c62c584fa6751d9f784449d2",
-    ("slide_block", "closed", "noise"): "18af978afb0d02366d0fa9ec427ba57675ad10759769e8c2c7613141b389d7bd",
+    ("slide_block", "closed", "noise"): "701ff21be894ad46babf716ac5edc6a935ebcbbcc84cce4c0fb36fbfb101807f",
 }
 GENERATE_DEMOS_SHA256 = {
     "stack_cube": "197de33f633107f4586756069a610334c5fec50108b3d753aca89c08de01d9c5",
@@ -317,12 +317,37 @@ GENERATE_DEMOS_SHA256 = {
 }
 
 
+def _prompt_flags(task, loop, mode):
+    extra = ["--noise-k", "1"] if mode == "noise" else ["--keyframe-mode", mode]
+    return ["--task", task, "--n-demos", "4", "--loop-mode", loop, *extra]
+
+
 @pytest.mark.parametrize("task, loop, mode", sorted(BUILD_PROMPT_SHA256))
 def test_build_prompt_bytes_match_pinned_hash(tmp_path, task, loop, mode):
     out = tmp_path / "prompt.json"
-    flags = ["--noise-k", "1"] if mode == "noise" else ["--keyframe-mode", mode]
-    main(["build-prompt", "--task", task, "--n-demos", "4", "--loop-mode", loop, *flags, "--out", str(out)])
+    main(["build-prompt", *_prompt_flags(task, loop, mode), "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_PROMPT_SHA256[task, loop, mode]
+
+
+class _FirstPrompt(Exception):
+    """Raised by the recording provider once it holds run_eval's first prompt."""
+
+
+@pytest.mark.parametrize("task, loop, mode", sorted(BUILD_PROMPT_SHA256))
+def test_build_prompt_is_run_evals_first_prompt(tmp_path, monkeypatch, task, loop, mode):
+    flags = _prompt_flags(task, loop, mode)
+    out = tmp_path / "prompt.json"
+    main(["build-prompt", *flags, "--out", str(out)])
+    sent = []
+
+    def record(bundle):
+        sent.append(bundle)
+        raise _FirstPrompt
+
+    monkeypatch.setattr(harness, "_provider", lambda config: record)
+    with pytest.raises(_FirstPrompt):
+        main(["eval", *flags])
+    assert json.loads(out.read_text()) == {"system": sent[0].system, "body": sent[0].body}
 
 
 @pytest.mark.parametrize("task", sorted(GENERATE_DEMOS_SHA256))
@@ -341,7 +366,6 @@ def test_generate_demos_resets_each_seed_once(tmp_path, monkeypatch):
         return original(task, seed, bounds)
 
     monkeypatch.setattr(harness, "reset", counting)
-    monkeypatch.setattr(cli, "reset", counting)
     main(["generate-demos", "--task", "push_button", "--n-demos", "4", "--out", str(tmp_path / "d.jsonl")])
     assert calls and set(calls.values()) == {1}, calls
 

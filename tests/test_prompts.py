@@ -142,9 +142,7 @@ def test_closed_loop_demo_matches_golden():
     )
     # Static scene: every keyframe sees the same observations, so the two
     # observation blocks in the prompt must be byte-identical.
-    example = build_closed_loop_example(
-        ep, KeyframeIndices((0, 4), 5), BOUNDS, lambda t: button
-    )
+    example = build_closed_loop_example(ep, KeyframeIndices((0, 4), 5), BOUNDS, [button, button])
     test_obs = (ObjectObservation("red button", pose(0, 50, 0)),)
     test_input = build_example_input(test_obs, "push the red button", BOUNDS)
     bundle = assemble_prompt([example], test_input, default_system_prompts()[0])
@@ -161,12 +159,10 @@ def test_closed_loop_rejects_missing_or_renamed_observations():
     )
     frames = KeyframeIndices((0, 1), 2)
     with pytest.raises(ValueError):
-        build_closed_loop_example(ep, frames, BOUNDS, lambda t: {}[t])
-    with pytest.raises(ValueError):
-        build_closed_loop_example(ep, frames, BOUNDS, lambda t: None)
+        build_closed_loop_example(ep, frames, BOUNDS, [button])
     renamed = (ObjectObservation("blue button", pose(50, 0, 0)),)
     with pytest.raises(ValueError):
-        build_closed_loop_example(ep, frames, BOUNDS, lambda t: renamed)
+        build_closed_loop_example(ep, frames, BOUNDS, [button, renamed])
 
 
 def test_system_prompts_match_reference_files():
