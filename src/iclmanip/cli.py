@@ -33,7 +33,6 @@ from .harness import (
     KeyframeMode,
     LoopMode,
     RunConfig,
-    _Plans,
     demo_episodes,
     emit_csv,
     eval_prompts,
@@ -139,11 +138,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _build_run_config(args)
-    plans = _Plans()  # every named sweep plans each world once, together
     reports = [
         report
         for name in dict.fromkeys(args.sweep)
-        for report in sweep(config, name, getattr(args, f"{name}_values", None), plans)
+        for report in sweep(config, name, getattr(args, f"{name}_values", None))
     ]
     if args.csv:
         emit_csv(reports, args.csv)

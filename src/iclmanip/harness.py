@@ -12,11 +12,12 @@ eval seed: demo pool, fresh world, noised test observations, assembled
 bundle. run_eval completes, parses, replays and scores what it yields;
 `iclmanip build-prompt` prints its first bundle.
 
-Worlds are planned once per call: a store keyed on (task, seed, bounds)
-keeps each pristine reset and expert episode, so the demo seed scan, the
-demo builds and the eval loop never redraw a world. The arms of a sweep
-share one store, because they hold the demo and eval seeds fixed; each arm
-still runs its own seed scan, noise, keyframe selection and prompts.
+Worlds are planned once per base config: one process-wide store keyed on
+(task, seed, bounds) keeps each pristine reset and expert episode and
+memoizes the pure stages that arms repeat (demo examples, test slot text,
+replay outcomes), each keyed on exactly the inputs it reads. Calls on one
+base, such as every arm of every sweep of a config, share the store; a
+call on another base replaces it. Providers are never memoized.
 
 The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
 an N x 7 int array, discretize.bin_centers maps the rows to poses, and
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -125,6 +127,10 @@ class RunConfig:
     eval_seeds: tuple[int, ...] | None = None  # explicit override; default is derived
 
     def __post_init__(self):
+        for name in ("delta", "noise", "requests_per_second"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_demos < 1:
             raise ValueError(f"n_demos must be >= 1, got {self.n_demos}")
         if self.n_eval < 1:
@@ -229,42 +235,57 @@ def demo_task(task: TaskId) -> TaskId:
 
 
 class _Plans:
-    """Pristine resets and expert episodes keyed on (task, seed, bounds).
+    """Pristine resets and expert episodes, and memoized pure stages, for
+    one base config (task, seed, bounds). Nothing handed out may be
+    mutated: callers clone a world before executing actions in it. The
+    store outlives the call that filled it and serves later calls on the
+    same base (see _plans)."""
 
-    Nothing handed out may be mutated: callers clone a world before
-    executing actions in it. A store lives for one run_eval call or one
-    sweep, so nothing outlives the call that made it.
-    """
+    def __init__(self, key: tuple | None = None) -> None:
+        self.key = key
+        self._memo: dict[tuple, Any] = {}
 
-    def __init__(self) -> None:
-        self._resets: dict[tuple, tuple[WorldState, str, TaskVariation]] = {}
-        self._experts: dict[tuple, Episode] = {}
+    def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
+        """make(), computed once per key. A key names its stage and the
+        inputs the stage reads."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = make()
+            return value
 
     def reset(
         self, task: TaskId, seed: int, bounds: WorkspaceBounds
     ) -> tuple[WorldState, str, TaskVariation]:
-        key = (task, seed, bounds)
-        if key not in self._resets:
-            self._resets[key] = reset(task, seed, bounds)
-        return self._resets[key]
+        return self.memo(("reset", task, seed, bounds), lambda: reset(task, seed, bounds))
 
     def expert(self, task: TaskId, seed: int, bounds: WorkspaceBounds) -> Episode:
-        key = (task, seed, bounds)
-        if key not in self._experts:
-            world, instruction, _ = self.reset(task, seed, bounds)
-            self._experts[key] = scripted_expert(task, world, instruction)
-        return self._experts[key]
+        world, instruction, _ = self.reset(task, seed, bounds)
+        return self.memo(("expert", task, seed, bounds), lambda: scripted_expert(task, world, instruction))
 
 
-def demo_seeds(config: RunConfig, plans: _Plans | None = None) -> tuple[int, ...]:
+_STORE = _Plans()
+
+
+def _plans(config: RunConfig) -> _Plans:
+    """The store for config's base (task, seed, bounds). A new base
+    replaces the old store in one rebinding; each public function takes
+    its store once, here, and hands it down."""
+    global _STORE
+    store, key = _STORE, (config.task, config.seed, config.bounds)
+    if store.key != key:
+        store = _STORE = _Plans(key)
+    return store
+
+
+def demo_seeds(config: RunConfig) -> tuple[int, ...]:
     """Scan seeds upward from config.seed, accepting one whose naturally
     drawn variation matches the next round-robin slot.
 
     Because acceptance depends only on earlier slots, a k-demo pool is a
-    prefix of any larger pool for the same config. The scan's resets are
-    kept in `plans` when given.
+    prefix of any larger pool for the same config.
     """
-    plans = plans or _Plans()
+    plans = _plans(config)
     task = demo_task(config.task)
     variations = task_spec(task).variations
     if not variations:
@@ -286,12 +307,12 @@ def demo_seeds(config: RunConfig, plans: _Plans | None = None) -> tuple[int, ...
     return tuple(chosen)
 
 
-def demo_episodes(config: RunConfig, plans: _Plans | None = None) -> list[Episode]:
+def demo_episodes(config: RunConfig) -> list[Episode]:
     """The scripted expert's episode on each demo seed, planned on the
     worlds the seed scan drew."""
-    plans = plans or _Plans()
+    plans = _plans(config)
     task = demo_task(config.task)
-    return [plans.expert(task, seed, config.bounds) for seed in demo_seeds(config, plans)]
+    return [plans.expert(task, seed, config.bounds) for seed in demo_seeds(config)]
 
 
 def eval_seeds(config: RunConfig) -> tuple[int, ...]:
@@ -322,6 +343,13 @@ def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
     return sample_uniform(episode.length, config.uniform_interval)
 
 
+# The RunConfig fields _demo_example reads: with the demo seed and pool
+# position, its memo key.
+_DEMO_FIELDS = operator.attrgetter(
+    "keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise", "seed", "bounds"
+)
+
+
 def _demo_example(
     config: RunConfig, position: int, seed: int, episode: Episode, plans: _Plans
 ) -> IclExample:
@@ -332,10 +360,11 @@ def _demo_example(
             "a demo needs at least 2, so lower delta"
         )
     if config.loop_mode is LoopMode.OPEN:
+        example = build_icl_example(episode, frames, config.bounds)
+        if config.noise is None:
+            return example
         start_obs = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
-        return build_icl_example(
-            dataclasses.replace(episode, objects=start_obs), frames, config.bounds
-        )
+        return IclExample(build_example_input(start_obs, episode.instruction, config.bounds), example.output)
     # Closed loop re-observes the scene at each keyframe; replay the
     # expert to know where objects actually are.
     world = plans.reset(demo_task(config.task), seed, config.bounds)[0].clone()
@@ -348,14 +377,15 @@ def _demo_example(
     )
 
 
-def build_demo_pool(
-    config: RunConfig, plans: _Plans | None = None
-) -> tuple[tuple[int, ...], list[IclExample]]:
+def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
     """The demo seeds and the ICL example built on each, in pool order."""
-    plans = plans or _Plans()
-    seeds = demo_seeds(config, plans)
+    plans = _plans(config)
+    seeds = demo_seeds(config)
     episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
-    examples = [_demo_example(config, i, seeds[i], ep, plans) for i, ep in enumerate(episodes)]
+    examples = [
+        plans.memo(("demo", seed, i, _DEMO_FIELDS(config)), lambda: _demo_example(config, i, seed, ep, plans))
+        for i, (seed, ep) in enumerate(zip(seeds, episodes))
+    ]
     verify_object_consistency(episodes)
     return seeds, examples
 
@@ -378,9 +408,7 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
     )
 
 
-def eval_prompts(
-    config: RunConfig, plans: _Plans | None = None
-) -> Iterator[tuple[int, WorldState, TaskVariation, PromptBundle]]:
+def eval_prompts(config: RunConfig) -> Iterator[tuple[int, WorldState, TaskVariation, PromptBundle]]:
     """The prompt stage: for each eval seed, the seed, a fresh copy of its
     world (the caller may execute actions in it), its variation and the
     prompt the provider is sent.
@@ -389,8 +417,8 @@ def eval_prompts(
     observations carry the run's noise. run_eval and `iclmanip
     build-prompt` both read their prompts from here.
     """
-    plans = plans or _Plans()
-    d_seeds, examples = build_demo_pool(config, plans)
+    plans = _plans(config)
+    d_seeds, examples = build_demo_pool(config)
     e_seeds = eval_seeds(config)
     if config.eval_seeds is None and set(d_seeds) & set(e_seeds):
         raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
@@ -398,12 +426,31 @@ def eval_prompts(
     for j, seed in enumerate(e_seeds):
         world, instruction, variation = plans.reset(config.task, seed, config.bounds)
         world = world.clone()  # execute_action mutates it
-        test_obs = _noised(observations_of(world), config, _TEST_NOISE_TAG, j)
-        test_input = build_example_input(test_obs, instruction, config.bounds)
+        test_input = plans.memo(
+            ("slot", seed, j, config.noise, config.seed),
+            lambda: build_example_input(
+                _noised(observations_of(world), config, _TEST_NOISE_TAG, j), instruction, config.bounds
+            ),
+        )
         yield seed, world, variation, assemble_prompt(examples, test_input, system)
 
 
-def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) -> EvalReport:
+def _replay(
+    config: RunConfig, world: WorldState, variation: TaskVariation, bins: np.ndarray
+) -> tuple[bool, int, str | None]:
+    """(success, n_executed, failure) of replaying bin rows in world."""
+    poses = bin_centers(bins[:, :6], config.bounds).tolist()
+    n_executed, failure = 0, None
+    try:
+        for pose, bit in zip(poses, bins[:, 6].tolist()):
+            execute_action(world, Action(Pose6(*pose), GripperState.from_bit(bit)))
+            n_executed += 1
+    except ExecutionError as exc:
+        failure = str(exc)  # stop early; score whatever state we reached
+    return check_success(config.task, world, variation), n_executed, failure
+
+
+def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     """Run the closed pipeline over n_eval fresh worlds and score successes.
 
     The provider is resolved (and a remote credential checked) before any
@@ -412,30 +459,26 @@ def run_eval(config: RunConfig, arm: str = "eval", plans: _Plans | None = None) 
     do abort. A reply is parsed into bin rows, and each row's bin centers
     replay as one Action; an action leaving the workspace ends the
     episode, which is scored in the state reached and records the step and
-    the message. `plans` is shared by the arms of a sweep; by default each
-    call plans its own worlds.
+    the message. A reply an earlier call already replayed on the same eval
+    world is scored from the store.
     """
     complete = _provider(config)
+    plans = _plans(config)
     records = []
-    for seed, world, variation, bundle in eval_prompts(config, plans):
+    for seed, world, variation, bundle in eval_prompts(config):
         result = complete(bundle)
-        failure, n_executed = None, 0
         try:
             bins = parse_bins(result.text)
         except ParseError as exc:
-            bins, failure = None, exc.kind
+            bins, success, n_executed, failure = None, False, 0, exc.kind
         else:
-            poses = bin_centers(bins[:, :6], config.bounds).tolist()
-            try:
-                for pose, bit in zip(poses, bins[:, 6].tolist()):
-                    execute_action(world, Action(Pose6(*pose), GripperState.from_bit(bit)))
-                    n_executed += 1
-            except ExecutionError as exc:
-                failure = str(exc)  # stop early; score whatever state we reached
+            success, n_executed, failure = plans.memo(
+                ("replay", seed, bins.tobytes()), lambda: _replay(config, world, variation, bins)
+            )
         records.append(
             EpisodeRecord(
                 seed=seed,
-                success=bins is not None and check_success(config.task, world, variation),
+                success=success,
                 parse_error=bins is None,
                 n_actions=0 if bins is None else len(bins),
                 latency_ms=result.latency_ms,
@@ -482,17 +525,14 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
 }
 
 
-def sweep(
-    config: RunConfig, name: str, values: Sequence | None = None, plans: _Plans | None = None
-) -> list[EvalReport]:
+def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
     """Run the arms of SWEEPS[name] in order; values replace its defaults.
-    The arms share one plan store, so each world is planned once; pass
-    `plans` to share it with further sweeps of the same config."""
+    The arms keep config's base (task, seed, bounds), so they share one
+    plan store with each other and with further calls on that base."""
     lead, defaults, arm = SWEEPS[name]
     arms = [make(config) for make in lead]
     arms += [arm(config, v) for v in (defaults if values is None else values)]
-    plans = plans or _Plans()
-    return [run_eval(cfg, arm=label, plans=plans) for cfg, label in arms]
+    return [run_eval(cfg, arm=label) for cfg, label in arms]
 
 
 def ablate_sampling(

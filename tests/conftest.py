@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from iclmanip import harness
 from iclmanip.model import Episode, GripperState, ObjectObservation, Pose6, WorkspaceBounds
 
 BOUNDS = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
@@ -31,6 +32,13 @@ def make_episode(norms, grips=None, instruction="push the red button"):
     poses = [[0.001 * t, 0.0, 0.1, 0.0, 0.0, 0.0] for t in range(T)]
     velocities = [[n / math.sqrt(7)] * 7 for n in norms]
     return Episode(instruction, objects, poses, [g.to_bit() for g in grips], velocities)
+
+
+@pytest.fixture(autouse=True)
+def fresh_plan_store(monkeypatch):
+    """Each test starts on an empty process-wide plan store, so no test is
+    served worlds planned, or patched, by an earlier one."""
+    monkeypatch.setattr(harness, "_STORE", harness._Plans())
 
 
 @pytest.fixture

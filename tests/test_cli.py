@@ -209,6 +209,24 @@ def test_bad_config_values_exit_with_message(tmp_path, file_values, flags):
 
 
 @pytest.mark.parametrize(
+    "file_values, flags, field",
+    [
+        ({}, ["--delta", "nan"], "delta"),
+        ({}, ["--noise-k", "nan"], "noise"),
+        ({}, ["--requests-per-second", "inf"], "requests_per_second"),
+        ({"delta": float("inf")}, [], "delta"),
+        ({"noise": {"k": float("nan")}}, [], "noise"),
+    ],
+)
+def test_non_finite_values_exit_naming_the_field(tmp_path, file_values, flags, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "push_button", "n_demos": 2, "n_eval": 2, **file_values}))
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--config", str(cfg), *flags])
+    assert err.value.code.startswith(f"{field} must be finite, got ")
+
+
+@pytest.mark.parametrize(
     "task, delta", [("push_button", "0.02"), ("stack_cube", "0.05")]
 )
 def test_delta_leaving_one_keyframe_exits_with_message(task, delta):

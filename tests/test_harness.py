@@ -7,7 +7,11 @@ live in the acceptance suite.
 
 import collections
 import dataclasses
+import gc
 import hashlib
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -28,6 +32,7 @@ from iclmanip.harness import (
     demo_seeds,
     demo_task,
     emit_csv,
+    eval_prompts,
     eval_seeds,
     run_eval,
     sweep,
@@ -110,6 +115,15 @@ def test_from_mapping_coerces_json_values():
 def test_from_mapping_rejects_bad_values(values):
     with pytest.raises(ValueError):
         RunConfig.from_mapping(values)
+
+
+@pytest.mark.parametrize("field", ["delta", "noise", "requests_per_second"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_are_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RunConfig.from_mapping({"task": "push_button", field: value})
 
 
 def test_run_eval_scans_demo_seeds_once(monkeypatch):
@@ -319,7 +333,9 @@ def test_emit_csv_format_and_determinism(tmp_path):
         assert r[1] == "mock-nearest"
         assert r[4] in ("0", "1") and r[5] in ("0", "1")
 
-    # Re-running the same arms reproduces the file byte for byte.
+    # Re-running the same arms reproduces the file byte for byte, computed
+    # cold rather than served by the plan store.
+    harness._STORE = harness._Plans()
     emit_csv(ablate_prompts(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -330,8 +346,10 @@ def test_episode_record_fields():
     assert r.n_executed == 5 and r.failure is None
 
 
-@pytest.mark.parametrize("name", list(SWEEPS))
-def test_sweep_plans_each_world_once(monkeypatch, name):
+@pytest.mark.parametrize(
+    "names", [pytest.param((name,), id=name) for name in SWEEPS] + [pytest.param(tuple(SWEEPS), id="all")]
+)
+def test_sweep_plans_each_world_once(monkeypatch, names):
     seed_of = {}  # id(world) -> seed, for every world reset hands out
     resets, planned = [], []
     real_reset, real_expert = harness.reset, harness.scripted_expert
@@ -349,7 +367,8 @@ def test_sweep_plans_each_world_once(monkeypatch, name):
     monkeypatch.setattr(harness, "reset", counting_reset)
     monkeypatch.setattr(harness, "scripted_expert", counting_expert)
     cfg = config(n_demos=3, n_eval=3)
-    reports = sweep(cfg, name)
+    # Sweeps run one after another, as separate calls, share one store.
+    reports = [r for name in names for r in getattr(harness, f"ablate_{name}")(cfg)]
     monkeypatch.undo()
 
     demo = {s for r in reports for s in demo_seeds(r.config)}
@@ -379,3 +398,106 @@ def test_sweep_csv_matches_golden_hash(tmp_path, task, name):
     path = tmp_path / "sweep.csv"
     emit_csv(sweep(RunConfig(task=TaskId(task), n_demos=4, n_eval=5), name), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SWEEP_CSV_SHA256[task, name]
+
+
+def test_a_new_base_config_replaces_the_plan_store():
+    cfg = config(n_demos=2, n_eval=2)
+    run_eval(cfg)
+    store = weakref.ref(harness._STORE)
+    ablate_prompts(cfg)
+    run_eval(dataclasses.replace(cfg, n_demos=3, noise=1.0, loop_mode=LoopMode.CLOSED))
+    assert harness._STORE is store(), "a call on the same (task, seed, bounds) keeps the store"
+    wider = WorkspaceBounds(-0.6, 0.6, -0.6, 0.6, 0.0, 0.6)
+    for change in ({"seed": 1}, {"task": TaskId.STACK_CUBE}, {"bounds": wider}):
+        cfg = dataclasses.replace(cfg, **change)
+        run_eval(cfg)
+        gc.collect()
+        assert store() is None, f"{change} left the previous store alive"
+        store = weakref.ref(harness._STORE)
+
+
+def test_calls_on_two_bases_in_threads_match_serial_runs():
+    # Threads that keep replacing each other's store still get, call by
+    # call, the records of a serial run.
+    configs = [config(n_demos=2, n_eval=2, seed=s, noise=1.0) for s in (0, 7)]
+    expected = [run_eval(cfg).records for cfg in configs]
+    results, interval = [], sys.getswitchinterval()
+
+    def worker(k):
+        for _ in range(4):
+            results.append(run_eval(configs[k % 2]).records == expected[k % 2])
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 16
+
+
+def _prompts_and_records(cfg):
+    return [bundle for *_, bundle in eval_prompts(cfg)], run_eval(cfg).records
+
+
+# One changed value per RunConfig field, applied to a base whose eval seeds
+# mix demo seeds (retrieval succeeds) with fresh seeds (it fails), so that
+# replies repeat across eval worlds with different outcomes. The base runs
+# first to fill the store; uniform_interval is read in uniform mode only.
+_KEY_GUARD_BASE = RunConfig(task=TaskId.STACK_CUBE, n_demos=3, n_eval=5, noise=0.5)
+_KEY_GUARD_CHANGES = {
+    "task": {"task": TaskId.PUSH_BUTTON},
+    "n_demos": {"n_demos": 2},
+    "n_eval": {"n_eval": 4, "eval_seeds": lambda seeds: seeds[:4]},
+    "delta": {"delta": 0.018},
+    "bounds": {"bounds": WorkspaceBounds(-0.6, 0.6, -0.6, 0.6, 0.0, 0.6)},
+    "provider": {"provider": Provider.MOCK_COMPOSITIONAL},
+    "endpoint": {"endpoint": "http://127.0.0.1:9"},
+    "model": {"model": "other"},
+    "credential_env": {"credential_env": "OTHER_KEY"},
+    "system_prompt_index": {"system_prompt_index": 2},
+    "keyframe_mode": {"keyframe_mode": KeyframeMode.UNIFORM},
+    "uniform_interval": {"uniform_interval": 20},
+    "loop_mode": {"loop_mode": LoopMode.CLOSED},
+    "noise": {"noise": 1.0},
+    "noise-none": {"noise": None},
+    "seed": {"seed": 1},
+    "max_tokens": {"max_tokens": 7},
+    "requests_per_second": {"requests_per_second": 3.0},
+    "eval_seeds": {"eval_seeds": lambda seeds: seeds[::-1]},
+}
+_KEY_GUARD_BASE_CHANGES = {"uniform_interval": {"keyframe_mode": KeyframeMode.UNIFORM}}
+# Fields that only the remote provider reads: the mock results must not move.
+_PROVIDER_ONLY = {"provider", "endpoint", "model", "credential_env", "max_tokens", "requests_per_second"}
+
+
+def test_key_guard_covers_every_config_field():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields == {name.split("-")[0] for name in _KEY_GUARD_CHANGES}
+
+
+@pytest.mark.parametrize("change", sorted(_KEY_GUARD_CHANGES))
+def test_warm_plan_store_matches_a_cold_build(monkeypatch, change):
+    """Results served by a store that earlier calls filled equal a build
+    that memoizes nothing: every memo key holds every input its stage reads."""
+    seeds = demo_seeds(_KEY_GUARD_BASE)
+    base = dataclasses.replace(
+        _KEY_GUARD_BASE,
+        eval_seeds=(*seeds, seeds[-1] + EVAL_SEED_OFFSET, seeds[-1] + EVAL_SEED_OFFSET + 1),
+        **_KEY_GUARD_BASE_CHANGES.get(change, {}),
+    )
+    values = {k: v(base.eval_seeds) if callable(v) else v for k, v in _KEY_GUARD_CHANGES[change].items()}
+    varied = dataclasses.replace(base, **values)
+    with monkeypatch.context() as cold:
+        cold.setattr(harness._Plans, "memo", lambda self, key, make: make())
+        expected_base = _prompts_and_records(base)
+        expected = _prompts_and_records(varied)
+    assert (expected == expected_base) == (change in _PROVIDER_ONLY)
+
+    harness._STORE = harness._Plans()
+    assert _prompts_and_records(base) == expected_base
+    assert _prompts_and_records(varied) == expected
