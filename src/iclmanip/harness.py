@@ -14,15 +14,16 @@ bundle. run_eval completes, parses, replays and scores what it yields;
 
 Worlds are planned once per base config: one process-wide store keyed on
 (task, seed, bounds) keeps each pristine reset and expert episode and
-memoizes the pure stages that arms repeat (demo examples, test slot text,
-replay outcomes), each keyed on exactly the inputs it reads. Calls on one
-base, such as every arm of every sweep of a config, share the store; a
-call on another base replaces it. Providers are never memoized.
+memoizes the pure stages that arms repeat (demo seed scans, demo pools and
+examples, test slot text, reply scores), each keyed on exactly the inputs
+it reads. Calls on one base, such as every arm of every sweep of a config,
+share the store; a call on another base replaces it. Providers are never
+memoized, but a reply already scored on that eval world is not parsed again.
 
 The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
-an N x 7 int array, discretize.bin_centers maps the rows to poses, and
-each row replays as one Action. DiscreteAction and parse_response are the
-API-edge view of the same rows and are not built here.
+int rows, and each row's bin centers, looked up in discretize.bin_centers
+of every bin index, make one Action. DiscreteAction and parse_response
+are the API-edge view of the same rows and are not built here.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import bin_centers
+from .discretize import ROTATION_BINS, TRANSLATION_BINS, bin_centers
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
     CompletionResult,
@@ -147,12 +148,16 @@ class RunConfig:
             raise ValueError(f"requests_per_second must be positive, got {self.requests_per_second}")
         if self.noise is not None and self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_seeds is not None:
             object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
             if len(self.eval_seeds) != self.n_eval:
                 raise ValueError(
                     f"eval_seeds has {len(self.eval_seeds)} entries but n_eval is {self.n_eval}"
                 )
+            if min(self.eval_seeds) < 0:
+                raise ValueError(f"eval_seeds must be >= 0, got {self.eval_seeds}")
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, Any]) -> RunConfig:
@@ -280,12 +285,17 @@ def _plans(config: RunConfig) -> _Plans:
 
 def demo_seeds(config: RunConfig) -> tuple[int, ...]:
     """Scan seeds upward from config.seed, accepting one whose naturally
-    drawn variation matches the next round-robin slot.
+    drawn variation matches the next round-robin slot; once per n_demos on
+    a base.
 
     Because acceptance depends only on earlier slots, a k-demo pool is a
     prefix of any larger pool for the same config.
     """
     plans = _plans(config)
+    return plans.memo(("demo_seeds", config.n_demos), lambda: _scan_demo_seeds(config, plans))
+
+
+def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
     task = demo_task(config.task)
     variations = task_spec(task).variations
     if not variations:
@@ -344,7 +354,7 @@ def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
 
 
 # The RunConfig fields _demo_example reads: with the demo seed and pool
-# position, its memo key.
+# position, its memo key; with n_demos, the whole pool's.
 _DEMO_FIELDS = operator.attrgetter(
     "keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise", "seed", "bounds"
 )
@@ -378,14 +388,23 @@ def _demo_example(
 
 
 def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
-    """The demo seeds and the ICL example built on each, in pool order."""
+    """The demo seeds and the ICL example built on each, in pool order;
+    built once per (n_demos, _DEMO_FIELDS) on a base. The list is the
+    caller's own."""
     plans = _plans(config)
+    seeds, examples = plans.memo(
+        ("pool", config.n_demos, _DEMO_FIELDS(config)), lambda: _build_demo_pool(config, plans)
+    )
+    return seeds, list(examples)
+
+
+def _build_demo_pool(config: RunConfig, plans: _Plans) -> tuple[tuple[int, ...], tuple[IclExample, ...]]:
     seeds = demo_seeds(config)
     episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
-    examples = [
+    examples = tuple(
         plans.memo(("demo", seed, i, _DEMO_FIELDS(config)), lambda: _demo_example(config, i, seed, ep, plans))
         for i, (seed, ep) in enumerate(zip(seeds, episodes))
-    ]
+    )
     verify_object_consistency(episodes)
     return seeds, examples
 
@@ -435,19 +454,39 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, WorldState, TaskVaria
         yield seed, world, variation, assemble_prompt(examples, test_input, system)
 
 
+def _center_lists(bounds: WorkspaceBounds) -> list[list[float]]:
+    """bin_centers of every bin index, as one list per pose column."""
+    every = np.arange(TRANSLATION_BINS).repeat(6).reshape(-1, 6)  # row i: bin i in each column
+    columns = bin_centers(every, bounds).T.tolist()
+    return [c[:TRANSLATION_BINS] for c in columns[:3]] + [c[:ROTATION_BINS] for c in columns[3:]]
+
+
 def _replay(
-    config: RunConfig, world: WorldState, variation: TaskVariation, bins: np.ndarray
+    config: RunConfig, world: WorldState, variation: TaskVariation, rows: list[list[int]], centers: list
 ) -> tuple[bool, int, str | None]:
     """(success, n_executed, failure) of replaying bin rows in world."""
-    poses = bin_centers(bins[:, :6], config.bounds).tolist()
+    x, y, z, roll, pitch, yaw = centers
     n_executed, failure = 0, None
     try:
-        for pose, bit in zip(poses, bins[:, 6].tolist()):
-            execute_action(world, Action(Pose6(*pose), GripperState.from_bit(bit)))
+        for tx, ty, tz, rr, rp, ry, bit in rows:
+            pose = Pose6(x[tx], y[ty], z[tz], roll[rr], pitch[rp], yaw[ry])
+            execute_action(world, Action(pose, GripperState.from_bit(bit)))
             n_executed += 1
     except ExecutionError as exc:
         failure = str(exc)  # stop early; score whatever state we reached
     return check_success(config.task, world, variation), n_executed, failure
+
+
+def _score(
+    config: RunConfig, world: WorldState, variation: TaskVariation, text: str, centers: list
+) -> tuple[bool, int, bool, int, str | None]:
+    """(parse_error, n_actions, success, n_executed, failure) of a reply on
+    an eval world."""
+    try:
+        rows = parse_bins(text).tolist()
+    except ParseError as exc:
+        return True, 0, False, 0, exc.kind
+    return (False, len(rows), *_replay(config, world, variation, rows, centers))
 
 
 def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
@@ -459,28 +498,25 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     do abort. A reply is parsed into bin rows, and each row's bin centers
     replay as one Action; an action leaving the workspace ends the
     episode, which is scored in the state reached and records the step and
-    the message. A reply an earlier call already replayed on the same eval
-    world is scored from the store.
+    the message. Every episode calls the provider, but a reply already
+    scored on that eval world is neither parsed nor replayed again: its
+    outcome comes from the store.
     """
     complete = _provider(config)
     plans = _plans(config)
+    centers = plans.memo(("centers",), lambda: _center_lists(config.bounds))
     records = []
     for seed, world, variation, bundle in eval_prompts(config):
         result = complete(bundle)
-        try:
-            bins = parse_bins(result.text)
-        except ParseError as exc:
-            bins, success, n_executed, failure = None, False, 0, exc.kind
-        else:
-            success, n_executed, failure = plans.memo(
-                ("replay", seed, bins.tobytes()), lambda: _replay(config, world, variation, bins)
-            )
+        parse_error, n_actions, success, n_executed, failure = plans.memo(
+            ("score", seed, result.text), lambda: _score(config, world, variation, result.text, centers)
+        )
         records.append(
             EpisodeRecord(
                 seed=seed,
                 success=success,
-                parse_error=bins is None,
-                n_actions=0 if bins is None else len(bins),
+                parse_error=parse_error,
+                n_actions=n_actions,
                 latency_ms=result.latency_ms,
                 prompt_chars=len(bundle.system) + len(bundle.body),
                 n_executed=n_executed,

@@ -19,9 +19,9 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
-from .prompts import PromptBundle, PromptDemo, format_action, parse_response, read_prompt
+from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompt
 from .sim import CHAIN_SEPARATOR
 
 DEFAULT_TIMEOUT_S = 60.0
@@ -208,35 +208,35 @@ def instruction_template(text: str) -> str:
     return _COLOR_WORDS.sub("*", text)
 
 
-def _candidate_indices(demos: Sequence[PromptDemo], test_instruction: str) -> list[int]:
-    # Exact instruction matches first; only when none exist, fall back to
-    # template matches with color words wildcarded.
-    exact = [i for i, d in enumerate(demos) if d.instruction == test_instruction]
-    if exact:
-        return exact
-    template = instruction_template(test_instruction)
-    return [i for i, d in enumerate(demos) if instruction_template(d.instruction) == template]
+# The last prompt prefix's demos (read_prompt reads one tuple per prefix), their
+# bin rows, and the candidate demos per (test instruction, test width).
+_TABLE: tuple[tuple[PromptDemo, ...], list[tuple[int, ...]], dict] = ((), [], {})
 
 
-def _squared_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum((x - y) * (x - y) for x, y in zip(a, b))
-
-
-def _nearest_output(
-    demos: Sequence[PromptDemo], test_bins: tuple[int, ...], test_instruction: str
-) -> str:
-    if not demos:
-        raise OracleError("demo pool is empty")
-    for i, d in enumerate(demos):
-        if len(d.bins) != len(test_bins):
-            raise ValueError(
-                f"demo {i} has obs vector length {len(d.bins)}, test has {len(test_bins)}"
-            )
-    candidates = _candidate_indices(demos, test_instruction)
-    if not candidates:
-        raise OracleError(f"no demo instruction matches {test_instruction!r}")
-    best = min(candidates, key=lambda i: (_squared_distance(demos[i].bins, test_bins), i))
-    return demos[best].output
+def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], test_instruction: str) -> str:
+    global _TABLE
+    table = _TABLE
+    if table[0] is not demos:
+        table = _TABLE = (demos, [d.bins for d in demos], {})
+    _, rows, found = table
+    candidates = found.get((test_instruction, len(test_bins)))
+    if candidates is None:
+        if not demos:
+            raise OracleError("demo pool is empty")
+        for i, row in enumerate(rows):
+            if len(row) != len(test_bins):
+                raise ValueError(f"demo {i} has obs vector length {len(row)}, test has {len(test_bins)}")
+        # Exact instruction matches first; only when none exist, fall back to
+        # template matches with color words wildcarded.
+        candidates = [i for i, d in enumerate(demos) if d.instruction == test_instruction]
+        if not candidates:
+            template = instruction_template(test_instruction)
+            candidates = [i for i, d in enumerate(demos) if instruction_template(d.instruction) == template]
+        if not candidates:
+            raise OracleError(f"no demo instruction matches {test_instruction!r}")
+        found[test_instruction, len(test_bins)] = candidates
+    best = min(candidates, key=lambda i: sum([(a - b) * (a - b) for a, b in zip(rows[i], test_bins)]))
+    return demos[best].output  # min keeps the first of equal distances: the lowest index
 
 
 def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
@@ -257,16 +257,16 @@ def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     retrieve per segment, concatenate.
 
     Each segment is answered by nearest-neighbor retrieval as in
-    complete_mock_nearest; the parsed action lists are joined into a
-    single response in the output grammar.
+    complete_mock_nearest; the action rows of the answers are joined into
+    a single response in the output grammar.
     """
     demos, test_bins, test_instruction = read_prompt(bundle.body)
-    actions = []
+    rows = []
     for segment in test_instruction.split(CHAIN_SEPARATOR):
         try:
             text = _nearest_output(demos, test_bins, segment)
         except OracleError as exc:
             raise OracleError(f"segment {segment!r} is unresolvable: {exc}") from None
-        actions.extend(parse_response(text))
-    text = "{" + ", ".join(format_action(a) for a in actions) + "}"
+        rows += parse_bins(text).tolist()
+    text = "{" + ", ".join(ACTION_TEXT % tuple(row) for row in rows) + "}"
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_COMPOSITIONAL)

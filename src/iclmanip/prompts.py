@@ -107,11 +107,11 @@ class ParseError(Exception):
 
 
 _OBSERVATION_TEXT = "%s: [%d, %d, %d, %d, %d, %d]"
-_ACTION_TEXT = "[%d, %d, %d, %d, %d, %d, %d]"
+ACTION_TEXT = "[%d, %d, %d, %d, %d, %d, %d]"
 
 
 def format_action(action: DiscreteAction) -> str:
-    return _ACTION_TEXT % action.as_tuple()
+    return ACTION_TEXT % action.as_tuple()
 
 
 def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBounds) -> list[str]:
@@ -120,7 +120,7 @@ def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBoun
     rows = np.empty((len(index), 7), dtype=np.int64)
     rows[:, :6] = pose_bins(episode.poses[index], bounds)
     rows[:, 6] = episode.gripper_bits[index]
-    return [_ACTION_TEXT % tuple(row) for row in rows.tolist()]
+    return [ACTION_TEXT % tuple(row) for row in rows.tolist()]
 
 
 def _observation_block(observations: Sequence[ObjectObservation], bounds: WorkspaceBounds) -> str:

@@ -255,20 +255,16 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
     rng = np.random.default_rng([_PLACEMENT_GROUP[task], seed])
     roster = _ROSTERS[task]
     lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
+    # One call per attempt: numpy fills the values in order with the same
+    # kernel as one scalar call each, so the draws are those of scalar calls.
+    low, high = (lo_x, lo_y, 0.0, 0.0), (hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)
     for _ in range(MAX_RESET_DRAWS):
         if task is TaskId.DESTACK_CUBE:
-            x = rng.uniform(lo_x, hi_x)
-            y = rng.uniform(lo_y, hi_y)
-            yaw_bottom = rng.uniform(0.0, 2.0 * math.pi)
-            yaw_top = rng.uniform(0.0, 2.0 * math.pi)
+            x, y, yaw_bottom, yaw_top = rng.uniform(low, high).tolist()
             placements = [(x, y, yaw_bottom), (x, y, yaw_top)]
             separated = True
         else:
-            placements = []
-            for _ in roster:
-                placements.append(
-                    (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y), rng.uniform(0.0, 2.0 * math.pi))
-                )
+            placements = rng.uniform(low[:3], high[:3], size=(len(roster), 3)).tolist()
             separated = all(
                 math.hypot(a[0] - b[0], a[1] - b[1]) >= MIN_SEPARATION_M
                 for i, a in enumerate(placements)
@@ -650,21 +646,18 @@ def add_pose_noise(
         raise ValueError(f"noise scale k must be >= 0, got {k}")
     if k == 0:
         return tuple(observations)
-    rng = np.random.default_rng(seed)
-    noised = []
-    for obs in observations:
-        draw = rng.normal(0.0, 1.0, size=6)
-        noised.append(
-            ObjectObservation(
-                obs.name,
-                Pose6(
-                    obs.pose.x + draw[0] * k * BASE_SIGMA_TRANSLATION_M,
-                    obs.pose.y + draw[1] * k * BASE_SIGMA_TRANSLATION_M,
-                    obs.pose.z + draw[2] * k * BASE_SIGMA_TRANSLATION_M,
-                    obs.pose.roll + draw[3] * k * BASE_SIGMA_ROTATION_RAD,
-                    obs.pose.pitch + draw[4] * k * BASE_SIGMA_ROTATION_RAD,
-                    obs.pose.yaw + draw[5] * k * BASE_SIGMA_ROTATION_RAD,
-                ),
-            )
+    draws = np.random.default_rng(seed).normal(0.0, 1.0, size=(len(observations), 6)).tolist()
+    return tuple(
+        ObjectObservation(
+            obs.name,
+            Pose6(
+                obs.pose.x + draw[0] * k * BASE_SIGMA_TRANSLATION_M,
+                obs.pose.y + draw[1] * k * BASE_SIGMA_TRANSLATION_M,
+                obs.pose.z + draw[2] * k * BASE_SIGMA_TRANSLATION_M,
+                obs.pose.roll + draw[3] * k * BASE_SIGMA_ROTATION_RAD,
+                obs.pose.pitch + draw[4] * k * BASE_SIGMA_ROTATION_RAD,
+                obs.pose.yaw + draw[5] * k * BASE_SIGMA_ROTATION_RAD,
+            ),
         )
-    return tuple(noised)
+        for obs, draw in zip(observations, draws)
+    )

@@ -226,6 +226,12 @@ def test_non_finite_values_exit_naming_the_field(tmp_path, file_values, flags, f
     assert err.value.code.startswith(f"{field} must be finite, got ")
 
 
+def test_negative_seed_exits_naming_the_field():
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--seed", "-5"])
+    assert err.value.code == "seed must be >= 0, got -5"
+
+
 @pytest.mark.parametrize(
     "task, delta", [("push_button", "0.02"), ("stack_cube", "0.05")]
 )

@@ -126,6 +126,16 @@ def test_non_finite_values_are_rejected_by_name(field, value):
         RunConfig.from_mapping({"task": "push_button", field: value})
 
 
+def test_negative_seeds_are_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, seed=-5)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+        RunConfig.from_mapping({"task": "push_button", "seed": -5})
+    with pytest.raises(ValueError, match=r"^eval_seeds must be >= 0, got \(-1, 3\)$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=(-1, 3))
+    assert RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=(0, 3)).eval_seeds == (0, 3)
+
+
 def test_run_eval_scans_demo_seeds_once(monkeypatch):
     calls = []
     scan = harness.demo_seeds
@@ -375,6 +385,56 @@ def test_sweep_plans_each_world_once(monkeypatch, names):
     assert sorted(planned) == sorted(demo)
     assert set(collections.Counter(resets).values()) == {1}
     assert sorted(s for _, s in resets if s in eval_seeds(cfg)) == sorted(eval_seeds(cfg))
+
+
+@pytest.mark.parametrize(
+    "task, provider",
+    [(TaskId.STACK_CUBE, Provider.MOCK_NEAREST), (TaskId.PUSH_MULTIPLE_BUTTONS, Provider.MOCK_COMPOSITIONAL)],
+)
+def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
+    # One ablate_* sequence on one base: every episode calls its provider,
+    # but each (eval seed, reply) is parsed once and each n_demos scanned once.
+    cfg = config(task, n_demos=3, n_eval=4, provider=provider)
+    provider_name = "complete_" + provider.value.replace("-", "_")
+    replies, parsed, scanned = [], [], []
+    real_complete, real_parse, real_scan = (
+        getattr(harness, provider_name), harness.parse_bins, harness._scan_demo_seeds
+    )
+
+    def complete(bundle):
+        result = real_complete(bundle)
+        replies.append(result.text)
+        return result
+
+    monkeypatch.setattr(harness, provider_name, complete)
+    monkeypatch.setattr(harness, "parse_bins", lambda text: parsed.append(text) or real_parse(text))
+    monkeypatch.setattr(
+        harness, "_scan_demo_seeds", lambda c, plans: scanned.append(c.n_demos) or real_scan(c, plans)
+    )
+    reports = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
+    monkeypatch.undo()
+
+    seeds = [record.seed for report in reports for record in report.records]
+    assert len(replies) == len(seeds), "every episode calls its provider"
+    distinct = collections.Counter(text for _, text in set(zip(seeds, replies)))
+    assert collections.Counter(parsed) == distinct
+    assert sum(distinct.values()) < len(seeds)
+    assert sorted(scanned) == sorted({r.config.n_demos for r in reports})
+
+    with monkeypatch.context() as cold:
+        cold.setattr(harness, "_STORE", harness._Plans())
+        cold.setattr(harness._Plans, "memo", lambda self, key, make: make())
+        expected = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
+    assert [r.records for r in reports] == [r.records for r in expected]
+
+
+def test_demo_pool_callers_get_their_own_list():
+    cfg = config(n_demos=2)
+    seeds, examples = harness.build_demo_pool(cfg)
+    expected = list(examples)
+    examples.clear()
+    assert harness.build_demo_pool(cfg) == (seeds, expected)
+    assert len(expected) == 2
 
 
 # sha256 of emit_csv for each sweep at RunConfig(task, n_demos=4, n_eval=5),

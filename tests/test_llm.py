@@ -4,6 +4,7 @@ demos they read from the prompt body, and fresh interpreters checking
 that offline use never imports the HTTP stack.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import iclmanip
+from iclmanip.harness import LoopMode, RunConfig, eval_prompts
 from iclmanip.llm import (
     CompletionTimeout,
     OracleError,
@@ -28,7 +30,15 @@ from iclmanip.llm import (
     complete_remote,
     instruction_template,
 )
-from iclmanip.prompts import IclExample, PromptBundle, assemble_prompt, parse_response
+from iclmanip.prompts import (
+    IclExample,
+    PromptBundle,
+    assemble_prompt,
+    format_action,
+    parse_response,
+    read_prompt,
+)
+from iclmanip.sim import CHAIN_SEPARATOR, TaskId
 
 CREDENTIAL = "sk-test-0000-secret-credential"
 
@@ -394,6 +404,44 @@ def test_mock_nearest_rejects_mismatched_vector_lengths():
     pool = [((1,) * 12, "push the red button", "{[0, 0, 0, 0, 0, 0, 1]}")]
     with pytest.raises(ValueError):
         complete_mock_nearest(_bundle(pool, (1,) * 6, "push the red button"))
+
+
+def test_mock_nearest_checks_lengths_on_every_prompt_of_a_prefix():
+    # One demo prefix, test inputs of two widths: the first is answered,
+    # the second rejected on every call, naming the first mismatched demo.
+    pool = [
+        ((1,) * 6, "push the red button", "{[3, 0, 0, 0, 0, 0, 1]}"),
+        ((2,) * 6, "push the red button", "{[4, 0, 0, 0, 0, 0, 1]}"),
+    ]
+    assert complete_mock_nearest(_bundle(pool, (1,) * 6, "push the red button")).text == pool[0][2]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^demo 0 has obs vector length 6, test has 12$"):
+            complete_mock_nearest(_bundle(pool, (1,) * 12, "push the red button"))
+    assert complete_mock_nearest(_bundle(pool, (2,) * 6, "push the red button")).text == pool[1][2]
+
+
+def _compositional_via_actions(bundle):
+    """The compositional reply built the long way: brute-force retrieval per
+    segment, each answer parsed into DiscreteActions and formatted back."""
+    demos, test_bins, instruction = read_prompt(bundle.body)
+    actions = []
+    for segment in instruction.split(CHAIN_SEPARATOR):
+        template = instruction_template(segment)
+        pool = [i for i, d in enumerate(demos) if d.instruction == segment] or [
+            i for i, d in enumerate(demos) if instruction_template(d.instruction) == template
+        ]
+        best = min(pool, key=lambda i: (sum((a - b) ** 2 for a, b in zip(demos[i].bins, test_bins)), i))
+        actions += parse_response(demos[best].output)
+    return "{" + ", ".join(format_action(a) for a in actions) + "}"
+
+
+@pytest.mark.parametrize("loop", list(LoopMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_mock_compositional_matches_the_action_path(task, loop):
+    cfg = RunConfig(task=task, n_demos=5, n_eval=8, loop_mode=loop, seed=2)
+    for noise in (None, 0.5):
+        for *_, bundle in eval_prompts(dataclasses.replace(cfg, noise=noise)):
+            assert complete_mock_compositional(bundle).text == _compositional_via_actions(bundle)
 
 
 def test_mock_compositional_concatenates_segments():

@@ -3,6 +3,7 @@
 velocities, observation noise.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -85,6 +86,50 @@ def test_reset_is_deterministic_per_seed():
             [o.pose for o in a_world.objects] != [o.pose for o in c_world.objects]
             or a_instr != c_instr
         )
+
+
+def _sha256_lines(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _pose_hex(observation):
+    return observation.name + " " + " ".join(float.hex(v) for v in observation.pose.as_list())
+
+
+# sha256 over seeds 0-199 of each reset's instruction, variation and pose
+# bits, and over add_pose_noise of ten worlds per task at three scales:
+# pinned when reset drew one scalar per Generator call.
+RESET_SHA256 = {
+    TaskId.STACK_CUBE: "b3bebf173e798e4cec8892e8eaaf7df7040d0bab60abf390df9e1e96c3964d2c",
+    TaskId.DESTACK_CUBE: "7804bc13b28ff7c285dc60ef6429434149af171958c7cb2adce9eac0d5b45b30",
+    TaskId.PUSH_BUTTON: "e86573c9d2dc94525900a79c05b1c00acd7e9e84ff5202ee959003823334974e",
+    TaskId.PUSH_MULTIPLE_BUTTONS: "3d1158745f8e5cfb8a6d10702cb1c72c01edf9fd8657a6a64cb935f1511a4f63",
+    TaskId.SLIDE_BLOCK: "9a8a8379d2d4f45ae65db619398fa8a9615439c7f124e74574d147765647cfd8",
+}
+NOISE_SHA256 = "d96d466f315286af8b71f85ef95ca045cea82968bf2a18f10b665e7ee351442e"
+
+
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_reset_worlds_are_pinned_bit_for_bit(task):
+    lines = []
+    for seed in range(200):
+        world, instruction, variation = reset(task, seed, BOUNDS)
+        lines.append(f"{seed}|{instruction}|{variation!r}|" + "|".join(_pose_hex(o) for o in world.objects))
+    assert _sha256_lines(lines) == RESET_SHA256[task]
+
+
+def test_pose_noise_is_pinned_bit_for_bit():
+    lines = []
+    for task in TaskId:
+        for seed in range(10):
+            obs = observations_of(reset(task, seed, BOUNDS)[0])
+            for k in (0.5, 1.0, 2.0):
+                noised = add_pose_noise(obs, k, seed=seed * 7 + 1)
+                lines.append(f"{task.value}|{seed}|{k}|" + "|".join(_pose_hex(o) for o in noised))
+    assert _sha256_lines(lines) == NOISE_SHA256
 
 
 def test_reset_objects_separated_and_inside_region():
