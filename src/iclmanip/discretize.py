@@ -7,9 +7,11 @@ the reconstruction error is at most half a bin per component.
 
 Inside the pipeline bins are plain int rows, six per pose
 (tx ty tz rr rp ry) and seven per action (the gripper bit last):
-`pose_bins` and `bin_centers` map whole arrays of rows and `pose_bin_row`
-one pose, each bit for bit equal to the scalar functions. DiscretePose and
-DiscreteAction are the validated per-value view at the API edge.
+`pose_bins` maps a whole array of poses and `pose_bin_row` one pose, each
+bit for bit equal to the scalar functions; a replay looks bin centers up in
+a table of dediscretize_translation and dediscretize_rotation per axis.
+DiscretePose and DiscreteAction are the validated per-value view at the
+API edge.
 """
 
 from __future__ import annotations
@@ -113,34 +115,16 @@ def pose_bin_row(pose: Pose6, bounds: WorkspaceBounds) -> tuple[int, int, int, i
     )
 
 
-def _axis_arrays(bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([bounds.x_min, bounds.y_min, bounds.z_min])
-    hi = np.array([bounds.x_max, bounds.y_max, bounds.z_max])
-    return lo, hi
-
-
 def pose_bins(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
     """Bin every row of an N x 6 pose array: an N x 6 int64 array whose rows
     equal discretize_pose on each row, bit for bit."""
     poses = np.asarray(poses, dtype=np.float64)
-    lo, hi = _axis_arrays(bounds)
+    lo, hi = np.array(bounds.limits).T
     raw = (poses[:, :3] - lo) / (hi - lo) * TRANSLATION_BINS
     out = np.empty(poses.shape, dtype=np.int64)
     out[:, :3] = np.clip(np.floor(raw), 0, TRANSLATION_BINS - 1)
     degrees = wrap_angles(poses[:, 3:]) * (180.0 / math.pi)  # math.degrees
     out[:, 3:] = np.minimum(np.floor(degrees / DEGREES_PER_BIN), ROTATION_BINS - 1)
-    return out
-
-
-def bin_centers(bins: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
-    """Centers of an N x 6 array of pose bins: an N x 6 float array whose
-    rows equal dediscretize_pose on each row, bit for bit. Bins must be in
-    range; parse_bins guarantees it for parsed replies."""
-    bins = np.asarray(bins)
-    lo, hi = _axis_arrays(bounds)
-    out = np.empty(bins.shape, dtype=np.float64)
-    out[:, :3] = lo + (bins[:, :3] + 0.5) * (hi - lo) / TRANSLATION_BINS
-    out[:, 3:] = (bins[:, 3:] + 0.5) * DEGREES_PER_BIN * (math.pi / 180.0)  # math.radians
     return out
 
 

@@ -8,8 +8,8 @@ the caller explicitly passes eval_seeds. Observation noise is one scale
 k (RunConfig.noise) on sim's fixed base sigmas.
 
 One prompt stage, eval_prompts, turns a config into the prompt for each
-eval seed: demo pool, fresh world, noised test observations, assembled
-bundle. run_eval completes, parses, replays and scores what it yields;
+eval seed: demo pool, noised test observations, assembled bundle. run_eval
+completes what it yields and scores each reply in one step, _score;
 `iclmanip build-prompt` prints its first bundle.
 
 Worlds are planned once per base config: one process-wide store keyed on
@@ -18,12 +18,14 @@ memoizes the pure stages that arms repeat (demo seed scans, demo pools and
 examples, test slot text, reply scores), each keyed on exactly the inputs
 it reads. Calls on one base, such as every arm of every sweep of a config,
 share the store; a call on another base replaces it. Providers are never
-memoized, but a reply already scored on that eval world is not parsed again.
+memoized, but a reply already scored on that eval world is not parsed again,
+and its world is not copied.
 
 The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
-int rows, and each row's bin centers, looked up in discretize.bin_centers
-of every bin index, make one Action. DiscreteAction and parse_response
-are the API-edge view of the same rows and are not built here.
+int rows, and each row's bin centers, looked up in a table of every bin
+index's center per axis, make one Action. DiscreteAction and
+parse_response are the API-edge view of the same rows and are not built
+here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import ROTATION_BINS, TRANSLATION_BINS, bin_centers
+from .discretize import ROTATION_BINS, TRANSLATION_BINS, dediscretize_rotation, dediscretize_translation
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
     CompletionResult,
@@ -71,7 +73,6 @@ from .prompts import (
     parse_bins,
 )
 from .sim import (
-    ExecutionError,
     TaskId,
     TaskVariation,
     WorldState,
@@ -199,13 +200,8 @@ def _config_value(name: str, default: Any, value: Any) -> Any:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """Outcome of one evaluation episode.
-
-    `n_executed` counts the actions that ran before an ExecutionError, and
-    equals n_actions when none was raised. `failure` is the ParseError kind
-    or the ExecutionError message, or None when the reply parsed and every
-    action ran.
-    """
+    """Outcome of one evaluation episode. `failure` is the ParseError kind,
+    or None when the reply parsed."""
 
     seed: int
     success: bool
@@ -213,12 +209,7 @@ class EpisodeRecord:
     n_actions: int
     latency_ms: int
     prompt_chars: int
-    n_executed: int | None = None  # None: all n_actions
     failure: str | None = None
-
-    def __post_init__(self):
-        if self.n_executed is None:
-            object.__setattr__(self, "n_executed", self.n_actions)
 
 
 @dataclass(frozen=True)
@@ -427,10 +418,9 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
     )
 
 
-def eval_prompts(config: RunConfig) -> Iterator[tuple[int, WorldState, TaskVariation, PromptBundle]]:
-    """The prompt stage: for each eval seed, the seed, a fresh copy of its
-    world (the caller may execute actions in it), its variation and the
-    prompt the provider is sent.
+def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
+    """The prompt stage: for each eval seed, the seed and the prompt the
+    provider is sent.
 
     The demo pool is built before the first prompt, and the test
     observations carry the run's noise. run_eval and `iclmanip
@@ -443,50 +433,38 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, WorldState, TaskVaria
         raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
     system = default_system_prompts()[config.system_prompt_index]
     for j, seed in enumerate(e_seeds):
-        world, instruction, variation = plans.reset(config.task, seed, config.bounds)
-        world = world.clone()  # execute_action mutates it
+        world, instruction, _ = plans.reset(config.task, seed, config.bounds)
         test_input = plans.memo(
             ("slot", seed, j, config.noise, config.seed),
             lambda: build_example_input(
                 _noised(observations_of(world), config, _TEST_NOISE_TAG, j), instruction, config.bounds
             ),
         )
-        yield seed, world, variation, assemble_prompt(examples, test_input, system)
+        yield seed, assemble_prompt(examples, test_input, system)
 
 
 def _center_lists(bounds: WorkspaceBounds) -> list[list[float]]:
-    """bin_centers of every bin index, as one list per pose column."""
-    every = np.arange(TRANSLATION_BINS).repeat(6).reshape(-1, 6)  # row i: bin i in each column
-    columns = bin_centers(every, bounds).T.tolist()
-    return [c[:TRANSLATION_BINS] for c in columns[:3]] + [c[:ROTATION_BINS] for c in columns[3:]]
-
-
-def _replay(
-    config: RunConfig, world: WorldState, variation: TaskVariation, rows: list[list[int]], centers: list
-) -> tuple[bool, int, str | None]:
-    """(success, n_executed, failure) of replaying bin rows in world."""
-    x, y, z, roll, pitch, yaw = centers
-    n_executed, failure = 0, None
-    try:
-        for tx, ty, tz, rr, rp, ry, bit in rows:
-            pose = Pose6(x[tx], y[ty], z[tz], roll[rr], pitch[rp], yaw[ry])
-            execute_action(world, Action(pose, GripperState.from_bit(bit)))
-            n_executed += 1
-    except ExecutionError as exc:
-        failure = str(exc)  # stop early; score whatever state we reached
-    return check_success(config.task, world, variation), n_executed, failure
+    """The center of every bin index, as one list per pose column."""
+    translation = [[dediscretize_translation(i, lo, hi) for i in range(TRANSLATION_BINS)] for lo, hi in bounds.limits]
+    return translation + [[dediscretize_rotation(i) for i in range(ROTATION_BINS)]] * 3
 
 
 def _score(
-    config: RunConfig, world: WorldState, variation: TaskVariation, text: str, centers: list
-) -> tuple[bool, int, bool, int, str | None]:
-    """(parse_error, n_actions, success, n_executed, failure) of a reply on
-    an eval world."""
+    config: RunConfig, plans: _Plans, seed: int, text: str, centers: list
+) -> tuple[bool, int, bool, str | None]:
+    """(parse_error, n_actions, success, failure) of a reply on an eval
+    seed's world: its bin rows replayed on a copy of the pristine reset."""
     try:
         rows = parse_bins(text).tolist()
     except ParseError as exc:
-        return True, 0, False, 0, exc.kind
-    return (False, len(rows), *_replay(config, world, variation, rows, centers))
+        return True, 0, False, exc.kind
+    world, _, variation = plans.reset(config.task, seed, config.bounds)
+    world = world.clone()  # execute_action mutates it
+    x, y, z, roll, pitch, yaw = centers
+    for tx, ty, tz, rr, rp, ry, bit in rows:
+        pose = Pose6(x[tx], y[ty], z[tz], roll[rr], pitch[rp], yaw[ry])
+        execute_action(world, Action(pose, GripperState.from_bit(bit)))
+    return False, len(rows), check_success(config.task, world, variation), None
 
 
 def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
@@ -496,20 +474,19 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     world is planned. Parse failures count as failed episodes and never
     abort the run; transport and protocol errors from the remote provider
     do abort. A reply is parsed into bin rows, and each row's bin centers
-    replay as one Action; an action leaving the workspace ends the
-    episode, which is scored in the state reached and records the step and
-    the message. Every episode calls the provider, but a reply already
-    scored on that eval world is neither parsed nor replayed again: its
-    outcome comes from the store.
+    replay as one Action on a copy of the eval world; every center lies
+    inside config.bounds, the world's own, so no action leaves the
+    workspace. Every episode calls the provider, but a reply already
+    scored on that eval world is not parsed, copied or replayed again.
     """
     complete = _provider(config)
     plans = _plans(config)
     centers = plans.memo(("centers",), lambda: _center_lists(config.bounds))
     records = []
-    for seed, world, variation, bundle in eval_prompts(config):
+    for seed, bundle in eval_prompts(config):
         result = complete(bundle)
-        parse_error, n_actions, success, n_executed, failure = plans.memo(
-            ("score", seed, result.text), lambda: _score(config, world, variation, result.text, centers)
+        parse_error, n_actions, success, failure = plans.memo(
+            ("score", seed, result.text), lambda: _score(config, plans, seed, result.text, centers)
         )
         records.append(
             EpisodeRecord(
@@ -519,7 +496,6 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
                 n_actions=n_actions,
                 latency_ms=result.latency_ms,
                 prompt_chars=len(bundle.system) + len(bundle.body),
-                n_executed=n_executed,
                 failure=failure,
             )
         )
@@ -564,10 +540,14 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
 def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
     """Run the arms of SWEEPS[name] in order; values replace its defaults.
     The arms keep config's base (task, seed, bounds), so they share one
-    plan store with each other and with further calls on that base."""
+    plan store with each other and with further calls on that base.
+    Values that give two arms one label raise ValueError."""
     lead, defaults, arm = SWEEPS[name]
     arms = [make(config) for make in lead]
     arms += [arm(config, v) for v in (defaults if values is None else values)]
+    for i, (_, label) in enumerate(arms):
+        if any(label == other for _, other in arms[:i]):
+            raise ValueError(f"sweep {name} has two arms labelled {label}")
     return [run_eval(cfg, arm=label) for cfg, label in arms]
 
 

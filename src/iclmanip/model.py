@@ -266,8 +266,8 @@ class WorkspaceBounds:
         for axis in ("x", "y", "z"):
             lo = getattr(self, axis + "_min")
             hi = getattr(self, axis + "_max")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"WorkspaceBounds.{axis} limits must be finite")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi - lo <= 1e300):  # bin math stays finite
+                raise ValueError(f"WorkspaceBounds.{axis} limits must be finite and at most 1e300 apart")
             if not lo < hi:
                 raise ValueError(f"WorkspaceBounds.{axis}_min {lo} must be < {axis}_max {hi}")
 

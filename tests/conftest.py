@@ -8,6 +8,7 @@ from iclmanip import harness
 from iclmanip.model import Episode, GripperState, ObjectObservation, Pose6, WorkspaceBounds
 
 BOUNDS = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
+ASYMMETRIC = WorkspaceBounds(-0.37, 0.81, 0.05, 1.3, -0.2, 0.45)
 
 try:
     from hypothesis import settings

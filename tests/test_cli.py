@@ -135,6 +135,21 @@ def test_ablate_shots_respects_flag(capsys):
     assert "arm=shots-1" in out and "arm=shots-2" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["shots", "--shots", "2", "2"], "sweep shots has two arms labelled shots-2"),
+        (["noise", "--scales", "1.0", "1.0000001"], "sweep noise has two arms labelled noise-1"),
+    ],
+)
+def test_ablate_values_sharing_a_label_exit_before_any_arm_runs(tmp_path, capsys, flags, message):
+    csv = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", *flags, "--task", "push_button", "--n-eval", "2", "--csv", str(csv)])
+    assert err.value.code == message
+    assert capsys.readouterr().out == "" and not csv.exists()
+
+
 def test_noise_flag_parses(capsys):
     rc = main(
         [

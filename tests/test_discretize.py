@@ -10,7 +10,6 @@ from iclmanip.discretize import (
     TRANSLATION_BINS,
     DiscreteAction,
     DiscretePose,
-    bin_centers,
     dediscretize_action,
     dediscretize_pose,
     dediscretize_rotation,
@@ -22,9 +21,9 @@ from iclmanip.discretize import (
     pose_bin_row,
     pose_bins,
 )
-from iclmanip.model import Action, GripperState, Pose6, WorkspaceBounds
+from iclmanip.model import Action, GripperState, Pose6
 
-from conftest import BOUNDS
+from conftest import ASYMMETRIC, BOUNDS
 
 
 def test_translation_hand_examples():
@@ -125,25 +124,6 @@ def test_discrete_action_round_trip():
     assert discretize_action(back, BOUNDS) == da
     with pytest.raises(ValueError):
         DiscreteAction(da.pose, 2)
-
-
-ASYMMETRIC = WorkspaceBounds(-0.37, 0.81, 0.05, 1.3, -0.2, 0.45)
-
-
-def _hex(values):
-    return [float(v).hex() for v in values]  # bit for bit, signed zeros included
-
-
-@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
-def test_bin_centers_equal_dediscretize_pose_on_every_bin(bounds):
-    # Row b puts translation bin b on every axis and walks every rotation bin.
-    rows = np.array(
-        [(b, b, b, b % ROTATION_BINS, (b + 1) % ROTATION_BINS, (b + 2) % ROTATION_BINS) for b in range(TRANSLATION_BINS)]
-    )
-    centers = bin_centers(rows, bounds)
-    assert centers.shape == rows.shape
-    for row, center in zip(rows.tolist(), centers.tolist()):
-        assert _hex(center) == _hex(dediscretize_pose(DiscretePose(*row), bounds).as_list())
 
 
 def _pose_rows(bounds):

@@ -9,6 +9,9 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
+import pickle
+import re
 import sys
 import threading
 import weakref
@@ -39,7 +42,9 @@ from iclmanip.harness import (
 )
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
-from iclmanip.sim import TaskId, reset, task_spec
+from iclmanip.sim import TaskId, WorldState, reset, task_spec
+
+from conftest import ASYMMETRIC, BOUNDS
 
 
 def config(task=TaskId.PUSH_BUTTON, **kw):
@@ -214,33 +219,61 @@ def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
     assert all(r.parse_error for r in report.records)
     assert all(not r.success for r in report.records)
     assert all(r.n_actions == 0 for r in report.records)
-    assert all(r.n_executed == 0 and r.failure == "no_actions" for r in report.records)
+    assert all(r.failure == "no_actions" for r in report.records)
     assert report.success_rate == 0.0
 
 
-def test_run_eval_records_the_step_that_left_the_workspace(monkeypatch):
-    # Eval worlds narrower than the prompt's bounds: a bin center near the
-    # prompt's x edge lies outside the world's inflated bounds.
-    narrow = WorkspaceBounds(-0.2, 0.2, -0.2, 0.2, 0.0, 0.5)
-    real_reset = harness.reset
+def _assert_centers_inside(bounds):
+    columns = harness._center_lists(bounds)
+    assert [len(c) for c in columns] == [100, 100, 100, 72, 72, 72]
+    for axis, (lo, hi), centers in zip("xyz", bounds.limits, columns):
+        outside = [c for c in centers if not lo <= c <= hi]
+        assert not outside, f"{axis} centers {outside} outside [{lo}, {hi}]"
 
-    def narrow_eval_worlds(task, seed, bounds):
-        world, instruction, variation = real_reset(task, seed, bounds)
-        if seed >= EVAL_SEED_OFFSET:
-            world.bounds = narrow
-        return world, instruction, variation
 
-    reply = "{[50, 50, 50, 0, 0, 0, 1], [50, 50, 40, 0, 0, 0, 1], [99, 50, 50, 0, 0, 0, 1], [50, 50, 50, 0, 0, 0, 1]}"
-    monkeypatch.setattr(harness, "reset", narrow_eval_worlds)
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC], ids=["default", "asymmetric"])
+def test_every_bin_center_lies_inside_its_axis(bounds):
+    # Why a replay never leaves the workspace: the eval world's bounds are
+    # config.bounds, and every action's translation is one of these centers.
+    _assert_centers_inside(bounds)
+
+
+def test_every_bin_center_lies_inside_drawn_bounds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    axis = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True).map(sorted)
+
+    @hypothesis.given(axis, axis, axis)
+    def check(x, y, z):
+        try:
+            bounds = WorkspaceBounds(*x, *y, *z)
+        except ValueError:  # limits more than 1e300 apart, or equal
+            hypothesis.reject()
+        _assert_centers_inside(bounds)
+
+    check()
+
+
+# Every corner of the translation bin cube, at the least or the greatest
+# rotation bins, with the gripper closing and opening in turn.
+_CORNERS = [
+    (tx, ty, tz, 71 * (i % 2), 71 * (i % 2), 71 * (i % 2), i % 2)
+    for i, (tx, ty, tz) in enumerate(itertools.product((0, 99), repeat=3))
+]
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC], ids=["default", "asymmetric"])
+@pytest.mark.parametrize("task", [TaskId.STACK_CUBE, TaskId.PUSH_BUTTON])
+def test_replies_at_the_corner_bins_run_every_action(monkeypatch, task, bounds):
+    reply = "{" + ", ".join(str(list(row)) for row in _CORNERS) + "}"
     monkeypatch.setattr(
         harness,
         "complete_mock_nearest",
         lambda bundle: CompletionResult(text=reply, latency_ms=0, provider=Provider.MOCK_NEAREST),
     )
-    report = run_eval(config(n_demos=2, n_eval=2))
+    report = run_eval(config(task, n_demos=2, n_eval=3, bounds=bounds))
     for r in report.records:
-        assert (r.parse_error, r.success, r.n_actions, r.n_executed) == (False, False, 4, 2)
-        assert r.failure == "action pose x=0.495 outside inflated bounds [-0.240, 0.240]"
+        assert (r.parse_error, r.n_actions, r.failure) == (False, len(_CORNERS), None)
 
 
 def test_run_eval_remote_needs_credential(monkeypatch):
@@ -313,6 +346,21 @@ def test_ablate_noise_arm_labels():
     assert reports[2].config.noise == 2.0
 
 
+@pytest.mark.parametrize(
+    "name, values, label",
+    [
+        ("noise", (0.1234567, 0.1234568), "noise-0.123457"),
+        ("noise", (1.0, 1.0000001), "noise-1"),
+        ("shots", (2, 2), "shots-2"),
+        ("sampling", (5, 10, 5), "uniform-5"),
+    ],
+)
+def test_sweep_rejects_values_that_share_a_label(monkeypatch, name, values, label):
+    monkeypatch.setattr(harness, "run_eval", lambda cfg, arm: pytest.fail(f"arm {arm} ran"))
+    with pytest.raises(ValueError, match=f"^sweep {name} has two arms labelled {re.escape(label)}$"):
+        sweep(config(), name, values)
+
+
 def test_ablate_prompts_mock_results_identical():
     reports = ablate_prompts(config(n_demos=2, n_eval=3))
     assert [r.arm for r in reports] == ["prompt-0", "prompt-1", "prompt-2"]
@@ -353,7 +401,7 @@ def test_emit_csv_format_and_determinism(tmp_path):
 def test_episode_record_fields():
     r = EpisodeRecord(seed=1, success=True, parse_error=False, n_actions=5, latency_ms=0, prompt_chars=10)
     assert r.seed == 1 and r.success and r.n_actions == 5
-    assert r.n_executed == 5 and r.failure is None
+    assert r.failure is None
 
 
 @pytest.mark.parametrize(
@@ -396,9 +444,9 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     # but each (eval seed, reply) is parsed once and each n_demos scanned once.
     cfg = config(task, n_demos=3, n_eval=4, provider=provider)
     provider_name = "complete_" + provider.value.replace("-", "_")
-    replies, parsed, scanned = [], [], []
-    real_complete, real_parse, real_scan = (
-        getattr(harness, provider_name), harness.parse_bins, harness._scan_demo_seeds
+    replies, parsed, scanned, cloned = [], [], [], []
+    real_complete, real_parse, real_scan, real_clone = (
+        getattr(harness, provider_name), harness.parse_bins, harness._scan_demo_seeds, WorldState.clone
     )
 
     def complete(bundle):
@@ -411,7 +459,9 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     monkeypatch.setattr(
         harness, "_scan_demo_seeds", lambda c, plans: scanned.append(c.n_demos) or real_scan(c, plans)
     )
+    monkeypatch.setattr(WorldState, "clone", lambda world: cloned.append(world) or real_clone(world))
     reports = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
+    store = harness._STORE
     monkeypatch.undo()
 
     seeds = [record.seed for report in reports for record in report.records]
@@ -420,12 +470,28 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     assert collections.Counter(parsed) == distinct
     assert sum(distinct.values()) < len(seeds)
     assert sorted(scanned) == sorted({r.config.n_demos for r in reports})
+    eval_worlds = {
+        id(out[0]) for key, out in store._memo.items() if key[0] == "reset" and key[2] in eval_seeds(cfg)
+    }
+    assert sum(id(world) in eval_worlds for world in cloned) == len(parsed), "an eval world is copied only to score"
 
     with monkeypatch.context() as cold:
         cold.setattr(harness, "_STORE", harness._Plans())
         cold.setattr(harness._Plans, "memo", lambda self, key, make: make())
         expected = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
     assert [r.records for r in reports] == [r.records for r in expected]
+
+
+@pytest.mark.parametrize("task", [TaskId.STACK_CUBE, TaskId.PUSH_BUTTON])
+def test_sweeps_leave_every_pristine_world_as_reset_drew_it(task):
+    # Demo replays and reply scoring execute actions on copies only.
+    cfg = config(task, n_demos=3, n_eval=4)
+    for name in SWEEPS:
+        getattr(harness, f"ablate_{name}")(cfg)
+    worlds = {key[1:]: out[0] for key, out in harness._STORE._memo.items() if key[0] == "reset"}
+    assert {seed for _, seed, _ in worlds} >= set(eval_seeds(cfg))
+    mutated = [key for key, world in worlds.items() if pickle.dumps(world) != pickle.dumps(reset(*key)[0])]
+    assert not mutated, f"{len(mutated)} pristine worlds were mutated: {mutated}"
 
 
 def test_demo_pool_callers_get_their_own_list():

@@ -197,8 +197,13 @@ def test_workspace_bounds():
     b = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
     assert b.limits[0] == (-0.5, 0.5)
     assert b.limits[2] == (0.0, 0.5)
+    assert WorkspaceBounds(-0.5, 0.5, 0.0, 1e300, 0.0, 0.5).limits[1] == (0.0, 1e300)
     with pytest.raises(ValueError):
         WorkspaceBounds(0.5, -0.5, -0.5, 0.5, 0.0, 0.5)
+    # A wider span would put bin centers, lo + (bin + 0.5) * span / 100, at inf.
+    for limits in ((-1e308, 1e308), (0.0, 2e300), (math.nan, 0.5), (-0.5, math.inf)):
+        with pytest.raises(ValueError, match=r"^WorkspaceBounds\.y limits must be finite and at most 1e300 apart$"):
+            WorkspaceBounds(-0.5, 0.5, *limits, 0.0, 0.5)
 
 
 def test_save_load_round_trip(tmp_path):
