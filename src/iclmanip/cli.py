@@ -12,8 +12,9 @@ the printed bundle is the one eval sends first, noise included.
 Settings resolve in three layers: RunConfig defaults, then a JSON config
 file (--config), then explicit flags; RunConfig.from_mapping validates the
 merged values. The remote credential is never a flag; it is read from the
-environment variable named by credential_env. A ValueError, bounds the
-simulator cannot place objects in, plan a demo in or replay a demo in, a
+environment variable named by credential_env. A ValueError (bounds
+beyond the simulator's reach among them), bounds the simulator cannot
+place objects in, plan a demo in or replay a demo in, a
 mock oracle that cannot answer, or a remote transport or protocol failure
 raised while a command runs exits with a one-line message instead of a
 traceback.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -66,6 +68,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    # argparse (before 3.13) reads a value such as -5e-1 as an option name,
+    # because its negative-number pattern admits only plain decimals.
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--task", choices=[t.value for t in TaskId])
     parser.add_argument("--n-demos", dest="n_demos", type=int)

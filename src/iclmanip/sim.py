@@ -7,6 +7,10 @@ pressed when an empty gripper dips into their press zone. Everything is a
 pure function of (task, seed, bounds), which is what makes end-to-end
 evaluation reproducible.
 
+Each task's static facts (roster, variations, placement group and
+instruction template) are one TaskSpec in _SPECS; its goal and its expert
+are its branches of check_success and scripted_expert.
+
 Object pose convention: z is the object's resting base height (bottom
 face), so a cube sitting on the table has z = 0 and a cube stacked on
 another has z equal to the supporter's top face.
@@ -45,6 +49,7 @@ PRESS_HEIGHT_M = 0.01
 MIN_SEPARATION_M = 0.08
 MAX_RESET_DRAWS = 1000
 STEP_SIZE_M = 0.02
+MAX_COORDINATE_M = 10.0  # bounds reset accepts: squares stay finite, plans short
 DWELL_STEPS = 3
 MIN_EPISODE_STEPS = 60
 TRAVEL_HEIGHT_M = 0.15
@@ -138,11 +143,15 @@ class TaskVariation:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Static description of a task: roster plus enumerable variations."""
+    """Static facts of a task: its roster (the object order of every world),
+    the variations reset draws from, its placement group and its instruction
+    template."""
 
     task: TaskId
     roster: tuple[tuple[str, Kind, float], ...]
     variations: tuple[TaskVariation, ...]
+    group: int  # tasks in one group draw identical layouts at equal seeds
+    template: str  # filled from a variation by render_instruction
 
 
 class PlacementError(Exception):
@@ -157,66 +166,41 @@ class ExpertError(Exception):
     """The scripted expert could not plan for the given world/instruction."""
 
 
-_CUBE_ROSTER = (("blue cube", Kind.CUBE, CUBE_EDGE_M), ("yellow cube", Kind.CUBE, CUBE_EDGE_M))
-_BUTTON_ROSTER = (
-    ("red button", Kind.BUTTON, BUTTON_RADIUS_M),
-    ("yellow button", Kind.BUTTON, BUTTON_RADIUS_M),
-    ("green button", Kind.BUTTON, BUTTON_RADIUS_M),
-    ("blue button", Kind.BUTTON, BUTTON_RADIUS_M),
-)
-_SLIDE_ROSTER = (("block", Kind.CUBE, CUBE_EDGE_M), ("target", Kind.TARGET, TARGET_HALF_M))
-
-_ROSTERS: dict[TaskId, tuple[tuple[str, Kind, float], ...]] = {
-    TaskId.STACK_CUBE: _CUBE_ROSTER,
-    TaskId.DESTACK_CUBE: _CUBE_ROSTER,
-    TaskId.PUSH_BUTTON: _BUTTON_ROSTER,
-    TaskId.PUSH_MULTIPLE_BUTTONS: _BUTTON_ROSTER,
-    TaskId.SLIDE_BLOCK: _SLIDE_ROSTER,
-}
-
-# Tasks sharing a placement group draw identical layouts at equal seeds;
-# push_button and push_multiple_buttons must coincide so single-button
-# demos can exist in a multi-button world.
-_PLACEMENT_GROUP: dict[TaskId, int] = {
-    TaskId.STACK_CUBE: 0,
-    TaskId.DESTACK_CUBE: 1,
-    TaskId.PUSH_BUTTON: 2,
-    TaskId.PUSH_MULTIPLE_BUTTONS: 2,
-    TaskId.SLIDE_BLOCK: 3,
-}
-
+_CUBES = (("blue cube", Kind.CUBE, CUBE_EDGE_M), ("yellow cube", Kind.CUBE, CUBE_EDGE_M))
+_BUTTONS = tuple((f"{c} button", Kind.BUTTON, BUTTON_RADIUS_M) for c in ("red", "yellow", "green", "blue"))
+_SLIDE = (("block", Kind.CUBE, CUBE_EDGE_M), ("target", Kind.TARGET, TARGET_HALF_M))
 _CUBE_VARIATIONS = (
     TaskVariation(top="blue cube", bottom="yellow cube"),
     TaskVariation(top="yellow cube", bottom="blue cube"),
 )
-_BUTTON_VARIATIONS = tuple(TaskVariation(buttons=(name,)) for name, _, _ in _BUTTON_ROSTER)
+_BUTTON_VARIATIONS = tuple(TaskVariation(buttons=(name,)) for name, _, _ in _BUTTONS)
+
+# One spec per task. push_button and push_multiple_buttons share a placement
+# group so single-button demos can exist in a multi-button world; a chain's
+# variations are sampled sequences, not enumerable.
+_SPECS = {
+    spec.task: spec
+    for spec in (
+        TaskSpec(TaskId.STACK_CUBE, _CUBES, _CUBE_VARIATIONS, 0, "stack the {top} on the {bottom}"),
+        TaskSpec(TaskId.DESTACK_CUBE, _CUBES, _CUBE_VARIATIONS, 1, "destack the {top} that is on the {bottom}"),
+        TaskSpec(TaskId.PUSH_BUTTON, _BUTTONS, _BUTTON_VARIATIONS, 2, "push the {button}"),
+        TaskSpec(TaskId.PUSH_MULTIPLE_BUTTONS, _BUTTONS, (), 2, "push the {button}"),
+        TaskSpec(TaskId.SLIDE_BLOCK, _SLIDE, (TaskVariation(),), 3, "slide the block onto the target"),
+    )
+}
 
 
 def task_spec(task: TaskId) -> TaskSpec:
-    if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
-        variations = _CUBE_VARIATIONS
-    elif task is TaskId.PUSH_BUTTON:
-        variations = _BUTTON_VARIATIONS
-    elif task is TaskId.SLIDE_BLOCK:
-        variations = (TaskVariation(),)
-    else:
-        # push_multiple_buttons variations are sampled sequences, not enumerable
-        variations = ()
-    return TaskSpec(task=task, roster=_ROSTERS[task], variations=variations)
+    return _SPECS[task]
 
 
 def render_instruction(task: TaskId, variation: TaskVariation) -> str:
-    if task is TaskId.STACK_CUBE:
-        return f"stack the {variation.top} on the {variation.bottom}"
-    if task is TaskId.DESTACK_CUBE:
-        return f"destack the {variation.top} that is on the {variation.bottom}"
-    if task is TaskId.PUSH_BUTTON:
-        return f"push the {variation.buttons[0]}"
-    if task is TaskId.PUSH_MULTIPLE_BUTTONS:
-        return CHAIN_SEPARATOR.join(f"push the {name}" for name in variation.buttons)
-    if task is TaskId.SLIDE_BLOCK:
-        return "slide the block onto the target"
-    raise ValueError(f"unknown task {task!r}")
+    """The task's template filled from the variation; a chain of buttons
+    fills it once per button, joined with CHAIN_SEPARATOR."""
+    template = _SPECS[task].template
+    if variation.buttons:
+        return CHAIN_SEPARATOR.join(template.format(button=name) for name in variation.buttons)
+    return template.format(top=variation.top, bottom=variation.bottom)
 
 
 def _placement_region(bounds: WorkspaceBounds) -> tuple[float, float, float, float]:
@@ -250,10 +234,17 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
 
     Placements are drawn before the variation so tasks in one placement
     group share layouts at equal seeds. Worlds that would already satisfy
-    check_success are rejected and redrawn.
+    check_success are rejected and redrawn. Bounds with a limit beyond
+    MAX_COORDINATE_M raise ValueError.
     """
-    rng = np.random.default_rng([_PLACEMENT_GROUP[task], seed])
-    roster = _ROSTERS[task]
+    for axis, (lo, hi) in zip("xyz", bounds.limits):
+        if lo < -MAX_COORDINATE_M or hi > MAX_COORDINATE_M:
+            raise ValueError(
+                f"the simulator needs bounds within [-{MAX_COORDINATE_M:g}, {MAX_COORDINATE_M:g}] m, "
+                f"got {axis} limits [{lo:g}, {hi:g}]"
+            )
+    spec = _SPECS[task]
+    rng = np.random.default_rng([spec.group, seed])
     lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
     # One call per attempt: numpy fills the values in order with the same
     # kernel as one scalar call each, so the draws are those of scalar calls.
@@ -264,7 +255,7 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
             placements = [(x, y, yaw_bottom), (x, y, yaw_top)]
             separated = True
         else:
-            placements = rng.uniform(low[:3], high[:3], size=(len(roster), 3)).tolist()
+            placements = rng.uniform(low[:3], high[:3], size=(len(spec.roster), 3)).tolist()
             separated = all(
                 math.hypot(a[0] - b[0], a[1] - b[1]) >= MIN_SEPARATION_M
                 for i, a in enumerate(placements)
@@ -273,44 +264,26 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         if not separated:
             continue
 
-        if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
-            variation = _CUBE_VARIATIONS[int(rng.integers(0, 2))]
-        elif task is TaskId.PUSH_BUTTON:
-            variation = _BUTTON_VARIATIONS[int(rng.integers(0, 4))]
-        elif task is TaskId.PUSH_MULTIPLE_BUTTONS:
+        if task is TaskId.PUSH_MULTIPLE_BUTTONS:
             count = int(rng.integers(1, 7))
-            names = tuple(_BUTTON_ROSTER[int(i)][0] for i in rng.integers(0, 4, size=count))
+            names = tuple(spec.roster[int(i)][0] for i in rng.integers(0, len(spec.roster), size=count))
             variation = TaskVariation(buttons=names)
+        elif len(spec.variations) == 1:
+            variation = spec.variations[0]  # no draw, so later draws do not move
         else:
-            variation = TaskVariation()
+            variation = spec.variations[int(rng.integers(0, len(spec.variations)))]
 
-        objects = []
+        if task is TaskId.DESTACK_CUBE and variation.top == spec.roster[0][0]:
+            placements.reverse()  # drawn bottom cube first; objects follow the roster
+        objects = [
+            SimObject(name, kind, Pose6(x, y, 0.0, 0.0, 0.0, yaw), size)
+            for (name, kind, size), (x, y, yaw) in zip(spec.roster, placements)
+        ]
+        world = WorldState(objects, HOME_POSE, GripperState.OPEN, bounds)
         if task is TaskId.DESTACK_CUBE:
-            x, y, yaw_bottom = placements[0]
-            _, _, yaw_top = placements[1]
-            bottom = variation.bottom
-            top = variation.top
-            by_name = {
-                bottom: SimObject(bottom, Kind.CUBE, Pose6(x, y, 0.0, 0.0, 0.0, yaw_bottom), CUBE_EDGE_M),
-                top: SimObject(
-                    top,
-                    Kind.CUBE,
-                    Pose6(x, y, CUBE_EDGE_M, 0.0, 0.0, yaw_top),
-                    CUBE_EDGE_M,
-                    supported_by=bottom,
-                ),
-            }
-            objects = [by_name[name] for name, _, _ in roster]
-        else:
-            for (name, kind, size), (x, y, yaw) in zip(roster, placements):
-                objects.append(SimObject(name, kind, Pose6(x, y, 0.0, 0.0, 0.0, yaw), size))
-
-        world = WorldState(
-            objects=objects,
-            gripper_pose=HOME_POSE,
-            gripper=GripperState.OPEN,
-            bounds=bounds,
-        )
+            top, bottom = world.object(variation.top), world.object(variation.bottom)
+            top.pose = Pose6(top.pose.x, top.pose.y, bottom.top(), 0.0, 0.0, top.pose.yaw)
+            top.supported_by = bottom.name
         if check_success(task, world, variation):
             continue  # e.g. the block sampled already inside the target square
         _validate_world(world)
@@ -578,21 +551,18 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
     execute_action solves the task.
     """
     names = [o.name for o in world.objects]
-    if task is TaskId.STACK_CUBE:
+    if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
         ordered = _names_in_order(instruction, names)
         if len(ordered) != 2:
             raise ExpertError(f"cannot identify two cubes in instruction {instruction!r}")
-        top, bottom = world.object(ordered[0]), world.object(ordered[1])
-        # Place so the carried cube's base lands on the bottom cube's top.
-        place_z = bottom.top() + top.size / 2.0
-        waypoints = _pick_and_place(top, bottom.pose.x, bottom.pose.y, place_z)
-    elif task is TaskId.DESTACK_CUBE:
-        ordered = _names_in_order(instruction, names)
-        if len(ordered) != 2:
-            raise ExpertError(f"cannot identify two cubes in instruction {instruction!r}")
-        moving = world.object(ordered[0])
-        spot_x, spot_y = _free_spot(world, moving.pose.x, moving.pose.y)
-        waypoints = _pick_and_place(moving, spot_x, spot_y, moving.size / 2.0)
+        moving, other = world.object(ordered[0]), world.object(ordered[1])
+        if task is TaskId.STACK_CUBE:
+            # Place so the carried cube's base lands on the other cube's top.
+            place_z = other.top() + moving.size / 2.0
+            waypoints = _pick_and_place(moving, other.pose.x, other.pose.y, place_z)
+        else:
+            spot_x, spot_y = _free_spot(world, moving.pose.x, moving.pose.y)
+            waypoints = _pick_and_place(moving, spot_x, spot_y, moving.size / 2.0)
     elif task is TaskId.SLIDE_BLOCK:
         block = world.object("block")
         target = world.object("target")
@@ -605,21 +575,14 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
             if len(hit) != 1:
                 raise ExpertError(f"cannot identify a button in segment {segment!r}")
             sequence.append(world.object(hit[0]))
-        waypoints = []
-        for button in sequence:
-            waypoints.append(
-                _Waypoint(button.pose.x, button.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN)
-            )
-            waypoints.append(
-                _Waypoint(button.pose.x, button.pose.y, PRESS_Z_M, 0.0, GripperState.OPEN)
-            )
+        waypoints = [
+            _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
+            for button in sequence
+            for z in (TRAVEL_HEIGHT_M, PRESS_Z_M)
+        ]
         last = sequence[-1]
-        waypoints.append(
-            _Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN)
-        )
-        waypoints.append(
-            _Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN)
-        )
+        waypoints.append(_Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
+        waypoints.append(_Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN))
     else:
         raise ExpertError(f"no expert for task {task!r}")
 

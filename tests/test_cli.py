@@ -168,6 +168,16 @@ def test_bounds_flag_wrong_arity_exits(capsys):
         main(["eval", "--task", "push_button", "--bounds", "-0.5", "0.5"])
 
 
+def test_bounds_flag_takes_negative_limits_in_exponent_notation(tmp_path):
+    rows = []
+    for limits in (["-5e-1", "0.5", "-1E-1", "0.5"], ["-0.5", "0.5", "-0.1", "0.5"]):
+        out = tmp_path / f"rows{len(rows)}.csv"
+        flags = ["--task", "stack_cube", "--n-demos", "2", "--n-eval", "3", "--csv", str(out)]
+        assert main(["eval", *flags, "--bounds", *limits, "0", "0.5"]) == 0
+        rows.append(out.read_text())
+    assert rows[0] == rows[1]
+
+
 def _arms(out: str) -> list[str]:
     return [line.split("arm=")[1].split()[0] for line in out.splitlines() if line]
 
@@ -473,8 +483,16 @@ def _arm_seed(row):
              "--bounds", "-0.5", "0.5", "-0.5", "0.5", "0.05", "0.5"],
             "action pose z=0.004 outside inflated bounds [0.005, 0.545]",
         ),
+        (
+            ["--task", "stack_cube", "--bounds", "-0.5", "0.5", "-0.5", "0.5", "0", "1e300"],
+            "the simulator needs bounds within [-10, 10] m, got z limits [0, 1e+300]",
+        ),
+        (
+            ["--task", "stack_cube", "--bounds", "-1e300", "0", "-0.5", "0.5", "0", "0.5"],
+            "the simulator needs bounds within [-10, 10] m, got x limits [-1e+300, 0]",
+        ),
     ],
-    ids=["placement", "expert", "replay-keyframes", "replay-uniform"],
+    ids=["placement", "expert", "replay-keyframes", "replay-uniform", "beyond-reach-z", "beyond-reach-x"],
 )
 def test_unusable_bounds_exit_with_message(flags, message):
     with pytest.raises(SystemExit) as err:

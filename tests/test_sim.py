@@ -23,6 +23,7 @@ from iclmanip.sim import (
     CUBE_EDGE_M,
     GRASP_RADIUS_M,
     HOME_POSE,
+    MAX_COORDINATE_M,
     MIN_EPISODE_STEPS,
     MIN_SEPARATION_M,
     STEP_SIZE_M,
@@ -46,7 +47,7 @@ from iclmanip.sim import (
     task_spec,
 )
 
-from conftest import BOUNDS
+from conftest import ASYMMETRIC, BOUNDS
 
 OPEN = GripperState.OPEN
 CLOSED = GripperState.CLOSED
@@ -110,6 +111,15 @@ RESET_SHA256 = {
     TaskId.SLIDE_BLOCK: "9a8a8379d2d4f45ae65db619398fa8a9615439c7f124e74574d147765647cfd8",
 }
 NOISE_SHA256 = "d96d466f315286af8b71f85ef95ca045cea82968bf2a18f10b665e7ee351442e"
+# The same on the ASYMMETRIC box, each object also naming its supporter:
+# pinned before the task facts moved into one table.
+RESET_ASYMMETRIC_SHA256 = {
+    TaskId.STACK_CUBE: "12b4201f76a85e72cceea1478bae21237413d4a846fe0e3653fc2284fa973350",
+    TaskId.DESTACK_CUBE: "004bc166ceaf707a790faacc8b6f3ab22669e0b74bbafb813c5e390cc07c1235",
+    TaskId.PUSH_BUTTON: "e8528f12c25aee19fa4b0db4c3748685389aee5ccd4f00b6f3e396df1f97e4d9",
+    TaskId.PUSH_MULTIPLE_BUTTONS: "5b9919242ff8808c07f35a331682a470552846b606713709157b1ffdf5a23816",
+    TaskId.SLIDE_BLOCK: "29c800dbb33c390edaa3615abcd4f90257ae33c0d8e60db1c0ffde9ae155a9ab",
+}
 
 
 @pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
@@ -119,6 +129,12 @@ def test_reset_worlds_are_pinned_bit_for_bit(task):
         world, instruction, variation = reset(task, seed, BOUNDS)
         lines.append(f"{seed}|{instruction}|{variation!r}|" + "|".join(_pose_hex(o) for o in world.objects))
     assert _sha256_lines(lines) == RESET_SHA256[task]
+    lines = []
+    for seed in range(200):
+        world, instruction, variation = reset(task, seed, ASYMMETRIC)
+        objects = "|".join(f"{_pose_hex(o)} on {o.supported_by}" for o in world.objects)
+        lines.append(f"{seed}|{instruction}|{variation!r}|{objects}")
+    assert _sha256_lines(lines) == RESET_ASYMMETRIC_SHA256[task]
 
 
 def test_pose_noise_is_pinned_bit_for_bit():
@@ -153,6 +169,16 @@ def test_reset_gives_up_when_region_cannot_separate():
     tight = WorkspaceBounds(-0.001, 0.001, -0.001, 0.001, 0.0, 0.5)
     with pytest.raises(PlacementError):
         reset(TaskId.STACK_CUBE, 0, tight)
+
+
+def test_reset_rejects_bounds_beyond_max_coordinate():
+    wide = WorkspaceBounds(-5e5, 5e5, -5e5, 5e5, 0.0, 0.5)
+    message = r"^the simulator needs bounds within \[-10, 10\] m, got x limits \[-500000, 500000\]$"
+    with pytest.raises(ValueError, match=message):
+        reset(TaskId.STACK_CUBE, 0, wide)
+    # The limit itself is accepted (no expert is planned on a box this wide).
+    m = MAX_COORDINATE_M
+    reset(TaskId.STACK_CUBE, 0, WorkspaceBounds(-m, m, -m, m, -m, m))
 
 
 def test_reset_destack_starts_stacked():
@@ -224,6 +250,10 @@ def test_task_spec_rosters():
     ]
     assert len(task_spec(TaskId.STACK_CUBE).variations) == 2
     assert len(task_spec(TaskId.PUSH_BUTTON).variations) == 4
+    for task in TaskId:  # one stored spec per task
+        assert task_spec(task) is task_spec(task) and task_spec(task).task is task
+    assert task_spec(TaskId.PUSH_BUTTON).group == task_spec(TaskId.PUSH_MULTIPLE_BUTTONS).group
+    assert len({task_spec(t).group for t in TaskId}) == 4
 
 
 # ------------------------------------------------------- execute_action
