@@ -15,9 +15,9 @@ merged values. The remote credential is never a flag; it is read from the
 environment variable named by credential_env. A ValueError (bounds
 beyond the simulator's reach among them), bounds the simulator cannot
 place objects in, plan a demo in or replay a demo in, a
-mock oracle that cannot answer, or a remote transport or protocol failure
-raised while a command runs exits with a one-line message instead of a
-traceback.
+mock oracle that cannot answer, a remote transport or protocol failure, or
+an output file that cannot be written, raised while a command runs, exits
+with a one-line message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -27,23 +27,24 @@ import dataclasses
 import json
 import re
 import sys
+from enum import Enum
 from pathlib import Path
 
 from .harness import (
     SWEEPS,
+    SYSTEM_PROMPT_INDICES,
     EvalReport,
-    KeyframeMode,
-    LoopMode,
     RunConfig,
+    config_kind,
     demo_episodes,
     emit_csv,
     eval_prompts,
     run_eval,
     sweep,
 )
-from .llm import OracleError, ProtocolError, Provider, TransportError
-from .model import save_episodes
-from .sim import ExecutionError, ExpertError, PlacementError, TaskId
+from .llm import OracleError, ProtocolError, TransportError
+from .model import PersistenceError, save_episodes
+from .sim import ExecutionError, ExpertError, PlacementError
 
 
 def _load_config_file(path: str) -> dict:
@@ -67,43 +68,30 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_mapping(values)
 
 
+# What does not follow from a field: each RunConfig field <name> but eval_seeds
+# is --<name with dashes>, with its enum's values as choices or its default's type.
+_FLAG_EXCEPTIONS = {
+    "delta": {"help": "keyframe velocity threshold (rad/s)"},
+    "bounds": {"type": float, "nargs": 6, "metavar": ("XMIN", "XMAX", "YMIN", "YMAX", "ZMIN", "ZMAX")},
+    "credential_env": {"help": "environment variable holding the API credential"},
+    "system_prompt_index": {"choices": SYSTEM_PROMPT_INDICES},
+    "noise": {"flag": "--noise-k", "type": float, "help": "noise scale k (omit for none)"},
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     # argparse (before 3.13) reads a value such as -5e-1 as an option name,
     # because its negative-number pattern admits only plain decimals.
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--task", choices=[t.value for t in TaskId])
-    parser.add_argument("--n-demos", dest="n_demos", type=int)
-    parser.add_argument("--n-eval", dest="n_eval", type=int)
-    parser.add_argument("--delta", type=float, help="keyframe velocity threshold (rad/s)")
-    parser.add_argument(
-        "--bounds",
-        type=float,
-        nargs=6,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX", "ZMIN", "ZMAX"),
-    )
-    parser.add_argument("--provider", choices=[p.value for p in Provider])
-    parser.add_argument("--endpoint")
-    parser.add_argument("--model")
-    parser.add_argument(
-        "--credential-env",
-        dest="credential_env",
-        help="environment variable holding the API credential",
-    )
-    parser.add_argument(
-        "--system-prompt-index", dest="system_prompt_index", type=int, choices=(0, 1, 2)
-    )
-    parser.add_argument(
-        "--keyframe-mode", dest="keyframe_mode", choices=[m.value for m in KeyframeMode]
-    )
-    parser.add_argument("--uniform-interval", dest="uniform_interval", type=int)
-    parser.add_argument("--loop-mode", dest="loop_mode", choices=[m.value for m in LoopMode])
-    parser.add_argument("--noise-k", dest="noise", type=float, help="noise scale k (omit for none)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument(
-        "--requests-per-second", dest="requests_per_second", type=float
-    )
+    for field in dataclasses.fields(RunConfig):
+        if field.name == "eval_seeds":
+            continue
+        kind = config_kind(field)
+        spec = {"choices": [m.value for m in kind]} if issubclass(kind, Enum) else {"type": kind}
+        spec.update(_FLAG_EXCEPTIONS.get(field.name, {}))
+        flag = spec.pop("flag", "--" + field.name.replace("_", "-"))
+        parser.add_argument(flag, dest=field.name, **spec)
 
 
 def _summary_line(report: EvalReport) -> str:
@@ -202,8 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError) as exc:
-        # bad config values, unusable delta or bounds, unset credential, remote failure
+    except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError,
+            OSError, PersistenceError) as exc:
+        # bad config values, unusable delta or bounds, unset credential, remote failure, unwritable output
         raise SystemExit(str(exc))
     except OracleError as exc:
         raise SystemExit(

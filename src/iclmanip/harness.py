@@ -59,7 +59,6 @@ from .model import (
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
-    verify_object_consistency,
 )
 from .prompts import (
     IclExample,
@@ -93,6 +92,7 @@ CSV_HEADER = ("task", "provider", "arm", "seed", "success", "parse_error", "n_ac
 DEFAULT_SAMPLING_INTERVALS = (5, 10, 20, 40, 80)
 DEFAULT_SHOT_COUNTS = (1, 2, 5, 10)
 DEFAULT_NOISE_SCALES = (0.5, 1.0, 1.5, 2.0)
+SYSTEM_PROMPT_INDICES = tuple(range(len(default_system_prompts())))
 
 
 class KeyframeMode(Enum):
@@ -133,18 +133,16 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_demos < 1:
-            raise ValueError(f"n_demos must be >= 1, got {self.n_demos}")
-        if self.n_eval < 1:
-            raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
+        for name in ("n_demos", "n_eval", "uniform_interval", "max_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.system_prompt_index not in (0, 1, 2):
-            raise ValueError(f"system_prompt_index must be 0, 1, or 2, got {self.system_prompt_index}")
-        if self.uniform_interval < 1:
-            raise ValueError(f"uniform_interval must be >= 1, got {self.uniform_interval}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.system_prompt_index not in SYSTEM_PROMPT_INDICES:
+            *rest, last = SYSTEM_PROMPT_INDICES
+            raise ValueError(
+                f"system_prompt_index must be {', '.join(map(str, rest))}, or {last}, got {self.system_prompt_index}"
+            )
         if self.requests_per_second <= 0:
             raise ValueError(f"requests_per_second must be positive, got {self.requests_per_second}")
         if self.noise is not None and self.noise < 0:
@@ -167,32 +165,40 @@ class RunConfig:
         {"k": number}. eval_seeds is not accepted. Unknown keys and bad
         values raise ValueError.
         """
-        defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name != "eval_seeds"}
-        unknown = set(values) - set(defaults)
+        fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "eval_seeds"}
+        unknown = set(values) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**{k: _config_value(k, defaults[k], v) for k, v in values.items()})
+            return cls(**{k: _config_value(fields[k], v) for k, v in values.items()})
         except (TypeError, ValueError) as exc:
             raise ValueError(str(exc)) from None
 
 
-def _config_value(name: str, default: Any, value: Any) -> Any:
-    kind = TaskId if name == "task" else type(default)
+def config_kind(field: dataclasses.Field) -> type:
+    """The type of a RunConfig field: its default's, or TaskId for task (no default)."""
+    return TaskId if field.name == "task" else type(field.default)
+
+
+def _of_kind(value: Any, kind: type) -> bool:
+    accepted = (int, float) if kind is float else kind  # JSON writes 1.0 as 1
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
+def _config_value(field: dataclasses.Field, value: Any) -> Any:
+    name, kind = field.name, config_kind(field)
     if issubclass(kind, Enum):
         return kind(value)
-    if kind in (int, float, str):
-        accepted = (int, float) if kind is float else kind  # JSON writes 1.0 as 1
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind in (int, float, str) and not _of_kind(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if name == "bounds" and not isinstance(value, WorkspaceBounds):
-        if not isinstance(value, (list, tuple)) or len(value) != 6:
+        if not isinstance(value, (list, tuple)) or len(value) != 6 or not all(_of_kind(v, float) for v in value):
             raise ValueError("bounds must be six numbers: x_min x_max y_min y_max z_min z_max")
         return WorkspaceBounds(*(float(v) for v in value))
     if name == "noise" and value is not None:
         if isinstance(value, dict) and list(value) == ["k"]:
             value = value["k"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _of_kind(value, float):
             raise ValueError('noise must be null, a number (k) or {"k": number}')
         return float(value)
     return value
@@ -289,8 +295,6 @@ def demo_seeds(config: RunConfig) -> tuple[int, ...]:
 def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
     task = demo_task(config.task)
     variations = task_spec(task).variations
-    if not variations:
-        raise ValueError(f"task {task.value} has no enumerable demo variations")
     slots = [variations[i % len(variations)] for i in range(config.n_demos)]
     chosen: list[int] = []
     seed = config.seed
@@ -396,7 +400,6 @@ def _build_demo_pool(config: RunConfig, plans: _Plans) -> tuple[tuple[int, ...],
         plans.memo(("demo", seed, i, _DEMO_FIELDS(config)), lambda: _demo_example(config, i, seed, ep, plans))
         for i, (seed, ep) in enumerate(zip(seeds, episodes))
     )
-    verify_object_consistency(episodes)
     return seeds, examples
 
 
@@ -526,7 +529,7 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
     ),
     "prompts": (
         (),
-        (0, 1, 2),
+        SYSTEM_PROMPT_INDICES,
         lambda c, i: (dataclasses.replace(c, system_prompt_index=i), f"prompt-{i}"),
     ),
     "loop": (

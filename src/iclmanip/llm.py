@@ -143,13 +143,15 @@ def complete_remote(
     Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
     retried with exponential backoff for `max_attempts` total attempts; a
     retryable status whose Retry-After header gives delay-seconds waits that
-    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status
-    raises TransportError after one attempt. The credential travels only in
-    the Authorization header and is never part of raised messages.
+    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, or an
+    endpoint that is no URL, raises TransportError after one attempt. The
+    credential travels only in the Authorization header and is never part of
+    raised messages.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     import requests
+    from requests.exceptions import InvalidSchema, InvalidURL, MissingSchema
 
     url = endpoint.rstrip("/") + "/v1/chat/completions"
     payload = {
@@ -176,6 +178,8 @@ def complete_remote(
         except requests.Timeout:
             last_error = CompletionTimeout(f"request to {url} timed out after {timeout_s} s")
             continue
+        except (MissingSchema, InvalidSchema, InvalidURL) as exc:  # raised before connecting: no retry helps
+            raise TransportError(f"request to {url} failed: {exc}") from None
         except requests.RequestException as exc:
             last_error = TransportError(f"request to {url} failed: {exc}")
             continue

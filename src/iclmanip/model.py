@@ -356,15 +356,3 @@ def load_episodes(path: str | Path) -> list[Episode]:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
     return episodes
 
-
-def verify_object_consistency(episodes: Sequence[Episode]) -> None:
-    """Require every episode to list the same object names in the same order."""
-    if not episodes:
-        return
-    reference = tuple(o.name for o in episodes[0].objects)
-    for i, ep in enumerate(episodes[1:], start=1):
-        names = tuple(o.name for o in ep.objects)
-        if names != reference:
-            raise ValueError(
-                f"episode {i} object names {names} differ from episode 0 {reference}"
-            )

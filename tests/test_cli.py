@@ -3,15 +3,18 @@
 """
 
 import collections
+import dataclasses
 import hashlib
 import json
+from enum import Enum
 
 import pytest
 
 import iclmanip.harness as harness
-from iclmanip.cli import main
+from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
 from iclmanip.model import load_episodes
+from iclmanip.prompts import default_system_prompts
 
 
 def test_eval_writes_summary_and_csv(tmp_path, capsys):
@@ -215,6 +218,8 @@ def test_ablate_noise_respects_scales_flag(capsys):
     [
         ({"bounds": [0.5, -0.5, -0.5, 0.5, 0.0, 0.5]}, []),  # inverted x limits
         ({"bounds": ["a", 0.5, -0.5, 0.5, 0.0, 0.5]}, []),  # non-numeric
+        ({"bounds": ["-0.5", 0.5, -0.5, 0.5, 0.0, 0.5]}, []),  # a number in a string
+        ({"bounds": [-0.5, True, -0.5, 0.5, 0, 0.5]}, []),  # a boolean
         ({"noise": -1}, []),
         ({"noise": {"k": -1}}, []),
         ({}, ["--noise-k", "-1"]),
@@ -231,6 +236,57 @@ def test_bad_config_values_exit_with_message(tmp_path, file_values, flags):
     with pytest.raises(SystemExit) as err:
         main(["eval", "--config", str(cfg), *flags])
     assert isinstance(err.value.code, str)  # a message, not an argparse usage error
+
+
+def _other_value(field):
+    """A value for a RunConfig field other than its default, as JSON."""
+    kind = harness.config_kind(field)
+    if field.name == "bounds":
+        return [-0.4, 0.3, -0.2, 0.1, 0.0, 0.6]
+    if field.name == "noise":
+        return 0.5
+    if issubclass(kind, Enum):
+        return next(m.value for m in kind if m != field.default)
+    return field.default + "x" if kind is str else field.default + kind(1)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f for f in dataclasses.fields(harness.RunConfig) if f.name != "eval_seeds"],
+    ids=lambda f: f.name,
+)
+def test_every_config_field_has_a_flag_that_matches_its_config_key(tmp_path, field):
+    # Flags are --<field with dashes>; noise is --noise-k; eval_seeds has none.
+    # The value comes after task's, and replaces it when the field is task.
+    value = _other_value(field)
+    flag = "--noise-k" if field.name == "noise" else "--" + field.name.replace("_", "-")
+    texts = [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "push_button", field.name: value}))
+
+    from_file = _build_run_config(build_parser().parse_args(["eval", "--config", str(cfg)]))
+    from_flags = _build_run_config(build_parser().parse_args(["eval", "--task", "push_button", flag, *texts]))
+    assert from_flags == from_file
+    assert from_file != harness.RunConfig(task=harness.TaskId.PUSH_BUTTON)
+
+
+def test_prompts_sweep_has_one_arm_per_system_prompt():
+    config = harness.RunConfig(task=harness.TaskId.PUSH_BUTTON, n_demos=2, n_eval=2)
+    reports = harness.sweep(config, "prompts")
+    assert [r.arm for r in reports] == [f"prompt-{i}" for i in range(len(default_system_prompts()))]
+    assert [r.config.system_prompt_index for r in reports] == list(range(len(default_system_prompts())))
+
+
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [("eval", "--csv"), ("ablate loop", "--csv"), ("build-prompt", "--out"), ("generate-demos", "--out")],
+)
+def test_unwritable_output_path_exits_naming_it(tmp_path, command, out_flag):
+    path = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", out_flag, path])
+    assert isinstance(err.value.code, str)
+    assert path in err.value.code and "\n" not in err.value.code
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,26 @@ def test_remote_errors_never_leak_the_credential():
     assert CREDENTIAL not in str(err.value)
 
 
+@pytest.mark.parametrize("endpoint", ["", "localhost:1"])
+def test_remote_endpoint_that_is_no_url_fails_after_one_attempt(monkeypatch, endpoint):
+    import requests
+
+    posts, sleeps = [], []
+    real_post = requests.post
+
+    def counting_post(url, **kwargs):
+        posts.append(url)
+        return real_post(url, **kwargs)
+
+    monkeypatch.setattr(requests, "post", counting_post)
+    with pytest.raises(TransportError) as err:
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=1, sleep=sleeps.append)
+    assert type(err.value) is TransportError and err.value.status is None
+    assert len(posts) == 1
+    assert sleeps == []
+    assert CREDENTIAL not in str(err.value)
+
+
 def test_token_bucket_spacing_with_fake_clock():
     now = [0.0]
     sleeps = []

@@ -14,7 +14,6 @@ from iclmanip.model import (
     load_episodes,
     save_episodes,
     velocity_norms,
-    verify_object_consistency,
     wrap_angle,
 )
 from iclmanip.sim import TaskId, reset, scripted_expert
@@ -270,17 +269,3 @@ def test_load_skips_blank_lines(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(PersistenceError):
         load_episodes(tmp_path / "nope.jsonl")
-
-
-def test_verify_object_consistency():
-    a = make_episode([0.0, 0.5, 0.0])
-    verify_object_consistency([a, a])
-    other = Episode(
-        a.instruction,
-        (ObjectObservation("blue button", Pose6(0, 0, 0, 0, 0, 0)),),
-        a.poses,
-        a.gripper_bits,
-        a.joint_velocities,
-    )
-    with pytest.raises(ValueError):
-        verify_object_consistency([a, other])
