@@ -17,7 +17,8 @@ beyond the simulator's reach among them), bounds the simulator cannot
 place objects in, plan a demo in or replay a demo in, a
 mock oracle that cannot answer, a remote transport or protocol failure, or
 an output file that cannot be written, raised while a command runs, exits
-with a one-line message instead of a traceback.
+with a one-line message instead of a traceback; a bad --csv path, before
+the first episode runs.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=field.name, **spec)
 
 
+def _check_writable(path: str) -> None:
+    """Raise now the OSError writing path would raise; an existing file keeps its bytes."""
+    existed = Path(path).exists()
+    Path(path).open("a").close()
+    if not existed:
+        Path(path).unlink()
+
+
 def _summary_line(report: EvalReport) -> str:
     config = report.config
     return (
@@ -121,8 +130,7 @@ def _cmd_build_prompt(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _build_run_config(args)
-    report = run_eval(config)
+    report = run_eval(_build_run_config(args))
     if args.csv:
         emit_csv([report], args.csv)
     print(_summary_line(report))
@@ -189,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "csv", None):
+            _check_writable(args.csv)
         return args.func(args)
     except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError,
             OSError, PersistenceError) as exc:

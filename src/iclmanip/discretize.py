@@ -5,17 +5,17 @@ out-of-range values clamped to the edge bins. Rotation uses 72 bins of
 5 degrees each over [0, 360). Dediscretization returns bin centers, so
 the reconstruction error is at most half a bin per component.
 
-Inside the pipeline bins are plain int rows, six per pose
-(tx ty tz rr rp ry) and seven per action (the gripper bit last):
-`pose_bins` maps a whole array of poses and `pose_bin_row` one pose, each
-bit for bit equal to the scalar functions; a replay looks bin centers up in
-a table of dediscretize_translation and dediscretize_rotation per axis.
-DiscretePose and DiscreteAction are the validated per-value view at the
-API edge.
+Inside the pipeline bins are plain int rows, six per pose and seven per
+action, whose columns and bin counts ROW_COLUMNS states once. `pose_bins`
+maps an array of poses and `pose_bin_row` one pose, bit for bit equal to
+the scalar functions; a replay and dediscretize_pose read bin centers from
+center_table. DiscretePose and DiscreteAction are the validated per-value
+view at the API edge.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +26,12 @@ from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angles
 TRANSLATION_BINS = 100
 ROTATION_BINS = 72
 DEGREES_PER_BIN = 360.0 / ROTATION_BINS  # 5 degrees
+
+# The action row, in order: (column, bin count). The gripper bit is 0 or 1.
+ROW_COLUMNS = (
+    ("tx", TRANSLATION_BINS), ("ty", TRANSLATION_BINS), ("tz", TRANSLATION_BINS),
+    ("rr", ROTATION_BINS), ("rp", ROTATION_BINS), ("ry", ROTATION_BINS), ("g", 2),
+)
 
 
 @dataclass(frozen=True)
@@ -40,14 +46,10 @@ class DiscretePose:
     ry: int
 
     def __post_init__(self):
-        for name in ("tx", "ty", "tz"):
+        for name, bins in ROW_COLUMNS[:6]:
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < TRANSLATION_BINS:
-                raise ValueError(f"DiscretePose.{name} must be an int in [0, {TRANSLATION_BINS}), got {v!r}")
-        for name in ("rr", "rp", "ry"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < ROTATION_BINS:
-                raise ValueError(f"DiscretePose.{name} must be an int in [0, {ROTATION_BINS}), got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bins:
+                raise ValueError(f"DiscretePose.{name} must be an int in [0, {bins}), got {v!r}")
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.tx, self.ty, self.tz, self.rr, self.rp, self.ry)
@@ -132,15 +134,19 @@ def discretize_pose(pose: Pose6, bounds: WorkspaceBounds) -> DiscretePose:
     return DiscretePose(*pose_bin_row(pose, bounds))
 
 
+@functools.lru_cache(maxsize=16)
+def center_table(bounds: WorkspaceBounds) -> tuple[tuple[float, ...], ...]:
+    """Every bin index's center (dediscretize_translation or _rotation), one
+    tuple per pose column; built once per bounds."""
+    rotation = tuple(dediscretize_rotation(i) for i in range(ROTATION_BINS))
+    return tuple(
+        tuple(dediscretize_translation(i, lo, hi) for i in range(TRANSLATION_BINS)) for lo, hi in bounds.limits
+    ) + (rotation,) * 3
+
+
 def dediscretize_pose(dp: DiscretePose, bounds: WorkspaceBounds) -> Pose6:
-    return Pose6(
-        dediscretize_translation(dp.tx, *bounds.limits[0]),
-        dediscretize_translation(dp.ty, *bounds.limits[1]),
-        dediscretize_translation(dp.tz, *bounds.limits[2]),
-        dediscretize_rotation(dp.rr),
-        dediscretize_rotation(dp.rp),
-        dediscretize_rotation(dp.ry),
-    )
+    x, y, z, roll, pitch, yaw = center_table(bounds)
+    return Pose6(x[dp.tx], y[dp.ty], z[dp.tz], roll[dp.rr], pitch[dp.rp], yaw[dp.ry])
 
 
 def discretize_action(action: Action, bounds: WorkspaceBounds) -> DiscreteAction:

@@ -22,10 +22,8 @@ memoized, but a reply already scored on that eval world is not parsed again,
 and its world is not copied.
 
 The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
-int rows, and each row's bin centers, looked up in a table of every bin
-index's center per axis, make one Action. DiscreteAction and
-parse_response are the API-edge view of the same rows and are not built
-here.
+int rows, and each row's centers in discretize.center_table make one Action.
+DiscreteAction and parse_response, the API-edge view, are not built here.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import ROTATION_BINS, TRANSLATION_BINS, dediscretize_rotation, dediscretize_translation
+from .discretize import center_table
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
     CompletionResult,
@@ -446,17 +444,11 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
         yield seed, assemble_prompt(examples, test_input, system)
 
 
-def _center_lists(bounds: WorkspaceBounds) -> list[list[float]]:
-    """The center of every bin index, as one list per pose column."""
-    translation = [[dediscretize_translation(i, lo, hi) for i in range(TRANSLATION_BINS)] for lo, hi in bounds.limits]
-    return translation + [[dediscretize_rotation(i) for i in range(ROTATION_BINS)]] * 3
-
-
 def _score(
-    config: RunConfig, plans: _Plans, seed: int, text: str, centers: list
+    config: RunConfig, plans: _Plans, seed: int, text: str, centers: tuple
 ) -> tuple[bool, int, bool, str | None]:
     """(parse_error, n_actions, success, failure) of a reply on an eval
-    seed's world: its bin rows replayed on a copy of the pristine reset."""
+    seed's world: its rows' centers replayed on a copy of the pristine reset."""
     try:
         rows = parse_bins(text).tolist()
     except ParseError as exc:
@@ -484,7 +476,7 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     """
     complete = _provider(config)
     plans = _plans(config)
-    centers = plans.memo(("centers",), lambda: _center_lists(config.bounds))
+    centers = center_table(config.bounds)
     records = []
     for seed, bundle in eval_prompts(config):
         result = complete(bundle)

@@ -143,15 +143,15 @@ def complete_remote(
     Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
     retried with exponential backoff for `max_attempts` total attempts; a
     retryable status whose Retry-After header gives delay-seconds waits that
-    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, or an
-    endpoint that is no URL, raises TransportError after one attempt. The
-    credential travels only in the Authorization header and is never part of
-    raised messages.
+    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, an
+    endpoint that is no URL, or a credential that is no valid header value
+    raises TransportError after one attempt. The credential travels only in
+    the Authorization header and is never part of raised messages.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     import requests
-    from requests.exceptions import InvalidSchema, InvalidURL, MissingSchema
+    from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
 
     url = endpoint.rstrip("/") + "/v1/chat/completions"
     payload = {
@@ -180,6 +180,8 @@ def complete_remote(
             continue
         except (MissingSchema, InvalidSchema, InvalidURL) as exc:  # raised before connecting: no retry helps
             raise TransportError(f"request to {url} failed: {exc}") from None
+        except InvalidHeader:  # raised before connecting, with the header in its text
+            raise TransportError(f"request to {url} failed: the credential is not a valid header value") from None
         except requests.RequestException as exc:
             last_error = TransportError(f"request to {url} failed: {exc}")
             continue

@@ -13,7 +13,7 @@ Inside the pipeline bins stay int rows: examples are formatted straight
 from an episode's keyframe rows and from each observed pose's six bins,
 and parse_bins reads a reply into an N x 7 int array of action rows. It is
 total: any byte string either yields rows or raises ParseError with a kind
-of no_actions, arity, range, or (strict mode only) grammar.
+of no_actions, arity or range.
 parse_response is its API-edge view, the same rows as DiscreteActions.
 read_prompt inverts a prompt body back into its demos and test input; the
 offline oracles answer from what it reads.
@@ -28,14 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discretize import (
-    ROTATION_BINS,
-    TRANSLATION_BINS,
-    DiscreteAction,
-    DiscretePose,
-    pose_bin_row,
-    pose_bins,
-)
+from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_row, pose_bins
 from .keyframes import KeyframeIndices
 from .model import Episode, ObjectObservation, WorkspaceBounds
 
@@ -96,7 +89,7 @@ class PromptBundle:
 class ParseError(Exception):
     """Response text could not be converted to actions.
 
-    kind is one of: no_actions, arity, range, grammar.
+    kind is one of: no_actions, arity, range.
     position is a character offset into the input text.
     """
 
@@ -215,8 +208,6 @@ def assemble_prompt(
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
-_STRICT_ACTION = r"\[\d+(?:, \d+){6}\]"
-_STRICT_BODY = re.compile(r"\{" + _STRICT_ACTION + r"(?:, " + _STRICT_ACTION + r")*\}")
 # Brackets as build_icl_example and build_closed_loop_example write them,
 # in ASCII digits: an observation echo (six bins after "name: ", no
 # groups) or an action (seven bins, one group each).
@@ -224,17 +215,8 @@ _BIN = r"[0-9]{1,6}"
 _CANONICAL_BRACKET = re.compile(
     r": \[" + ", ".join([_BIN] * 6) + r"\]|\[" + ", ".join([f"({_BIN})"] * 7) + r"\]"
 )
-
-_COMPONENT_LIMITS = (
-    ("tx", TRANSLATION_BINS),
-    ("ty", TRANSLATION_BINS),
-    ("tz", TRANSLATION_BINS),
-    ("rr", ROTATION_BINS),
-    ("rp", ROTATION_BINS),
-    ("ry", ROTATION_BINS),
-)
-# Exclusive upper bound of each action column; the gripper bit is 0 or 1.
-_ROW_LIMITS = np.array([limit for _, limit in _COMPONENT_LIMITS] + [2])
+# Each action column's bin count, for one vector range check.
+_ROW_BINS = np.array([bins for _, bins in ROW_COLUMNS])
 
 
 def _int_list(content: str) -> list[int] | None:
@@ -256,14 +238,11 @@ def _int_list(content: str) -> list[int] | None:
 
 
 def _check_row(values: list[int], position: int) -> list[int]:
-    for (name, limit), v in zip(_COMPONENT_LIMITS, values):
-        if not 0 <= v < limit:
-            raise ParseError(
-                "range", position, f"{name} bin {v} out of range [0, {limit}) at offset {position}"
-            )
-    g = values[6]
-    if g not in (0, 1):
-        raise ParseError("range", position, f"gripper bit {g} must be 0 or 1 at offset {position}")
+    for (name, bins), v in zip(ROW_COLUMNS, values[:6]):
+        if not 0 <= v < bins:
+            raise ParseError("range", position, f"{name} bin {v} out of range [0, {bins}) at offset {position}")
+    if values[6] not in (0, 1):
+        raise ParseError("range", position, f"gripper bit {values[6]} must be 0 or 1 at offset {position}")
     return values
 
 
@@ -275,39 +254,35 @@ def _is_observation_echo(text: str, bracket_start: int) -> bool:
     return j >= 0 and text[j] == ":"
 
 
-def _rows_by_bracket(cleaned: str, strict: bool) -> list[list[int]]:
+def _rows_by_bracket(cleaned: str) -> list[list[int]]:
     """The per-bracket rules: every bracket in order, first failure raised."""
     rows: list[list[int]] = []
     for match in _BRACKET.finditer(cleaned):
+        at = match.start()
         # Colon-preceded brackets holding an action's 7 integers ("Step 1: [...]")
         # are actions, not echoes.
-        echo = not strict and _is_observation_echo(cleaned, match.start())
+        echo = _is_observation_echo(cleaned, at)
         try:
             values = _int_list(match.group(1))
         except ParseError as exc:
             if echo:
                 continue
-            raise ParseError(exc.kind, match.start(), str(exc)) from None
+            raise ParseError(exc.kind, at, str(exc)) from None
         if values is None or (echo and len(values) != 7):
             continue
         if len(values) != 7:
-            raise ParseError(
-                "arity",
-                match.start(),
-                f"action bracket has {len(values)} integers, expected 7, at offset {match.start()}",
-            )
-        rows.append(_check_row(values, match.start()))
+            raise ParseError("arity", at, f"action bracket has {len(values)} integers, expected 7, at offset {at}")
+        rows.append(_check_row(values, at))
     return rows
 
 
-def parse_bins(text: str | bytes, strict: bool = False) -> np.ndarray:
+def parse_bins(text: str | bytes) -> np.ndarray:
     """Extract the predicted actions from a model reply as a read-only
     N x 7 int64 array of bin rows (tx ty tz rr rp ry g).
 
-    Lenient mode tolerates surrounding prose, markdown fences, optional
-    braces, and observation echoes; it fails only on integer brackets with
-    the wrong arity, bins out of range, or no actions at all. Strict mode
-    additionally requires the exact output grammar.
+    It tolerates surrounding prose, markdown fences, optional braces, and
+    observation echoes; it fails only on integer brackets with the wrong
+    arity, bins out of range, or no actions at all.
 
     A reply whose every `[` opens a canonical bracket, an action or an
     observation echo as the prompt's examples hold them, is read in one
@@ -319,30 +294,25 @@ def parse_bins(text: str | bytes, strict: bool = False) -> np.ndarray:
         text = text.decode("utf-8", errors="replace")
     if not isinstance(text, str):
         raise ParseError("no_actions", 0, f"expected text, got {type(text).__name__}")
-    if strict:
-        if not _STRICT_BODY.fullmatch(text):
-            raise ParseError("grammar", 0, "text does not match the strict output grammar")
     cleaned = _FENCE.sub("", text)
     found = _CANONICAL_BRACKET.findall(cleaned)
     rows = None
     if len(found) == cleaned.count("["):  # every `[` opens a canonical bracket
         rows = np.array([f for f in found if f[0]], dtype=np.int64).reshape(-1, 7)
-        if not (rows < _ROW_LIMITS).all():
+        if not (rows < _ROW_BINS).all():
             rows = None
     if rows is None:
-        rows = np.array(_rows_by_bracket(cleaned, strict), dtype=np.int64).reshape(-1, 7)
+        rows = np.array(_rows_by_bracket(cleaned), dtype=np.int64).reshape(-1, 7)
     if not len(rows):
         raise ParseError("no_actions", 0, "no action brackets found")
     rows.flags.writeable = False
     return rows
 
 
-def parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteAction]:
+def parse_response(text: str | bytes) -> list[DiscreteAction]:
     """parse_bins at the API edge: the same rows as DiscreteActions, and
     the same ParseError for a reply that does not parse."""
-    return [
-        DiscreteAction(DiscretePose(*row[:6]), row[6]) for row in parse_bins(text, strict).tolist()
-    ]
+    return [DiscreteAction(DiscretePose(*row[:6]), row[6]) for row in parse_bins(text).tolist()]
 
 
 class PromptDemo(NamedTuple):

@@ -10,6 +10,7 @@ from enum import Enum
 
 import pytest
 
+import iclmanip.cli as cli
 import iclmanip.harness as harness
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
@@ -375,6 +376,70 @@ def test_remote_failure_exits_with_message(monkeypatch, error):
             ]
         )
     assert err.value.code == str(error)
+
+
+def test_invalid_credential_stays_out_of_the_exit_text(monkeypatch, capsys):
+    # A credential with a line break is no valid header value; requests
+    # rejects it before connecting, quoting the header it was given.
+    monkeypatch.setenv("ICLMANIP_TEST_KEY", "sk-secret\n")
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "eval",
+                "--task", "push_button",
+                "--n-demos", "2",
+                "--n-eval", "2",
+                "--provider", "remote",
+                "--endpoint", "http://127.0.0.1:9",
+                "--credential-env", "ICLMANIP_TEST_KEY",
+            ]
+        )
+    assert isinstance(err.value.code, str) and "\n" not in err.value.code
+    assert "not a valid header value" in err.value.code
+    out, errs = capsys.readouterr()
+    assert "sk-secret" not in err.value.code + out + errs
+
+
+def _count_run_eval(monkeypatch, fail: bool = False) -> list:
+    """Record each run_eval call, through the CLI and through sweep; with
+    fail, each call raises instead of running."""
+    calls = []
+    real = harness.run_eval
+
+    def counting(config, arm="eval"):
+        calls.append(arm)
+        if fail:
+            raise ValueError("run failed")
+        return real(config, arm)
+
+    monkeypatch.setattr(harness, "run_eval", counting)
+    monkeypatch.setattr(cli, "run_eval", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate loop"])
+def test_bad_csv_path_exits_before_any_episode_runs(tmp_path, monkeypatch, command):
+    calls = _count_run_eval(monkeypatch)
+    path = tmp_path / "missing" / "r.csv"
+    with pytest.raises(OSError) as late:  # what writing the CSV after the run raised
+        path.open("w")
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
+    assert err.value.code == str(late.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate loop"])
+@pytest.mark.parametrize("existing", [b"task,seed\nold,1\n", None])
+def test_failed_run_leaves_the_csv_as_it_was(tmp_path, monkeypatch, command, existing):
+    calls = _count_run_eval(monkeypatch, fail=True)
+    path = tmp_path / "r.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
+    assert err.value.code == "run failed" and len(calls) == 1
+    assert (path.read_bytes() if path.exists() else None) == existing
 
 
 # sha256 of the bytes each command writes with --out, captured before

@@ -7,6 +7,7 @@ import pytest
 
 from iclmanip.discretize import (
     ROTATION_BINS,
+    ROW_COLUMNS,
     TRANSLATION_BINS,
     DiscreteAction,
     DiscretePose,
@@ -112,6 +113,31 @@ def test_discrete_pose_validation():
         DiscretePose(0.5, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         DiscretePose(True, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
+def test_row_table_matches_the_scalar_functions(bounds):
+    # dediscretize_pose reads center_table: every bin index of every pose
+    # column must give exactly the scalar function's center.
+    for i in range(TRANSLATION_BINS):
+        back = dediscretize_pose(DiscretePose(i, i, i, 0, 0, 0), bounds)
+        assert [back.x, back.y, back.z] == [dediscretize_translation(i, lo, hi) for lo, hi in bounds.limits]
+    for i in range(ROTATION_BINS):
+        back = dediscretize_pose(DiscretePose(0, 0, 0, i, i, i), bounds)
+        assert [back.roll, back.pitch, back.yaw] == [dediscretize_rotation(i)] * 3
+    # Each column of ROW_COLUMNS takes its last bin and rejects one past it.
+    assert [name for name, _ in ROW_COLUMNS] == ["tx", "ty", "tz", "rr", "rp", "ry", "g"]
+    for k, (name, bins) in enumerate(ROW_COLUMNS[:6]):
+        row = [0] * 6
+        row[k] = bins - 1
+        assert getattr(DiscretePose(*row), name) == bins - 1
+        row[k] = bins
+        with pytest.raises(ValueError, match=rf"^DiscretePose\.{name} must be an int in \[0, {bins}\), got {bins}$"):
+            DiscretePose(*row)
+    _, gripper_bins = ROW_COLUMNS[6]
+    assert DiscreteAction(DiscretePose(0, 0, 0, 0, 0, 0), gripper_bins - 1).gripper == 1
+    with pytest.raises(ValueError, match=r"^DiscreteAction\.gripper must be 0 or 1, got 2$"):
+        DiscreteAction(DiscretePose(0, 0, 0, 0, 0, 0), gripper_bins)
 
 
 def test_discrete_action_round_trip():

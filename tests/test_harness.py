@@ -40,6 +40,7 @@ from iclmanip.harness import (
     run_eval,
     sweep,
 )
+from iclmanip.discretize import center_table
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
 from iclmanip.sim import TaskId, WorldState, reset, task_spec
@@ -224,7 +225,7 @@ def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
 
 
 def _assert_centers_inside(bounds):
-    columns = harness._center_lists(bounds)
+    columns = center_table(bounds)
     assert [len(c) for c in columns] == [100, 100, 100, 72, 72, 72]
     for axis, (lo, hi), centers in zip("xyz", bounds.limits, columns):
         outside = [c for c in centers if not lo <= c <= hi]

@@ -234,7 +234,7 @@ def _nested(draw):
 @st.composite
 def edge_replies(draw):
     if draw(st.integers(0, 3)) == 0:
-        # Bodies in the exact output grammar, so strict mode gets past its grammar check.
+        # Bodies in the exact output grammar, as the prompt's examples write them.
         brackets = draw(st.lists(_canonical_bracket(), min_size=1, max_size=6))
         return "{" + ", ".join(brackets) + "}"
     pieces = draw(
@@ -257,28 +257,28 @@ def edge_replies(draw):
     return body
 
 
-def _outcome(parse, text, strict):
+def _outcome(parse, text):
     try:
-        return [tuple(row) for row in parse(text, strict)]
+        return [tuple(row) for row in parse(text)]
     except ParseError as exc:
         return (exc.kind, exc.position, str(exc))
 
 
-def _oracle_rows(text, strict):
-    return [a.as_tuple() for a in oracle_parse_response(text, strict)]
+def _oracle_rows(text):
+    return [a.as_tuple() for a in oracle_parse_response(text)]
 
 
-def _new_rows(text, strict):
-    rows = parse_bins(text, strict)
+def _new_rows(text):
+    rows = parse_bins(text)
     assert rows.dtype == np.int64 and rows.shape == (len(rows), 7)
     assert not rows.flags.writeable
     return rows.tolist()
 
 
 @settings(deadline=None, derandomize=True)
-@given(edge_replies(), st.booleans())
-def test_parse_bins_matches_per_bracket_oracle(text, strict):
-    expected = _outcome(_oracle_rows, text, strict)
-    assert _outcome(_new_rows, text, strict) == expected
-    api = _outcome(lambda t, s: [a.as_tuple() for a in parse_response(t, s)], text, strict)
+@given(edge_replies())
+def test_parse_bins_matches_per_bracket_oracle(text):
+    expected = _outcome(_oracle_rows, text)
+    assert _outcome(_new_rows, text) == expected
+    api = _outcome(lambda t: [a.as_tuple() for a in parse_response(t)], text)
     assert api == expected
