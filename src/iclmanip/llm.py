@@ -6,41 +6,25 @@ model, the mocks see only the prompt: they read the demos and the test
 input back out of the body with prompts.read_prompt, so retrieval is a
 distance computation over the bins printed in the prompt.
 
-Only the remote provider needs an HTTP client, so `requests` is imported
-inside the first remote request rather than with this module: offline
-runs load numpy and the standard library only. `llm.requests` still
-resolves (and imports it on first access) for callers that look up or
-patch `llm.requests.post`.
+The remote provider speaks HTTP through the standard library's
+urllib.request, imported inside its first request rather than with this
+module, so offline runs never load an HTTP client. Each attempt is one
+call to http_post.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Mapping
 
 from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompt
 from .sim import CHAIN_SEPARATOR
 
-DEFAULT_TIMEOUT_S = 60.0
-DEFAULT_MAX_ATTEMPTS = 3
-DEFAULT_BACKOFF_BASE_S = 0.5
 MAX_RETRY_AFTER_S = 60.0
-DEFAULT_REQUESTS_PER_SECOND = 1.0
-
-if TYPE_CHECKING:
-    import requests
-
-
-def __getattr__(name: str):
-    # PEP 562: `llm.requests` imports the HTTP stack on first access.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Provider(Enum):
@@ -89,7 +73,7 @@ class TokenBucket:
 
     def __init__(
         self,
-        rate_per_second: float = DEFAULT_REQUESTS_PER_SECOND,
+        rate_per_second: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -112,17 +96,39 @@ class TokenBucket:
         self._tokens = 0.0
 
 
-def _retryable(status: int) -> bool:
-    return status in (408, 429) or status >= 500
-
-
-def _retry_after_s(response: requests.Response) -> float | None:
+def _retry_after_s(headers: Mapping[str, str]) -> float | None:
     """A Retry-After delay in whole seconds, capped at MAX_RETRY_AFTER_S;
     None when the header is absent, an HTTP date, or malformed."""
-    value = response.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     if not (value.isascii() and value.isdigit()):
         return None
     return min(float(value), MAX_RETRY_AFTER_S)
+
+
+_VISIBLE_ASCII = re.compile(r"[!-~]+")  # no whitespace, no line break, nothing beyond ASCII
+
+
+@functools.lru_cache(maxsize=1)
+def _opener():
+    import urllib.request
+
+    no_redirect = urllib.request.HTTPRedirectHandler()
+    no_redirect.redirect_request = lambda *args: None  # a 3xx ends the attempt: no header follows it elsewhere
+    return urllib.request.build_opener(no_redirect)  # proxies from http_proxy, https_proxy, no_proxy
+
+
+def http_post(url: str, body: bytes, headers: dict[str, str], timeout_s: float) -> tuple[int, Mapping[str, str], bytes]:
+    """One POST attempt: the status, headers and body (empty unless 2xx) of
+    any answer. Failing to get one raises OSError or http.client.HTTPException."""
+    from urllib.error import HTTPError
+    from urllib.request import Request
+
+    try:
+        with _opener().open(Request(url, body, headers, method="POST"), timeout=timeout_s) as reply:
+            return reply.status, reply.headers, reply.read()
+    except HTTPError as exc:  # any status outside 2xx
+        exc.close()
+        return exc.code, exc.headers, b""
 
 
 def complete_remote(
@@ -132,9 +138,9 @@ def complete_remote(
     *,
     model: str = "",
     max_tokens: int = 1024,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
+    timeout_s: float = 60.0,
+    max_attempts: int = 3,
+    backoff_base_s: float = 0.5,
     rate_limiter: TokenBucket | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionResult:
@@ -143,27 +149,33 @@ def complete_remote(
     Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
     retried with exponential backoff for `max_attempts` total attempts; a
     retryable status whose Retry-After header gives delay-seconds waits that
-    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, an
-    endpoint that is no URL, or a credential that is no valid header value
-    raises TransportError after one attempt. The credential travels only in
-    the Authorization header and is never part of raised messages.
+    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, a
+    redirect too, raises TransportError after one attempt, and an endpoint
+    or credential that is not visible ASCII (the endpoint an http or https
+    URL) raises it before connecting. The credential is sent only as the
+    Authorization header, as given, and never appears in a raised message.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    import requests
-    from requests.exceptions import InvalidHeader, InvalidSchema, InvalidURL, MissingSchema
+    import json
+    from http.client import HTTPException
+    from urllib.error import URLError
+    from urllib.parse import urlsplit
 
     url = endpoint.rstrip("/") + "/v1/chat/completions"
-    payload = {
-        "model": model,
-        "messages": [
-            {"role": "system", "content": bundle.system},
-            {"role": "user", "content": bundle.body},
-        ],
-        "temperature": 0.0,
-        "max_tokens": max_tokens,
-    }
-    headers = {"Authorization": f"Bearer {credential}"}
+    parts = urlsplit(url)
+    try:  # reading .port raises ValueError for a port that is no number in 0-65535
+        is_url = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except ValueError:
+        is_url = False
+    if not (is_url and "@" not in parts.netloc and _VISIBLE_ASCII.fullmatch(url)):
+        raise TransportError(f"request to {url} failed: the endpoint is not an http or https URL")
+    if not _VISIBLE_ASCII.fullmatch(credential):
+        raise TransportError(f"request to {url} failed: the credential is not a valid header value")
+    messages = [{"role": "system", "content": bundle.system}, {"role": "user", "content": bundle.body}]
+    payload = {"model": model, "messages": messages, "temperature": 0.0, "max_tokens": max_tokens}
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Authorization": f"Bearer {credential}", "Content-Type": "application/json"}
     last_error: TransportError | None = None
     retry_after_s: float | None = None
     started = time.monotonic()
@@ -174,28 +186,22 @@ def complete_remote(
         if rate_limiter is not None:
             rate_limiter.acquire()
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
-        except requests.Timeout:
-            last_error = CompletionTimeout(f"request to {url} timed out after {timeout_s} s")
+            status, reply_headers, raw = http_post(url, body, headers, timeout_s)
+        except (OSError, HTTPException) as exc:  # URLError wraps a failure to connect
+            reason = exc.reason if isinstance(exc, URLError) else exc
+            if isinstance(reason, TimeoutError):
+                last_error = CompletionTimeout(f"request to {url} timed out after {timeout_s} s")
+            else:
+                last_error = TransportError(f"request to {url} failed: {reason}")
             continue
-        except (MissingSchema, InvalidSchema, InvalidURL) as exc:  # raised before connecting: no retry helps
-            raise TransportError(f"request to {url} failed: {exc}") from None
-        except InvalidHeader:  # raised before connecting, with the header in its text
-            raise TransportError(f"request to {url} failed: the credential is not a valid header value") from None
-        except requests.RequestException as exc:
-            last_error = TransportError(f"request to {url} failed: {exc}")
-            continue
-        if not 200 <= response.status_code < 300:
-            last_error = TransportError(
-                f"HTTP {response.status_code} from {url}", status=response.status_code
-            )
-            if not _retryable(response.status_code):
+        if not 200 <= status < 300:
+            last_error = TransportError(f"HTTP {status} from {url}", status=status)
+            if status not in (408, 429) and status < 500:
                 raise last_error
-            retry_after_s = _retry_after_s(response)
+            retry_after_s = _retry_after_s(reply_headers)
             continue
         try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion response from {url}: {exc}") from None
         if not isinstance(content, str):
@@ -246,13 +252,10 @@ def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], t
 
 
 def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
-    """Return the output of the nearest matching demo in the prompt.
-
-    Nearest means smallest squared distance in concatenated bin space,
-    among demos whose instruction matches the test instruction (exact
-    first, color-wildcarded template as fallback). Ties go to the lowest
-    demo index.
-    """
+    """Return the output of the demo nearest the test input: the smallest
+    squared distance in concatenated bin space among demos whose instruction
+    matches the test instruction (exact first, color-wildcarded template as
+    fallback), ties going to the lowest demo index."""
     demos, test_bins, test_instruction = read_prompt(bundle.body)
     text = _nearest_output(demos, test_bins, test_instruction)
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_NEAREST)
@@ -260,12 +263,8 @@ def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
 
 def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     """Split the test instruction into its chained steps (sim.CHAIN_SEPARATOR),
-    retrieve per segment, concatenate.
-
-    Each segment is answered by nearest-neighbor retrieval as in
-    complete_mock_nearest; the action rows of the answers are joined into
-    a single response in the output grammar.
-    """
+    answer each segment by retrieval as complete_mock_nearest does, and join
+    the answers' action rows into a single response in the output grammar."""
     demos, test_bins, test_instruction = read_prompt(bundle.body)
     rows = []
     for segment in test_instruction.split(CHAIN_SEPARATOR):

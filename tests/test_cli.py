@@ -379,8 +379,8 @@ def test_remote_failure_exits_with_message(monkeypatch, error):
 
 
 def test_invalid_credential_stays_out_of_the_exit_text(monkeypatch, capsys):
-    # A credential with a line break is no valid header value; requests
-    # rejects it before connecting, quoting the header it was given.
+    # A credential with a line break is no valid header value; the remote
+    # provider rejects it before connecting, without quoting it.
     monkeypatch.setenv("ICLMANIP_TEST_KEY", "sk-secret\n")
     with pytest.raises(SystemExit) as err:
         main(

@@ -5,6 +5,7 @@ that offline use never imports the HTTP stack.
 """
 
 import dataclasses
+import http.client
 import json
 import os
 import subprocess
@@ -12,11 +13,13 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import URLError
 
 import numpy as np
 import pytest
 
 import iclmanip
+from iclmanip import llm
 from iclmanip.harness import LoopMode, RunConfig, eval_prompts
 from iclmanip.llm import (
     CompletionTimeout,
@@ -81,6 +84,8 @@ def _make_server(script):
                 # The client hung up first (a timeout test closes its socket
                 # before the delayed reply); any other error still prints.
                 pass
+
+        do_GET = do_POST  # logs a followed redirect, which arrives as GET
 
         def log_message(self, *args):
             pass
@@ -267,36 +272,40 @@ def test_remote_errors_never_leak_the_credential():
 
 
 def _count_posts(monkeypatch) -> list:
-    """The URL of every requests.post call, each passed on to the real one."""
-    import requests
-
+    """The URL of every llm.http_post call (one per attempt), each passed on
+    to the real one."""
     posts = []
-    real_post = requests.post
+    real_post = llm.http_post
 
-    def counting_post(url, **kwargs):
+    def counting_post(url, *args):
         posts.append(url)
-        return real_post(url, **kwargs)
+        return real_post(url, *args)
 
-    monkeypatch.setattr(requests, "post", counting_post)
+    monkeypatch.setattr(llm, "http_post", counting_post)
     return posts
 
 
-@pytest.mark.parametrize("endpoint", ["", "localhost:1"])
+@pytest.mark.parametrize(
+    "endpoint", ["", "localhost:1", "ftp://127.0.0.1:9", "http://127.0.0.1:x", "http://u:p@127.0.0.1:9", "http://h/a b"]
+)
 def test_remote_endpoint_that_is_no_url_fails_after_one_attempt(monkeypatch, endpoint):
+    # Checked once before the first attempt, so no request is made at all.
     posts, sleeps = _count_posts(monkeypatch), []
     with pytest.raises(TransportError) as err:
         complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=1, sleep=sleeps.append)
     assert type(err.value) is TransportError and err.value.status is None
-    assert len(posts) == 1
+    assert posts == []
     assert sleeps == []
     assert CREDENTIAL not in str(err.value)
 
 
-@pytest.mark.parametrize("credential, served", [("sk-secret\n", 0), (" sk-secret", 1)])
+@pytest.mark.parametrize(
+    "credential, served", [("sk-secret\n", 0), (" sk-secret", 0), ("sk-secret ", 0), ("sk-\u20acx", 0)]
+)
 def test_remote_bad_credential_fails_after_one_attempt_without_echoing_it(monkeypatch, credential, served):
-    # "sk-secret\n" is no valid header value: requests raises InvalidHeader,
-    # whose text quotes the header, before it connects. " sk-secret" makes a
-    # valid header, which the server refuses with 401.
+    # A credential that is not visible ASCII is refused before any request:
+    # a line break or a non-latin-1 character could not be sent at all, and
+    # a space would be sent as part of the Bearer value.
     script = _Script([(401, "bad credential")])
     server, endpoint = _make_server(script)
     posts, sleeps = _count_posts(monkeypatch), []
@@ -305,10 +314,70 @@ def test_remote_bad_credential_fails_after_one_attempt_without_echoing_it(monkey
             complete_remote(BUNDLE, endpoint, credential, timeout_s=5, sleep=sleeps.append)
     finally:
         _stop(server)
-    assert len(posts) == 1
+    assert posts == []
     assert len(script.requests) == served
     assert sleeps == []
-    assert "sk-secret" not in str(err.value) and "sk-secret" not in repr(err.value)
+    assert "not a valid header value" in str(err.value)
+    assert credential.strip() not in str(err.value) and credential.strip() not in repr(err.value)
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_remote_redirect_fails_after_one_request_without_following(status):
+    elsewhere = _Script([(200, _ok_body())])
+    other, other_endpoint = _make_server(elsewhere)
+    script = _Script([(status, "moved", {"Location": other_endpoint + "/v1/chat/completions"})])
+    server, endpoint = _make_server(script)
+    sleeps = []
+    try:
+        with pytest.raises(TransportError) as err:
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+    finally:
+        _stop(server)
+        _stop(other)
+    assert str(err.value) == f"HTTP {status} from {endpoint}/v1/chat/completions"
+    assert err.value.status == status
+    assert len(script.requests) == 1 and elsewhere.requests == []
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "error, kind",
+    [
+        (URLError(TimeoutError("timed out")), CompletionTimeout),  # connect timeout
+        (TimeoutError("timed out"), CompletionTimeout),  # read timeout
+        (URLError(ConnectionRefusedError(111, "Connection refused")), TransportError),
+        (ConnectionResetError(104, "Connection reset by peer"), TransportError),
+        (http.client.IncompleteRead(b"{"), TransportError),
+        (http.client.BadStatusLine("garbage"), TransportError),
+    ],
+)
+def test_remote_retries_failures_to_get_an_answer(monkeypatch, error, kind):
+    attempts, sleeps = [], []
+
+    def failing_post(url, body, headers, timeout_s):
+        attempts.append(url)
+        raise error
+
+    monkeypatch.setattr(llm, "http_post", failing_post)
+    with pytest.raises(TransportError) as err:
+        complete_remote(BUNDLE, "http://127.0.0.1:9", CREDENTIAL, timeout_s=1, sleep=sleeps.append)
+    assert type(err.value) is kind and err.value.status is None
+    assert len(attempts) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_remote_sends_the_bearer_credential_whatever_netrc_says(monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password hunter2\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    script = _Script([(200, _ok_body())])
+    server, endpoint = _make_server(script)
+    try:
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
+    finally:
+        _stop(server)
+    assert [seen["auth"] for seen in script.requests] == [f"Bearer {CREDENTIAL}"]
 
 
 def test_token_bucket_spacing_with_fake_clock():
@@ -527,7 +596,9 @@ def test_mock_empty_pool():
 # -- import hygiene -----------------------------------------------------------
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(iclmanip.__file__)))
-_HTTP_MODULES = 'print("http:", sorted(m for m in ("requests", "urllib3") if m in sys.modules))'
+_HTTP_MODULES = (
+    'print("http:", sorted(m for m in ("http.client", "requests", "urllib.request", "urllib3") if m in sys.modules))'
+)
 
 
 def _loaded_http_modules(code, cwd):
@@ -558,10 +629,21 @@ main(["build-prompt", "--task", "push_button", "--n-demos", "2", "--out", "bundl
     assert _loaded_http_modules(code, tmp_path) == ["[]"] * 3
 
 
-def test_requests_attribute_imports_on_first_access(tmp_path):
+def test_remote_completion_needs_no_third_party_http_stack(tmp_path):
+    script = _Script([(200, _ok_body("ok"))])
+    server, endpoint = _make_server(script)
     code = f"""import sys
-import iclmanip.llm as llm
-assert "requests" not in sys.modules
-assert llm.requests.post is sys.modules["requests"].post
+from iclmanip.llm import complete_remote
+from iclmanip.prompts import PromptBundle
+{_HTTP_MODULES}
+sys.modules["requests"] = None  # importing requests now raises ImportError
+result = complete_remote(PromptBundle(system="sys", body="body > "), {endpoint!r}, {CREDENTIAL!r}, timeout_s=5)
+assert result.text == "ok", result
+del sys.modules["requests"]
 {_HTTP_MODULES}"""
-    assert _loaded_http_modules(code, tmp_path) == ["['requests', 'urllib3']"]
+    try:
+        loaded = _loaded_http_modules(code, tmp_path)
+    finally:
+        _stop(server)
+    assert loaded == ["[]", "['http.client', 'urllib.request']"]
+    assert len(script.requests) == 1
