@@ -40,7 +40,6 @@ from .model import (
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
-    load_episodes,
     save_episodes,
 )
 from .prompts import (

@@ -17,8 +17,9 @@ beyond the simulator's reach among them), bounds the simulator cannot
 place objects in, plan a demo in or replay a demo in, a
 mock oracle that cannot answer, a remote transport or protocol failure, or
 an output file that cannot be written, raised while a command runs, exits
-with a one-line message instead of a traceback; a bad --csv path, before
-the first episode runs.
+with a one-line message instead of a traceback; a bad --csv or --out path,
+and (for ablate) a clashing arm label or a value flag for a sweep that is
+not named, before any work starts.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .harness import (
     emit_csv,
     eval_prompts,
     run_eval,
-    sweep,
+    sweep_arms,
 )
 from .llm import OracleError, ProtocolError, TransportError
-from .model import PersistenceError, save_episodes
+from .model import save_episodes
 from .sim import ExecutionError, ExpertError, PlacementError
 
 
@@ -95,6 +96,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=field.name, **spec)
 
 
+# A sweep's value flag, stored to <sweep>_values: sweep -> (flag, type, help).
+# Omitted, SWEEPS defaults apply.
+_SWEEP_VALUE_FLAGS = {
+    "sampling": ("--intervals", int, "uniform sampling intervals"),
+    "shots": ("--shots", int, "demo counts for the shots sweep"),
+    "noise": ("--scales", float, "noise scales k"),
+}
+
+
 def _check_writable(path: str) -> None:
     """Raise now the OSError writing path would raise; an existing file keeps its bytes."""
     existed = Path(path).exists()
@@ -138,12 +148,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    names = dict.fromkeys(args.sweep)
+    for name, (flag, _, _) in _SWEEP_VALUE_FLAGS.items():
+        if getattr(args, f"{name}_values") is not None and name not in names:
+            raise SystemExit(f"{flag} sets the arms of sweep {name}, which is not named")
     config = _build_run_config(args)
-    reports = [
-        report
-        for name in dict.fromkeys(args.sweep)
-        for report in sweep(config, name, getattr(args, f"{name}_values", None))
-    ]
+    # Every arm of every sweep is built, and its label checked, before the first runs.
+    arms = [arm for name in names for arm in sweep_arms(config, name, getattr(args, f"{name}_values", None))]
+    reports = [run_eval(cfg, arm=label) for cfg, label in arms]
     if args.csv:
         emit_csv(reports, args.csv)
     for report in reports:
@@ -176,19 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run ablation sweeps")
     p.add_argument("sweep", nargs="+", choices=tuple(SWEEPS), help="sweep names, run in order")
     _add_config_flags(p)
-    # A sweep's value flag stores to <sweep>_values; omitted, SWEEPS defaults apply.
-    p.add_argument(
-        "--intervals", dest="sampling_values", metavar="INTERVALS", type=int, nargs="+",
-        help="uniform sampling intervals",
-    )
-    p.add_argument(
-        "--shots", dest="shots_values", metavar="SHOTS", type=int, nargs="+",
-        help="demo counts for the shots sweep",
-    )
-    p.add_argument(
-        "--scales", dest="noise_values", metavar="SCALES", type=float, nargs="+",
-        help="noise scales k",
-    )
+    for name, (flag, kind, text) in _SWEEP_VALUE_FLAGS.items():
+        p.add_argument(flag, dest=f"{name}_values", metavar=flag[2:].upper(), type=kind, nargs="+", help=text)
     p.add_argument("--csv", help="write per-episode rows to this CSV file")
     p.set_defaults(func=_cmd_ablate)
     return parser
@@ -197,11 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "csv", None):
-            _check_writable(args.csv)
+        out = getattr(args, "csv", None) or getattr(args, "out", None)  # a command has one of the two
+        if out:
+            _check_writable(out)
         return args.func(args)
     except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError,
-            OSError, PersistenceError) as exc:
+            OSError) as exc:
         # bad config values, unusable delta or bounds, unset credential, remote failure, unwritable output
         raise SystemExit(str(exc))
     except OracleError as exc:

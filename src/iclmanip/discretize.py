@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angles
+from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angle, wrap_angles
 
 TRANSLATION_BINS = 100
 ROTATION_BINS = 72
@@ -73,11 +73,12 @@ class DiscreteAction:
 
 
 def discretize_translation(value: float, axis_min: float, axis_max: float) -> int:
-    """Bin = floor of the normalized position scaled to 100, clamped to [0, 99]."""
+    """Bin = floor of the normalized position scaled to 100, clamped to [0, 99].
+    Clamping first sends raw = +-inf to an edge bin, as pose_bins does."""
     if not axis_min < axis_max:
         raise ValueError(f"axis_min {axis_min} must be < axis_max {axis_max}")
     raw = (value - axis_min) / (axis_max - axis_min) * TRANSLATION_BINS
-    return min(max(int(math.floor(raw)), 0), TRANSLATION_BINS - 1)
+    return int(min(max(raw, 0.0), TRANSLATION_BINS - 1))
 
 
 def dediscretize_translation(bin_index: int, axis_min: float, axis_max: float) -> float:
@@ -90,10 +91,7 @@ def dediscretize_translation(bin_index: int, axis_min: float, axis_max: float) -
 
 def discretize_rotation(angle_rad: float) -> int:
     """Normalize to [0, 360) degrees and take the 5-degree bin."""
-    wrapped = angle_rad % (2.0 * math.pi)
-    if wrapped >= 2.0 * math.pi:
-        wrapped = 0.0
-    deg = math.degrees(wrapped)
+    deg = math.degrees(wrap_angle(angle_rad))
     return min(int(math.floor(deg / DEGREES_PER_BIN)), ROTATION_BINS - 1)
 
 

@@ -532,10 +532,10 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
 }
 
 
-def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
-    """Run the arms of SWEEPS[name] in order; values replace its defaults.
-    The arms keep config's base (task, seed, bounds), so they share one
-    plan store with each other and with further calls on that base.
+def sweep_arms(config: RunConfig, name: str, values: Sequence | None = None) -> list[tuple[RunConfig, str]]:
+    """The (config, label) arms of SWEEPS[name] in order; values replace its
+    defaults. The arms keep config's base (task, seed, bounds), so they share
+    one plan store with each other and with further calls on that base.
     Values that give two arms one label raise ValueError."""
     lead, defaults, arm = SWEEPS[name]
     arms = [make(config) for make in lead]
@@ -543,7 +543,12 @@ def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[
     for i, (_, label) in enumerate(arms):
         if any(label == other for _, other in arms[:i]):
             raise ValueError(f"sweep {name} has two arms labelled {label}")
-    return [run_eval(cfg, arm=label) for cfg, label in arms]
+    return arms
+
+
+def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[EvalReport]:
+    """Run the arms of sweep_arms(config, name, values) in order."""
+    return [run_eval(cfg, arm=label) for cfg, label in sweep_arms(config, name, values)]
 
 
 def ablate_sampling(

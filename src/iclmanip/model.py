@@ -1,12 +1,12 @@
-"""Domain types shared across the toolkit, plus episode persistence.
+"""Domain types shared across the toolkit, plus the episode writer.
 
 Poses and actions are small frozen per-frame values. An Episode holds
 its dense trajectory as read-only numpy arrays instead (T x 6 poses,
 T gripper bits, T x 7 joint velocities) and builds Actions only when
 asked for them.
 
-Episodes are stored as line-delimited JSON, one episode per line, with
-full float round-trip precision.
+save_episodes writes episodes as line-delimited JSON, one episode per
+line, with full float round-trip precision, for other tools to read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -107,12 +107,6 @@ class Pose6:
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.z, self.roll, self.pitch, self.yaw]
-
-    @staticmethod
-    def from_list(values: Sequence[float]) -> "Pose6":
-        if len(values) != 6:
-            raise ValueError(f"Pose6 list length {len(values)} != 6")
-        return Pose6(*values)
 
 
 @dataclass(frozen=True)
@@ -277,10 +271,6 @@ class WorkspaceBounds:
         return ((self.x_min, self.x_max), (self.y_min, self.y_max), (self.z_min, self.z_max))
 
 
-class PersistenceError(Exception):
-    """Raised when an episode file cannot be written or read."""
-
-
 def _episode_to_json(ep: Episode) -> dict:
     return {
         "instruction": ep.instruction,
@@ -293,66 +283,10 @@ def _episode_to_json(ep: Episode) -> dict:
     }
 
 
-def _require(data: dict, key: str, kind: type, where: str):
-    if key not in data:
-        raise ValueError(f"{where} missing field {key!r}")
-    value = data[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _episode_from_json(data: dict) -> Episode:
-    if not isinstance(data, dict):
-        raise ValueError(f"episode record must be an object, got {type(data).__name__}")
-    instruction = _require(data, "instruction", str, "episode")
-    objects = []
-    for item in _require(data, "objects", list, "episode"):
-        name = _require(item, "name", str, "object")
-        pose = _require(item, "pose", list, "object")
-        objects.append(ObjectObservation(name, Pose6.from_list(pose)))
-    velocities = _require(data, "velocities", list, "episode")
-    poses, bits = [], []
-    for item in _require(data, "actions", list, "episode"):
-        pose = _require(item, "pose", list, "action")
-        bit = item.get("gripper")
-        if bit not in (0, 1):
-            raise ValueError(f"action.gripper must be 0 or 1, got {bit!r}")
-        poses.append(Pose6.from_list(pose).as_list())
-        bits.append(bit)
-    return Episode(instruction, objects, poses, bits, velocities)
-
-
 def save_episodes(episodes: Iterable[Episode], path: str | Path) -> None:
     """Write episodes as line-delimited JSON, one episode per line."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for ep in episodes:
-                handle.write(json.dumps(_episode_to_json(ep), allow_nan=False))
-                handle.write("\n")
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
-
-
-def load_episodes(path: str | Path) -> list[Episode]:
-    """Read episodes back; errors name the offending line and field."""
-    path = Path(path)
-    episodes: list[Episode] = []
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise PersistenceError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-                try:
-                    episodes.append(_episode_from_json(data))
-                except (ValueError, TypeError) as exc:
-                    raise PersistenceError(f"{path}:{line_no}: {exc}") from exc
-    except OSError as exc:
-        raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    return episodes
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for ep in episodes:
+            handle.write(json.dumps(_episode_to_json(ep), allow_nan=False))
+            handle.write("\n")
 

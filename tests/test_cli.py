@@ -14,7 +14,6 @@ import iclmanip.cli as cli
 import iclmanip.harness as harness
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
-from iclmanip.model import load_episodes
 from iclmanip.prompts import default_system_prompts
 
 
@@ -74,10 +73,10 @@ def test_generate_demos_round_trips(tmp_path):
         ]
     )
     assert rc == 0
-    episodes = load_episodes(out)
+    episodes = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(episodes) == 3
-    assert all(ep.length >= 60 for ep in episodes)
-    names = {tuple(o.name for o in ep.objects) for ep in episodes}
+    assert all(len(ep["actions"]) == len(ep["velocities"]) >= 60 for ep in episodes)
+    names = {tuple(o["name"] for o in ep["objects"]) for ep in episodes}
     assert names == {("blue cube", "yellow cube")}
 
 
@@ -91,8 +90,8 @@ def test_generate_demos_for_multi_button_uses_single_button_demos(tmp_path):
             "--out", str(out),
         ]
     )
-    episodes = load_episodes(out)
-    assert all(", then " not in ep.instruction for ep in episodes)
+    episodes = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(episodes) == 2 and all(", then " not in ep["instruction"] for ep in episodes)
 
 
 def test_build_prompt_bundle_shape(tmp_path, capsys):
@@ -144,14 +143,39 @@ def test_ablate_shots_respects_flag(capsys):
     [
         (["shots", "--shots", "2", "2"], "sweep shots has two arms labelled shots-2"),
         (["noise", "--scales", "1.0", "1.0000001"], "sweep noise has two arms labelled noise-1"),
+        (["shots", "noise", "--scales", "1", "1.0000001"], "sweep noise has two arms labelled noise-1"),
     ],
 )
-def test_ablate_values_sharing_a_label_exit_before_any_arm_runs(tmp_path, capsys, flags, message):
+def test_ablate_values_sharing_a_label_exit_before_any_arm_runs(tmp_path, monkeypatch, capsys, flags, message):
+    calls = _count_run_eval(monkeypatch)
     csv = tmp_path / "rows.csv"
     with pytest.raises(SystemExit) as err:
         main(["ablate", *flags, "--task", "push_button", "--n-eval", "2", "--csv", str(csv)])
     assert err.value.code == message
-    assert capsys.readouterr().out == "" and not csv.exists()
+    assert calls == [] and capsys.readouterr().out == "" and not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, flag, name",
+    [
+        (["shots", "--intervals", "5"], "--intervals", "sampling"),
+        (["shots", "--scales", "3"], "--scales", "noise"),
+        (["sampling", "loop", "--shots", "1"], "--shots", "shots"),
+    ],
+)
+def test_ablate_value_flag_for_a_sweep_not_named_exits_before_any_arm_runs(monkeypatch, capsys, flags, flag, name):
+    calls = _count_run_eval(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", *flags, "--task", "push_button", "--n-eval", "2"])
+    assert err.value.code == f"{flag} sets the arms of sweep {name}, which is not named"
+    assert calls == [] and capsys.readouterr().out == ""
+
+
+def test_eval_with_noise_beyond_any_bin_exits_0(capsys):
+    # Noise this large puts observed poses near +-5e307 m, whose raw bin
+    # position is +-inf; they land in the edge bins.
+    assert main(["eval", "--task", "stack_cube", "--n-demos", "2", "--n-eval", "2", "--noise-k", "5e307"]) == 0
+    assert "n=2" in capsys.readouterr().out
 
 
 def test_noise_flag_parses(capsys):

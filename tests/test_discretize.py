@@ -1,6 +1,7 @@
 """Discretization: hand-computed scalar oracles, clamping, round trips."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -170,13 +171,15 @@ def _pose_rows(bounds):
     for b in range(ROTATION_BINS + 1):
         a = math.radians(b * 5.0)  # rotation bin edges
         rows.append(np.concatenate((lo, [a, math.nextafter(a, 0.0), math.nextafter(a, 7.0)])))
-    for t in (lo - 7.0, hi + 7.0, lo - 1e300, hi + 1e300):  # clamped to the edge bins
+    # Clamped to the edge bins; the last two bin to raw = -inf and +inf.
+    for t in (lo - 7.0, hi + 7.0, lo - 1e300, hi + 1e300, lo - sys.float_info.max, hi + sys.float_info.max):
         rows.append(np.concatenate((t, [-0.0, -1e-300, 2 * math.pi])))
     rows.append(np.array([0.0, 0.0, 0.0, -math.pi / 2, -2 * math.pi, -1e-17]))
     return np.array(rows)
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the rows that bin to +-inf
 def test_pose_bins_equal_discretize_pose(bounds):
     rows = _pose_rows(bounds)
     bins = pose_bins(rows, bounds)
