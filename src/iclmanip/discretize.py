@@ -120,7 +120,8 @@ def pose_bins(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
     equal discretize_pose on each row, bit for bit."""
     poses = np.asarray(poses, dtype=np.float64)
     lo, hi = np.array(bounds.limits).T
-    raw = (poses[:, :3] - lo) / (hi - lo) * TRANSLATION_BINS
+    with np.errstate(over="ignore"):  # a position beyond float range is +-inf: an edge bin
+        raw = (poses[:, :3] - lo) / (hi - lo) * TRANSLATION_BINS
     out = np.empty(poses.shape, dtype=np.int64)
     out[:, :3] = np.clip(np.floor(raw), 0, TRANSLATION_BINS - 1)
     degrees = wrap_angles(poses[:, 3:]) * (180.0 / math.pi)  # math.degrees

@@ -161,8 +161,8 @@ def _checked_array(value, name: str, columns: int | None) -> np.ndarray:
         array = array.reshape(0, columns)
     if array.ndim != ndim or (columns is not None and array.shape[1] != columns):
         raise ValueError(f"Episode.{name} must have shape {shape}, got {array.shape}")
-    bad = np.flatnonzero(~np.isfinite(array.reshape(len(array), -1)).all(axis=1))
-    if bad.size:
+    if not np.isfinite(array).all():  # only then locate the first bad row
+        bad = np.flatnonzero(~np.isfinite(array.reshape(len(array), -1)).all(axis=1))
         raise ValueError(f"Episode.{name}[{bad[0]}] must be finite, got {array[bad[0]].tolist()!r}")
     return array
 

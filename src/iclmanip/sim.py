@@ -246,16 +246,17 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
     spec = _SPECS[task]
     rng = np.random.default_rng([spec.group, seed])
     lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
-    # One call per attempt: numpy fills the values in order with the same
-    # kernel as one scalar call each, so the draws are those of scalar calls.
-    low, high = (lo_x, lo_y, 0.0, 0.0), (hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)
+    # low + span * rng.random(n) is rng.uniform(low, high)'s arithmetic on the
+    # same draws in fill order, without uniform's per-call argument handling.
+    low = np.array((lo_x, lo_y, 0.0, 0.0))
+    span = np.array((hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)) - low
     for _ in range(MAX_RESET_DRAWS):
         if task is TaskId.DESTACK_CUBE:
-            x, y, yaw_bottom, yaw_top = rng.uniform(low, high).tolist()
+            x, y, yaw_bottom, yaw_top = (low + span * rng.random(4)).tolist()
             placements = [(x, y, yaw_bottom), (x, y, yaw_top)]
             separated = True
         else:
-            placements = rng.uniform(low[:3], high[:3], size=(len(spec.roster), 3)).tolist()
+            placements = (low[:3] + span[:3] * rng.random((len(spec.roster), 3))).tolist()
             separated = all(
                 math.hypot(a[0] - b[0], a[1] - b[1]) >= MIN_SEPARATION_M
                 for i, a in enumerate(placements)
@@ -450,11 +451,12 @@ def synth_joint_velocities(poses: np.ndarray) -> np.ndarray:
     Each of the seven components is speed/sqrt(7), so a dwell step reads
     as exactly zero and a motion step's norm equals the step length.
     """
-    steps = np.diff(poses[:, :3], axis=0).tolist()
-    # Python's float ** 2 and numpy's square differ in the last bit on some
-    # inputs; the squares stay Python's so recorded velocities do not move.
-    speeds = [0.0] + [math.sqrt(dx ** 2 + dy ** 2 + dz ** 2) for dx, dy, dz in steps]
-    components = np.array(speeds) / math.sqrt(7.0)
+    # np.square (x * x) and Python's float ** 2 (C pow) differ in the last
+    # bit on some inputs. float_power calls C pow as ** does, so the squares,
+    # summed in Python's order, are Python's and recorded velocities do not move.
+    squares = np.float_power(np.diff(poses[:, :3], axis=0), 2.0)
+    speeds = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
+    components = np.concatenate(([0.0], speeds)) / math.sqrt(7.0)
     return np.repeat(components[:, np.newaxis], 7, axis=1)
 
 

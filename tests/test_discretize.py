@@ -179,7 +179,6 @@ def _pose_rows(bounds):
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the rows that bin to +-inf
 def test_pose_bins_equal_discretize_pose(bounds):
     rows = _pose_rows(bounds)
     bins = pose_bins(rows, bounds)

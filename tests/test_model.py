@@ -161,6 +161,9 @@ def test_episode_arrays_are_validated_copies():
 
     bad_pose = np.array(ep.poses)
     bad_pose[2, 1] = math.inf
+    bad_vels = np.array(vels)
+    bad_vels[1, 6] = -math.inf
+    v = 0.5 / math.sqrt(7)
     cases = [
         ((bad_pose, bits, vels), "Episode.poses[2] must be finite"),
         ((ep.poses, [1, 2, 0], vels), "Episode.gripper_bits[1] must be 0 or 1"),
@@ -168,6 +171,8 @@ def test_episode_arrays_are_validated_copies():
         ((ep.poses, bits, vels[:2]), "Episode length mismatch"),
         ((ep.poses[:1], bits[:1], vels[:1]), "T >= 2"),
         ((ep.poses, bits, np.full((3, 7), math.nan)), "Episode.joint_velocities[0] must be finite"),
+        ((ep.poses, [1, 0, -math.inf], vels), "Episode.gripper_bits[2] must be finite, got -inf"),
+        ((ep.poses, bits, bad_vels), f"Episode.joint_velocities[1] must be finite, got {[v] * 6 + [-math.inf]!r}"),
     ]
     for arrays, message in cases:
         with pytest.raises(ValueError) as err:

@@ -121,6 +121,18 @@ RESET_ASYMMETRIC_SHA256 = {
     TaskId.SLIDE_BLOCK: "29c800dbb33c390edaa3615abcd4f90257ae33c0d8e60db1c0ffde9ae155a9ab",
 }
 
+# The same on a narrow box far off the origin, where placement draws have
+# other magnitudes than on the two boxes above: pinned while reset still
+# called rng.uniform.
+NARROW_OFF_CENTRE = WorkspaceBounds(-9.9, -9.4, 3.0, 9.0, 0.0, 0.5)
+RESET_NARROW_SHA256 = {
+    TaskId.STACK_CUBE: "8d8e85df553558cea3fd79ab022cab1703e1baa9015b09af60f794e8ab9c3d8a",
+    TaskId.DESTACK_CUBE: "2053ee02762d9e0de2d2a37088895a5ef543f64e6e3ca5fc7256723173edd3e9",
+    TaskId.PUSH_BUTTON: "787693203bfe79e7e180da852534aa849b3f383c85e268f3b82cf7733834c779",
+    TaskId.PUSH_MULTIPLE_BUTTONS: "49f8e2aa2fad19d2004c3bcbc2b98929a87ffc6176c6a6e9e79521239902b6fe",
+    TaskId.SLIDE_BLOCK: "ca2af36006672de78c8b57037f35b235e38ed0d3afd5557bd87cbc12ec4944ae",
+}
+
 
 @pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
 def test_reset_worlds_are_pinned_bit_for_bit(task):
@@ -129,12 +141,13 @@ def test_reset_worlds_are_pinned_bit_for_bit(task):
         world, instruction, variation = reset(task, seed, BOUNDS)
         lines.append(f"{seed}|{instruction}|{variation!r}|" + "|".join(_pose_hex(o) for o in world.objects))
     assert _sha256_lines(lines) == RESET_SHA256[task]
-    lines = []
-    for seed in range(200):
-        world, instruction, variation = reset(task, seed, ASYMMETRIC)
-        objects = "|".join(f"{_pose_hex(o)} on {o.supported_by}" for o in world.objects)
-        lines.append(f"{seed}|{instruction}|{variation!r}|{objects}")
-    assert _sha256_lines(lines) == RESET_ASYMMETRIC_SHA256[task]
+    for bounds, pinned in ((ASYMMETRIC, RESET_ASYMMETRIC_SHA256), (NARROW_OFF_CENTRE, RESET_NARROW_SHA256)):
+        lines = []
+        for seed in range(200):
+            world, instruction, variation = reset(task, seed, bounds)
+            objects = "|".join(f"{_pose_hex(o)} on {o.supported_by}" for o in world.objects)
+            lines.append(f"{seed}|{instruction}|{variation!r}|{objects}")
+        assert _sha256_lines(lines) == pinned[task], bounds
 
 
 def test_pose_noise_is_pinned_bit_for_bit():
@@ -659,6 +672,31 @@ def test_synth_velocities_match_per_frame_formula_bit_for_bit():
             world, instruction, _ = reset(task, seed, BOUNDS)
             poses = scripted_expert(task, world, instruction).poses
             assert synth_joint_velocities(poses).tolist() == per_frame_velocities(poses.tolist()), (task, seed)
+
+
+def test_synth_velocities_match_per_frame_formula_on_any_trajectory():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # T frames from a start row; each step's size is 10 ** e for e drawn in
+    # [lowest, lowest + width] within [-300, 3], and some frames repeat the last.
+    @hypothesis.given(
+        st.integers(2, 300),
+        st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+        st.floats(-300.0, 3.0),
+        st.floats(0.0, 303.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(T, start, lowest, width, repeat_share, seed):
+        rng = np.random.default_rng(seed)
+        exponents = rng.uniform(lowest, min(lowest + width, 3.0), size=(T - 1, 1))
+        steps = rng.uniform(-1.0, 1.0, size=(T - 1, 6)) * 10.0 ** exponents
+        steps[rng.random(T - 1) < repeat_share] = 0.0
+        poses = np.cumsum(np.vstack([start, steps]), axis=0)
+        assert synth_joint_velocities(poses).tolist() == per_frame_velocities(poses.tolist())
+
+    check()
 
 
 def test_far_apart_cubes_make_long_episodes():
