@@ -26,6 +26,7 @@ from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angle, wra
 TRANSLATION_BINS = 100
 ROTATION_BINS = 72
 DEGREES_PER_BIN = 360.0 / ROTATION_BINS  # 5 degrees
+_DEGREES_PER_RADIAN = 180.0 / math.pi  # math.degrees multiplies by this constant
 
 # The action row, in order: (column, bin count). The gripper bit is 0 or 1.
 ROW_COLUMNS = (
@@ -103,15 +104,21 @@ def dediscretize_rotation(bin_index: int) -> float:
 
 
 def pose_bin_row(pose: Pose6, bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
-    """discretize_pose as a plain tuple of six ints."""
-    b = bounds
+    """discretize_pose as a plain tuple of six ints: discretize_translation's
+    and discretize_rotation's arithmetic inline, without their checks, as
+    bounds hold min < max and a Pose6's angles are wrapped already."""
+    (x0, x1), (y0, y1), (z0, z1) = bounds.limits
+    n, k, top, last = TRANSLATION_BINS, _DEGREES_PER_RADIAN, TRANSLATION_BINS - 1, ROTATION_BINS - 1
+    tx, ty, tz = (pose.x - x0) / (x1 - x0) * n, (pose.y - y0) / (y1 - y0) * n, (pose.z - z0) / (z1 - z0) * n
+    rr, rp, ry = pose.roll * k / DEGREES_PER_BIN, pose.pitch * k / DEGREES_PER_BIN, pose.yaw * k / DEGREES_PER_BIN
+    # Clamped to the edge bins as min and max would; degrees are >= 0, so int() floors.
     return (
-        discretize_translation(pose.x, b.x_min, b.x_max),
-        discretize_translation(pose.y, b.y_min, b.y_max),
-        discretize_translation(pose.z, b.z_min, b.z_max),
-        discretize_rotation(pose.roll),
-        discretize_rotation(pose.pitch),
-        discretize_rotation(pose.yaw),
+        0 if tx < 0.0 else top if tx >= top else int(tx),
+        0 if ty < 0.0 else top if ty >= top else int(ty),
+        0 if tz < 0.0 else top if tz >= top else int(tz),
+        last if rr >= last else int(rr),
+        last if rp >= last else int(rp),
+        last if ry >= last else int(ry),
     )
 
 
@@ -124,7 +131,7 @@ def pose_bins(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
         raw = (poses[:, :3] - lo) / (hi - lo) * TRANSLATION_BINS
     out = np.empty(poses.shape, dtype=np.int64)
     out[:, :3] = np.clip(np.floor(raw), 0, TRANSLATION_BINS - 1)
-    degrees = wrap_angles(poses[:, 3:]) * (180.0 / math.pi)  # math.degrees
+    degrees = wrap_angles(poses[:, 3:]) * _DEGREES_PER_RADIAN  # math.degrees
     out[:, 3:] = np.minimum(np.floor(degrees / DEGREES_PER_BIN), ROTATION_BINS - 1)
     return out
 

@@ -23,7 +23,8 @@ and its world is not copied.
 
 The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
 int rows, and each row's centers in discretize.center_table make one Action.
-DiscreteAction and parse_response, the API-edge view, are not built here.
+The store keeps one Action per distinct row, which every reply on the base
+reuses. DiscreteAction and parse_response, the API-edge view, are not built here.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .sim import (
     replay_observations,
     reset,
     scripted_expert,
+    seed_words,
     task_spec,
 )
 
@@ -325,7 +327,7 @@ def eval_seeds(config: RunConfig) -> tuple[int, ...]:
 
 
 def _noise_seed(base: int, *tags: int) -> int:
-    return int(np.random.SeedSequence([base, *tags]).generate_state(1)[0])
+    return int(np.random.SeedSequence(seed_words(base, *tags)).generate_state(1)[0])
 
 
 def _noised(
@@ -448,17 +450,20 @@ def _score(
     config: RunConfig, plans: _Plans, seed: int, text: str, centers: tuple
 ) -> tuple[bool, int, bool, str | None]:
     """(parse_error, n_actions, success, failure) of a reply on an eval
-    seed's world: its rows' centers replayed on a copy of the pristine reset."""
+    seed's world: its rows' Actions replayed on a copy of the pristine reset."""
     try:
         rows = parse_bins(text).tolist()
     except ParseError as exc:
         return True, 0, False, exc.kind
     world, _, variation = plans.reset(config.task, seed, config.bounds)
     world = world.clone()  # execute_action mutates it
-    x, y, z, roll, pitch, yaw = centers
-    for tx, ty, tz, rr, rp, ry, bit in rows:
-        pose = Pose6(x[tx], y[ty], z[tz], roll[rr], pitch[rp], yaw[ry])
-        execute_action(world, Action(pose, GripperState.from_bit(bit)))
+    actions = plans.memo(("actions", config.bounds), dict)
+    for row in map(tuple, rows):
+        action = actions.get(row)
+        if action is None:
+            pose = Pose6(*(column[b] for column, b in zip(centers, row)))  # zip stops at the six pose columns
+            action = actions[row] = Action(pose, (GripperState.CLOSED, GripperState.OPEN)[row[6]])
+        execute_action(world, action)
     return False, len(rows), check_success(config.task, world, variation), None
 
 

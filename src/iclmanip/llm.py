@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompt
 from .sim import CHAIN_SEPARATOR
 
@@ -221,7 +223,7 @@ def instruction_template(text: str) -> str:
 
 
 # The last prompt prefix's demos (read_prompt reads one tuple per prefix), their
-# bin rows, and the candidate demos per (test instruction, test width).
+# bin rows, and per (test instruction, test width) the candidates and their rows' int array.
 _TABLE: tuple[tuple[PromptDemo, ...], list[tuple[int, ...]], dict] = ((), [], {})
 
 
@@ -231,8 +233,8 @@ def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], t
     if table[0] is not demos:
         table = _TABLE = (demos, [d.bins for d in demos], {})
     _, rows, found = table
-    candidates = found.get((test_instruction, len(test_bins)))
-    if candidates is None:
+    key = (test_instruction, len(test_bins))
+    if key not in found:
         if not demos:
             raise OracleError("demo pool is empty")
         for i, row in enumerate(rows):
@@ -246,9 +248,11 @@ def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], t
             candidates = [i for i, d in enumerate(demos) if instruction_template(d.instruction) == template]
         if not candidates:
             raise OracleError(f"no demo instruction matches {test_instruction!r}")
-        found[test_instruction, len(test_bins)] = candidates
-    best = min(candidates, key=lambda i: sum([(a - b) * (a - b) for a, b in zip(rows[i], test_bins)]))
-    return demos[best].output  # min keeps the first of equal distances: the lowest index
+        found[key] = candidates, np.array([rows[i] for i in candidates], dtype=np.int64)
+    candidates, candidate_rows = found[key]
+    offsets = candidate_rows - test_bins
+    # argmin keeps the first of equal distances: the lowest demo index
+    return demos[candidates[int((offsets * offsets).sum(axis=1).argmin())]].output
 
 
 def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:

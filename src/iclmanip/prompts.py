@@ -116,13 +116,6 @@ def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBoun
     return [ACTION_TEXT % tuple(row) for row in rows.tolist()]
 
 
-def _observation_block(observations: Sequence[ObjectObservation], bounds: WorkspaceBounds) -> str:
-    # A scene holds two to five objects: scalar binning beats numpy here.
-    return ", ".join(
-        _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)) for o in observations
-    )
-
-
 def build_example_input(
     observations: Sequence[ObjectObservation], instruction: str, bounds: WorkspaceBounds
 ) -> str:
@@ -131,7 +124,9 @@ def build_example_input(
         raise ValueError("need at least one observation")
     if not instruction:
         raise ValueError("instruction must be non-empty")
-    return "{" + _observation_block(observations, bounds) + ", " + instruction + "}"
+    # A scene holds two to five objects: scalar binning beats numpy here.
+    texts = [_OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)) for o in observations]
+    return "{" + ", ".join(texts) + ", " + instruction + "}"
 
 
 def _check_keyframes(episode: Episode, keyframes: KeyframeIndices) -> None:
@@ -176,17 +171,19 @@ def build_closed_loop_example(
     if len(observations) != len(keyframes):
         raise ValueError(f"got {len(observations)} observation blocks for {len(keyframes)} keyframes")
     roster = tuple(o.name for o in episode.objects)
+    # Per roster slot, the last pose formatted and its text: a still object keeps its pose.
+    seen: list[tuple[object, str]] = [(None, "")] * len(roster)
     blocks: list[str] = []
     for t, scene in zip(keyframes, observations):
         names = tuple(o.name for o in scene)
         if names != roster:
             raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
-        blocks.append(_observation_block(scene, bounds))
+        for i, o in enumerate(scene):
+            if o.pose is not seen[i][0]:
+                seen[i] = (o.pose, _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)))
+        blocks.append(", ".join([text for _, text in seen]))
     actions = _action_texts(episode, keyframes, bounds)
-    parts = [actions[0]]
-    for block, act in zip(blocks[1:], actions[1:]):
-        parts.append(block)
-        parts.append(act)
+    parts = [actions[0]] + [text for pair in zip(blocks[1:], actions[1:]) for text in pair]
     return IclExample(
         input="{" + blocks[0] + ", " + episode.instruction + "}",
         output="{" + ", ".join(parts) + "}",

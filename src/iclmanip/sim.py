@@ -20,10 +20,13 @@ plan is laid out with numpy as rows of the T x 6 pose and T gripper-bit
 arrays, and the T x 7 joint velocities follow from the pose steps.
 execute_action takes one per-frame Action; replay_observations replays a
 whole episode, executing only the frames that change what is observed.
+The inflated reach limits every action is checked against, and reset's
+bounds check and placement draws, are computed once per WorkspaceBounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -210,6 +213,38 @@ def _placement_region(bounds: WorkspaceBounds) -> tuple[float, float, float, flo
     return (bounds.x_min + mx, bounds.x_max - mx, bounds.y_min + my, bounds.y_max - my)
 
 
+def seed_words(*values: int) -> np.ndarray:
+    """The uint32 words numpy's seed coercion makes of a list of non-negative
+    ints: each int's words, least significant first. Seeding with them gives
+    the state the list itself gives, without numpy coercing it on every call."""
+    words = []
+    for n in values:
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=16)
+def _placement_draws(bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
+    """reset's bounds check, then low and span of its (x, y, yaw, yaw) draws:
+    low + span * rng.random(n) is rng.uniform(low, high)'s arithmetic on the
+    same draws, without uniform's per-call argument handling."""
+    for axis, (lo, hi) in zip("xyz", bounds.limits):
+        if lo < -MAX_COORDINATE_M or hi > MAX_COORDINATE_M:
+            raise ValueError(
+                f"the simulator needs bounds within [-{MAX_COORDINATE_M:g}, {MAX_COORDINATE_M:g}] m, "
+                f"got {axis} limits [{lo:g}, {hi:g}]"
+            )
+    lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
+    low = np.array((lo_x, lo_y, 0.0, 0.0))
+    span = np.array((hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)) - low
+    low.flags.writeable = span.flags.writeable = False  # every reset on the box shares them
+    return low, span
+
+
 def observations_of(world: WorldState) -> tuple[ObjectObservation, ...]:
     """Snapshot the scene as named pose observations, roster order."""
     return tuple(ObjectObservation(o.name, o.pose) for o in world.objects)
@@ -237,19 +272,9 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
     check_success are rejected and redrawn. Bounds with a limit beyond
     MAX_COORDINATE_M raise ValueError.
     """
-    for axis, (lo, hi) in zip("xyz", bounds.limits):
-        if lo < -MAX_COORDINATE_M or hi > MAX_COORDINATE_M:
-            raise ValueError(
-                f"the simulator needs bounds within [-{MAX_COORDINATE_M:g}, {MAX_COORDINATE_M:g}] m, "
-                f"got {axis} limits [{lo:g}, {hi:g}]"
-            )
+    low, span = _placement_draws(bounds)
     spec = _SPECS[task]
-    rng = np.random.default_rng([spec.group, seed])
-    lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
-    # low + span * rng.random(n) is rng.uniform(low, high)'s arithmetic on the
-    # same draws in fill order, without uniform's per-call argument handling.
-    low = np.array((lo_x, lo_y, 0.0, 0.0))
-    span = np.array((hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)) - low
+    rng = np.random.default_rng(seed_words(spec.group, seed))  # default_rng([group, seed])'s state
     for _ in range(MAX_RESET_DRAWS):
         if task is TaskId.DESTACK_CUBE:
             x, y, yaw_bottom, yaw_top = (low + span * rng.random(4)).tolist()
@@ -293,17 +318,19 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
 
 
 def _press_zone(button: SimObject, pose: Pose6) -> bool:
-    in_xy = math.hypot(pose.x - button.pose.x, pose.y - button.pose.y) <= button.size
-    return in_xy and pose.z <= PRESS_HEIGHT_M
+    return pose.z <= PRESS_HEIGHT_M and math.hypot(pose.x - button.pose.x, pose.y - button.pose.y) <= button.size
+
+
+@functools.lru_cache(maxsize=16)
+def _reach_limits(bounds: WorkspaceBounds) -> tuple[tuple[float, float], ...]:
+    """Each axis's (low, high) limit, inflated by BOUNDS_INFLATION of its span per side."""
+    return tuple((lo - BOUNDS_INFLATION * (hi - lo), hi + BOUNDS_INFLATION * (hi - lo)) for lo, hi in bounds.limits)
 
 
 def _check_reachable(bounds: WorkspaceBounds, translation: Sequence[float]) -> None:
-    for axis, v, (lo, hi) in zip("xyz", translation, bounds.limits):
-        margin = BOUNDS_INFLATION * (hi - lo)
-        if v < lo - margin or v > hi + margin:
-            raise ExecutionError(
-                f"action pose {axis}={v:.3f} outside inflated bounds [{lo - margin:.3f}, {hi + margin:.3f}]"
-            )
+    for axis, v, (lo, hi) in zip("xyz", translation, _reach_limits(bounds)):
+        if not lo <= v <= hi:
+            raise ExecutionError(f"action pose {axis}={v:.3f} outside inflated bounds [{lo:.3f}, {hi:.3f}]")
 
 
 def execute_action(world: WorldState, action: Action) -> None:
@@ -314,7 +341,9 @@ def execute_action(world: WorldState, action: Action) -> None:
     bounds inflated by 10% of each axis span per side.
     """
     pose = action.pose
-    _check_reachable(world.bounds, pose.translation())
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = _reach_limits(world.bounds)
+    if not (x_lo <= pose.x <= x_hi and y_lo <= pose.y <= y_hi and z_lo <= pose.z <= z_hi):
+        _check_reachable(world.bounds, pose.translation())  # raises, naming the first axis outside
 
     prev_pose = world.gripper_pose
     prev_grip = world.gripper
@@ -394,14 +423,11 @@ def replay_observations(
     either. `world` is mutated; its clock, press flags and press log count
     executed frames only.
     """
-    b = world.bounds
-    lo = np.array([b.x_min, b.y_min, b.z_min])
-    hi = np.array([b.x_max, b.y_max, b.z_max])
-    margin = BOUNDS_INFLATION * (hi - lo)  # as _check_reachable computes it
+    lo, hi = np.array(_reach_limits(world.bounds)).T
     xyz = episode.poses[:, :3]
-    outside = np.flatnonzero(((xyz < lo - margin) | (xyz > hi + margin)).any(axis=1))
+    outside = np.flatnonzero(((xyz < lo) | (xyz > hi)).any(axis=1))
     if outside.size:
-        _check_reachable(b, xyz[outside[0]].tolist())
+        _check_reachable(world.bounds, xyz[outside[0]].tolist())
     bits = episode.gripper_bits
     previous = np.concatenate(([world.gripper.to_bit()], bits[:-1]))
     wanted = set(frames)
@@ -611,18 +637,9 @@ def add_pose_noise(
         raise ValueError(f"noise scale k must be >= 0, got {k}")
     if k == 0:
         return tuple(observations)
-    draws = np.random.default_rng(seed).normal(0.0, 1.0, size=(len(observations), 6)).tolist()
+    draws = np.random.default_rng(seed_words(seed)).normal(0.0, 1.0, size=(len(observations), 6)).tolist()
+    sigmas = (BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_RAD,) * 3
     return tuple(
-        ObjectObservation(
-            obs.name,
-            Pose6(
-                obs.pose.x + draw[0] * k * BASE_SIGMA_TRANSLATION_M,
-                obs.pose.y + draw[1] * k * BASE_SIGMA_TRANSLATION_M,
-                obs.pose.z + draw[2] * k * BASE_SIGMA_TRANSLATION_M,
-                obs.pose.roll + draw[3] * k * BASE_SIGMA_ROTATION_RAD,
-                obs.pose.pitch + draw[4] * k * BASE_SIGMA_ROTATION_RAD,
-                obs.pose.yaw + draw[5] * k * BASE_SIGMA_ROTATION_RAD,
-            ),
-        )
+        ObjectObservation(obs.name, Pose6(*(v + d * k * s for v, d, s in zip(obs.pose.as_list(), draw, sigmas))))
         for obs, draw in zip(observations, draws)
     )

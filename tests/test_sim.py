@@ -43,6 +43,7 @@ from iclmanip.sim import (
     replay_observations,
     reset,
     scripted_expert,
+    seed_words,
     synth_joint_velocities,
     task_spec,
 )
@@ -134,6 +135,19 @@ RESET_NARROW_SHA256 = {
 }
 
 
+# The same for 50 seeds from each of 2**32 - 25, 3e10 and 2**64, which numpy
+# coerces to two or three uint32 words (perfbench draws base seeds >= 1e10):
+# pinned while reset still seeded its generator with [group, seed].
+MULTI_WORD_STARTS = (2**32 - 25, 3 * 10**10, 2**64)
+RESET_MULTI_WORD_SHA256 = {
+    TaskId.STACK_CUBE: "5483dcc4480ee396c15ad565ce13d1e864ae264cbc6441d7de98845503fc0485",
+    TaskId.DESTACK_CUBE: "c6a636700832919a0a1fb1bac2ffbdb03c54e62efbd1a512dba0799d56a9a84f",
+    TaskId.PUSH_BUTTON: "05ef828d14c7558a2478f258f8e769ad66389889a5887e4bf2ceba49f7062b42",
+    TaskId.PUSH_MULTIPLE_BUTTONS: "ea305ce32ecd46d2b0f632015514912973866b5433318dc8b67d5841718fbe08",
+    TaskId.SLIDE_BLOCK: "421ccffbed722d5de95b2a8d3cc8c96b4ee1b3c807973fb25625968b00d2d11d",
+}
+
+
 @pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
 def test_reset_worlds_are_pinned_bit_for_bit(task):
     lines = []
@@ -148,6 +162,37 @@ def test_reset_worlds_are_pinned_bit_for_bit(task):
             objects = "|".join(f"{_pose_hex(o)} on {o.supported_by}" for o in world.objects)
             lines.append(f"{seed}|{instruction}|{variation!r}|{objects}")
         assert _sha256_lines(lines) == pinned[task], bounds
+
+
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_reset_worlds_on_multi_word_seeds_are_pinned_bit_for_bit(task):
+    lines = []
+    for seed in (start + i for start in MULTI_WORD_STARTS for i in range(50)):
+        world, instruction, variation = reset(task, seed, BOUNDS)
+        objects = "|".join(f"{_pose_hex(o)} on {o.supported_by}" for o in world.objects)
+        lines.append(f"{seed}|{instruction}|{variation!r}|{objects}")
+    assert _sha256_lines(lines) == RESET_MULTI_WORD_SHA256[task]
+
+
+def test_seed_words_give_the_generator_state_of_the_seed_list():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def state(seed):
+        return np.random.default_rng(seed).bit_generator.state
+
+    # Seeds either side of one, two and three uint32 words.
+    @hypothesis.given(st.integers(0, 3), st.integers(0, 2**100))
+    @hypothesis.example(3, 2**32 - 1)
+    @hypothesis.example(3, 2**32)
+    @hypothesis.example(1, 2**64)
+    def check(group, seed):
+        assert state(seed_words(group, seed)) == state([group, seed])
+        assert state(seed_words(seed)) == state(seed)
+
+    check()
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        seed_words(0, -1)
 
 
 def test_pose_noise_is_pinned_bit_for_bit():
