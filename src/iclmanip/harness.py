@@ -15,16 +15,16 @@ completes what it yields and scores each reply in one step, _score;
 Worlds are planned once per base config: one process-wide store keyed on
 (task, seed, bounds) keeps each pristine reset and expert episode and
 memoizes the pure stages that arms repeat (demo seed scans, demo pools and
-examples, test slot text, reply scores), each keyed on exactly the inputs
-it reads. Calls on one base, such as every arm of every sweep of a config,
-share the store; a call on another base replaces it. Providers are never
-memoized, but a reply already scored on that eval world is not parsed again,
-and its world is not copied.
+examples, test slot text, reply Actions and scores), each keyed on exactly
+the inputs it reads. Calls on one base, such as every arm of every sweep of
+a config, share the store; a call on another base replaces it. Providers are
+never memoized, but a reply text is parsed once per base, and a reply already
+scored on that eval world is not replayed again, nor its world copied.
 
-The eval loop keeps a reply as bin rows: prompts.parse_bins reads it into
-int rows, and each row's centers in discretize.center_table make one Action.
-The store keeps one Action per distinct row, which every reply on the base
-reuses. DiscreteAction and parse_response, the API-edge view, are not built here.
+The eval loop keeps a reply as Actions: prompts.parse_bins reads its text
+into int rows, and each row's centers in discretize.center_table make one
+Action. The store keeps one Action per distinct row and one tuple of them per
+distinct text. DiscreteAction and parse_response, the API-edge view, are not built here.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ class RunConfig:
     eval_seeds: tuple[int, ...] | None = None  # explicit override; default is derived
 
     def __post_init__(self):
+        for name in ("seed", "n_demos", "n_eval", "uniform_interval", "max_tokens", "system_prompt_index"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("delta", "noise", "requests_per_second"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -150,7 +152,8 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_seeds is not None:
-            object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
+            seeds = tuple(_integer(f"eval_seeds[{i}]", s) for i, s in enumerate(self.eval_seeds))
+            object.__setattr__(self, "eval_seeds", seeds)
             if len(self.eval_seeds) != self.n_eval:
                 raise ValueError(
                     f"eval_seeds has {len(self.eval_seeds)} entries but n_eval is {self.n_eval}"
@@ -173,6 +176,12 @@ class RunConfig:
             return cls(**{k: _config_value(fields[k], v) for k, v in values.items()})
         except (TypeError, ValueError) as exc:
             raise ValueError(str(exc)) from None
+
+
+def _integer(name: str, value: Any) -> int:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)  # a numpy integer is stored as int
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def config_kind(field: dataclasses.Field) -> type:
@@ -446,25 +455,33 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
         yield seed, assemble_prompt(examples, test_input, system)
 
 
+def _reply_actions(plans: _Plans, text: str, bounds: WorkspaceBounds, centers: tuple) -> tuple[Action, ...] | str:
+    """A reply's Actions, one per bin row, or its ParseError kind."""
+    try:
+        rows = parse_bins(text).tolist()
+    except ParseError as exc:
+        return exc.kind
+    by_row = plans.memo(("actions", bounds), dict)  # one Action per distinct row on a base
+    for row in map(tuple, rows):
+        if row not in by_row:
+            pose = Pose6(*(column[b] for column, b in zip(centers, row)))  # zip stops at the six pose columns
+            by_row[row] = Action(pose, (GripperState.CLOSED, GripperState.OPEN)[row[6]])
+    return tuple(by_row[row] for row in map(tuple, rows))
+
+
 def _score(
     config: RunConfig, plans: _Plans, seed: int, text: str, centers: tuple
 ) -> tuple[bool, int, bool, str | None]:
     """(parse_error, n_actions, success, failure) of a reply on an eval
-    seed's world: its rows' Actions replayed on a copy of the pristine reset."""
-    try:
-        rows = parse_bins(text).tolist()
-    except ParseError as exc:
-        return True, 0, False, exc.kind
+    seed's world: its Actions, read once per text on a base, replayed on a copy of the pristine reset."""
+    actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text, config.bounds, centers))
+    if isinstance(actions, str):
+        return True, 0, False, actions
     world, _, variation = plans.reset(config.task, seed, config.bounds)
     world = world.clone()  # execute_action mutates it
-    actions = plans.memo(("actions", config.bounds), dict)
-    for row in map(tuple, rows):
-        action = actions.get(row)
-        if action is None:
-            pose = Pose6(*(column[b] for column, b in zip(centers, row)))  # zip stops at the six pose columns
-            action = actions[row] = Action(pose, (GripperState.CLOSED, GripperState.OPEN)[row[6]])
+    for action in actions:
         execute_action(world, action)
-    return False, len(rows), check_success(config.task, world, variation), None
+    return False, len(actions), check_success(config.task, world, variation), None
 
 
 def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
@@ -476,8 +493,9 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     do abort. A reply is parsed into bin rows, and each row's bin centers
     replay as one Action on a copy of the eval world; every center lies
     inside config.bounds, the world's own, so no action leaves the
-    workspace. Every episode calls the provider, but a reply already
-    scored on that eval world is not parsed, copied or replayed again.
+    workspace. Every episode calls the provider, but a reply text is parsed
+    once per base, and one already scored on that eval world is not copied
+    or replayed again.
     """
     complete = _provider(config)
     plans = _plans(config)

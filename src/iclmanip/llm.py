@@ -4,7 +4,9 @@ All three take a PromptBundle and return a CompletionResult, so the
 evaluation harness does not care which one produced the text. Like a
 model, the mocks see only the prompt: they read the demos and the test
 input back out of the body with prompts.read_prompt, so retrieval is a
-distance computation over the bins printed in the prompt.
+distance computation over the bins printed in the prompt. What is read
+from demos is kept per prompt prefix in _TABLE: each retrieved output's
+rows are read once per prefix, not once per reply.
 
 The remote provider speaks HTTP through the standard library's
 urllib.request, imported inside its first request rather than with this
@@ -222,17 +224,17 @@ def instruction_template(text: str) -> str:
     return _COLOR_WORDS.sub("*", text)
 
 
-# The last prompt prefix's demos (read_prompt reads one tuple per prefix), their
-# bin rows, and per (test instruction, test width) the candidates and their rows' int array.
-_TABLE: tuple[tuple[PromptDemo, ...], list[tuple[int, ...]], dict] = ((), [], {})
+# The last prompt prefix's demos (read_prompt reads one tuple per prefix), their bin rows, per (test instruction,
+# test width) the candidates and their rows' int array, and per retrieved output its rows as a reply writes them.
+_TABLE: tuple[tuple[PromptDemo, ...], list[tuple[int, ...]], dict, dict] = ((), [], {}, {})
 
 
 def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], test_instruction: str) -> str:
     global _TABLE
     table = _TABLE
     if table[0] is not demos:
-        table = _TABLE = (demos, [d.bins for d in demos], {})
-    _, rows, found = table
+        table = _TABLE = (demos, [d.bins for d in demos], {}, {})
+    _, rows, found, _ = table
     key = (test_instruction, len(test_bins))
     if key not in found:
         if not demos:
@@ -270,12 +272,16 @@ def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     answer each segment by retrieval as complete_mock_nearest does, and join
     the answers' action rows into a single response in the output grammar."""
     demos, test_bins, test_instruction = read_prompt(bundle.body)
-    rows = []
+    answers = []
     for segment in test_instruction.split(CHAIN_SEPARATOR):
         try:
             text = _nearest_output(demos, test_bins, segment)
         except OracleError as exc:
             raise OracleError(f"segment {segment!r} is unresolvable: {exc}") from None
-        rows += parse_bins(text).tolist()
-    text = "{" + ", ".join(ACTION_TEXT % tuple(row) for row in rows) + "}"
+        written = _TABLE[3]  # _nearest_output has set _TABLE to demos' table
+        answer = written.get(text)
+        if answer is None:  # parse_bins raises on an output without rows
+            answer = written[text] = ", ".join(ACTION_TEXT % tuple(row) for row in parse_bins(text).tolist())
+        answers.append(answer)
+    text = "{" + ", ".join(answers) + "}"
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_COMPOSITIONAL)

@@ -80,13 +80,13 @@ class Pose6:
             and math.isfinite(x + y + z + roll + pitch + yaw)
         ):
             # Fast path: six finite built-in floats (a non-finite term makes
-            # the sum non-finite). Angles already in (0, 2*pi) wrap to
+            # the sum non-finite). Angles in (0, 2*pi), and +0.0, wrap to
             # themselves; anything else, -0.0 included, goes through wrap_angle.
-            if not 0.0 < roll < TWO_PI:
+            if not 0.0 < roll < TWO_PI and (roll or math.copysign(1.0, roll) < 0.0):
                 object.__setattr__(self, "roll", wrap_angle(roll))
-            if not 0.0 < pitch < TWO_PI:
+            if not 0.0 < pitch < TWO_PI and (pitch or math.copysign(1.0, pitch) < 0.0):
                 object.__setattr__(self, "pitch", wrap_angle(pitch))
-            if not 0.0 < yaw < TWO_PI:
+            if not 0.0 < yaw < TWO_PI and (yaw or math.copysign(1.0, yaw) < 0.0):
                 object.__setattr__(self, "yaw", wrap_angle(yaw))
             return
         for name in ("x", "y", "z", "roll", "pitch", "yaw"):

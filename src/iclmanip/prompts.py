@@ -331,7 +331,7 @@ def _read_input(text: str) -> tuple[tuple[int, ...], str]:
     bins: list[int] = []
     cursor = 1
     while (match := _INPUT_OBSERVATION.match(text, cursor)) is not None:
-        bins.extend(int(b) for b in match.group(1).split(", "))
+        bins.extend(map(int, match.group(1).split(", ")))
         cursor = match.end()
     instruction = text[cursor:-1]
     if not bins or not instruction:

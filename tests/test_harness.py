@@ -16,6 +16,7 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 import iclmanip.harness as harness
@@ -140,6 +141,42 @@ def test_negative_seeds_are_rejected_by_name():
     with pytest.raises(ValueError, match=r"^eval_seeds must be >= 0, got \(-1, 3\)$"):
         RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=(-1, 3))
     assert RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=(0, 3)).eval_seeds == (0, 3)
+
+
+_INTEGER_FIELDS = ("seed", "n_demos", "n_eval", "uniform_interval", "max_tokens", "system_prompt_index")
+
+
+@pytest.mark.parametrize("field", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 1.0, True, np.float64(2.0), "2"])
+def test_integer_fields_reject_non_integers_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, **{field: value})
+
+
+@pytest.mark.parametrize("seeds", [(1.7, 2), (1, True), (np.float64(3.0), 4)])
+def test_eval_seeds_reject_non_integers_by_position(seeds):
+    at = next(i for i, s in enumerate(seeds) if isinstance(s, (bool, float)))
+    with pytest.raises(ValueError, match=rf"^eval_seeds\[{at}\] must be an integer, got {re.escape(repr(seeds[at]))}$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=seeds)
+
+
+def test_integer_fields_store_numpy_integers_as_int():
+    cfg = RunConfig(
+        task=TaskId.PUSH_BUTTON,
+        seed=np.int64(3),
+        n_demos=np.int32(2),
+        n_eval=np.uint8(2),
+        system_prompt_index=np.int16(1),
+        eval_seeds=np.array([5, 6]),
+    )
+    values = [getattr(cfg, f) for f in _INTEGER_FIELDS] + list(cfg.eval_seeds)
+    assert [type(v) for v in values] == [int] * len(values)
+    assert (cfg.seed, cfg.n_demos, cfg.n_eval, cfg.system_prompt_index, cfg.eval_seeds) == (3, 2, 2, 1, (5, 6))
+
+
+def test_from_mapping_keeps_its_type_message_for_integer_fields():
+    with pytest.raises(ValueError, match=r"^n_demos must be of type int, got 2\.5$"):
+        RunConfig.from_mapping({"task": "push_button", "n_demos": 2.5})
 
 
 def test_run_eval_scans_demo_seeds_once(monkeypatch):
@@ -442,7 +479,8 @@ def test_sweep_plans_each_world_once(monkeypatch, names):
 )
 def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     # One ablate_* sequence on one base: every episode calls its provider,
-    # but each (eval seed, reply) is parsed once and each n_demos scanned once.
+    # but each distinct reply text is parsed once, each (eval seed, reply)
+    # replayed once, and each n_demos scanned once.
     cfg = config(task, n_demos=3, n_eval=4, provider=provider)
     provider_name = "complete_" + provider.value.replace("-", "_")
     replies, parsed, scanned, cloned = [], [], [], []
@@ -467,14 +505,14 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
 
     seeds = [record.seed for report in reports for record in report.records]
     assert len(replies) == len(seeds), "every episode calls its provider"
-    distinct = collections.Counter(text for _, text in set(zip(seeds, replies)))
-    assert collections.Counter(parsed) == distinct
-    assert sum(distinct.values()) < len(seeds)
+    assert collections.Counter(parsed) == collections.Counter(set(replies)), "each distinct text is parsed once"
+    assert len(parsed) < len(set(zip(seeds, replies)))
     assert sorted(scanned) == sorted({r.config.n_demos for r in reports})
     eval_worlds = {
         id(out[0]) for key, out in store._memo.items() if key[0] == "reset" and key[2] in eval_seeds(cfg)
     }
-    assert sum(id(world) in eval_worlds for world in cloned) == len(parsed), "an eval world is copied only to score"
+    scored = {(seed, text) for seed, text in zip(seeds, replies) if not isinstance(store._memo[("reply", text)], str)}
+    assert sum(id(world) in eval_worlds for world in cloned) == len(scored), "an eval world is copied only to score"
 
     with monkeypatch.context() as cold:
         cold.setattr(harness, "_STORE", harness._Plans())

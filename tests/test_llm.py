@@ -558,6 +558,24 @@ def test_mock_compositional_matches_the_action_path(task, loop):
             assert complete_mock_compositional(bundle).text == _compositional_via_actions(bundle)
 
 
+def test_mock_compositional_rows_never_cross_prompts(monkeypatch):
+    # Prompts A, B, A from two configs whose demos differ: each reply equals
+    # one computed from an empty table, and the table holds only rows of the
+    # demo outputs of the prompt it last read.
+    a, b = (
+        list(eval_prompts(RunConfig(task=TaskId.PUSH_MULTIPLE_BUTTONS, n_demos=4, n_eval=3, seed=seed)))
+        for seed in (0, 40)
+    )
+    assert read_prompt(a[0][1].body)[0] != read_prompt(b[0][1].body)[0]
+    for _, bundle in a + b + a:
+        got = complete_mock_compositional(bundle).text
+        outputs = {d.output for d in read_prompt(bundle.body)[0]}
+        assert llm._TABLE[3] and set(llm._TABLE[3]) <= outputs
+        with monkeypatch.context() as cold:
+            cold.setattr(llm, "_TABLE", ((), [], {}, {}))
+            assert got == complete_mock_compositional(bundle).text
+
+
 def test_mock_compositional_concatenates_segments():
     pool = [
         ((1,) * 6, "push the red button", "{[1, 1, 1, 0, 0, 0, 1], [2, 2, 2, 0, 0, 0, 1]}"),

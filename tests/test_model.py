@@ -68,6 +68,12 @@ _POSE6_CASES = [
     (0.0, 0.0, 0.0, _BELOW_TWO_PI, -_BELOW_TWO_PI, -2 * math.pi),
     (0.0, 0.0, 0.0, -math.pi / 2, 5 * math.pi, 1e-300),
     (-0.0, -0.0, -0.0, 0.0, 0.0, 0.0),
+    # One signed zero per angle, the rest in (0, 2*pi): -0.0 wraps to +0.0.
+    (0.1, 0.2, 0.3, 0.0, 1.0, 2.0),
+    (0.1, 0.2, 0.3, 1.0, -0.0, 2.0),
+    (0.1, 0.2, 0.3, 1.0, 0.0, 2.0),
+    (0.1, 0.2, 0.3, 1.0, 2.0, -0.0),
+    (0.1, 0.2, 0.3, 1.0, 2.0, 0.0),
     ("0.1", 0.0, 0.0, 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, 0.0, 0.0, None),
 ] + [
