@@ -45,7 +45,7 @@ from .harness import (
     sweep_arms,
 )
 from .llm import OracleError, ProtocolError, TransportError
-from .model import save_episodes
+from .model import _fresh_name, _write_file, save_episodes
 from .sim import ExecutionError, ExpertError, PlacementError
 
 
@@ -106,11 +106,16 @@ _SWEEP_VALUE_FLAGS = {
 
 
 def _check_writable(path: str) -> None:
-    """Raise now the OSError writing path would raise; an existing file keeps its bytes."""
+    """Raise now the OSError writing path, or the fresh name beside it that the
+    write goes through (model._write_file), would raise; an existing file keeps its bytes."""
     existed = Path(path).exists()
     Path(path).open("a").close()
     if not existed:
         Path(path).unlink()
+    temp = _fresh_name(path)
+    if temp is not None:
+        temp.open("x").close()
+        temp.unlink()
 
 
 def _summary_line(report: EvalReport) -> str:
@@ -132,7 +137,8 @@ def _cmd_build_prompt(args: argparse.Namespace) -> int:
     *_, bundle = next(eval_prompts(_build_run_config(args)))
     payload = json.dumps({"system": bundle.system, "body": bundle.body}, indent=2)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        with _write_file(args.out, encoding="utf-8") as handle:
+            handle.write(payload + "\n")
         print(f"wrote prompt bundle to {args.out}")
     else:
         print(payload)

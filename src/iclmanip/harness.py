@@ -58,6 +58,7 @@ from .model import (
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
+    _write_file,
 )
 from .prompts import (
     IclExample,
@@ -129,8 +130,8 @@ class RunConfig:
     eval_seeds: tuple[int, ...] | None = None  # explicit override; default is derived
 
     def __post_init__(self):
-        for name in ("seed", "n_demos", "n_eval", "uniform_interval", "max_tokens", "system_prompt_index"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for field in dataclasses.fields(self):
+            object.__setattr__(self, field.name, _config_value(field, getattr(self, field.name)))
         for name in ("delta", "noise", "requests_per_second"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -172,9 +173,12 @@ class RunConfig:
         unknown = set(values) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in values.items():  # the schema's own wording for a non-integer
+            if config_kind(fields[name]) is int and not _of_kind(value, int):
+                raise ValueError(f"{name} must be of type int, got {value!r}")
         try:
-            return cls(**{k: _config_value(fields[k], v) for k, v in values.items()})
-        except (TypeError, ValueError) as exc:
+            return cls(**values)
+        except TypeError as exc:  # no task
             raise ValueError(str(exc)) from None
 
 
@@ -198,7 +202,9 @@ def _config_value(field: dataclasses.Field, value: Any) -> Any:
     name, kind = field.name, config_kind(field)
     if issubclass(kind, Enum):
         return kind(value)
-    if kind in (int, float, str) and not _of_kind(value, kind):
+    if kind is int:
+        return _integer(name, value)
+    if kind in (float, str) and not _of_kind(value, kind):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if name == "bounds" and not isinstance(value, WorkspaceBounds):
         if not isinstance(value, (list, tuple)) or len(value) != 6 or not all(_of_kind(v, float) for v in value):
@@ -606,7 +612,8 @@ def ablate_loop(config: RunConfig) -> list[EvalReport]:
 
 
 def emit_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    """Write per-episode rows sorted by (arm, seed); stable across reruns."""
+    """Write per-episode rows sorted by (arm, seed); stable across reruns. An
+    existing CSV is replaced only once the new one is whole (model._write_file)."""
     rows = []
     for report in reports:
         for record in report.records:
@@ -623,7 +630,7 @@ def emit_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
                 )
             )
     rows.sort(key=lambda r: (r[2], r[3]))
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with _write_file(path, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)

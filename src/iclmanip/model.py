@@ -11,13 +11,16 @@ line, with full float round-trip precision, for other tools to read.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -283,9 +286,43 @@ def _episode_to_json(ep: Episode) -> dict:
     }
 
 
+def _fresh_name(path: str | Path) -> Path | None:
+    """The name beside path (symlinks resolved) that _write_file writes first, or
+    None to write path in place: it exists, but not as a regular file with one link."""
+    if os.path.exists(path) and not (os.path.isfile(path) and os.stat(path).st_nlink == 1):
+        return None
+    target = Path(path).resolve()
+    return target.with_name(f".{target.name}.{os.getpid()}.tmp")
+
+
+@contextlib.contextmanager
+def _write_file(path: str | Path, **open_args) -> Iterator[IO[str]]:
+    """Open path to write text. Unless written in place (a FIFO, /dev/stdout, a hard
+    link), the text goes to _fresh_name(path); once whole, it takes the old file's mode
+    bits, the old file is unlinked and the new one renamed onto path. Rewriting a file
+    in place, or renaming over it, can stall on the disk. If writing raises, the fresh
+    file is removed and the old one stays."""
+    temp = _fresh_name(path)
+    if temp is None:
+        with open(path, "w", **open_args) as handle:
+            yield handle
+        return
+    target, handle = Path(path).resolve(), temp.open("x", **open_args)
+    try:
+        with handle:
+            yield handle
+        if target.exists():
+            shutil.copymode(target, temp)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    target.unlink(missing_ok=True)
+    temp.rename(target)
+
+
 def save_episodes(episodes: Iterable[Episode], path: str | Path) -> None:
-    """Write episodes as line-delimited JSON, one episode per line."""
-    with Path(path).open("w", encoding="utf-8") as handle:
+    """Write episodes as line-delimited JSON, one episode per line (see _write_file)."""
+    with _write_file(path, encoding="utf-8") as handle:
         for ep in episodes:
             handle.write(json.dumps(_episode_to_json(ep), allow_nan=False))
             handle.write("\n")

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ import iclmanip.cli as cli
 import iclmanip.harness as harness
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
+from iclmanip.model import _fresh_name
 from iclmanip.prompts import default_system_prompts
 
 
@@ -451,6 +453,23 @@ def test_bad_csv_path_exits_before_any_episode_runs(tmp_path, monkeypatch, comma
         main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
     assert err.value.code == str(late.value)
     assert calls == []
+    # An existing CSV is replaced through a fresh name beside it; where that
+    # name cannot be created (tests run as root, so a refusal is simulated),
+    # the run stops before any episode too, and the CSV keeps its bytes.
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"task,seed\nold,1\n")
+    open_path = Path.open
+
+    def refuse_fresh_names(self, mode="r", *args, **kwargs):
+        if mode == "x":
+            raise PermissionError(13, "Permission denied", str(self))
+        return open_path(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse_fresh_names)
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
+    assert err.value.code == f"[Errno 13] Permission denied: '{_fresh_name(path)}'"
+    assert calls == [] and path.read_bytes() == b"task,seed\nold,1\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate loop"])

@@ -179,6 +179,44 @@ def test_from_mapping_keeps_its_type_message_for_integer_fields():
         RunConfig.from_mapping({"task": "push_button", "n_demos": 2.5})
 
 
+@pytest.mark.parametrize(
+    "field, text, member",
+    [
+        ("task", "stack_cube", TaskId.STACK_CUBE),
+        ("provider", "mock-compositional", Provider.MOCK_COMPOSITIONAL),
+        ("keyframe_mode", "uniform", KeyframeMode.UNIFORM),
+        ("loop_mode", "closed", LoopMode.CLOSED),
+    ],
+)
+def test_enum_fields_take_their_string_values(field, text, member):
+    base = {"task": TaskId.STACK_CUBE, "n_demos": 2, "n_eval": 2}
+    cfg = RunConfig(**{**base, field: text})
+    assert getattr(cfg, field) is member
+    assert cfg == RunConfig(**{**base, field: member})
+
+
+def test_string_enum_values_run_the_arm_they_name():
+    def first_prompt(**kw):
+        return next(eval_prompts(RunConfig(task=TaskId.STACK_CUBE, n_demos=2, n_eval=2, **kw)))[1]
+
+    assert first_prompt(loop_mode="open") == first_prompt(loop_mode=LoopMode.OPEN)
+    assert first_prompt(loop_mode="open") != first_prompt(loop_mode=LoopMode.CLOSED)
+    assert first_prompt(keyframe_mode="keyframes") == first_prompt(keyframe_mode=KeyframeMode.KEYFRAMES)
+    assert first_prompt(keyframe_mode="keyframes") != first_prompt(keyframe_mode=KeyframeMode.UNIFORM)
+
+
+def test_tuple_bounds_become_workspace_bounds():
+    limits = (-0.5, 0.5, -0.5, 0.5, 0, 0.5)
+    cfg = RunConfig(task=TaskId.STACK_CUBE, n_demos=2, n_eval=2, bounds=limits)
+    assert cfg.bounds == WorkspaceBounds(*limits)
+    assert run_eval(cfg).records == run_eval(dataclasses.replace(cfg, bounds=WorkspaceBounds(*limits))).records
+
+
+def test_string_delta_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^delta must be of type float, got '0\.1'$"):
+        RunConfig(task=TaskId.STACK_CUBE, delta="0.1")
+
+
 def test_run_eval_scans_demo_seeds_once(monkeypatch):
     calls = []
     scan = harness.demo_seeds

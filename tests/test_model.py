@@ -1,9 +1,17 @@
+import csv
 import json
 import math
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iclmanip.model as model
+from iclmanip.cli import main
+from iclmanip.harness import RunConfig, demo_episodes, emit_csv, run_eval
 from iclmanip.model import (
     Episode,
     GripperState,
@@ -229,3 +237,136 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(np.array(record["velocities"]), ep.joint_velocities)
         assert np.array_equal(np.array([a["pose"] for a in record["actions"]]), ep.poses)
         assert [a["gripper"] for a in record["actions"]] == ep.gripper_bits.tolist()
+
+
+# Output files. Every writer of the package goes through model._write_file.
+# Each test stays inside tmp_path: a faulty writer unlinks what it replaces.
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """name -> write(path), each writing the same bytes on every call."""
+    config = RunConfig(task=TaskId.PUSH_BUTTON, n_demos=2, n_eval=2)
+    reports = [run_eval(config)]
+    episodes = demo_episodes(config)
+    return {
+        "emit_csv": lambda path: emit_csv(reports, path),
+        "save_episodes": lambda path: save_episodes(episodes, path),
+        "build-prompt": lambda path: main(["build-prompt", "--task", "push_button", "--n-demos", "2", "--out", str(path)]),
+    }
+
+
+WRITERS = ("emit_csv", "save_episodes", "build-prompt")
+
+
+def _written(writers, name, tmp_path) -> bytes:
+    path = tmp_path / "reference" / "out"
+    path.parent.mkdir(exist_ok=True)
+    writers[name](path)
+    return path.read_bytes()
+
+
+def _names(directory) -> set[str]:
+    return set(os.listdir(directory))
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewrite_keeps_the_bytes_and_leaves_no_temp_file(writers, name, tmp_path):
+    path = tmp_path / "out.csv"
+    writers[name](path)
+    first = path.read_bytes()
+    assert first
+    writers[name](path)
+    assert path.read_bytes() == first
+    assert _names(tmp_path) == {"out.csv"}
+
+
+@pytest.mark.parametrize("name", ["emit_csv", "save_episodes"])
+def test_write_that_raises_leaves_the_old_bytes_and_no_temp_file(writers, name, tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old,rows\n1,2\n")
+    if name == "emit_csv":
+        real = csv.writer
+
+        class HalfWriter:  # writes the header and one row, then fails
+            def __init__(self, handle, **kwargs):
+                self.inner = real(handle, **kwargs)
+                self.writerow = self.inner.writerow
+
+            def writerows(self, rows):
+                self.inner.writerow(next(iter(rows)))
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", HalfWriter)
+    else:
+        real = model._episode_to_json
+        seen = []
+
+        def second_fails(ep):
+            seen.append(ep)
+            if len(seen) == 2:
+                raise OSError("disk full")
+            return real(ep)
+
+        monkeypatch.setattr(model, "_episode_to_json", second_fails)
+    with pytest.raises(OSError, match="disk full"):
+        writers[name](path)
+    assert path.read_bytes() == b"old,rows\n1,2\n"
+    assert _names(tmp_path) == {"out.csv"}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_symlinked_target_stays_a_symlink(writers, name, tmp_path):
+    expected = _written(writers, name, tmp_path)
+    (tmp_path / "data").mkdir()
+    real = tmp_path / "data" / "real.csv"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(Path("data") / "real.csv")
+    writers[name](link)
+    assert link.is_symlink() and os.readlink(link) == str(Path("data") / "real.csv")
+    assert real.read_bytes() == expected
+    assert _names(tmp_path / "data") == {"real.csv"}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewrite_keeps_the_permission_bits(writers, name, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    path.chmod(0o640)
+    writers[name](path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() != b"old\n"
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_hard_linked_target_is_written_through(writers, name, tmp_path):
+    expected = _written(writers, name, tmp_path)
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    other = tmp_path / "other.csv"
+    os.link(path, other)
+    writers[name](path)
+    assert path.read_bytes() == other.read_bytes() == expected
+    assert path.stat().st_ino == other.stat().st_ino
+    assert _names(tmp_path) == {"out.csv", "other.csv", "reference"}
+
+
+@pytest.mark.parametrize("name", ["emit_csv", "save_episodes"])  # the CLI opens --out twice
+def test_fifo_target_is_written_in_place(writers, name, tmp_path):
+    expected = _written(writers, name, tmp_path)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        writers[name](fifo)
+        reader.join(timeout=10)
+    finally:
+        if reader.is_alive():  # a writer that never opened the FIFO: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert _names(tmp_path) == {"out.fifo", "reference"}
