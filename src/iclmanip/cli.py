@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import re
+import stat
 import sys
 from enum import Enum
 from pathlib import Path
@@ -45,7 +46,7 @@ from .harness import (
     sweep_arms,
 )
 from .llm import OracleError, ProtocolError, TransportError
-from .model import _fresh_name, _write_file, save_episodes
+from .model import _write_file, _write_plan, save_episodes
 from .sim import ExecutionError, ExpertError, PlacementError
 
 
@@ -106,13 +107,13 @@ _SWEEP_VALUE_FLAGS = {
 
 
 def _check_writable(path: str) -> None:
-    """Raise now the OSError writing path, or the fresh name beside it that the
-    write goes through (model._write_file), would raise; an existing file keeps its bytes."""
-    existed = Path(path).exists()
-    Path(path).open("a").close()
-    if not existed:
+    """Raise now the OSError writing path, or its fresh name (model._write_plan), would raise.
+    An existing file keeps its bytes; a FIFO is not opened, or its reader would see an end."""
+    info, _, temp = _write_plan(path)
+    if info is None or not stat.S_ISFIFO(info.st_mode):
+        Path(path).open("a").close()
+    if info is None:
         Path(path).unlink()
-    temp = _fresh_name(path)
     if temp is not None:
         temp.open("x").close()
         temp.unlink()

@@ -16,7 +16,8 @@ import functools
 import json
 import math
 import os
-import shutil
+import stat
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -286,33 +287,40 @@ def _episode_to_json(ep: Episode) -> dict:
     }
 
 
-def _fresh_name(path: str | Path) -> Path | None:
-    """The name beside path (symlinks resolved) that _write_file writes first, or
-    None to write path in place: it exists, but not as a regular file with one link."""
-    if os.path.exists(path) and not (os.path.isfile(path) and os.stat(path).st_nlink == 1):
-        return None
+def _write_plan(path: str | Path) -> tuple[os.stat_result | None, str | Path | int, Path | None]:
+    """path's stat (None if it has none), what _write_file opens or renames onto, and the fresh
+    name it writes first: none for this process's stdout, which is fd 1, nor for another path
+    that exists, but not as a regular file with one link, which is opened in place."""
+    info = None
+    with contextlib.suppress(OSError):  # path has no stat, or fd 1 is closed
+        info = os.stat(path)
+        if os.path.samestat(info, os.fstat(1)):
+            return info, 1, None
+    if info is not None and (not stat.S_ISREG(info.st_mode) or info.st_nlink != 1):
+        return info, path, None
     target = Path(path).resolve()
-    return target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    return info, target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
 
 
 @contextlib.contextmanager
 def _write_file(path: str | Path, **open_args) -> Iterator[IO[str]]:
-    """Open path to write text. Unless written in place (a FIFO, /dev/stdout, a hard
-    link), the text goes to _fresh_name(path); once whole, it takes the old file's mode
-    bits, the old file is unlinked and the new one renamed onto path. Rewriting a file
-    in place, or renaming over it, can stall on the disk. If writing raises, the fresh
-    file is removed and the old one stays."""
-    temp = _fresh_name(path)
+    """Open path to write text (see _write_plan). A file with a fresh name, once whole, takes
+    the old file's mode bits, the old file is unlinked and the new one renamed onto it:
+    rewriting a file in place, or renaming over it, can stall on the disk. If writing
+    raises, the fresh file is removed and the old one stays."""
+    info, target, temp = _write_plan(path)
     if temp is None:
-        with open(path, "w", **open_args) as handle:
+        if target == 1:
+            sys.stdout.flush()  # fd 1 gets the text after what print has buffered
+        with open(target, "w", closefd=target != 1, **open_args) as handle:
             yield handle
         return
-    target, handle = Path(path).resolve(), temp.open("x", **open_args)
+    handle = temp.open("x", **open_args)
     try:
         with handle:
             yield handle
-        if target.exists():
-            shutil.copymode(target, temp)
+        if info is not None:
+            os.chmod(temp, stat.S_IMODE(info.st_mode))
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

@@ -1,11 +1,12 @@
 """Deterministic desk-scale tabletop simulator.
 
-Kinematic only: the gripper teleports to each commanded pose, grasping is
-proximity-based, released objects settle instantly onto the highest
-support surface beneath them (table or another cube), and buttons latch
-pressed when an empty gripper dips into their press zone. Everything is a
-pure function of (task, seed, bounds), which is what makes end-to-end
-evaluation reproducible.
+Kinematic only: the gripper teleports to each commanded pose. Closing it
+grasps the nearest cube within GRASP_RADIUS_M that no cube rests on; the
+held cube's center follows the tool tip, keeping its own yaw; opening it
+settles the cube on the highest cube under its center, or on the table
+(_settle, which also stacks destack_cube's start). Buttons latch pressed
+when an empty gripper dips into their press zone. Everything is a pure
+function of (task, seed, bounds), which makes evaluation reproducible.
 
 Each task's static facts (roster, variations, placement group and
 instruction template) are one TaskSpec in _SPECS; its goal and its expert
@@ -307,14 +308,25 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         ]
         world = WorldState(objects, HOME_POSE, GripperState.OPEN, bounds)
         if task is TaskId.DESTACK_CUBE:
-            top, bottom = world.object(variation.top), world.object(variation.bottom)
-            top.pose = Pose6(top.pose.x, top.pose.y, bottom.top(), 0.0, 0.0, top.pose.yaw)
-            top.supported_by = bottom.name
+            _settle(world, world.object(variation.top))  # drawn at the bottom cube's x, y
         if check_success(task, world, variation):
             continue  # e.g. the block sampled already inside the target square
         _validate_world(world)
         return world, render_instruction(task, variation), variation
     raise PlacementError(f"no legal placement for {task.value} seed {seed} in {MAX_RESET_DRAWS} draws")
+
+
+def _settle(world: WorldState, cube: SimObject) -> None:
+    """Rest cube on the highest other cube under its center, or on the table."""
+    under = [
+        obj for obj in world.objects
+        if obj is not cube and obj.kind is Kind.CUBE
+        and math.hypot(cube.pose.x - obj.pose.x, cube.pose.y - obj.pose.y) < obj.size / 2.0
+    ]
+    support = max(under, key=SimObject.top, default=None)  # the first of equal tops
+    z = 0.0 if support is None else support.top()
+    cube.pose = Pose6(cube.pose.x, cube.pose.y, z, 0.0, 0.0, cube.pose.yaw)
+    cube.supported_by = None if support is None else support.name
 
 
 def _press_zone(button: SimObject, pose: Pose6) -> bool:
@@ -346,51 +358,31 @@ def execute_action(world: WorldState, action: Action) -> None:
         _check_reachable(world.bounds, pose.translation())  # raises, naming the first axis outside
 
     prev_pose = world.gripper_pose
-    prev_grip = world.gripper
     world.gripper_pose = pose
 
-    # Whatever is held tracks the gripper point (cube center at the tool tip).
-    if world.attached is not None:
-        held = world.object(world.attached)
-        held.pose = Pose6(pose.x, pose.y, pose.z - held.size / 2.0, 0.0, 0.0, held.pose.yaw)
-        held.supported_by = None
-
-    if action.gripper is GripperState.CLOSED and prev_grip is GripperState.OPEN:
-        # Closing: attach the nearest cube within reach, if any.
+    if action.gripper is GripperState.CLOSED and world.gripper is GripperState.OPEN:
+        # Attach the nearest cube within reach that no other cube rests on, if any.
+        supporters = {obj.supported_by for obj in world.objects}
         best: tuple[float, SimObject] | None = None
         for obj in world.objects:
-            if obj.kind is not Kind.CUBE:
+            if obj.kind is not Kind.CUBE or obj.name in supporters:
                 continue
             cx, cy, cz = obj.center()
             d = math.sqrt((pose.x - cx) ** 2 + (pose.y - cy) ** 2 + (pose.z - cz) ** 2)
             if d <= GRASP_RADIUS_M and (best is None or d < best[0]):
                 best = (d, obj)
         if best is not None:
-            obj = best[1]
-            world.attached = obj.name
-            obj.pose = Pose6(pose.x, pose.y, pose.z - obj.size / 2.0, 0.0, 0.0, obj.pose.yaw)
-            obj.supported_by = None
-    elif action.gripper is GripperState.OPEN and prev_grip is GripperState.CLOSED:
-        if world.attached is not None:
-            dropped = world.object(world.attached)
+            world.attached = best[1].name
+
+    # Whatever is held follows the gripper (cube center at the tool tip) and
+    # settles where the gripper opens.
+    if world.attached is not None:
+        held = world.object(world.attached)
+        held.pose = Pose6(pose.x, pose.y, pose.z - held.size / 2.0, 0.0, 0.0, held.pose.yaw)
+        held.supported_by = None
+        if action.gripper is GripperState.OPEN:
             world.attached = None
-            support: SimObject | None = None
-            for obj in world.objects:
-                if obj is dropped or obj.kind is not Kind.CUBE:
-                    continue
-                if math.hypot(dropped.pose.x - obj.pose.x, dropped.pose.y - obj.pose.y) < obj.size / 2.0:
-                    if support is None or obj.top() > support.top():
-                        support = obj
-            if support is None:
-                dropped.pose = Pose6(
-                    dropped.pose.x, dropped.pose.y, 0.0, 0.0, 0.0, dropped.pose.yaw
-                )
-                dropped.supported_by = None
-            else:
-                dropped.pose = Pose6(
-                    dropped.pose.x, dropped.pose.y, support.top(), 0.0, 0.0, dropped.pose.yaw
-                )
-                dropped.supported_by = support.name
+            _settle(world, held)
 
     world.gripper = action.gripper
 

@@ -1,22 +1,28 @@
 """CLI: config layering, validation exits, and each subcommand end to end
-(in process, mock providers only).
+(in process, mock providers only; the stdout test runs the CLI as a subprocess).
 """
 
 import collections
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from enum import Enum
 from pathlib import Path
 
 import pytest
 
+import iclmanip
 import iclmanip.cli as cli
 import iclmanip.harness as harness
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
-from iclmanip.model import _fresh_name
+from iclmanip.model import _write_plan
 from iclmanip.prompts import default_system_prompts
+
+_SRC = str(Path(iclmanip.__file__).parents[1])
 
 
 def test_eval_writes_summary_and_csv(tmp_path, capsys):
@@ -468,7 +474,7 @@ def test_bad_csv_path_exits_before_any_episode_runs(tmp_path, monkeypatch, comma
     monkeypatch.setattr(Path, "open", refuse_fresh_names)
     with pytest.raises(SystemExit) as err:
         main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
-    assert err.value.code == f"[Errno 13] Permission denied: '{_fresh_name(path)}'"
+    assert err.value.code == f"[Errno 13] Permission denied: '{_write_plan(path)[2]}'"
     assert calls == [] and path.read_bytes() == b"task,seed\nold,1\n"
 
 
@@ -483,6 +489,38 @@ def test_failed_run_leaves_the_csv_as_it_was(tmp_path, monkeypatch, command, exi
         main([*command.split(), "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)])
     assert err.value.code == "run failed" and len(calls) == 1
     assert (path.read_bytes() if path.exists() else None) == existing
+
+
+@pytest.mark.parametrize("command", ["eval", "build-prompt"])
+def test_directory_as_output_path_exits_before_any_episode_runs(tmp_path, monkeypatch, command):
+    calls = _count_run_eval(monkeypatch)
+    monkeypatch.setattr(cli, "eval_prompts", lambda cfg: pytest.fail("a prompt was built"))
+    flag = "--csv" if command == "eval" else "--out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--task", "push_button", "--n-demos", "2", "--n-eval", "2", flag, str(tmp_path)])
+    assert err.value.code == f"[Errno 21] Is a directory: '{tmp_path}'"
+    assert calls == []
+
+
+_EVAL_ONTO_STDOUT = ["-m", "iclmanip", "eval", "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv"]
+
+
+def _run_cli(args, cwd, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(args, cwd=cwd, env=env, timeout=120, check=True, **kwargs)
+
+
+def test_csv_onto_stdout_keeps_every_line_when_stdout_is_a_file(tmp_path):
+    # /dev/stdout is written through fd 1, so the CSV and then the summary line
+    # land in a redirected file exactly as they go down a pipe.
+    piped = _run_cli([sys.executable, *_EVAL_ONTO_STDOUT, "/dev/stdout"], tmp_path, stdout=subprocess.PIPE).stdout
+    assert piped.startswith(b"task,provider,") and piped.endswith(b" success_rate=0.00\n")
+    with open(tmp_path / "out.txt", "wb") as out:
+        _run_cli([sys.executable, *_EVAL_ONTO_STDOUT, "/dev/stdout"], tmp_path, stdout=out)
+    assert (tmp_path / "out.txt").read_bytes() == piped
+    # With fd 1 closed, a CSV file is written as usual.
+    _run_cli(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *_EVAL_ONTO_STDOUT, "r.csv"], tmp_path)
+    assert (tmp_path / "r.csv").read_bytes() == piped[: piped.rindex(b"task=")]
 
 
 # sha256 of the bytes each command writes with --out, captured before

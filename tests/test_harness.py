@@ -41,9 +41,9 @@ from iclmanip.harness import (
     run_eval,
     sweep,
 )
-from iclmanip.discretize import center_table
+from iclmanip.discretize import center_table, pose_bin_row
 from iclmanip.llm import CompletionResult, Provider, TransportError
-from iclmanip.model import WorkspaceBounds
+from iclmanip.model import Pose6, WorkspaceBounds
 from iclmanip.sim import TaskId, WorldState, reset, task_spec
 
 from conftest import ASYMMETRIC, BOUNDS
@@ -350,6 +350,29 @@ def test_replies_at_the_corner_bins_run_every_action(monkeypatch, task, bounds):
     report = run_eval(config(task, n_demos=2, n_eval=3, bounds=bounds))
     for r in report.records:
         assert (r.parse_error, r.n_actions, r.failure) == (False, len(_CORNERS), None)
+
+
+def test_a_reply_grasping_the_bottom_cube_scores_a_failed_episode(monkeypatch):
+    # Open above and then beside destack_cube's bottom cube, and close there:
+    # the cube under the top one is not grasped, and the run goes on.
+    cfg = config(TaskId.DESTACK_CUBE, n_demos=2, n_eval=2)
+    replies = []
+    for seed in eval_seeds(cfg):
+        world, _, variation = reset(cfg.task, seed, cfg.bounds)
+        bottom = world.object(variation.bottom)
+        rows = [
+            [*pose_bin_row(Pose6(bottom.pose.x, bottom.pose.y, z, 0.0, 0.0, 0.0), cfg.bounds), bit]
+            for z, bit in ((0.15, 1), (0.025, 1), (0.025, 0))
+        ]
+        replies.append(", ".join(map(str, rows)))
+    replies = iter(replies)
+    monkeypatch.setattr(
+        harness,
+        "complete_mock_nearest",
+        lambda bundle: CompletionResult(text=next(replies), latency_ms=0, provider=Provider.MOCK_NEAREST),
+    )
+    records = run_eval(cfg).records
+    assert [(r.success, r.parse_error, r.n_actions, r.failure) for r in records] == [(False, False, 3, None)] * 2
 
 
 def test_run_eval_remote_needs_credential(monkeypatch):

@@ -4,11 +4,13 @@ import math
 import os
 import stat
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iclmanip.cli as cli
 import iclmanip.model as model
 from iclmanip.cli import main
 from iclmanip.harness import RunConfig, demo_episodes, emit_csv, run_eval
@@ -253,6 +255,7 @@ def writers():
         "emit_csv": lambda path: emit_csv(reports, path),
         "save_episodes": lambda path: save_episodes(episodes, path),
         "build-prompt": lambda path: main(["build-prompt", "--task", "push_button", "--n-demos", "2", "--out", str(path)]),
+        "eval --csv": lambda path: main(["eval", "--task", "push_button", "--n-demos", "2", "--n-eval", "2", "--csv", str(path)]),
     }
 
 
@@ -352,21 +355,29 @@ def test_hard_linked_target_is_written_through(writers, name, tmp_path):
     assert _names(tmp_path) == {"out.csv", "other.csv", "reference"}
 
 
-@pytest.mark.parametrize("name", ["emit_csv", "save_episodes"])  # the CLI opens --out twice
-def test_fifo_target_is_written_in_place(writers, name, tmp_path):
+@pytest.mark.parametrize("name", [*WRITERS, "eval --csv"])
+def test_fifo_target_is_written_in_place(writers, name, tmp_path, monkeypatch):
+    # A FIFO is opened once: a reader takes a close for the end of the output,
+    # so a second open, once the command has run, would find no reader and block.
     expected = _written(writers, name, tmp_path)
+    check = cli._check_writable  # the pause stands for the run between the check and the write
+    monkeypatch.setattr(cli, "_check_writable", lambda path: check(path) or time.sleep(0.2))
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    writer = threading.Thread(target=writers[name], args=(fifo,), daemon=True)
     reader.start()
-    try:
-        writers[name](fifo)
+    writer.start()
+    reader.join(timeout=10)
+    writer.join(timeout=10)
+    if reader.is_alive():  # a writer that never opened the FIFO: let the reader go
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
         reader.join(timeout=10)
-    finally:
-        if reader.is_alive():  # a writer that never opened the FIFO: let the reader go
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-            reader.join(timeout=10)
+    if writer.is_alive():  # a writer blocked on opening it again: take what it writes
+        fifo.read_bytes()
+        writer.join(timeout=10)
+    assert not reader.is_alive() and not writer.is_alive()
     assert received == [expected]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert _names(tmp_path) == {"out.fifo", "reference"}

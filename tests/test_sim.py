@@ -407,6 +407,66 @@ def test_release_settles_on_other_cube():
     )
 
 
+def test_release_rests_on_the_higher_of_two_stacked_cubes():
+    # Both stacked cubes lie under the released cube's center, in either roster order.
+    green = SimObject("green cube", Kind.CUBE, Pose6(0.0, 0.0, 0, 0, 0, 0), CUBE_EDGE_M)
+    yellow = SimObject("yellow cube", Kind.CUBE, Pose6(0.0, 0.0, CUBE_EDGE_M, 0, 0, 0), CUBE_EDGE_M)
+    yellow.supported_by = "green cube"
+    for stack in ((green, yellow), (yellow, green)):
+        blue = SimObject("blue cube", Kind.CUBE, Pose6(0.2, 0.0, 0, 0, 0, 0), CUBE_EDGE_M)
+        world = WorldState([*map(_copy_obj, stack), blue], HOME_POSE, OPEN, BOUNDS)
+        cx, cy, cz = blue.center()
+        execute_action(world, act(cx, cy, cz, OPEN))
+        execute_action(world, act(cx, cy, cz, CLOSED))
+        execute_action(world, act(0.005, 0.0, 0.2, CLOSED))
+        execute_action(world, act(0.005, 0.0, 0.2, OPEN))
+        assert blue.pose.z == 2 * CUBE_EDGE_M
+        assert blue.supported_by == "yellow cube"
+
+
+def test_held_cube_keeps_its_own_yaw():
+    world = two_cube_world()
+    blue = world.object("blue cube")
+    blue.pose = Pose6(blue.pose.x, blue.pose.y, 0.0, 0.0, 0.0, 0.7)
+    cx, cy, cz = blue.center()
+    for x, y, z, grip, yaw in (
+        (cx, cy, cz, OPEN, 2.0),
+        (cx, cy, cz, CLOSED, 2.5),  # grasp
+        (0.0, 0.3, 0.2, CLOSED, 4.0),  # carry
+        (0.0, 0.3, 0.2, OPEN, 5.5),  # release onto the table
+    ):
+        execute_action(world, act(x, y, z, grip, yaw=yaw))
+        assert blue.pose.yaw == 0.7
+    assert (blue.pose.z, blue.supported_by) == (0.0, None)
+
+
+def test_a_cube_another_rests_on_cannot_be_grasped():
+    # destack_cube's stacked start: closing on the bottom cube grasps nothing.
+    world, _, var = reset(TaskId.DESTACK_CUBE, 0, BOUNDS)
+    bottom = world.object(var.bottom)
+    before = [(o.pose, o.supported_by) for o in world.objects]
+    for z, grip in ((0.15, OPEN), (0.025, OPEN), (0.025, CLOSED)):
+        execute_action(world, act(bottom.pose.x, bottom.pose.y, z, grip))
+    assert world.attached is None
+    assert [(o.pose, o.supported_by) for o in world.objects] == before
+
+    # After a stack, the bottom cube cannot be grasped; the top one still can.
+    world = two_cube_world()
+    blue, yellow = world.object("blue cube"), world.object("yellow cube")
+    cx, cy, cz = blue.center()
+    above = (yellow.pose.x, yellow.pose.y, 0.2)
+    for x, y, z, grip in (
+        (cx, cy, cz, OPEN), (cx, cy, cz, CLOSED), (*above, CLOSED), (*above, OPEN),
+        (*yellow.center(), OPEN), (*yellow.center(), CLOSED),
+    ):
+        execute_action(world, act(x, y, z, grip))
+    assert world.attached is None
+    assert (yellow.pose.z, blue.supported_by) == (0.0, "yellow cube")
+    execute_action(world, act(*blue.center(), OPEN))
+    execute_action(world, act(*blue.center(), CLOSED))
+    assert world.attached == "blue cube"
+
+
 def test_press_requires_empty_gripper_descent():
     world = button_world()
     execute_action(world, act(0.0, 0.0, 0.2, OPEN))
