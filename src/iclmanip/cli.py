@@ -28,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import re
-import stat
 import sys
 from enum import Enum
 from pathlib import Path
@@ -46,7 +45,7 @@ from .harness import (
     sweep_arms,
 )
 from .llm import OracleError, ProtocolError, TransportError
-from .model import _write_file, _write_plan, save_episodes
+from .model import _check_writable, _write_file, save_episodes
 from .sim import ExecutionError, ExpertError, PlacementError
 
 
@@ -104,19 +103,6 @@ _SWEEP_VALUE_FLAGS = {
     "shots": ("--shots", int, "demo counts for the shots sweep"),
     "noise": ("--scales", float, "noise scales k"),
 }
-
-
-def _check_writable(path: str) -> None:
-    """Raise now the OSError writing path, or its fresh name (model._write_plan), would raise.
-    An existing file keeps its bytes; a FIFO is not opened, or its reader would see an end."""
-    info, _, temp = _write_plan(path)
-    if info is None or not stat.S_ISFIFO(info.st_mode):
-        Path(path).open("a").close()
-    if info is None:
-        Path(path).unlink()
-    if temp is not None:
-        temp.open("x").close()
-        temp.unlink()
 
 
 def _summary_line(report: EvalReport) -> str:

@@ -8,9 +8,9 @@ the reconstruction error is at most half a bin per component.
 Inside the pipeline bins are plain int rows, six per pose and seven per
 action, whose columns and bin counts ROW_COLUMNS states once. `pose_bins`
 maps an array of poses and `pose_bin_row` one pose, bit for bit equal to
-the scalar functions; a replay and dediscretize_pose read bin centers from
-center_table. DiscretePose and DiscreteAction are the validated per-value
-view at the API edge.
+the scalar functions; `row_pose` maps a row back to its bin centers, read
+from center_table, for a replay and dediscretize_pose. DiscretePose and
+DiscreteAction are the validated per-value view at the API edge.
 """
 
 from __future__ import annotations
@@ -150,9 +150,13 @@ def center_table(bounds: WorkspaceBounds) -> tuple[tuple[float, ...], ...]:
     ) + (rotation,) * 3
 
 
+def row_pose(row: tuple[int, ...], bounds: WorkspaceBounds) -> Pose6:
+    """The pose at the centers of a pose row's, or an action row's, first six bins."""
+    return Pose6(*(column[b] for column, b in zip(center_table(bounds), row)))
+
+
 def dediscretize_pose(dp: DiscretePose, bounds: WorkspaceBounds) -> Pose6:
-    x, y, z, roll, pitch, yaw = center_table(bounds)
-    return Pose6(x[dp.tx], y[dp.ty], z[dp.tz], roll[dp.rr], pitch[dp.rp], yaw[dp.ry])
+    return row_pose(dp.as_tuple(), bounds)
 
 
 def discretize_action(action: Action, bounds: WorkspaceBounds) -> DiscreteAction:

@@ -22,9 +22,9 @@ never memoized, but a reply text is parsed once per base, and a reply already
 scored on that eval world is not replayed again, nor its world copied.
 
 The eval loop keeps a reply as Actions: prompts.parse_bins reads its text
-into int rows, and each row's centers in discretize.center_table make one
-Action. The store keeps one Action per distinct row and one tuple of them per
-distinct text. DiscreteAction and parse_response, the API-edge view, are not built here.
+into int rows, and each row makes one Action through discretize.row_pose and
+GripperState.from_bit. The store keeps one Action per distinct row and one tuple
+of them per distinct text. DiscreteAction and parse_response, the API-edge view, are not built here.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import center_table
+from .discretize import row_pose
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
     CompletionResult,
@@ -56,7 +56,6 @@ from .model import (
     Episode,
     GripperState,
     ObjectObservation,
-    Pose6,
     WorkspaceBounds,
     _write_file,
 )
@@ -380,11 +379,8 @@ def _demo_example(
             "a demo needs at least 2, so lower delta"
         )
     if config.loop_mode is LoopMode.OPEN:
-        example = build_icl_example(episode, frames, config.bounds)
-        if config.noise is None:
-            return example
-        start_obs = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
-        return IclExample(build_example_input(start_obs, episode.instruction, config.bounds), example.output)
+        start = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
+        return build_icl_example(episode, frames, config.bounds, start)
     # Closed loop re-observes the scene at each keyframe; replay the
     # expert to know where objects actually are.
     world = plans.reset(demo_task(config.task), seed, config.bounds)[0].clone()
@@ -461,7 +457,7 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
         yield seed, assemble_prompt(examples, test_input, system)
 
 
-def _reply_actions(plans: _Plans, text: str, bounds: WorkspaceBounds, centers: tuple) -> tuple[Action, ...] | str:
+def _reply_actions(plans: _Plans, text: str, bounds: WorkspaceBounds) -> tuple[Action, ...] | str:
     """A reply's Actions, one per bin row, or its ParseError kind."""
     try:
         rows = parse_bins(text).tolist()
@@ -470,17 +466,14 @@ def _reply_actions(plans: _Plans, text: str, bounds: WorkspaceBounds, centers: t
     by_row = plans.memo(("actions", bounds), dict)  # one Action per distinct row on a base
     for row in map(tuple, rows):
         if row not in by_row:
-            pose = Pose6(*(column[b] for column, b in zip(centers, row)))  # zip stops at the six pose columns
-            by_row[row] = Action(pose, (GripperState.CLOSED, GripperState.OPEN)[row[6]])
+            by_row[row] = Action(row_pose(row, bounds), GripperState.from_bit(row[6]))
     return tuple(by_row[row] for row in map(tuple, rows))
 
 
-def _score(
-    config: RunConfig, plans: _Plans, seed: int, text: str, centers: tuple
-) -> tuple[bool, int, bool, str | None]:
+def _score(config: RunConfig, plans: _Plans, seed: int, text: str) -> tuple[bool, int, bool, str | None]:
     """(parse_error, n_actions, success, failure) of a reply on an eval
     seed's world: its Actions, read once per text on a base, replayed on a copy of the pristine reset."""
-    actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text, config.bounds, centers))
+    actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text, config.bounds))
     if isinstance(actions, str):
         return True, 0, False, actions
     world, _, variation = plans.reset(config.task, seed, config.bounds)
@@ -505,12 +498,11 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     """
     complete = _provider(config)
     plans = _plans(config)
-    centers = center_table(config.bounds)
     records = []
     for seed, bundle in eval_prompts(config):
         result = complete(bundle)
         parse_error, n_actions, success, failure = plans.memo(
-            ("score", seed, result.text), lambda: _score(config, plans, seed, result.text, centers)
+            ("score", seed, result.text), lambda: _score(config, plans, seed, result.text)
         )
         records.append(
             EpisodeRecord(

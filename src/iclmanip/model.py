@@ -1,4 +1,4 @@
-"""Domain types shared across the toolkit, plus the episode writer.
+"""Domain types shared across the toolkit, plus the writer of every output file.
 
 Poses and actions are small frozen per-frame values. An Episode holds
 its dense trajectory as read-only numpy arrays instead (T x 6 poses,
@@ -26,6 +26,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_FRESH_TAG = os.urandom(4).hex()  # per process: a fresh name left by another process with this pid is not reused
 
 
 class GripperState(Enum):
@@ -299,7 +300,21 @@ def _write_plan(path: str | Path) -> tuple[os.stat_result | None, str | Path | i
     if info is not None and (not stat.S_ISREG(info.st_mode) or info.st_nlink != 1):
         return info, path, None
     target = Path(path).resolve()
-    return info, target, target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    return info, target, target.with_name(f".{target.name}.{os.getpid()}.{_FRESH_TAG}.tmp")
+
+
+def _check_writable(path: str | Path) -> None:
+    """Raise now the OSError _write_file(path) would raise on opening: open path, which makes a new
+    target through any symlink, and the fresh name, then remove what that made. An old file keeps its bytes."""
+    info, target, temp = _write_plan(path)
+    if target == 1 or (temp is None and stat.S_ISFIFO(info.st_mode)):
+        return  # fd 1 is open already; a FIFO's reader would take the close for the end of the output
+    Path(path).open("a").close()  # an error names path as given
+    if info is None:
+        target.unlink()
+    if temp is not None:
+        temp.open("x").close()
+        temp.unlink()
 
 
 @contextlib.contextmanager

@@ -139,16 +139,18 @@ def _check_keyframes(episode: Episode, keyframes: KeyframeIndices) -> None:
 
 
 def build_icl_example(
-    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds
+    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds,
+    observations: Sequence[ObjectObservation] | None = None,
 ) -> IclExample:
-    """Open-loop example: initial observations in, keyframe actions out.
+    """Open-loop example: initial observations (default: the episode's objects) in, keyframe actions out.
 
     The first keyframe's action is dropped; the starting action carries no
     information because every episode begins from the same home state.
     """
     _check_keyframes(episode, keyframes)
+    start = episode.objects if observations is None else observations
     return IclExample(
-        input=build_example_input(episode.objects, episode.instruction, bounds),
+        input=build_example_input(start, episode.instruction, bounds),
         output="{" + ", ".join(_action_texts(episode, keyframes[1:], bounds)) + "}",
     )
 

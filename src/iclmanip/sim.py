@@ -3,10 +3,10 @@
 Kinematic only: the gripper teleports to each commanded pose. Closing it
 grasps the nearest cube within GRASP_RADIUS_M that no cube rests on; the
 held cube's center follows the tool tip, keeping its own yaw; opening it
-settles the cube on the highest cube under its center, or on the table
-(_settle, which also stacks destack_cube's start). Buttons latch pressed
-when an empty gripper dips into their press zone. Everything is a pure
-function of (task, seed, bounds), which makes evaluation reproducible.
+settles the cube on the highest cube nearer in x, y than their half edges
+summed, or on the table (_settle, which also stacks destack_cube's start).
+Buttons latch pressed when an empty gripper dips into their press zone.
+Everything is a pure function of (task, seed, bounds), so runs reproduce.
 
 Each task's static facts (roster, variations, placement group and
 instruction template) are one TaskSpec in _SPECS; its goal and its expert
@@ -317,11 +317,11 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
 
 
 def _settle(world: WorldState, cube: SimObject) -> None:
-    """Rest cube on the highest other cube under its center, or on the table."""
+    """Rest cube on the highest cube whose x, y distance is under their half edges summed, or on the table."""
     under = [
         obj for obj in world.objects
         if obj is not cube and obj.kind is Kind.CUBE
-        and math.hypot(cube.pose.x - obj.pose.x, cube.pose.y - obj.pose.y) < obj.size / 2.0
+        and math.hypot(cube.pose.x - obj.pose.x, cube.pose.y - obj.pose.y) < (cube.size + obj.size) / 2.0
     ]
     support = max(under, key=SimObject.top, default=None)  # the first of equal tops
     z = 0.0 if support is None else support.top()

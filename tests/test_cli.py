@@ -60,6 +60,25 @@ def test_config_file_unknown_key_exits(tmp_path):
         main(["eval", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config file {path}: [Errno 2] No such file or directory: '{path}'"),
+        ('{"task": "push_button",', "cannot read config file {path}: "),
+        ('["task", "push_button"]', "config file {path} must hold a JSON object"),
+    ],
+)
+def test_unreadable_config_file_exits_before_any_episode_runs(tmp_path, monkeypatch, content, message):
+    calls = _count_run_eval(monkeypatch)
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--config", str(path)])
+    assert err.value.code.startswith(message.format(path=path)) and "\n" not in err.value.code
+    assert calls == []
+
+
 def test_missing_task_exits():
     with pytest.raises(SystemExit):
         main(["eval", "--n-eval", "2"])

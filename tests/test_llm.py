@@ -20,7 +20,7 @@ import pytest
 
 import iclmanip
 from iclmanip import llm
-from iclmanip.harness import LoopMode, RunConfig, eval_prompts
+from iclmanip.harness import LoopMode, RunConfig, eval_prompts, run_eval
 from iclmanip.llm import (
     CompletionTimeout,
     OracleError,
@@ -252,6 +252,42 @@ def test_remote_malformed_response_fails_fast():
     finally:
         _stop(server)
     assert len(script.requests) == 1
+
+
+def test_remote_null_content_fails_after_one_request():
+    script = _Script([(200, json.dumps({"choices": [{"message": {"content": None}}]})), (200, _ok_body())])
+    server, endpoint = _make_server(script)
+    try:
+        with pytest.raises(ProtocolError, match="completion content is NoneType, expected str"):
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
+    finally:
+        _stop(server)
+    assert len(script.requests) == 1
+
+
+def test_run_eval_remote_posts_each_prompt_and_takes_a_token_per_attempt(monkeypatch):
+    # No provider is patched: run_eval builds complete_remote with its own
+    # TokenBucket. A 429 with Retry-After: 0 makes the first episode retry.
+    monkeypatch.setenv("TEST_RUN_CREDENTIAL", CREDENTIAL)
+    acquired = []
+    real_acquire = TokenBucket.acquire
+    monkeypatch.setattr(TokenBucket, "acquire", lambda self: acquired.append(self.rate) or real_acquire(self))
+    reply = "{[50, 50, 10, 0, 0, 0, 1], [50, 50, 10, 0, 0, 0, 0]}"
+    script = _Script([(429, "slow down", {"Retry-After": "0"})] + [(200, _ok_body(reply))] * 3)
+    server, endpoint = _make_server(script)
+    config = RunConfig(
+        task=TaskId.PUSH_BUTTON, n_demos=2, n_eval=3, provider=Provider.REMOTE, endpoint=endpoint,
+        credential_env="TEST_RUN_CREDENTIAL", requests_per_second=1000.0,
+    )
+    try:
+        report = run_eval(config)
+    finally:
+        _stop(server)
+    prompts = [bundle.body for _, bundle in eval_prompts(config)]
+    assert [r["json"]["messages"][1]["content"] for r in script.requests] == [prompts[0], *prompts]
+    assert {r["auth"] for r in script.requests} == {f"Bearer {CREDENTIAL}"}
+    assert acquired == [1000.0] * 4
+    assert [(r.parse_error, r.n_actions) for r in report.records] == [(False, 2)] * 3
 
 
 def test_remote_errors_never_leak_the_credential():

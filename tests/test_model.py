@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import threading
 import time
@@ -20,6 +21,7 @@ from iclmanip.model import (
     ObjectObservation,
     Pose6,
     WorkspaceBounds,
+    _write_plan,
     save_episodes,
     velocity_norms,
     wrap_angle,
@@ -330,6 +332,41 @@ def test_symlinked_target_stays_a_symlink(writers, name, tmp_path):
     assert link.is_symlink() and os.readlink(link) == str(Path("data") / "real.csv")
     assert real.read_bytes() == expected
     assert _names(tmp_path / "data") == {"real.csv"}
+
+
+@pytest.mark.parametrize("name", [*WRITERS, "eval --csv"])
+def test_dangling_symlink_stays_a_symlink_and_its_target_is_written(writers, name, tmp_path):
+    # The check before a CLI run creates and removes the file the writer would write: the link's target.
+    expected = _written(writers, name, tmp_path)
+    (tmp_path / "data").mkdir()
+    link = tmp_path / "link.csv"
+    link.symlink_to(Path("data") / "real.csv")
+    writers[name](link)
+    assert link.is_symlink() and os.readlink(link) == str(Path("data") / "real.csv")
+    assert (tmp_path / "data" / "real.csv").read_bytes() == expected
+    assert _names(tmp_path / "data") == {"real.csv"}
+    assert _names(tmp_path) == {"link.csv", "data", "reference"}
+
+
+@pytest.mark.parametrize("name", ["emit_csv", "eval --csv"])
+def test_fresh_names_left_by_an_earlier_process_with_this_pid_are_not_reused(writers, name, tmp_path):
+    # A killed write, or a failed rename, leaves its fresh name behind; a
+    # container's entrypoint has the same pid on every start.
+    expected = _written(writers, name, tmp_path)
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"old\n")
+    pid = os.getpid()
+    fresh = _write_plan(path)[2].name
+    # Without a random part, and with another process's random part.
+    leftovers = {f".r.csv.{pid}.tmp", f".r.csv.{pid}.{int(fresh.split('.')[-2], 16) ^ 1:08x}.tmp"}
+    for leftover in leftovers:
+        (tmp_path / leftover).write_bytes(b"left behind\n")
+    writers[name](path)
+    assert path.read_bytes() == expected
+    assert all((tmp_path / leftover).read_bytes() == b"left behind\n" for leftover in leftovers)
+    assert _names(tmp_path) == {"r.csv", "reference", *leftovers}
+    # The random part is drawn once per process, so the check and the writer create one name.
+    assert re.fullmatch(rf"\.r\.csv\.{pid}\.[0-9a-f]{{8}}\.tmp", fresh) and _write_plan(path)[2].name == fresh
 
 
 @pytest.mark.parametrize("name", WRITERS)

@@ -256,6 +256,22 @@ def test_reset_never_returns_a_solved_world():
             assert not check_success(task, world, var)
 
 
+def test_reset_redraws_a_world_that_already_meets_its_goal(monkeypatch):
+    first, _, _ = reset(TaskId.SLIDE_BLOCK, 0, BOUNDS)
+    calls = []
+    real = sim.check_success
+
+    def first_draw_solved(task, world, variation):
+        calls.append(task)
+        return len(calls) == 1 or real(task, world, variation)
+
+    monkeypatch.setattr(sim, "check_success", first_draw_solved)
+    world, _, variation = reset(TaskId.SLIDE_BLOCK, 0, BOUNDS)
+    assert len(calls) >= 2
+    assert observations_of(world) != observations_of(first)
+    assert not real(TaskId.SLIDE_BLOCK, world, variation)
+
+
 def test_reset_button_layouts_shared_between_single_and_multi():
     # Multi-button episodes learn from single-button demos, so at equal
     # seeds both tasks must see the buttons in the same places.
@@ -422,6 +438,23 @@ def test_release_rests_on_the_higher_of_two_stacked_cubes():
         execute_action(world, act(0.005, 0.0, 0.2, OPEN))
         assert blue.pose.z == 2 * CUBE_EDGE_M
         assert blue.supported_by == "yellow cube"
+
+
+def test_release_off_center_rests_on_the_cube_it_overlaps():
+    # Blue's center lands 2.5 cm from yellow's: beyond yellow's half edge, but
+    # within their two half edges summed (4 cm), so blue rests on yellow.
+    world = two_cube_world(yx=0.10)
+    blue, yellow = world.object("blue cube"), world.object("yellow cube")
+    for x, y, z, grip in (
+        (*blue.center(), OPEN), (*blue.center(), CLOSED), (0.125, 0.0, 0.15, CLOSED), (0.125, 0.0, 0.15, OPEN),
+    ):
+        execute_action(world, act(x, y, z, grip))
+    assert (blue.pose.x, blue.pose.z, blue.supported_by) == (0.125, CUBE_EDGE_M, "yellow cube")
+    # Yellow now holds blue up, so closing on yellow grasps nothing.
+    execute_action(world, act(*yellow.center(), OPEN))
+    execute_action(world, act(*yellow.center(), CLOSED))
+    assert world.attached is None
+    assert (yellow.pose.z, blue.pose.z) == (0.0, CUBE_EDGE_M)
 
 
 def test_held_cube_keeps_its_own_yaw():
