@@ -5,12 +5,13 @@ out-of-range values clamped to the edge bins. Rotation uses 72 bins of
 5 degrees each over [0, 360). Dediscretization returns bin centers, so
 the reconstruction error is at most half a bin per component.
 
-Inside the pipeline bins are plain int rows, six per pose and seven per
-action, whose columns and bin counts ROW_COLUMNS states once. `pose_bins`
-maps an array of poses and `pose_bin_row` one pose, bit for bit equal to
-the scalar functions; `row_pose` maps a row back to its bin centers, read
-from center_table, for a replay and dediscretize_pose. DiscretePose and
-DiscreteAction are the validated per-value view at the API edge.
+Inside the pipeline bins are tuples of plain ints, six per pose and seven
+per action, whose columns and bin counts ROW_COLUMNS states once.
+`pose_bin_row` bins any six numbers, bit for bit equal to the scalar
+functions and the only binner besides them; `row_pose` maps a row back to
+its bin centers, read from center_table, for a replay and dediscretize_pose.
+DiscretePose and DiscreteAction are the validated per-value view at the API
+edge.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angle, wrap_angles
+from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angle
 
 TRANSLATION_BINS = 100
 ROTATION_BINS = 72
@@ -75,7 +75,7 @@ class DiscreteAction:
 
 def discretize_translation(value: float, axis_min: float, axis_max: float) -> int:
     """Bin = floor of the normalized position scaled to 100, clamped to [0, 99].
-    Clamping first sends raw = +-inf to an edge bin, as pose_bins does."""
+    Clamping first sends raw = +-inf to an edge bin, as pose_bin_row does."""
     if not axis_min < axis_max:
         raise ValueError(f"axis_min {axis_min} must be < axis_max {axis_max}")
     raw = (value - axis_min) / (axis_max - axis_min) * TRANSLATION_BINS
@@ -103,14 +103,16 @@ def dediscretize_rotation(bin_index: int) -> float:
     return math.radians((bin_index + 0.5) * DEGREES_PER_BIN)
 
 
-def pose_bin_row(pose: Pose6, bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
-    """discretize_pose as a plain tuple of six ints: discretize_translation's
-    and discretize_rotation's arithmetic inline, without their checks, as
-    bounds hold min < max and a Pose6's angles are wrapped already."""
+def pose_bin_row(pose: Sequence[float], bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
+    """Six numbers x, y, z, roll, pitch, yaw, the angles wrapped as a Pose6's
+    and an Episode's are, as six bins: discretize_translation's and
+    discretize_rotation's arithmetic inline, without their checks, as bounds
+    hold min < max."""
     (x0, x1), (y0, y1), (z0, z1) = bounds.limits
+    x, y, z, roll, pitch, yaw = pose
     n, k, top, last = TRANSLATION_BINS, _DEGREES_PER_RADIAN, TRANSLATION_BINS - 1, ROTATION_BINS - 1
-    tx, ty, tz = (pose.x - x0) / (x1 - x0) * n, (pose.y - y0) / (y1 - y0) * n, (pose.z - z0) / (z1 - z0) * n
-    rr, rp, ry = pose.roll * k / DEGREES_PER_BIN, pose.pitch * k / DEGREES_PER_BIN, pose.yaw * k / DEGREES_PER_BIN
+    tx, ty, tz = (x - x0) / (x1 - x0) * n, (y - y0) / (y1 - y0) * n, (z - z0) / (z1 - z0) * n
+    rr, rp, ry = roll * k / DEGREES_PER_BIN, pitch * k / DEGREES_PER_BIN, yaw * k / DEGREES_PER_BIN
     # Clamped to the edge bins as min and max would; degrees are >= 0, so int() floors.
     return (
         0 if tx < 0.0 else top if tx >= top else int(tx),
@@ -122,22 +124,8 @@ def pose_bin_row(pose: Pose6, bounds: WorkspaceBounds) -> tuple[int, int, int, i
     )
 
 
-def pose_bins(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
-    """Bin every row of an N x 6 pose array: an N x 6 int64 array whose rows
-    equal discretize_pose on each row, bit for bit."""
-    poses = np.asarray(poses, dtype=np.float64)
-    lo, hi = np.array(bounds.limits).T
-    with np.errstate(over="ignore"):  # a position beyond float range is +-inf: an edge bin
-        raw = (poses[:, :3] - lo) / (hi - lo) * TRANSLATION_BINS
-    out = np.empty(poses.shape, dtype=np.int64)
-    out[:, :3] = np.clip(np.floor(raw), 0, TRANSLATION_BINS - 1)
-    degrees = wrap_angles(poses[:, 3:]) * _DEGREES_PER_RADIAN  # math.degrees
-    out[:, 3:] = np.minimum(np.floor(degrees / DEGREES_PER_BIN), ROTATION_BINS - 1)
-    return out
-
-
 def discretize_pose(pose: Pose6, bounds: WorkspaceBounds) -> DiscretePose:
-    return DiscretePose(*pose_bin_row(pose, bounds))
+    return DiscretePose(*pose_bin_row(pose.as_list(), bounds))
 
 
 @functools.lru_cache(maxsize=16)

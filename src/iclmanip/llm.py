@@ -281,7 +281,7 @@ def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
         written = _TABLE[3]  # _nearest_output has set _TABLE to demos' table
         answer = written.get(text)
         if answer is None:  # parse_bins raises on an output without rows
-            answer = written[text] = ", ".join(ACTION_TEXT % tuple(row) for row in parse_bins(text).tolist())
+            answer = written[text] = ", ".join(ACTION_TEXT % row for row in parse_bins(text))
         answers.append(answer)
     text = "{" + ", ".join(answers) + "}"
     return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_COMPOSITIONAL)

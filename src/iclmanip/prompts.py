@@ -9,11 +9,11 @@ for byte:
     example out   {[action], [action], ...}
     prompt body   in > out, in > out, ..., test_in >
 
-Inside the pipeline bins stay int rows: examples are formatted straight
-from an episode's keyframe rows and from each observed pose's six bins,
-and parse_bins reads a reply into an N x 7 int array of action rows. It is
-total: any byte string either yields rows or raises ParseError with a kind
-of no_actions, arity or range.
+Inside the pipeline bins stay tuples of plain ints: examples are formatted
+from pose_bin_row's six bins of each keyframe pose and observed pose, and
+parse_bins reads a reply into a list of 7-int action rows. It is total:
+any byte string either yields rows or raises ParseError with a kind of
+no_actions, arity or range.
 parse_response is its API-edge view, the same rows as DiscreteActions.
 read_prompt inverts a prompt body back into its demos and test input; the
 offline oracles answer from what it reads.
@@ -26,9 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_row, pose_bins
+from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_row
 from .keyframes import KeyframeIndices
 from .model import Episode, ObjectObservation, WorkspaceBounds
 
@@ -108,12 +106,10 @@ def format_action(action: DiscreteAction) -> str:
 
 
 def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBounds) -> list[str]:
-    """The formatted actions at `frames`, binned straight from the arrays."""
+    """The formatted actions at `frames`."""
     index = list(frames)
-    rows = np.empty((len(index), 7), dtype=np.int64)
-    rows[:, :6] = pose_bins(episode.poses[index], bounds)
-    rows[:, 6] = episode.gripper_bits[index]
-    return [ACTION_TEXT % tuple(row) for row in rows.tolist()]
+    poses, bits = episode.poses[index].tolist(), episode.gripper_bits[index].tolist()
+    return [ACTION_TEXT % (*pose_bin_row(pose, bounds), bit) for pose, bit in zip(poses, bits)]
 
 
 def build_example_input(
@@ -124,8 +120,7 @@ def build_example_input(
         raise ValueError("need at least one observation")
     if not instruction:
         raise ValueError("instruction must be non-empty")
-    # A scene holds two to five objects: scalar binning beats numpy here.
-    texts = [_OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)) for o in observations]
+    texts = [_OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose.as_list(), bounds)) for o in observations]
     return "{" + ", ".join(texts) + ", " + instruction + "}"
 
 
@@ -182,7 +177,7 @@ def build_closed_loop_example(
             raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
         for i, o in enumerate(scene):
             if o.pose is not seen[i][0]:
-                seen[i] = (o.pose, _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose, bounds)))
+                seen[i] = (o.pose, _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose.as_list(), bounds)))
         blocks.append(", ".join([text for _, text in seen]))
     actions = _action_texts(episode, keyframes, bounds)
     parts = [actions[0]] + [text for pair in zip(blocks[1:], actions[1:]) for text in pair]
@@ -214,8 +209,8 @@ _BIN = r"[0-9]{1,6}"
 _CANONICAL_BRACKET = re.compile(
     r": \[" + ", ".join([_BIN] * 6) + r"\]|\[" + ", ".join([f"({_BIN})"] * 7) + r"\]"
 )
-# Each action column's bin count, for one vector range check.
-_ROW_BINS = np.array([bins for _, bins in ROW_COLUMNS])
+# Each action column's bin count, for the canonical rows' range check.
+_ROW_BINS = tuple(bins for _, bins in ROW_COLUMNS)
 
 
 def _int_list(content: str) -> list[int] | None:
@@ -236,13 +231,13 @@ def _int_list(content: str) -> list[int] | None:
     return values
 
 
-def _check_row(values: list[int], position: int) -> list[int]:
+def _check_row(values: list[int], position: int) -> tuple[int, ...]:
     for (name, bins), v in zip(ROW_COLUMNS, values[:6]):
         if not 0 <= v < bins:
             raise ParseError("range", position, f"{name} bin {v} out of range [0, {bins}) at offset {position}")
     if values[6] not in (0, 1):
         raise ParseError("range", position, f"gripper bit {values[6]} must be 0 or 1 at offset {position}")
-    return values
+    return tuple(values)
 
 
 def _is_observation_echo(text: str, bracket_start: int) -> bool:
@@ -253,9 +248,9 @@ def _is_observation_echo(text: str, bracket_start: int) -> bool:
     return j >= 0 and text[j] == ":"
 
 
-def _rows_by_bracket(cleaned: str) -> list[list[int]]:
+def _rows_by_bracket(cleaned: str) -> list[tuple[int, ...]]:
     """The per-bracket rules: every bracket in order, first failure raised."""
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for match in _BRACKET.finditer(cleaned):
         at = match.start()
         # Colon-preceded brackets holding an action's 7 integers ("Step 1: [...]")
@@ -275,9 +270,9 @@ def _rows_by_bracket(cleaned: str) -> list[list[int]]:
     return rows
 
 
-def parse_bins(text: str | bytes) -> np.ndarray:
-    """Extract the predicted actions from a model reply as a read-only
-    N x 7 int64 array of bin rows (tx ty tz rr rp ry g).
+def parse_bins(text: str | bytes) -> list[tuple[int, ...]]:
+    """Extract the predicted actions from a model reply as a list of bin
+    rows, each a tuple of seven ints (tx ty tz rr rp ry g).
 
     It tolerates surrounding prose, markdown fences, optional braces, and
     observation echoes; it fails only on integer brackets with the wrong
@@ -285,7 +280,7 @@ def parse_bins(text: str | bytes) -> np.ndarray:
 
     A reply whose every `[` opens a canonical bracket, an action or an
     observation echo as the prompt's examples hold them, is read in one
-    regex pass and range-checked with one vector compare; any other reply,
+    regex pass and range-checked column by column; any other reply,
     and any range failure, goes through the per-bracket rules, which give
     the error's kind, position and message.
     """
@@ -297,21 +292,20 @@ def parse_bins(text: str | bytes) -> np.ndarray:
     found = _CANONICAL_BRACKET.findall(cleaned)
     rows = None
     if len(found) == cleaned.count("["):  # every `[` opens a canonical bracket
-        rows = np.array([f for f in found if f[0]], dtype=np.int64).reshape(-1, 7)
-        if not (rows < _ROW_BINS).all():
-            rows = None
+        rows = [tuple(map(int, f)) for f in found if f[0]]
+        if any(max(column) >= bins for column, bins in zip(zip(*rows), _ROW_BINS)):
+            rows = None  # the regex admits no sign, so only the upper bound can fail
     if rows is None:
-        rows = np.array(_rows_by_bracket(cleaned), dtype=np.int64).reshape(-1, 7)
-    if not len(rows):
+        rows = _rows_by_bracket(cleaned)
+    if not rows:
         raise ParseError("no_actions", 0, "no action brackets found")
-    rows.flags.writeable = False
     return rows
 
 
 def parse_response(text: str | bytes) -> list[DiscreteAction]:
     """parse_bins at the API edge: the same rows as DiscreteActions, and
     the same ParseError for a reply that does not parse."""
-    return [DiscreteAction(DiscretePose(*row[:6]), row[6]) for row in parse_bins(text).tolist()]
+    return [DiscreteAction(DiscretePose(*row[:6]), row[6]) for row in parse_bins(text)]
 
 
 class PromptDemo(NamedTuple):

@@ -432,7 +432,10 @@ def replay_observations(
 
 
 def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> bool:
-    """Task-specific goal predicate on the current world state."""
+    """Task-specific goal predicate on the current world state; no task is
+    done while the gripper still holds a cube."""
+    if world.attached is not None:
+        return False
     if task is TaskId.STACK_CUBE:
         top = world.object(variation.top)
         bottom = world.object(variation.bottom)
@@ -441,7 +444,7 @@ def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> 
             <= bottom.size / 2.0
         )
         z_ok = abs(top.pose.z - bottom.top()) <= STACK_TOLERANCE_M
-        return xy_ok and z_ok and world.attached is None
+        return xy_ok and z_ok
     if task is TaskId.DESTACK_CUBE:
         moved = world.object(variation.top)
         return moved.pose.z <= moved.size / 2.0 + STACK_TOLERANCE_M

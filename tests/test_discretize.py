@@ -21,7 +21,6 @@ from iclmanip.discretize import (
     discretize_rotation,
     discretize_translation,
     pose_bin_row,
-    pose_bins,
 )
 from iclmanip.model import Action, GripperState, Pose6
 
@@ -179,18 +178,14 @@ def _pose_rows(bounds):
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
-def test_pose_bins_equal_discretize_pose(bounds):
+def test_pose_bin_row_equals_discretize_pose(bounds):
     # The oracle is each column's scalar function on the raw row, which
-    # pose_bin_row and pose_bins both inline; discretize_pose is built on
-    # pose_bin_row, so it is checked against the same oracle.
-    rows = _pose_rows(bounds)
-    bins = pose_bins(rows, bounds)
-    assert bins.dtype == np.int64 and bins.shape == rows.shape
-    for row, got in zip(rows.tolist(), bins.tolist()):
+    # pose_bin_row inlines; discretize_pose is built on pose_bin_row, so it
+    # is checked against the same oracle.
+    for row in _pose_rows(bounds).tolist():
         expected = tuple(
             discretize_translation(v, lo, hi) for v, (lo, hi) in zip(row[:3], bounds.limits)
         ) + tuple(discretize_rotation(a) for a in row[3:])
         pose = Pose6(*row)
-        assert tuple(got) == expected
-        assert pose_bin_row(pose, bounds) == expected
+        assert pose_bin_row(pose.as_list(), bounds) == expected
         assert discretize_pose(pose, bounds).as_tuple() == expected

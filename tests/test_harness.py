@@ -43,7 +43,7 @@ from iclmanip.harness import (
 )
 from iclmanip.discretize import center_table, pose_bin_row
 from iclmanip.llm import CompletionResult, Provider, TransportError
-from iclmanip.model import Pose6, WorkspaceBounds
+from iclmanip.model import WorkspaceBounds
 from iclmanip.sim import TaskId, WorldState, reset, task_spec
 
 from conftest import ASYMMETRIC, BOUNDS
@@ -149,14 +149,14 @@ _INTEGER_FIELDS = ("seed", "n_demos", "n_eval", "uniform_interval", "max_tokens"
 @pytest.mark.parametrize("field", _INTEGER_FIELDS)
 @pytest.mark.parametrize("value", [2.5, 1.0, True, np.float64(2.0), "2"])
 def test_integer_fields_reject_non_integers_by_name(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=rf"^{field} must be of type int, got {re.escape(repr(value))}$"):
         RunConfig(task=TaskId.PUSH_BUTTON, **{field: value})
 
 
 @pytest.mark.parametrize("seeds", [(1.7, 2), (1, True), (np.float64(3.0), 4)])
 def test_eval_seeds_reject_non_integers_by_position(seeds):
     at = next(i for i, s in enumerate(seeds) if isinstance(s, (bool, float)))
-    with pytest.raises(ValueError, match=rf"^eval_seeds\[{at}\] must be an integer, got {re.escape(repr(seeds[at]))}$"):
+    with pytest.raises(ValueError, match=rf"^eval_seeds\[{at}\] must be of type int, got {re.escape(repr(seeds[at]))}$"):
         RunConfig(task=TaskId.PUSH_BUTTON, n_eval=2, eval_seeds=seeds)
 
 
@@ -361,7 +361,7 @@ def test_a_reply_grasping_the_bottom_cube_scores_a_failed_episode(monkeypatch):
         world, _, variation = reset(cfg.task, seed, cfg.bounds)
         bottom = world.object(variation.bottom)
         rows = [
-            [*pose_bin_row(Pose6(bottom.pose.x, bottom.pose.y, z, 0.0, 0.0, 0.0), cfg.bounds), bit]
+            [*pose_bin_row((bottom.pose.x, bottom.pose.y, z, 0.0, 0.0, 0.0), cfg.bounds), bit]
             for z, bit in ((0.15, 1), (0.025, 1), (0.025, 0))
         ]
         replies.append(", ".join(map(str, rows)))

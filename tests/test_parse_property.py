@@ -12,7 +12,6 @@ Example counts come from the active hypothesis profile (tests/conftest.py).
 
 import re
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -270,9 +269,8 @@ def _oracle_rows(text):
 
 def _new_rows(text):
     rows = parse_bins(text)
-    assert rows.dtype == np.int64 and rows.shape == (len(rows), 7)
-    assert not rows.flags.writeable
-    return rows.tolist()
+    assert all(type(row) is tuple and len(row) == 7 and all(type(v) is int for v in row) for row in rows)
+    return rows
 
 
 @settings(deadline=None, derandomize=True)

@@ -7,12 +7,19 @@ translation bin b on [-0.5, 0.5] centers at -0.5 + (b + 0.5)/100, z on
 """
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iclmanip.discretize import DiscreteAction, DiscretePose
+from iclmanip.discretize import (
+    DiscreteAction,
+    DiscretePose,
+    discretize_action,
+    discretize_rotation,
+    discretize_translation,
+)
 from iclmanip.keyframes import KeyframeIndices
 from iclmanip.model import (
     Episode,
@@ -34,7 +41,7 @@ from iclmanip.prompts import (
     read_prompt,
 )
 
-from conftest import BOUNDS
+from conftest import ASYMMETRIC, BOUNDS
 
 GOLDEN = Path(__file__).parent / "golden"
 OPEN = GripperState.OPEN
@@ -163,6 +170,39 @@ def test_closed_loop_rejects_missing_or_renamed_observations():
     renamed = (ObjectObservation("blue button", pose(50, 0, 0)),)
     with pytest.raises(ValueError):
         build_closed_loop_example(ep, frames, BOUNDS, [button, renamed])
+
+
+_EDGE_ANGLES = (0.0, -0.0, 2 * math.pi, -2 * math.pi, 2 * math.pi - 1e-15, 1e-300, -1e-300)
+_FAR_TRANSLATIONS = (1e300, -1e300, sys.float_info.max, -sys.float_info.max)
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
+def test_demo_action_texts_equal_the_per_value_path(bounds):
+    # Every action text build_icl_example writes is format_action of the
+    # validated per-value view, also for angles at the wrap edges and for
+    # translations far outside the bounds; and that view's bins are the
+    # scalar functions' on each value.
+    rng = np.random.default_rng(47)
+    lo, hi = np.array(bounds.limits).T
+    span = hi - lo
+    objects = (ObjectObservation("red button", Pose6(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),)
+    for _ in range(300):
+        length = int(rng.integers(2, 10))
+        poses = np.concatenate(
+            (rng.uniform(lo - span, hi + span, (length, 3)), rng.uniform(-4 * math.pi, 4 * math.pi, (length, 3))),
+            axis=1,
+        )
+        edges = rng.random(poses.shape) < 0.3
+        poses[:, :3][edges[:, :3]] = rng.choice(_FAR_TRANSLATIONS, int(edges[:, :3].sum()))
+        poses[:, 3:][edges[:, 3:]] = rng.choice(_EDGE_ANGLES, int(edges[:, 3:].sum()))
+        ep = Episode("push the red button", objects, poses, rng.integers(0, 2, length), np.zeros((length, 7)))
+        example = build_icl_example(ep, KeyframeIndices(tuple(range(length)), length), bounds)
+        actions = [discretize_action(ep.action(t), bounds) for t in range(1, length)]
+        assert example.output == "{" + ", ".join(map(format_action, actions)) + "}"
+        for t, action in enumerate(actions, 1):
+            x, y, z, *angles = ep.action(t).pose.as_list()
+            scalar = [discretize_translation(v, a, b) for v, (a, b) in zip((x, y, z), bounds.limits)]
+            assert action.pose.as_tuple() == (*scalar, *map(discretize_rotation, angles))
 
 
 def test_system_prompts_match_reference_files():

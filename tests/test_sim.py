@@ -610,6 +610,33 @@ def test_stack_success_requires_released_gripper():
     assert check_success(TaskId.STACK_CUBE, world, var)
 
 
+def test_slide_success_requires_released_gripper():
+    # The block carried over the target, still closed, hovers there: not slid.
+    world, _, var = reset(TaskId.SLIDE_BLOCK, 0, BOUNDS)
+    block, target = world.object("block"), world.object("target")
+    cx, cy, cz = block.center()
+    execute_action(world, act(cx, cy, 0.15, OPEN))
+    execute_action(world, act(cx, cy, cz, CLOSED))
+    execute_action(world, act(cx, cy, 0.15, CLOSED))
+    execute_action(world, act(target.pose.x, target.pose.y, 0.15, CLOSED))
+    assert world.attached == "block" and block.pose.z == pytest.approx(0.13)
+    assert not check_success(TaskId.SLIDE_BLOCK, world, var)
+
+
+def test_destack_success_requires_released_gripper():
+    # The top cube carried 15 cm aside and lowered to table height, still
+    # closed, is held there: not destacked.
+    world, _, var = reset(TaskId.DESTACK_CUBE, 0, BOUNDS)
+    top = world.object(var.top)
+    cx, cy, cz = top.center()
+    execute_action(world, act(cx, cy, cz, OPEN))
+    execute_action(world, act(cx, cy, cz, CLOSED))
+    execute_action(world, act(cx, cy, 0.15, CLOSED))
+    execute_action(world, act(cx + 0.15, cy, 0.045, CLOSED))
+    assert world.attached == var.top and top.pose.z == pytest.approx(0.025)
+    assert not check_success(TaskId.DESTACK_CUBE, world, var)
+
+
 def test_multi_button_success_needs_exact_order():
     objects = [
         SimObject("red button", Kind.BUTTON, Pose6(-0.2, 0, 0, 0, 0, 0), BUTTON_RADIUS_M),
