@@ -3,9 +3,9 @@
 A run is fully described by a RunConfig. Demo episodes come from seeds
 scanned upward from config.seed so that task variations cycle round-robin
 (and a smaller demo pool is always a prefix of a larger one); eval
-episodes use seeds offset by 100000, so the two sets never overlap unless
-the caller explicitly passes eval_seeds. Observation noise is one scale
-k (RunConfig.noise) on sim's fixed base sigmas.
+episodes start at seed + EVAL_SEED_OFFSET, and a demo scan that reaches
+them is a ValueError unless eval_seeds is given. Observation noise is one
+scale k (RunConfig.noise) on sim's fixed base sigmas.
 
 One prompt stage, eval_prompts, turns a config into the prompt for each
 eval seed: demo pool, noised test observations, assembled bundle. run_eval
@@ -14,8 +14,8 @@ completes what it yields and scores each reply in one step, _score;
 
 Worlds are planned once per base config: one process-wide store keyed on
 (task, seed, bounds) keeps each pristine reset and expert episode and
-memoizes the pure stages that arms repeat (demo seed scans, demo pools and
-examples, test slot text, reply Actions and scores), each keyed on exactly
+memoizes the pure stages that arms repeat (demo seed scans, demo examples,
+test slot text, reply Actions and scores), each keyed on exactly
 the inputs it reads. Calls on one base, such as every arm of every sweep of
 a config, share the store; a call on another base replaces it. Providers are
 never memoized, but a reply text is parsed once per base, and a reply already
@@ -44,6 +44,7 @@ import numpy as np
 from .discretize import row_pose
 from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
 from .llm import (
+    MIN_RATE_PER_SECOND,
     CompletionResult,
     Provider,
     TokenBucket,
@@ -145,8 +146,8 @@ class RunConfig:
             raise ValueError(
                 f"system_prompt_index must be {', '.join(map(str, rest))}, or {last}, got {self.system_prompt_index}"
             )
-        if self.requests_per_second <= 0:
-            raise ValueError(f"requests_per_second must be positive, got {self.requests_per_second}")
+        if self.requests_per_second < MIN_RATE_PER_SECOND:
+            raise ValueError(f"requests_per_second must be >= {MIN_RATE_PER_SECOND:g}, got {self.requests_per_second}")
         if self.noise is not None and self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
@@ -359,7 +360,7 @@ def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
 
 
 # The RunConfig fields _demo_example reads: with the demo seed and pool
-# position, its memo key; with n_demos, the whole pool's.
+# position, its memo key.
 _DEMO_FIELDS = operator.attrgetter(
     "keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise", "seed", "bounds"
 )
@@ -390,23 +391,17 @@ def _demo_example(
 
 
 def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
-    """The demo seeds and the ICL example built on each, in pool order;
-    built once per (n_demos, _DEMO_FIELDS) on a base. The list is the
-    caller's own."""
+    """The demo seeds and the ICL example built on each, in pool order.
+    Every expert is planned before the first example is built, and each
+    example is built once per (seed, position, _DEMO_FIELDS) on a base.
+    The list is the caller's own."""
     plans = _plans(config)
-    seeds, examples = plans.memo(
-        ("pool", config.n_demos, _DEMO_FIELDS(config)), lambda: _build_demo_pool(config, plans)
-    )
-    return seeds, list(examples)
-
-
-def _build_demo_pool(config: RunConfig, plans: _Plans) -> tuple[tuple[int, ...], tuple[IclExample, ...]]:
-    seeds = demo_seeds(config)
+    seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
     episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
-    examples = tuple(
-        plans.memo(("demo", seed, i, _DEMO_FIELDS(config)), lambda: _demo_example(config, i, seed, ep, plans))
+    examples = [
+        plans.memo(("demo", seed, i, fields), lambda: _demo_example(config, i, seed, ep, plans))
         for i, (seed, ep) in enumerate(zip(seeds, episodes))
-    )
+    ]
     return seeds, examples
 
 
@@ -440,7 +435,10 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     d_seeds, examples = build_demo_pool(config)
     e_seeds = eval_seeds(config)
     if config.eval_seeds is None and set(d_seeds) & set(e_seeds):
-        raise RuntimeError("derived demo and eval seeds overlap; widen EVAL_SEED_OFFSET")
+        raise ValueError(
+            f"n_demos {config.n_demos} scans demo seeds into the eval seeds, which start at "
+            f"seed + {EVAL_SEED_OFFSET}; use fewer demos"
+        )
     system = default_system_prompts()[config.system_prompt_index]
     for j, seed in enumerate(e_seeds):
         world, instruction, _ = plans.reset(config.task, seed, config.bounds)

@@ -29,6 +29,7 @@ from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_pro
 from .sim import CHAIN_SEPARATOR
 
 MAX_RETRY_AFTER_S = 60.0
+MIN_RATE_PER_SECOND = 1e-9  # one request per about 32 years
 
 
 class Provider(Enum):
@@ -72,8 +73,10 @@ class OracleError(Exception):
 
 
 class TokenBucket:
-    """Token-bucket rate limiter holding at most one token; acquire() blocks
-    until the token is free and takes it."""
+    """Rate limiter with a one-token bucket, kept as the time the token is
+    free: the first acquire() returns at once, each later one 1 / rate
+    seconds after the previous one returned. A rate under
+    MIN_RATE_PER_SECOND would ask time.sleep for more than it accepts."""
 
     def __init__(
         self,
@@ -81,23 +84,19 @@ class TokenBucket:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if rate_per_second <= 0:
-            raise ValueError(f"rate_per_second must be positive, got {rate_per_second}")
+        if not rate_per_second >= MIN_RATE_PER_SECOND:
+            raise ValueError(f"rate_per_second must be >= {MIN_RATE_PER_SECOND:g}, got {rate_per_second}")
         self.rate = rate_per_second
         self._clock = clock
         self._sleep = sleep
-        self._tokens = 1.0
-        self._last = clock()
+        self._free_at = clock()
 
     def acquire(self) -> None:
         now = self._clock()
-        self._tokens = min(1.0, self._tokens + (now - self._last) * self.rate)
-        self._last = now
-        if self._tokens < 1.0:
-            self._sleep((1.0 - self._tokens) / self.rate)
-            # The wait earned the rest of the token, however coarse the clock.
-            self._last = self._clock()
-        self._tokens = 0.0
+        if now < self._free_at:
+            self._sleep(self._free_at - now)
+            now = self._clock()  # the wait's end, however coarse the clock
+        self._free_at = now + 1.0 / self.rate
 
 
 def _retry_after_s(headers: Mapping[str, str]) -> float | None:

@@ -5,7 +5,7 @@ grasps the nearest cube within GRASP_RADIUS_M that no cube rests on; the
 held cube's center follows the tool tip, keeping its own yaw; opening it
 settles the cube on the highest cube nearer in x, y than their half edges
 summed, or on the table (_settle, which also stacks destack_cube's start).
-Buttons latch pressed when an empty gripper dips into their press zone.
+An empty gripper entering a button's press zone logs a press of it.
 Everything is a pure function of (task, seed, bounds), so runs reproduce.
 
 Each task's static facts (roster, variations, placement group and
@@ -90,7 +90,6 @@ class SimObject:
     kind: Kind
     pose: Pose6
     size: float
-    pressed: bool = False
     supported_by: str | None = None
 
     def center(self) -> tuple[float, float, float]:
@@ -110,7 +109,6 @@ class WorldState:
     gripper: GripperState
     bounds: WorkspaceBounds
     attached: str | None = None
-    time: int = 0
     press_log: list[str] = field(default_factory=list)
 
     def object(self, name: str) -> SimObject:
@@ -124,14 +122,13 @@ class WorldState:
         are frozen values, so the copy shares them."""
         return WorldState(
             objects=[
-                SimObject(o.name, o.kind, o.pose, o.size, o.pressed, o.supported_by)
+                SimObject(o.name, o.kind, o.pose, o.size, o.supported_by)
                 for o in self.objects
             ],
             gripper_pose=self.gripper_pose,
             gripper=self.gripper,
             bounds=self.bounds,
             attached=self.attached,
-            time=self.time,
             press_log=list(self.press_log),
         )
 
@@ -255,8 +252,6 @@ def _validate_world(world: WorldState) -> None:
     if world.attached is not None and world.gripper is not GripperState.CLOSED:
         raise RuntimeError("invariant violation: attached object with open gripper")
     for obj in world.objects:
-        if obj.pressed and obj.kind is not Kind.BUTTON:
-            raise RuntimeError(f"invariant violation: pressed flag on {obj.kind} {obj.name!r}")
         if obj.supported_by is not None:
             supporter = world.object(obj.supported_by)
             if abs(obj.pose.z - supporter.top()) > 1e-9:
@@ -392,10 +387,8 @@ def execute_action(world: WorldState, action: Action) -> None:
             if obj.kind is not Kind.BUTTON:
                 continue
             if _press_zone(obj, pose) and not _press_zone(obj, prev_pose):
-                obj.pressed = True
                 world.press_log.append(obj.name)
 
-    world.time += 1
     _validate_world(world)
 
 
@@ -411,9 +404,8 @@ def replay_observations(
     only where the gripper bit changes and at the requested frames. A
     skipped frame only moves the gripper, which observations do not show,
     and the held cube, which tracks the gripper and is put under it again
-    at the next executed frame; a button it would latch is not observed
-    either. `world` is mutated; its clock, press flags and press log count
-    executed frames only.
+    at the next executed frame; a press it would log is not observed
+    either. `world` is mutated; its press log counts executed frames only.
     """
     lo, hi = np.array(_reach_limits(world.bounds)).T
     xyz = episode.poses[:, :3]
@@ -449,7 +441,7 @@ def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> 
         moved = world.object(variation.top)
         return moved.pose.z <= moved.size / 2.0 + STACK_TOLERANCE_M
     if task is TaskId.PUSH_BUTTON:
-        return world.object(variation.buttons[0]).pressed
+        return variation.buttons[0] in world.press_log
     if task is TaskId.PUSH_MULTIPLE_BUTTONS:
         return tuple(world.press_log) == variation.buttons
     if task is TaskId.SLIDE_BLOCK:

@@ -17,6 +17,7 @@ import pytest
 import iclmanip
 import iclmanip.cli as cli
 import iclmanip.harness as harness
+import iclmanip.llm as llm
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
 from iclmanip.model import _write_plan
@@ -449,6 +450,37 @@ def test_invalid_credential_stays_out_of_the_exit_text(monkeypatch, capsys):
     assert "not a valid header value" in err.value.code
     out, errs = capsys.readouterr()
     assert "sk-secret" not in err.value.code + out + errs
+
+
+def test_request_rate_below_the_floor_exits_before_connecting(monkeypatch):
+    # At 1e-11 requests/s the rate limiter's second wait would be longer than
+    # time.sleep accepts; the config is refused before any request is sent.
+    monkeypatch.setattr(llm, "http_post", lambda *args: pytest.fail("the remote run connected"))
+    monkeypatch.setenv("ICLMANIP_TEST_KEY", "sk-test")
+    with pytest.raises(SystemExit) as err:
+        main(
+            [
+                "eval",
+                "--task", "push_button",
+                "--n-demos", "2",
+                "--n-eval", "2",
+                "--provider", "remote",
+                "--endpoint", "http://127.0.0.1:9",
+                "--credential-env", "ICLMANIP_TEST_KEY",
+                "--requests-per-second", "1e-11",
+            ]
+        )
+    assert err.value.code == "requests_per_second must be >= 1e-09, got 1e-11"
+
+
+def test_demo_scan_reaching_the_eval_seeds_exits_with_message(monkeypatch):
+    # Ten push_button demos from seed 0 take seeds up to 42, past seed 30.
+    monkeypatch.setattr(harness, "EVAL_SEED_OFFSET", 30)
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--task", "push_button", "--n-demos", "10", "--n-eval", "2"])
+    assert isinstance(err.value.code, str) and "\n" not in err.value.code
+    assert "n_demos 10" in err.value.code and "seed + 30" in err.value.code
+    assert "use fewer demos" in err.value.code
 
 
 def _count_run_eval(monkeypatch, fail: bool = False) -> list:

@@ -68,6 +68,8 @@ def test_run_config_validation():
         config(uniform_interval=0)
     with pytest.raises(ValueError):
         config(n_eval=2, eval_seeds=(1, 2, 3))
+    with pytest.raises(ValueError, match="^requests_per_second must be >= 1e-09"):
+        config(requests_per_second=1e-10)
 
 
 def test_from_mapping_coerces_json_values():
@@ -601,6 +603,23 @@ def test_demo_pool_callers_get_their_own_list():
     examples.clear()
     assert harness.build_demo_pool(cfg) == (seeds, expected)
     assert len(expected) == 2
+
+
+def test_smaller_demo_pool_holds_the_larger_pools_first_examples():
+    _, large = harness.build_demo_pool(config(n_demos=4))
+    seeds, small = harness.build_demo_pool(config(n_demos=2))
+    assert seeds == demo_seeds(config(n_demos=4))[:2]
+    assert all(a is b for a, b in zip(small, large[:2], strict=True))
+
+
+def test_demo_pool_on_a_warm_store_plans_and_builds_nothing(monkeypatch):
+    cfg = config(n_demos=3, loop_mode="closed")
+    first = harness.build_demo_pool(cfg)
+    calls = []
+    monkeypatch.setattr(harness, "scripted_expert", lambda *args: calls.append("expert"))
+    monkeypatch.setattr(harness, "_demo_example", lambda *args: calls.append("example"))
+    assert harness.build_demo_pool(cfg) == first
+    assert calls == []
 
 
 # sha256 of emit_csv for each sweep at RunConfig(task, n_demos=4, n_eval=5),

@@ -442,8 +442,9 @@ def test_token_bucket_spacing_with_fake_clock():
 
 
 def test_token_bucket_validation():
-    with pytest.raises(ValueError):
-        TokenBucket(rate_per_second=0)
+    for rate in (0, 1e-10, float("nan")):  # below MIN_RATE_PER_SECOND, or no number
+        with pytest.raises(ValueError):
+            TokenBucket(rate_per_second=rate)
 
 
 def test_instruction_template():

@@ -333,13 +333,12 @@ def test_task_spec_rosters():
 # ------------------------------------------------------- execute_action
 
 
-def test_execute_teleports_and_counts_time():
+def test_execute_teleports_the_gripper():
     world = button_world()
     execute_action(world, act(0.1, 0.2, 0.3))
     assert world.gripper_pose.x == pytest.approx(0.1)
-    assert world.time == 1
     execute_action(world, act(0.0, 0.0, 0.3))
-    assert world.time == 2
+    assert world.gripper_pose.x == pytest.approx(0.0)
 
 
 def test_execute_rejects_poses_outside_inflated_bounds():
@@ -504,7 +503,6 @@ def test_press_requires_empty_gripper_descent():
     world = button_world()
     execute_action(world, act(0.0, 0.0, 0.2, OPEN))
     execute_action(world, act(0.0, 0.0, 0.005, OPEN))
-    assert world.object("red button").pressed
     assert world.press_log == ["red button"]
 
 
@@ -545,7 +543,7 @@ def test_clone_is_independent():
         SimObject("blue cube", Kind.CUBE, Pose6(0.2, 0.0, 0, 0, 0, 0), CUBE_EDGE_M),
     ]
     world = WorldState(objects, HOME_POSE, OPEN, BOUNDS)
-    before = [(o.pose, o.pressed, o.supported_by) for o in world.objects]
+    before = [(o.pose, o.supported_by) for o in world.objects]
     copy = world.clone()
     execute_action(copy, act(0.0, 0.0, 0.005))  # press
     cx, cy, cz = copy.object("blue cube").center()
@@ -553,17 +551,17 @@ def test_clone_is_independent():
     execute_action(copy, act(cx, cy, cz, CLOSED))  # grasp
     execute_action(copy, act(cx, cy, 0.2, CLOSED))  # carry
     assert copy.attached == "blue cube"
-    assert copy.object("red button").pressed
+    assert copy.press_log == ["red button"]
     assert copy.object("blue cube").pose.z > 0.1
-    assert [(o.pose, o.pressed, o.supported_by) for o in world.objects] == before
-    assert world.press_log == [] and world.attached is None and world.time == 0
+    assert [(o.pose, o.supported_by) for o in world.objects] == before
+    assert world.press_log == [] and world.attached is None
     assert world.gripper_pose == HOME_POSE and world.gripper is OPEN
 
 
 def test_clone_copies_every_field():
     world = WorldState(
         objects=[
-            SimObject("red button", Kind.BUTTON, Pose6(0, 0, 0, 0, 0, 0), BUTTON_RADIUS_M, pressed=True),
+            SimObject("red button", Kind.BUTTON, Pose6(0, 0, 0, 0, 0, 0), BUTTON_RADIUS_M),
             SimObject("green cube", Kind.CUBE, Pose6(0.2, 0, 0, 0, 0, 0.3), CUBE_EDGE_M),
             SimObject(
                 "blue cube", Kind.CUBE, Pose6(0.2, 0, CUBE_EDGE_M, 0, 0, 0), CUBE_EDGE_M,
@@ -574,7 +572,6 @@ def test_clone_copies_every_field():
         gripper=CLOSED,
         bounds=BOUNDS,
         attached="blue cube",
-        time=7,
         press_log=["red button"],
     )
     copy = world.clone()
@@ -659,8 +656,31 @@ def test_multi_button_success_needs_exact_order():
     assert not run(["red button", "blue button", "red button"])
 
 
+def test_push_button_success_follows_the_press_log():
+    # The goal button counts once the log holds it, whatever was pressed
+    # before; another button alone does not.
+    objects = [
+        SimObject("red button", Kind.BUTTON, Pose6(-0.2, 0, 0, 0, 0, 0), BUTTON_RADIUS_M),
+        SimObject("blue button", Kind.BUTTON, Pose6(0.2, 0, 0, 0, 0, 0), BUTTON_RADIUS_M),
+    ]
+    var = TaskVariation(buttons=("blue button",))
+
+    def run(order):
+        world = WorldState([_copy_obj(o) for o in objects], HOME_POSE, OPEN, BOUNDS)
+        for name in order:
+            b = world.object(name)
+            execute_action(world, act(b.pose.x, b.pose.y, 0.2))
+            execute_action(world, act(b.pose.x, b.pose.y, 0.005))
+        assert world.press_log == order
+        return check_success(TaskId.PUSH_BUTTON, world, var)
+
+    assert run(["red button", "blue button"])
+    assert not run(["red button"])
+    assert not run([])
+
+
 def _copy_obj(o):
-    return SimObject(o.name, o.kind, o.pose, o.size, o.pressed, o.supported_by)
+    return SimObject(o.name, o.kind, o.pose, o.size, o.supported_by)
 
 
 def test_slide_success_respects_target_rotation():
