@@ -13,11 +13,11 @@ completes what it yields and scores each reply in one step, _score;
 `iclmanip build-prompt` prints its first bundle.
 
 Worlds are planned once per base config: one process-wide store keyed on
-(task, seed, bounds) keeps each pristine reset and expert episode and
-memoizes the pure stages that arms repeat (demo seed scans, demo examples,
-test slot text, reply Actions and scores), each keyed on exactly
-the inputs it reads. Calls on one base, such as every arm of every sweep of
-a config, share the store; a call on another base replaces it. Providers are
+(task, seed, bounds) keeps each pristine reset and expert episode and memoizes
+the pure stages that arms repeat (demo seed scans, demo keyframes, noise draws,
+demo examples, test slot text, reply Actions and scores), each keyed on exactly
+the inputs it reads. Calls on one base, such as every arm of every sweep of a
+config, share the store; a call on another base replaces it. Providers are
 never memoized, but a reply text is parsed once per base, and a reply already
 scored on that eval world is not replayed again, nor its world copied.
 
@@ -75,12 +75,13 @@ from .sim import (
     TaskId,
     TaskVariation,
     WorldState,
-    add_pose_noise,
     check_success,
     execute_action,
     observations_of,
+    pose_noise_draws,
     replay_observations,
     reset,
+    scale_pose_noise,
     scripted_expert,
     seed_words,
     task_spec,
@@ -342,21 +343,24 @@ def _noise_seed(base: int, *tags: int) -> int:
 
 
 def _noised(
-    observations: Sequence[ObjectObservation], config: RunConfig, *tags: int
+    observations: Sequence[ObjectObservation], config: RunConfig, plans: _Plans, *tags: int
 ) -> tuple[ObjectObservation, ...]:
-    if config.noise is None:
+    if not config.noise:
         return tuple(observations)
-    return add_pose_noise(observations, config.noise, seed=_noise_seed(config.seed, *tags))
+    n = len(observations)
+    draws = plans.memo(("draws", n, *tags), lambda: pose_noise_draws(n, _noise_seed(config.seed, *tags)))
+    return scale_pose_noise(observations, config.noise, draws)
 
 
 _DEMO_NOISE_TAG = 1
 _TEST_NOISE_TAG = 2
 
 
-def _keyframes_for(config: RunConfig, episode: Episode) -> KeyframeIndices:
+def _keyframes_for(config: RunConfig, seed: int, episode: Episode, plans: _Plans) -> KeyframeIndices:
     if config.keyframe_mode is KeyframeMode.KEYFRAMES:
-        return extract_keyframes(episode, config.delta)
-    return sample_uniform(episode.length, config.uniform_interval)
+        return plans.memo(("keyframes", seed, config.delta), lambda: extract_keyframes(episode, config.delta))
+    n = config.uniform_interval
+    return plans.memo(("uniform", seed, n), lambda: sample_uniform(episode.length, n))
 
 
 # The RunConfig fields _demo_example reads: with the demo seed and pool
@@ -369,14 +373,14 @@ _DEMO_FIELDS = operator.attrgetter(
 def _demo_example(
     config: RunConfig, position: int, seed: int, episode: Episode, plans: _Plans
 ) -> IclExample:
-    frames = _keyframes_for(config, episode)
+    frames = _keyframes_for(config, seed, episode, plans)
     if len(frames) < 2:
         raise ValueError(
             f"demo seed {seed} has {len(frames)} keyframe at delta {config.delta}; "
             "a demo needs at least 2, so lower delta"
         )
     if config.loop_mode is LoopMode.OPEN:
-        start = _noised(episode.objects, config, _DEMO_NOISE_TAG, position)
+        start = _noised(episode.objects, config, plans, _DEMO_NOISE_TAG, position)
         return build_icl_example(episode, frames, config.bounds, start)
     # Closed loop re-observes the scene at each keyframe; replay the
     # expert to know where objects actually are.
@@ -386,17 +390,22 @@ def _demo_example(
         episode,
         frames,
         config.bounds,
-        [_noised(observed[t], config, _DEMO_NOISE_TAG, position, t) for t in frames],
+        [_noised(observed[t], config, plans, _DEMO_NOISE_TAG, position, t) for t in frames],
     )
 
 
 def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
-    """The demo seeds and the ICL example built on each, in pool order.
-    Every expert is planned before the first example is built, and each
-    example is built once per (seed, position, _DEMO_FIELDS) on a base.
-    The list is the caller's own."""
+    """The demo seeds and the ICL example built on each, in pool order. A scan
+    reaching the derived eval seeds is a ValueError before any expert is planned;
+    then every expert, and each example once per (seed, position, _DEMO_FIELDS)
+    on a base. The list is the caller's own."""
     plans = _plans(config)
     seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
+    if config.eval_seeds is None and set(seeds) & set(eval_seeds(config)):
+        raise ValueError(
+            f"n_demos {config.n_demos} scans demo seeds into the eval seeds, which start at "
+            f"seed + {EVAL_SEED_OFFSET}; use fewer demos"
+        )
     episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
     examples = [
         plans.memo(("demo", seed, i, fields), lambda: _demo_example(config, i, seed, ep, plans))
@@ -432,20 +441,14 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     build-prompt` both read their prompts from here.
     """
     plans = _plans(config)
-    d_seeds, examples = build_demo_pool(config)
-    e_seeds = eval_seeds(config)
-    if config.eval_seeds is None and set(d_seeds) & set(e_seeds):
-        raise ValueError(
-            f"n_demos {config.n_demos} scans demo seeds into the eval seeds, which start at "
-            f"seed + {EVAL_SEED_OFFSET}; use fewer demos"
-        )
+    _, examples = build_demo_pool(config)
     system = default_system_prompts()[config.system_prompt_index]
-    for j, seed in enumerate(e_seeds):
+    for j, seed in enumerate(eval_seeds(config)):
         world, instruction, _ = plans.reset(config.task, seed, config.bounds)
         test_input = plans.memo(
             ("slot", seed, j, config.noise, config.seed),
             lambda: build_example_input(
-                _noised(observations_of(world), config, _TEST_NOISE_TAG, j), instruction, config.bounds
+                _noised(observations_of(world), config, plans, _TEST_NOISE_TAG, j), instruction, config.bounds
             ),
         )
         yield seed, assemble_prompt(examples, test_input, system)

@@ -4,9 +4,9 @@ All three take a PromptBundle and return a CompletionResult, so the
 evaluation harness does not care which one produced the text. Like a
 model, the mocks see only the prompt: they read the demos and the test
 input back out of the body with prompts.read_prompt, so retrieval is a
-distance computation over the bins printed in the prompt. What is read
-from demos is kept per prompt prefix in _TABLE: each retrieved output's
-rows are read once per prefix, not once per reply.
+distance computation over the bins printed in the prompt. read_prompt
+reads each distinct input text once, and _TABLE keeps what is read from a
+prompt prefix's demos: each retrieved output's rows, read once per prefix.
 
 The remote provider speaks HTTP through the standard library's
 urllib.request, imported inside its first request rather than with this

@@ -320,6 +320,7 @@ _INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d+(?:, \d+){5})\], ")
 _DEMO_PAIR = re.compile(r"(\{[^{}]*\}) > (\{[^{}]*\}), ")
 
 
+@functools.lru_cache(maxsize=1024)  # per text: a base's five default sweeps send about 175 distinct inputs
 def _read_input(text: str) -> tuple[tuple[int, ...], str]:
     # Observations use [...] and never braces, so `{` and `}` only frame the input.
     if not (text.startswith("{") and text.endswith("}")):
@@ -337,7 +338,7 @@ def _read_input(text: str) -> tuple[tuple[int, ...], str]:
 
 @functools.lru_cache(maxsize=1)
 def _read_demos(prefix: str) -> tuple[PromptDemo, ...]:
-    # Every episode of a run shares this prefix, so it is parsed once per run.
+    # Split once per run (its episodes share this prefix); _read_input reads each demo input once per text.
     demos = []
     cursor = 0
     while (match := _DEMO_PAIR.match(prefix, cursor)) is not None:

@@ -624,7 +624,18 @@ def add_pose_noise(
         raise ValueError(f"noise scale k must be >= 0, got {k}")
     if k == 0:
         return tuple(observations)
-    draws = np.random.default_rng(seed_words(seed)).normal(0.0, 1.0, size=(len(observations), 6)).tolist()
+    return scale_pose_noise(observations, k, pose_noise_draws(len(observations), seed))
+
+
+def pose_noise_draws(n: int, seed: int) -> list[list[float]]:
+    """The n x 6 standard normal draws that add_pose_noise scales by k."""
+    return np.random.default_rng(seed_words(seed)).normal(0.0, 1.0, size=(n, 6)).tolist()
+
+
+def scale_pose_noise(
+    observations: Sequence[ObjectObservation], k: float, draws: Sequence[Sequence[float]]
+) -> tuple[ObjectObservation, ...]:
+    """Move each pose axis by its draw times k times the axis's base sigma."""
     sigmas = (BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_RAD,) * 3
     return tuple(
         ObjectObservation(obs.name, Pose6(*(v + d * k * s for v, d, s in zip(obs.pose.as_list(), draw, sigmas))))

@@ -42,6 +42,7 @@ from iclmanip.harness import (
     sweep,
 )
 from iclmanip.discretize import center_table, pose_bin_row
+from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
 from iclmanip.sim import TaskId, WorldState, reset, task_spec
@@ -620,6 +621,63 @@ def test_demo_pool_on_a_warm_store_plans_and_builds_nothing(monkeypatch):
     monkeypatch.setattr(harness, "_demo_example", lambda *args: calls.append("example"))
     assert harness.build_demo_pool(cfg) == first
     assert calls == []
+
+
+def test_an_overlapping_demo_scan_is_refused_before_any_expert_is_planned(monkeypatch):
+    # Ten push_button demos from seed 0 take seeds up to 42, past seed 30.
+    monkeypatch.setattr(harness, "EVAL_SEED_OFFSET", 30)
+    planned = []
+    real = harness.scripted_expert
+    monkeypatch.setattr(harness, "scripted_expert", lambda *args: planned.append(args) or real(*args))
+    with pytest.raises(ValueError, match="scans demo seeds into the eval seeds"):
+        run_eval(config(n_demos=10, n_eval=2))
+    assert planned == []
+
+
+def test_sweeps_extract_keyframes_and_draw_noise_once(monkeypatch):
+    # Noise and loop arms build new demo examples on the frames that the
+    # keyframes arm already extracted: one extraction per (demo, delta).
+    # The noise arms differ only in k: one draw per noised block.
+    extracted, drawn = [], []
+    real_extract, real_draws = harness.extract_keyframes, harness.pose_noise_draws
+    monkeypatch.setattr(
+        harness, "extract_keyframes", lambda ep, delta: extracted.append((id(ep), delta)) or real_extract(ep, delta)
+    )
+    monkeypatch.setattr(harness, "pose_noise_draws", lambda n, seed: drawn.append(seed) or real_draws(n, seed))
+    cfg = config(n_demos=3, n_eval=2)
+    reports = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
+    demo = {s for r in reports for s in demo_seeds(r.config)}
+    assert len(extracted) == len(set(extracted)) == len(demo)
+    assert len(drawn) == len(set(drawn)) == cfg.n_demos + cfg.n_eval
+
+
+def _frame_counts(cfg):
+    episodes = harness.demo_episodes(cfg)
+    if cfg.keyframe_mode is KeyframeMode.KEYFRAMES:
+        return [len(extract_keyframes(ep, cfg.delta)) for ep in episodes]
+    return [len(sample_uniform(ep.length, cfg.uniform_interval)) for ep in episodes]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"delta": 0.01}, {"delta": 0.019}),
+        (
+            {"keyframe_mode": KeyframeMode.UNIFORM, "uniform_interval": 5},
+            {"keyframe_mode": KeyframeMode.UNIFORM, "uniform_interval": 7},
+        ),
+    ],
+    ids=["delta", "uniform_interval"],
+)
+def test_demo_frames_on_a_warm_store_follow_the_rule_setting(first, second):
+    base = config(TaskId.STACK_CUBE, seed=3, n_demos=3, n_eval=2)
+    a, b = dataclasses.replace(base, **first), dataclasses.replace(base, **second)
+    assert min(_frame_counts(b)) >= 2 and _frame_counts(a) != _frame_counts(b)
+    harness._STORE = harness._Plans()
+    cold = run_eval(b).records, next(eval_prompts(b))
+    harness._STORE = harness._Plans()
+    run_eval(a)
+    assert (run_eval(b).records, next(eval_prompts(b))) == cold
 
 
 # sha256 of emit_csv for each sweep at RunConfig(task, n_demos=4, n_eval=5),

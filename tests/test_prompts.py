@@ -40,6 +40,7 @@ from iclmanip.prompts import (
     parse_response,
     read_prompt,
 )
+from iclmanip import prompts
 
 from conftest import ASYMMETRIC, BOUNDS
 
@@ -367,6 +368,36 @@ def test_read_prompt_inverts_assemble_prompt():
 def test_read_prompt_rejects_bodies_assemble_prompt_cannot_make(body):
     with pytest.raises(ValueError):
         read_prompt(body)
+
+
+def test_read_input_cache_answers_as_a_cold_read():
+    # Two prompts whose inputs have equal lengths but different bins, read
+    # A, B, A on one cache; each read must equal one made on an empty cache.
+    def body(demo_bin, test_bin):
+        demo, test = (
+            build_example_input((ObjectObservation("red button", pose(b, 20, 3)),), "push the red button", BOUNDS)
+            for b in (demo_bin, test_bin)
+        )
+        return assemble_prompt([IclExample(demo, "{[1, 2, 3, 0, 0, 0, 1]}")], test, "s").body
+
+    a, b = body(11, 12), body(13, 14)
+    assert len(a) == len(b) and a != b
+    prompts._read_input.cache_clear()
+    warm = [read_prompt(text) for text in (a, b, a)]
+    cold = []
+    for text in (a, b, a):
+        prompts._read_input.cache_clear()
+        cold.append(read_prompt(text))
+    assert warm == cold
+    assert [bins[0] for _, bins, _ in warm] == [12, 14, 12]
+    assert prompts._read_input.cache_info().maxsize is not None
+
+    # A malformed input raises on every read, and no failure is kept.
+    size = prompts._read_input.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="observations and an instruction"):
+            read_prompt("{red button: [1, 2, 3, 4, 5, 6]} > ")
+    assert prompts._read_input.cache_info().currsize == size
 
 
 def test_icl_example_rejects_empty_fields():
