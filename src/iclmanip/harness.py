@@ -9,11 +9,12 @@ scale k (RunConfig.noise) on sim's fixed base sigmas.
 
 One prompt stage, eval_prompts, turns a config into the prompt for each
 eval seed: demo pool, noised test observations, assembled bundle. run_eval
-completes what it yields and scores each reply in one step, _score;
+completes every prompt it yields before it scores any reply (_score);
 `iclmanip build-prompt` prints its first bundle.
 
 Worlds are planned once per base config: one process-wide store keyed on
-(task, seed, bounds) keeps each pristine reset and expert episode and memoizes
+(task, seed, bounds) keeps each pristine reset and expert episode (a pool's
+unplanned experts are planned in one sim.scripted_experts pass) and memoizes
 the pure stages that arms repeat (demo seed scans, demo keyframes, noise draws,
 demo examples, test slot text, reply Actions and scores), each keyed on exactly
 the inputs it reads. Calls on one base, such as every arm of every sweep of a
@@ -82,7 +83,7 @@ from .sim import (
     replay_observations,
     reset,
     scale_pose_noise,
-    scripted_expert,
+    scripted_experts,
     seed_words,
     task_spec,
 )
@@ -273,9 +274,15 @@ class _Plans:
     ) -> tuple[WorldState, str, TaskVariation]:
         return self.memo(("reset", task, seed, bounds), lambda: reset(task, seed, bounds))
 
-    def expert(self, task: TaskId, seed: int, bounds: WorkspaceBounds) -> Episode:
-        world, instruction, _ = self.reset(task, seed, bounds)
-        return self.memo(("expert", task, seed, bounds), lambda: scripted_expert(task, world, instruction))
+    def experts(self, task: TaskId, seeds: Sequence[int], bounds: WorkspaceBounds) -> list[Episode]:
+        """The expert episode on each seed's reset world, memoized per seed;
+        the seeds not yet planned are planned in one scripted_experts call."""
+        keys = [("expert", task, seed, bounds) for seed in seeds]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        if missing:
+            worlds = [self.reset(task, seed, bounds)[:2] for _, _, seed, _ in missing]
+            self._memo.update(zip(missing, scripted_experts(task, worlds)))
+        return [self._memo[key] for key in keys]
 
 
 _STORE = _Plans()
@@ -295,13 +302,26 @@ def _plans(config: RunConfig) -> _Plans:
 def demo_seeds(config: RunConfig) -> tuple[int, ...]:
     """Scan seeds upward from config.seed, accepting one whose naturally
     drawn variation matches the next round-robin slot; once per n_demos on
-    a base.
+    a base. Without eval_seeds, an accepted seed among the derived eval
+    seeds is a ValueError (_refuse_eval_seed), on a memoized scan too.
 
     Because acceptance depends only on earlier slots, a k-demo pool is a
     prefix of any larger pool for the same config.
     """
     plans = _plans(config)
-    return plans.memo(("demo_seeds", config.n_demos), lambda: _scan_demo_seeds(config, plans))
+    seeds = plans.memo(("demo_seeds", config.n_demos), lambda: _scan_demo_seeds(config, plans))
+    for seed in seeds:
+        _refuse_eval_seed(config, seed)
+    return seeds
+
+
+def _refuse_eval_seed(config: RunConfig, seed: int) -> None:
+    """The overlap rule: without eval_seeds, a demo seed among the derived eval seeds is a ValueError."""
+    if config.eval_seeds is None and 0 <= seed - config.seed - EVAL_SEED_OFFSET < config.n_eval:
+        raise ValueError(
+            f"n_demos {config.n_demos} scans demo seeds into the eval seeds, which start at "
+            f"seed + {EVAL_SEED_OFFSET}; use fewer demos"
+        )
 
 
 def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
@@ -317,6 +337,7 @@ def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
             seed += 1
             budget -= 1
             if variation == slot:
+                _refuse_eval_seed(config, seed - 1)
                 chosen.append(seed - 1)
                 break
         else:
@@ -327,9 +348,7 @@ def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
 def demo_episodes(config: RunConfig) -> list[Episode]:
     """The scripted expert's episode on each demo seed, planned on the
     worlds the seed scan drew."""
-    plans = _plans(config)
-    task = demo_task(config.task)
-    return [plans.expert(task, seed, config.bounds) for seed in demo_seeds(config)]
+    return _plans(config).experts(demo_task(config.task), demo_seeds(config), config.bounds)
 
 
 def eval_seeds(config: RunConfig) -> tuple[int, ...]:
@@ -397,16 +416,11 @@ def _demo_example(
 def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
     """The demo seeds and the ICL example built on each, in pool order. A scan
     reaching the derived eval seeds is a ValueError before any expert is planned;
-    then every expert, and each example once per (seed, position, _DEMO_FIELDS)
-    on a base. The list is the caller's own."""
+    then every expert not yet planned, all in one pass, and each example once per
+    (seed, position, _DEMO_FIELDS) on a base. The list is the caller's own."""
     plans = _plans(config)
     seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
-    if config.eval_seeds is None and set(seeds) & set(eval_seeds(config)):
-        raise ValueError(
-            f"n_demos {config.n_demos} scans demo seeds into the eval seeds, which start at "
-            f"seed + {EVAL_SEED_OFFSET}; use fewer demos"
-        )
-    episodes = [plans.expert(demo_task(config.task), s, config.bounds) for s in seeds]
+    episodes = plans.experts(demo_task(config.task), seeds, config.bounds)
     examples = [
         plans.memo(("demo", seed, i, fields), lambda: _demo_example(config, i, seed, ep, plans))
         for i, (seed, ep) in enumerate(zip(seeds, episodes))
@@ -489,29 +503,21 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     do abort. A reply is parsed into bin rows, and each row's bin centers
     replay as one Action on a copy of the eval world; every center lies
     inside config.bounds, the world's own, so no action leaves the
-    workspace. Every episode calls the provider, but a reply text is parsed
-    once per base, and one already scored on that eval world is not copied
-    or replayed again.
+    workspace. Every episode calls the provider, in seed order, before any
+    reply is scored; a reply text is parsed once per base, and one already
+    scored on that eval world is not copied or replayed again.
     """
     complete = _provider(config)
     plans = _plans(config)
+    completed = [  # the completion stage, in seed order; a prompt is kept only as its length
+        (seed, len(bundle.system) + len(bundle.body), complete(bundle)) for seed, bundle in eval_prompts(config)
+    ]
     records = []
-    for seed, bundle in eval_prompts(config):
-        result = complete(bundle)
+    for seed, prompt_chars, result in completed:
         parse_error, n_actions, success, failure = plans.memo(
             ("score", seed, result.text), lambda: _score(config, plans, seed, result.text)
         )
-        records.append(
-            EpisodeRecord(
-                seed=seed,
-                success=success,
-                parse_error=parse_error,
-                n_actions=n_actions,
-                latency_ms=result.latency_ms,
-                prompt_chars=len(bundle.system) + len(bundle.body),
-                failure=failure,
-            )
-        )
+        records.append(EpisodeRecord(seed, success, parse_error, n_actions, result.latency_ms, prompt_chars, failure))
     return EvalReport(arm=arm, records=tuple(records), config=config)
 
 

@@ -16,9 +16,10 @@ Object pose convention: z is the object's resting base height (bottom
 face), so a cube sitting on the table has z = 0 and a cube stacked on
 another has z equal to the supporter's top face.
 
-Scripted experts record array-backed episodes: each leg and dwell of a
-plan is laid out with numpy as rows of the T x 6 pose and T gripper-bit
-arrays, and the T x 7 joint velocities follow from the pose steps.
+Scripted experts record array-backed episodes: scripted_experts lays out
+each leg and dwell of a whole pool's plans in one numpy pass as rows of the
+T x 6 pose and T gripper-bit arrays, and the T x 7 joint velocities follow
+from the pose steps; scripted_expert is its one-world case.
 execute_action takes one per-frame Action; replay_observations replays a
 whole episode, executing only the frames that change what is observed.
 The inflated reach limits every action is checked against, and reset's
@@ -483,32 +484,38 @@ class _Waypoint:
 
 
 def _expand_waypoints(
-    start_pose: Pose6, start_grip: GripperState, waypoints: Sequence[_Waypoint]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense trajectory as T x 6 poses and T gripper bits: linear legs at
-    <= STEP_SIZE_M per step, then a DWELL_STEPS dwell at each waypoint;
-    gripper toggles happen inside dwells. Leg yaws turn the short way
-    round and are left unwrapped (the Episode wraps them)."""
+    plans: Sequence[tuple[Pose6, GripperState, Sequence[_Waypoint]]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense trajectories of (start pose, start gripper, waypoints) plans
+    in one pass, end to end as T x 6 poses and T gripper bits, and each
+    plan's frame count: linear legs at <= STEP_SIZE_M per step, then a
+    DWELL_STEPS dwell at each waypoint; gripper toggles happen inside
+    dwells. Leg yaws turn the short way round and are left unwrapped (the
+    Episode wraps them)."""
     # Segments of frames: (x, y, z, yaw) base, the leg span from it (None
     # for a hold at the base), the frame count, and the gripper bit.
     segments: list[tuple[tuple[float, ...], tuple[float, ...] | None, int, int]] = []
-    here = (start_pose.x, start_pose.y, start_pose.z, start_pose.yaw)
-    bit = start_grip.to_bit()
-    segments.append((here, None, DWELL_STEPS, bit))  # initial dwell marks the home keyframe
-    for wp in waypoints:
-        x, y, z, yaw = here
-        dist = math.sqrt((wp.x - x) ** 2 + (wp.y - y) ** 2 + (wp.z - z) ** 2)
-        steps = max(1, math.ceil(dist / STEP_SIZE_M)) if dist > 0 else 0
-        if steps:
-            turn = ((wp.yaw - yaw + math.pi) % (2.0 * math.pi)) - math.pi
-            segments.append((here, (wp.x - x, wp.y - y, wp.z - z, turn), steps, bit))
-        here = (wp.x, wp.y, wp.z, wrap_angle(wp.yaw))
-        segments.append((here, None, 1, bit))
-        bit = wp.grip.to_bit()
-        segments.append((here, None, DWELL_STEPS - 1, bit))
-    total = sum(segment[2] for segment in segments)
-    if total < MIN_EPISODE_STEPS:
-        segments.append((here, None, MIN_EPISODE_STEPS - total, bit))
+    lengths = []
+    for start_pose, start_grip, waypoints in plans:
+        first = len(segments)
+        here = (start_pose.x, start_pose.y, start_pose.z, start_pose.yaw)
+        bit = start_grip.to_bit()
+        segments.append((here, None, DWELL_STEPS, bit))  # initial dwell marks the home keyframe
+        for wp in waypoints:
+            x, y, z, yaw = here
+            dist = math.sqrt((wp.x - x) ** 2 + (wp.y - y) ** 2 + (wp.z - z) ** 2)
+            steps = max(1, math.ceil(dist / STEP_SIZE_M)) if dist > 0 else 0
+            if steps:
+                turn = ((wp.yaw - yaw + math.pi) % (2.0 * math.pi)) - math.pi
+                segments.append((here, (wp.x - x, wp.y - y, wp.z - z, turn), steps, bit))
+            here = (wp.x, wp.y, wp.z, wrap_angle(wp.yaw))
+            segments.append((here, None, 1, bit))
+            bit = wp.grip.to_bit()
+            segments.append((here, None, DWELL_STEPS - 1, bit))
+        total = sum(segment[2] for segment in segments[first:])
+        if total < MIN_EPISODE_STEPS:
+            segments.append((here, None, MIN_EPISODE_STEPS - total, bit))
+        lengths.append(max(total, MIN_EPISODE_STEPS))
 
     bases, spans, counts, bits = zip(*segments)
     counts = np.array(counts)
@@ -520,7 +527,7 @@ def _expand_waypoints(
     frac = s / np.repeat(counts, counts)
     poses = np.zeros((len(base), 6))
     poses[:, [0, 1, 2, 5]] = np.where(is_leg[:, np.newaxis], base + span * frac[:, np.newaxis], base)
-    return poses, np.repeat(np.array(bits, dtype=np.int8), counts)
+    return poses, np.repeat(np.array(bits, dtype=np.int8), counts), np.array(lengths)
 
 
 def _names_in_order(instruction: str, names: Sequence[str]) -> list[str]:
@@ -558,13 +565,8 @@ def _pick_and_place(
     ]
 
 
-def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episode:
-    """Plan and record a demonstration for the given world and instruction.
-
-    Does not mutate the world. The emitted episode is dense (>= 60 steps)
-    with synthetic joint velocities; replaying its keyframe actions through
-    execute_action solves the task.
-    """
+def _plan(task: TaskId, world: WorldState, instruction: str) -> list[_Waypoint]:
+    """The expert's waypoints for the world and instruction."""
     names = [o.name for o in world.objects]
     if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
         ordered = _names_in_order(instruction, names)
@@ -574,18 +576,16 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
         if task is TaskId.STACK_CUBE:
             # Place so the carried cube's base lands on the other cube's top.
             place_z = other.top() + moving.size / 2.0
-            waypoints = _pick_and_place(moving, other.pose.x, other.pose.y, place_z)
-        else:
-            spot_x, spot_y = _free_spot(world, moving.pose.x, moving.pose.y)
-            waypoints = _pick_and_place(moving, spot_x, spot_y, moving.size / 2.0)
-    elif task is TaskId.SLIDE_BLOCK:
+            return _pick_and_place(moving, other.pose.x, other.pose.y, place_z)
+        spot_x, spot_y = _free_spot(world, moving.pose.x, moving.pose.y)
+        return _pick_and_place(moving, spot_x, spot_y, moving.size / 2.0)
+    if task is TaskId.SLIDE_BLOCK:
         block = world.object("block")
         target = world.object("target")
-        waypoints = _pick_and_place(block, target.pose.x, target.pose.y, block.size / 2.0)
-    elif task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
-        segments = instruction.split(CHAIN_SEPARATOR)
+        return _pick_and_place(block, target.pose.x, target.pose.y, block.size / 2.0)
+    if task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
         sequence = []
-        for segment in segments:
+        for segment in instruction.split(CHAIN_SEPARATOR):
             hit = _names_in_order(segment, names)
             if len(hit) != 1:
                 raise ExpertError(f"cannot identify a button in segment {segment!r}")
@@ -598,17 +598,35 @@ def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episod
         last = sequence[-1]
         waypoints.append(_Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
         waypoints.append(_Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN))
-    else:
-        raise ExpertError(f"no expert for task {task!r}")
+        return waypoints
+    raise ExpertError(f"no expert for task {task!r}")
 
-    poses, bits = _expand_waypoints(world.gripper_pose, world.gripper, waypoints)
-    return Episode(
-        instruction=instruction,
-        objects=observations_of(world),
-        poses=poses,
-        gripper_bits=bits,
-        joint_velocities=synth_joint_velocities(poses),
+
+def scripted_experts(task: TaskId, items: Sequence[tuple[WorldState, str]]) -> list[Episode]:
+    """Plan and record a demonstration for each (world, instruction) in one
+    array pass: one _expand_waypoints call, then one synth_joint_velocities
+    call on the concatenated poses, each episode's first row set to the 0.0
+    its own call gives. Does not mutate the worlds. Each episode is dense
+    (>= 60 steps); replaying its keyframe actions through execute_action
+    solves the task.
+    """
+    if not items:
+        return []
+    poses, bits, lengths = _expand_waypoints(
+        [(world.gripper_pose, world.gripper, _plan(task, world, instruction)) for world, instruction in items]
     )
+    velocities = synth_joint_velocities(poses)
+    ends = np.cumsum(lengths)
+    velocities[ends[:-1]] = 0.0  # no step leads into an episode's first row
+    return [
+        Episode(instruction, observations_of(world), poses[a:b], bits[a:b], velocities[a:b])
+        for (world, instruction), a, b in zip(items, (ends - lengths).tolist(), ends.tolist())
+    ]
+
+
+def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episode:
+    """scripted_experts on one world."""
+    return scripted_experts(task, [(world, instruction)])[0]
 
 
 def add_pose_noise(

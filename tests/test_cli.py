@@ -675,19 +675,19 @@ def test_generate_demos_resets_each_seed_once(tmp_path, monkeypatch):
 def test_ablate_runs_several_sweeps_on_one_plan_store(tmp_path, monkeypatch, capsys):
     seed_of = {}  # id(world) -> seed, for every world reset hands out
     planned = collections.Counter()
-    real_reset, real_expert = harness.reset, harness.scripted_expert
+    real_reset, real_experts = harness.reset, harness.scripted_experts
 
     def counting_reset(task, seed, bounds):
         out = real_reset(task, seed, bounds)
         seed_of[id(out[0])] = seed
         return out
 
-    def counting_expert(task, world, instruction):
-        planned[seed_of[id(world)]] += 1
-        return real_expert(task, world, instruction)
+    def counting_experts(task, items):
+        planned.update(seed_of[id(world)] for world, _ in items)
+        return real_experts(task, items)
 
     monkeypatch.setattr(harness, "reset", counting_reset)
-    monkeypatch.setattr(harness, "scripted_expert", counting_expert)
+    monkeypatch.setattr(harness, "scripted_experts", counting_experts)
     names = ["sampling", "shots", "noise", "prompts", "loop"]
     flags = ["--task", "push_button", "--n-demos", "3", "--n-eval", "2"]
     assert main(["ablate", *names, *flags, "--csv", str(tmp_path / "all.csv")]) == 0

@@ -45,7 +45,7 @@ from iclmanip.discretize import center_table, pose_bin_row
 from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
-from iclmanip.sim import TaskId, WorldState, reset, task_spec
+from iclmanip.sim import TaskId, WorldState, reset, scripted_expert, task_spec
 
 from conftest import ASYMMETRIC, BOUNDS
 
@@ -512,7 +512,7 @@ def test_episode_record_fields():
 def test_sweep_plans_each_world_once(monkeypatch, names):
     seed_of = {}  # id(world) -> seed, for every world reset hands out
     resets, planned = [], []
-    real_reset, real_expert = harness.reset, harness.scripted_expert
+    real_reset, real_experts = harness.reset, harness.scripted_experts
 
     def counting_reset(task, seed, bounds):
         out = real_reset(task, seed, bounds)
@@ -520,12 +520,12 @@ def test_sweep_plans_each_world_once(monkeypatch, names):
         seed_of[id(out[0])] = seed
         return out
 
-    def counting_expert(task, world, instruction):
-        planned.append(seed_of[id(world)])
-        return real_expert(task, world, instruction)
+    def counting_experts(task, items):
+        planned.extend(seed_of[id(world)] for world, _ in items)
+        return real_experts(task, items)
 
     monkeypatch.setattr(harness, "reset", counting_reset)
-    monkeypatch.setattr(harness, "scripted_expert", counting_expert)
+    monkeypatch.setattr(harness, "scripted_experts", counting_experts)
     cfg = config(n_demos=3, n_eval=3)
     # Sweeps run one after another, as separate calls, share one store.
     reports = [r for name in names for r in getattr(harness, f"ablate_{name}")(cfg)]
@@ -617,7 +617,7 @@ def test_demo_pool_on_a_warm_store_plans_and_builds_nothing(monkeypatch):
     cfg = config(n_demos=3, loop_mode="closed")
     first = harness.build_demo_pool(cfg)
     calls = []
-    monkeypatch.setattr(harness, "scripted_expert", lambda *args: calls.append("expert"))
+    monkeypatch.setattr(harness, "scripted_experts", lambda task, items: calls.extend(world for world, _ in items))
     monkeypatch.setattr(harness, "_demo_example", lambda *args: calls.append("example"))
     assert harness.build_demo_pool(cfg) == first
     assert calls == []
@@ -627,11 +627,72 @@ def test_an_overlapping_demo_scan_is_refused_before_any_expert_is_planned(monkey
     # Ten push_button demos from seed 0 take seeds up to 42, past seed 30.
     monkeypatch.setattr(harness, "EVAL_SEED_OFFSET", 30)
     planned = []
-    real = harness.scripted_expert
-    monkeypatch.setattr(harness, "scripted_expert", lambda *args: planned.append(args) or real(*args))
+    real = harness.scripted_experts
+    monkeypatch.setattr(harness, "scripted_experts", lambda task, items: planned.extend(items) or real(task, items))
     with pytest.raises(ValueError, match="scans demo seeds into the eval seeds"):
         run_eval(config(n_demos=10, n_eval=2))
     assert planned == []
+
+
+@pytest.mark.parametrize("n_eval", [2, 5])
+def test_an_overlapping_demo_scan_stops_at_the_first_accepted_eval_seed(monkeypatch, n_eval):
+    # With eval seeds from 30, the scan resets seeds 0, 1, ... only up to the
+    # first seed it accepts among them (31), where the full scan goes on to 42.
+    cfg = config(n_demos=10, n_eval=n_eval)
+    monkeypatch.setattr(harness, "EVAL_SEED_OFFSET", 30)
+    full = demo_seeds(dataclasses.replace(cfg, eval_seeds=tuple(range(n_eval))))
+    first = next(seed for seed in full if 30 <= seed < 30 + n_eval)
+    assert first < full[-1]
+    monkeypatch.setattr(harness, "_STORE", harness._Plans())  # a cold scan
+    resets = []
+    real_reset = harness.reset
+    monkeypatch.setattr(harness, "reset", lambda *args: resets.append(args[1]) or real_reset(*args))
+    with pytest.raises(ValueError, match="scans demo seeds into the eval seeds"):
+        demo_seeds(cfg)
+    assert resets == list(range(first + 1))
+    with pytest.raises(ValueError, match="scans demo seeds into the eval seeds"):
+        demo_seeds(cfg)  # scanned again on the worlds already reset
+    assert resets == list(range(first + 1))
+    # Seed 30 itself is scanned but not accepted: one eval seed overlaps nothing.
+    assert demo_seeds(dataclasses.replace(cfg, n_eval=1)) == full
+
+
+def test_an_overlapping_memoized_demo_scan_is_refused(monkeypatch):
+    # A scan made for explicit eval seeds is memoized whole; a config that
+    # derives its eval seeds is refused on it too, before any expert is planned.
+    monkeypatch.setattr(harness, "EVAL_SEED_OFFSET", 30)
+    cfg = config(n_demos=10, n_eval=2)
+    assert demo_seeds(dataclasses.replace(cfg, eval_seeds=(0, 1)))[-1] > 30
+    planned = []
+    monkeypatch.setattr(harness, "scripted_experts", lambda task, items: planned.extend(items))
+    for call in (demo_seeds, harness.build_demo_pool, harness.demo_episodes, run_eval):
+        with pytest.raises(ValueError, match="scans demo seeds into the eval seeds"):
+            call(cfg)
+    assert planned == []
+
+
+@pytest.mark.parametrize("held", [(), (0,), (1, 3), (0, 1, 2, 3, 4)])
+def test_a_pool_plans_only_the_experts_its_store_lacks(monkeypatch, held):
+    # Seeds already on the store keep their episodes; the rest are planned
+    # in one scripted_experts call, each as its own scripted_expert call plans it.
+    cfg = config(TaskId.PUSH_MULTIPLE_BUTTONS, n_demos=5)
+    seeds = demo_seeds(cfg)
+    plans = harness._plans(cfg)
+    task = demo_task(cfg.task)
+    kept = plans.experts(task, [seeds[i] for i in held], cfg.bounds)
+    batches = []
+    real = harness.scripted_experts
+    monkeypatch.setattr(harness, "scripted_experts", lambda task, items: batches.append(items) or real(task, items))
+    episodes = harness.demo_episodes(cfg)
+    assert [len(batch) for batch in batches] == ([len(seeds) - len(held)] if len(held) < len(seeds) else [])
+    assert all(episodes[i] is episode for i, episode in zip(held, kept))
+    for seed, episode in zip(seeds, episodes):
+        world, instruction, _ = reset(task, seed, cfg.bounds)
+        alone = scripted_expert(task, world, instruction)
+        for name in ("poses", "gripper_bits", "joint_velocities"):
+            assert getattr(episode, name).tobytes() == getattr(alone, name).tobytes(), (seed, name)
+        assert (episode.instruction, episode.objects) == (alone.instruction, alone.objects)
+    assert harness.demo_episodes(cfg) == episodes and len(batches) <= 1
 
 
 def test_sweeps_extract_keyframes_and_draw_noise_once(monkeypatch):

@@ -43,6 +43,7 @@ from iclmanip.sim import (
     replay_observations,
     reset,
     scripted_expert,
+    scripted_experts,
     seed_words,
     synth_joint_velocities,
     task_spec,
@@ -709,6 +710,50 @@ def test_slide_success_respects_target_rotation():
 
 
 # ------------------------------------------------------ scripted experts
+
+# sha256 over seeds 0-99 of every task of each expert episode's instruction
+# and the float.hex of its poses, gripper bits and joint velocities: pinned
+# while every episode was planned in its own scripted_expert call.
+EXPERT_SHA256 = "519156f03dcda9db5e5c678892d90a94010a23e6de47e7f760c7719eec2246f9"
+
+
+def test_expert_episodes_are_pinned_bit_for_bit():
+    lines = []
+    for task in TaskId:
+        for seed in range(100):
+            world, instruction, _ = reset(task, seed, BOUNDS)
+            episode = scripted_expert(task, world, instruction)
+            arrays = (episode.poses.ravel(), episode.gripper_bits, episode.joint_velocities.ravel())
+            hexes = "|".join(" ".join(float.hex(float(v)) for v in array.tolist()) for array in arrays)
+            lines.append(f"{task.value}|{seed}|{instruction}|{hexes}")
+    assert _sha256_lines(lines) == EXPERT_SHA256
+
+
+def _same_episode(a, b):
+    return (a.instruction, a.objects) == (b.instruction, b.objects) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("poses", "gripper_bits", "joint_velocities")
+    )
+
+
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_a_pool_planned_in_one_call_equals_each_world_planned_alone(task):
+    items = [reset(task, seed, BOUNDS)[:2] for seed in range(40)]
+    for seed in range(0, 40, 3):  # an episode that starts away from where the last one ended
+        world = items[seed][0].clone()
+        world.gripper_pose = Pose6(0.01 * seed - 0.2, 0.1, 0.2, 0.0, 0.0, 0.1 * seed)
+        items[seed] = (world, items[seed][1])
+    alone = [scripted_expert(task, world, instruction) for world, instruction in items]
+    for episode in alone:  # a pool of one gets its velocities from its own poses
+        assert episode.joint_velocities.tobytes() == synth_joint_velocities(episode.poses).tobytes()
+    if task is TaskId.PUSH_MULTIPLE_BUTTONS:  # chains of 1-6 buttons: episodes of many lengths
+        assert {instruction.count(sim.CHAIN_SEPARATOR) + 1 for _, instruction in items} == set(range(1, 7))
+        assert len({episode.length for episode in alone}) > 10
+    for start, stop in ((0, 40), (0, 1), (39, 40), (3, 9), (10, 27)):
+        pool = scripted_experts(task, items[start:stop])
+        assert len(pool) == stop - start
+        assert all(_same_episode(a, b) for a, b in zip(pool, alone[start:stop])), (start, stop)
+    assert scripted_experts(task, []) == []
 
 
 def test_expert_episodes_replay_to_success():
