@@ -9,18 +9,19 @@ scale k (RunConfig.noise) on sim's fixed base sigmas.
 
 One prompt stage, eval_prompts, turns a config into the prompt for each
 eval seed: demo pool, noised test observations, assembled bundle. run_eval
-completes every prompt it yields before it scores any reply (_score);
-`iclmanip build-prompt` prints its first bundle.
+builds every prompt, then completes them in seed order, then scores the
+replies (_score), so a remote run sends nothing before every prompt exists;
+`iclmanip build-prompt` prints the first bundle.
 
-Worlds are planned once per base config: one process-wide store keyed on
-(task, seed, bounds) keeps each pristine reset and expert episode (a pool's
+Worlds are planned once per base config: one process-wide store holds its base
+(task, seed, bounds), keeps each pristine reset and expert episode (a pool's
 unplanned experts are planned in one sim.scripted_experts pass) and memoizes
 the pure stages that arms repeat (demo seed scans, demo keyframes, noise draws,
 demo examples, test slot text, reply Actions and scores), each keyed on exactly
-the inputs it reads. Calls on one base, such as every arm of every sweep of a
-config, share the store; a call on another base replaces it. Providers are
-never memoized, but a reply text is parsed once per base, and a reply already
-scored on that eval world is not replayed again, nor its world copied.
+the inputs it reads beyond the base. Calls on one base, such as every arm of
+every sweep of a config, share the store; a call on another base replaces it.
+Providers are never memoized, but a reply text is parsed once per base, and a
+reply already scored on that eval world is not replayed again, nor its world copied.
 
 The eval loop keeps a reply as Actions: prompts.parse_bins reads its text
 into 7-int tuples, and each row makes one Action through discretize.row_pose and
@@ -251,13 +252,13 @@ def demo_task(task: TaskId) -> TaskId:
 
 class _Plans:
     """Pristine resets and expert episodes, and memoized pure stages, for
-    one base config (task, seed, bounds). Nothing handed out may be
-    mutated: callers clone a world before executing actions in it. The
-    store outlives the call that filled it and serves later calls on the
-    same base (see _plans)."""
+    one base config (task, seed, bounds); no key repeats the base. Nothing
+    handed out may be mutated: callers clone a world before executing
+    actions in it. The store outlives the call that filled it and serves
+    later calls on the same base (see _plans)."""
 
-    def __init__(self, key: tuple | None = None) -> None:
-        self.key = key
+    def __init__(self, task: TaskId | None = None, seed: int | None = None, bounds: WorkspaceBounds | None = None):
+        self.task, self.seed, self.bounds = task, seed, bounds
         self._memo: dict[tuple, Any] = {}
 
     def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
@@ -269,18 +270,16 @@ class _Plans:
             value = self._memo[key] = make()
             return value
 
-    def reset(
-        self, task: TaskId, seed: int, bounds: WorkspaceBounds
-    ) -> tuple[WorldState, str, TaskVariation]:
-        return self.memo(("reset", task, seed, bounds), lambda: reset(task, seed, bounds))
+    def reset(self, task: TaskId, seed: int) -> tuple[WorldState, str, TaskVariation]:
+        return self.memo(("reset", task, seed), lambda: reset(task, seed, self.bounds))
 
-    def experts(self, task: TaskId, seeds: Sequence[int], bounds: WorkspaceBounds) -> list[Episode]:
+    def experts(self, task: TaskId, seeds: Sequence[int]) -> list[Episode]:
         """The expert episode on each seed's reset world, memoized per seed;
         the seeds not yet planned are planned in one scripted_experts call."""
-        keys = [("expert", task, seed, bounds) for seed in seeds]
+        keys = [("expert", task, seed) for seed in seeds]
         missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
         if missing:
-            worlds = [self.reset(task, seed, bounds)[:2] for _, _, seed, _ in missing]
+            worlds = [self.reset(task, seed)[:2] for _, _, seed in missing]
             self._memo.update(zip(missing, scripted_experts(task, worlds)))
         return [self._memo[key] for key in keys]
 
@@ -293,9 +292,9 @@ def _plans(config: RunConfig) -> _Plans:
     replaces the old store in one rebinding; each public function takes
     its store once, here, and hands it down."""
     global _STORE
-    store, key = _STORE, (config.task, config.seed, config.bounds)
-    if store.key != key:
-        store = _STORE = _Plans(key)
+    store = _STORE
+    if (store.task, store.seed, store.bounds) != (config.task, config.seed, config.bounds):
+        store = _STORE = _Plans(config.task, config.seed, config.bounds)
     return store
 
 
@@ -333,7 +332,7 @@ def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
     budget = config.n_demos * 200
     for slot in slots:
         while budget > 0:
-            _, _, variation = plans.reset(task, seed, config.bounds)
+            _, _, variation = plans.reset(task, seed)
             seed += 1
             budget -= 1
             if variation == slot:
@@ -348,7 +347,7 @@ def _scan_demo_seeds(config: RunConfig, plans: _Plans) -> tuple[int, ...]:
 def demo_episodes(config: RunConfig) -> list[Episode]:
     """The scripted expert's episode on each demo seed, planned on the
     worlds the seed scan drew."""
-    return _plans(config).experts(demo_task(config.task), demo_seeds(config), config.bounds)
+    return _plans(config).experts(demo_task(config.task), demo_seeds(config))
 
 
 def eval_seeds(config: RunConfig) -> tuple[int, ...]:
@@ -378,15 +377,12 @@ _TEST_NOISE_TAG = 2
 def _keyframes_for(config: RunConfig, seed: int, episode: Episode, plans: _Plans) -> KeyframeIndices:
     if config.keyframe_mode is KeyframeMode.KEYFRAMES:
         return plans.memo(("keyframes", seed, config.delta), lambda: extract_keyframes(episode, config.delta))
-    n = config.uniform_interval
-    return plans.memo(("uniform", seed, n), lambda: sample_uniform(episode.length, n))
+    return sample_uniform(episode.length, config.uniform_interval)
 
 
-# The RunConfig fields _demo_example reads: with the demo seed and pool
-# position, its memo key.
-_DEMO_FIELDS = operator.attrgetter(
-    "keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise", "seed", "bounds"
-)
+# The RunConfig fields beyond the base that _demo_example reads: with the
+# demo seed and pool position, its memo key.
+_DEMO_FIELDS = operator.attrgetter("keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise")
 
 
 def _demo_example(
@@ -403,7 +399,7 @@ def _demo_example(
         return build_icl_example(episode, frames, config.bounds, start)
     # Closed loop re-observes the scene at each keyframe; replay the
     # expert to know where objects actually are.
-    world = plans.reset(demo_task(config.task), seed, config.bounds)[0].clone()
+    world = plans.reset(demo_task(config.task), seed)[0].clone()
     observed = replay_observations(world, episode, frames)
     return build_closed_loop_example(
         episode,
@@ -420,12 +416,18 @@ def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample
     (seed, position, _DEMO_FIELDS) on a base. The list is the caller's own."""
     plans = _plans(config)
     seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
-    episodes = plans.experts(demo_task(config.task), seeds, config.bounds)
+    episodes = plans.experts(demo_task(config.task), seeds)
     examples = [
         plans.memo(("demo", seed, i, fields), lambda: _demo_example(config, i, seed, ep, plans))
         for i, (seed, ep) in enumerate(zip(seeds, episodes))
     ]
     return seeds, examples
+
+
+@functools.lru_cache(maxsize=None)
+def _bucket(endpoint: str, rate: float) -> TokenBucket:
+    """The process's one rate limiter for an endpoint at a rate."""
+    return TokenBucket(rate)
 
 
 def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
@@ -442,7 +444,7 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
         credential=credential,
         model=config.model,
         max_tokens=config.max_tokens,
-        rate_limiter=TokenBucket(config.requests_per_second),
+        rate_limiter=_bucket(config.endpoint, config.requests_per_second),
     )
 
 
@@ -458,9 +460,9 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     _, examples = build_demo_pool(config)
     system = default_system_prompts()[config.system_prompt_index]
     for j, seed in enumerate(eval_seeds(config)):
-        world, instruction, _ = plans.reset(config.task, seed, config.bounds)
+        world, instruction, _ = plans.reset(config.task, seed)
         test_input = plans.memo(
-            ("slot", seed, j, config.noise, config.seed),
+            ("slot", seed, j, config.noise),
             lambda: build_example_input(
                 _noised(observations_of(world), config, plans, _TEST_NOISE_TAG, j), instruction, config.bounds
             ),
@@ -468,26 +470,26 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
         yield seed, assemble_prompt(examples, test_input, system)
 
 
-def _reply_actions(plans: _Plans, text: str, bounds: WorkspaceBounds) -> tuple[Action, ...] | str:
+def _reply_actions(plans: _Plans, text: str) -> tuple[Action, ...] | str:
     """A reply's Actions, one per bin row, or its ParseError kind."""
     try:
         rows = parse_bins(text)
     except ParseError as exc:
         return exc.kind
-    by_row = plans.memo(("actions", bounds), dict)  # one Action per distinct row on a base
+    by_row = plans.memo(("actions",), dict)  # one Action per distinct row on a base
     for row in rows:
         if row not in by_row:
-            by_row[row] = Action(row_pose(row, bounds), GripperState.from_bit(row[6]))
+            by_row[row] = Action(row_pose(row, plans.bounds), GripperState.from_bit(row[6]))
     return tuple(by_row[row] for row in rows)
 
 
 def _score(config: RunConfig, plans: _Plans, seed: int, text: str) -> tuple[bool, int, bool, str | None]:
     """(parse_error, n_actions, success, failure) of a reply on an eval
     seed's world: its Actions, read once per text on a base, replayed on a copy of the pristine reset."""
-    actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text, config.bounds))
+    actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text))
     if isinstance(actions, str):
         return True, 0, False, actions
-    world, _, variation = plans.reset(config.task, seed, config.bounds)
+    world, _, variation = plans.reset(config.task, seed)
     world = world.clone()  # execute_action mutates it
     for action in actions:
         execute_action(world, action)
@@ -503,20 +505,21 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     do abort. A reply is parsed into bin rows, and each row's bin centers
     replay as one Action on a copy of the eval world; every center lies
     inside config.bounds, the world's own, so no action leaves the
-    workspace. Every episode calls the provider, in seed order, before any
-    reply is scored; a reply text is parsed once per base, and one already
-    scored on that eval world is not copied or replayed again.
+    workspace. Three whole stages run: every prompt is built, so a
+    prompt-stage error comes before any request; then each is completed in
+    seed order; then each reply is scored, its text parsed once per base,
+    and one already scored on that eval world not copied or replayed again.
     """
     complete = _provider(config)
     plans = _plans(config)
-    completed = [  # the completion stage, in seed order; a prompt is kept only as its length
-        (seed, len(bundle.system) + len(bundle.body), complete(bundle)) for seed, bundle in eval_prompts(config)
-    ]
+    prompts = list(eval_prompts(config))
+    results = [complete(bundle) for _, bundle in prompts]
     records = []
-    for seed, prompt_chars, result in completed:
+    for (seed, bundle), result in zip(prompts, results):
         parse_error, n_actions, success, failure = plans.memo(
             ("score", seed, result.text), lambda: _score(config, plans, seed, result.text)
         )
+        prompt_chars = len(bundle.system) + len(bundle.body)
         records.append(EpisodeRecord(seed, success, parse_error, n_actions, result.latency_ms, prompt_chars, failure))
     return EvalReport(arm=arm, records=tuple(records), config=config)
 

@@ -37,9 +37,11 @@ def make_episode(norms, grips=None, instruction="push the red button"):
 
 @pytest.fixture(autouse=True)
 def fresh_plan_store(monkeypatch):
-    """Each test starts on an empty process-wide plan store, so no test is
-    served worlds planned, or patched, by an earlier one."""
+    """Each test starts on an empty process-wide plan store and no rate
+    limiter, so no test is served worlds planned, or patched, by an earlier
+    one, nor waits on an earlier one's requests."""
     monkeypatch.setattr(harness, "_STORE", harness._Plans())
+    harness._bucket.cache_clear()
 
 
 @pytest.fixture

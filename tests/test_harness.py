@@ -592,8 +592,10 @@ def test_sweeps_leave_every_pristine_world_as_reset_drew_it(task):
     for name in SWEEPS:
         getattr(harness, f"ablate_{name}")(cfg)
     worlds = {key[1:]: out[0] for key, out in harness._STORE._memo.items() if key[0] == "reset"}
-    assert {seed for _, seed, _ in worlds} >= set(eval_seeds(cfg))
-    mutated = [key for key, world in worlds.items() if pickle.dumps(world) != pickle.dumps(reset(*key)[0])]
+    assert {seed for _, seed in worlds} >= set(eval_seeds(cfg))
+    mutated = [
+        key for key, world in worlds.items() if pickle.dumps(world) != pickle.dumps(reset(*key, cfg.bounds)[0])
+    ]
     assert not mutated, f"{len(mutated)} pristine worlds were mutated: {mutated}"
 
 
@@ -679,7 +681,7 @@ def test_a_pool_plans_only_the_experts_its_store_lacks(monkeypatch, held):
     seeds = demo_seeds(cfg)
     plans = harness._plans(cfg)
     task = demo_task(cfg.task)
-    kept = plans.experts(task, [seeds[i] for i in held], cfg.bounds)
+    kept = plans.experts(task, [seeds[i] for i in held])
     batches = []
     real = harness.scripted_experts
     monkeypatch.setattr(harness, "scripted_experts", lambda task, items: batches.append(items) or real(task, items))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import iclmanip
-from iclmanip import llm
+from iclmanip import harness, llm
 from iclmanip.harness import LoopMode, RunConfig, eval_prompts, run_eval
 from iclmanip.llm import (
     CompletionTimeout,
@@ -41,7 +41,7 @@ from iclmanip.prompts import (
     parse_response,
     read_prompt,
 )
-from iclmanip.sim import CHAIN_SEPARATOR, TaskId
+from iclmanip.sim import CHAIN_SEPARATOR, PlacementError, TaskId
 
 CREDENTIAL = "sk-test-0000-secret-credential"
 
@@ -288,6 +288,62 @@ def test_run_eval_remote_posts_each_prompt_and_takes_a_token_per_attempt(monkeyp
     assert {r["auth"] for r in script.requests} == {f"Bearer {CREDENTIAL}"}
     assert acquired == [1000.0] * 4
     assert [(r.parse_error, r.n_actions) for r in report.records] == [(False, 2)] * 3
+
+
+def _remote_config(endpoint, **changes):
+    return RunConfig(
+        task=TaskId.PUSH_BUTTON, n_demos=2, provider=Provider.REMOTE, endpoint=endpoint,
+        credential_env="TEST_RUN_CREDENTIAL", **changes,
+    )
+
+
+def test_consecutive_runs_on_one_endpoint_share_one_rate_limiter(monkeypatch):
+    # The spacing holds across run boundaries: the second run's first request
+    # waits 1 / rate after the first run's last one, as its other requests do.
+    monkeypatch.setenv("TEST_RUN_CREDENTIAL", CREDENTIAL)
+    now, sleeps, buckets = [0.0], [], []
+
+    def sleep(s):
+        sleeps.append(s)
+        now[0] += s
+
+    monkeypatch.setattr(harness, "TokenBucket", lambda rate: TokenBucket(rate, clock=lambda: now[0], sleep=sleep))
+    real_acquire = TokenBucket.acquire
+    monkeypatch.setattr(TokenBucket, "acquire", lambda self: buckets.append(self) or real_acquire(self))
+    script = _Script([(200, _ok_body("{[50, 50, 10, 0, 0, 0, 1]}"))] * 4)
+    server, endpoint = _make_server(script)
+    try:
+        for seed in (0, 1):
+            run_eval(_remote_config(endpoint, n_eval=2, seed=seed, requests_per_second=5.0))
+    finally:
+        _stop(server)
+    assert len(script.requests) == len(buckets) == 4
+    assert len({id(bucket) for bucket in buckets}) == 1
+    assert sleeps == pytest.approx([0.2] * 3)
+
+
+def test_run_eval_sends_no_request_before_every_prompt_exists(monkeypatch):
+    # A world that cannot be placed at the third eval seed ends the run in
+    # the prompt stage, before the provider is called at all.
+    monkeypatch.setenv("TEST_RUN_CREDENTIAL", CREDENTIAL)
+    script = _Script([(200, _ok_body())] * 3)
+    server, endpoint = _make_server(script)
+    config = _remote_config(endpoint, n_eval=3, requests_per_second=1000.0)
+    third = harness.eval_seeds(config)[2]
+    real_reset = harness.reset
+
+    def reset(task, seed, bounds):
+        if seed == third:
+            raise PlacementError(f"no legal placement for {task.value} seed {seed}")
+        return real_reset(task, seed, bounds)
+
+    monkeypatch.setattr(harness, "reset", reset)
+    try:
+        with pytest.raises(PlacementError):
+            run_eval(config)
+    finally:
+        _stop(server)
+    assert script.requests == []
 
 
 def test_remote_errors_never_leak_the_credential():
