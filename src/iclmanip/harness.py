@@ -9,7 +9,8 @@ scale k (RunConfig.noise) on sim's fixed base sigmas.
 
 One prompt stage, eval_prompts, turns a config into the prompt for each
 eval seed: demo pool, noised test observations, assembled bundle. run_eval
-builds every prompt, then completes them in seed order, then scores the
+builds every prompt, then hands them all to the provider's batch callable
+(_provider), which returns the results in seed order, then scores the
 replies (_score), so a remote run sends nothing before every prompt exists;
 `iclmanip build-prompt` prints the first bundle.
 
@@ -50,8 +51,8 @@ from .llm import (
     CompletionResult,
     Provider,
     TokenBucket,
-    complete_mock_compositional,
-    complete_mock_nearest,
+    complete_mock_compositional_batch,
+    complete_mock_nearest_batch,
     complete_remote,
 )
 from .model import (
@@ -66,7 +67,7 @@ from .prompts import (
     IclExample,
     ParseError,
     PromptBundle,
-    assemble_prompt,
+    assemble_prompts,
     build_closed_loop_example,
     build_example_input,
     build_icl_example,
@@ -430,15 +431,17 @@ def _bucket(endpoint: str, rate: float) -> TokenBucket:
     return TokenBucket(rate)
 
 
-def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
+def _provider(config: RunConfig) -> Callable[[Sequence[PromptBundle]], list[CompletionResult]]:
+    """The completion stage: a run's bundles in, their results out in order; the
+    remote one sends them one at a time and stops at the first error."""
     if config.provider is Provider.MOCK_NEAREST:
-        return complete_mock_nearest
+        return complete_mock_nearest_batch
     if config.provider is Provider.MOCK_COMPOSITIONAL:
-        return complete_mock_compositional
+        return complete_mock_compositional_batch
     credential = os.environ.get(config.credential_env)
     if not credential:
         raise ValueError(f"credential environment variable {config.credential_env!r} is not set")
-    return functools.partial(
+    complete = functools.partial(
         complete_remote,
         endpoint=config.endpoint,
         credential=credential,
@@ -446,6 +449,7 @@ def _provider(config: RunConfig) -> Callable[[PromptBundle], CompletionResult]:
         max_tokens=config.max_tokens,
         rate_limiter=_bucket(config.endpoint, config.requests_per_second),
     )
+    return lambda bundles: [complete(bundle) for bundle in bundles]
 
 
 def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
@@ -459,15 +463,15 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     plans = _plans(config)
     _, examples = build_demo_pool(config)
     system = default_system_prompts()[config.system_prompt_index]
-    for j, seed in enumerate(eval_seeds(config)):
+    seeds = eval_seeds(config)
+
+    def test_input(j: int, seed: int) -> str:
         world, instruction, _ = plans.reset(config.task, seed)
-        test_input = plans.memo(
-            ("slot", seed, j, config.noise),
-            lambda: build_example_input(
-                _noised(observations_of(world), config, plans, _TEST_NOISE_TAG, j), instruction, config.bounds
-            ),
-        )
-        yield seed, assemble_prompt(examples, test_input, system)
+        noised = _noised(observations_of(world), config, plans, _TEST_NOISE_TAG, j)
+        return build_example_input(noised, instruction, config.bounds)
+
+    slots = (plans.memo(("slot", seed, j, config.noise), lambda: test_input(j, seed)) for j, seed in enumerate(seeds))
+    yield from zip(seeds, assemble_prompts(examples, slots, system))
 
 
 def _reply_actions(plans: _Plans, text: str) -> tuple[Action, ...] | str:
@@ -513,7 +517,7 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     complete = _provider(config)
     plans = _plans(config)
     prompts = list(eval_prompts(config))
-    results = [complete(bundle) for _, bundle in prompts]
+    results = complete([bundle for _, bundle in prompts])
     records = []
     for (seed, bundle), result in zip(prompts, results):
         parse_error, n_actions, success, failure = plans.memo(

@@ -1,12 +1,12 @@
 """Completion providers: a remote chat endpoint and two offline oracles.
 
-All three take a PromptBundle and return a CompletionResult, so the
-evaluation harness does not care which one produced the text. Like a
-model, the mocks see only the prompt: they read the demos and the test
-input back out of the body with prompts.read_prompt, so retrieval is a
-distance computation over the bins printed in the prompt. read_prompt
-reads each distinct input text once, and _TABLE keeps what is read from a
-prompt prefix's demos: each retrieved output's rows, read once per prefix.
+Each turns PromptBundles into CompletionResults, so the evaluation harness
+does not care which one produced the text; it hands a run's bundles to one
+batch call, of which each complete_mock_* is the one-bundle case. Like a
+model, the mocks see only the prompt: prompts.read_prompts reads the demos and
+test input back out of each body, so retrieval is a distance over the bins
+printed in the prompt. A batch reads its demo prefix once, searches once per
+prefix, instruction and width, and writes each retrieved output's rows once.
 
 The remote provider speaks HTTP through the standard library's
 urllib.request, imported inside its first request rather than with this
@@ -21,11 +21,11 @@ import re
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompt
+from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompts
 from .sim import CHAIN_SEPARATOR
 
 MAX_RETRY_AFTER_S = 60.0
@@ -223,37 +223,68 @@ def instruction_template(text: str) -> str:
     return _COLOR_WORDS.sub("*", text)
 
 
-# The last prompt prefix's demos (read_prompt reads one tuple per prefix), their bin rows, per (test instruction,
-# test width) the candidates and their rows' int array, and per retrieved output its rows as a reply writes them.
-_TABLE: tuple[tuple[PromptDemo, ...], list[tuple[int, ...]], dict, dict] = ((), [], {}, {})
-
-
-def _nearest_output(demos: tuple[PromptDemo, ...], test_bins: tuple[int, ...], test_instruction: str) -> str:
-    global _TABLE
-    table = _TABLE
-    if table[0] is not demos:
-        table = _TABLE = (demos, [d.bins for d in demos], {}, {})
-    _, rows, found, _ = table
-    key = (test_instruction, len(test_bins))
-    if key not in found:
-        if not demos:
-            raise OracleError("demo pool is empty")
-        for i, row in enumerate(rows):
-            if len(row) != len(test_bins):
-                raise ValueError(f"demo {i} has obs vector length {len(row)}, test has {len(test_bins)}")
-        # Exact instruction matches first; only when none exist, fall back to
-        # template matches with color words wildcarded.
-        candidates = [i for i, d in enumerate(demos) if d.instruction == test_instruction]
-        if not candidates:
-            template = instruction_template(test_instruction)
-            candidates = [i for i, d in enumerate(demos) if instruction_template(d.instruction) == template]
-        if not candidates:
-            raise OracleError(f"no demo instruction matches {test_instruction!r}")
-        found[key] = candidates, np.array([rows[i] for i in candidates], dtype=np.int64)
-    candidates, candidate_rows = found[key]
-    offsets = candidate_rows - test_bins
+def _search(demos: tuple[PromptDemo, ...], instruction: str, queries: list[tuple]) -> Iterator[str] | Exception:
+    """The nearest demo's output per query bin row (all of one width), or the error a lone query raises."""
+    if not demos:
+        return OracleError("demo pool is empty")
+    width = len(queries[0])
+    for i, d in enumerate(demos):
+        if len(d.bins) != width:
+            return ValueError(f"demo {i} has obs vector length {len(d.bins)}, test has {width}")
+    # Exact instruction matches first; only when none exist, fall back to
+    # template matches with color words wildcarded.
+    template = instruction_template(instruction)
+    candidates = [d for d in demos if d.instruction == instruction] or [
+        d for d in demos if instruction_template(d.instruction) == template
+    ]
+    if not candidates:
+        return OracleError(f"no demo instruction matches {instruction!r}")
+    # Bins have at most 6 digits (read_prompt), so int64 squared distances are exact.
+    offsets = np.array(queries, dtype=np.int64)[:, None, :] - np.array([d.bins for d in candidates], dtype=np.int64)
     # argmin keeps the first of equal distances: the lowest demo index
-    return demos[candidates[int((offsets * offsets).sum(axis=1).argmin())]].output
+    return iter([candidates[k].output for k in (offsets * offsets).sum(axis=2).argmin(axis=1).tolist()])
+
+
+def _complete_mocks(bundles: Sequence[PromptBundle], provider: Provider) -> list[CompletionResult]:
+    """Answer each bundle as a lone call would, in order, or raise the first error a loop of
+    lone calls would raise. Queries are grouped by demo prefix, instruction (or chain
+    segment) and width, one search per group; each retrieved output's rows are written once."""
+    chained = provider is Provider.MOCK_COMPOSITIONAL
+    groups: dict[tuple, list] = {}  # (id of demos, segment, width) -> [demos, segment, query rows]
+    asked: list[list[list]] = []  # per bundle, its segments' groups
+    unread = None
+    try:
+        for demos, test_bins, instruction in read_prompts(b.body for b in bundles):
+            segments = instruction.split(CHAIN_SEPARATOR) if chained else [instruction]
+            asked.append([groups.setdefault((id(demos), s, len(test_bins)), [demos, s, []]) for s in segments])
+            for group in asked[-1]:
+                group[2].append(test_bins)
+    except ValueError as exc:  # raised once the bundles before it are answered
+        unread = exc
+    for group in groups.values():
+        group.append(_search(*group))  # the group's answers, taken in query order, or its error
+    written: dict[str, str] = {}
+    texts = []
+    for bundle_groups in asked:
+        answers = []
+        for _, segment, _, found in bundle_groups:
+            if chained and isinstance(found, OracleError):
+                raise OracleError(f"segment {segment!r} is unresolvable: {found}")
+            if isinstance(found, Exception):
+                raise found
+            text = next(found)
+            if chained and text not in written:  # parse_bins raises on an output without rows
+                written[text] = ", ".join(ACTION_TEXT % row for row in parse_bins(text))
+            answers.append(written[text] if chained else text)
+        texts.append("{" + ", ".join(answers) + "}" if chained else answers[0])
+    if unread is not None:
+        raise unread
+    made = {text: CompletionResult(text=text, latency_ms=0, provider=provider) for text in set(texts)}
+    return [made[text] for text in texts]  # one frozen result per distinct text
+
+
+complete_mock_nearest_batch = functools.partial(_complete_mocks, provider=Provider.MOCK_NEAREST)
+complete_mock_compositional_batch = functools.partial(_complete_mocks, provider=Provider.MOCK_COMPOSITIONAL)
 
 
 def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
@@ -261,26 +292,11 @@ def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
     squared distance in concatenated bin space among demos whose instruction
     matches the test instruction (exact first, color-wildcarded template as
     fallback), ties going to the lowest demo index."""
-    demos, test_bins, test_instruction = read_prompt(bundle.body)
-    text = _nearest_output(demos, test_bins, test_instruction)
-    return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_NEAREST)
+    return complete_mock_nearest_batch([bundle])[0]
 
 
 def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     """Split the test instruction into its chained steps (sim.CHAIN_SEPARATOR),
     answer each segment by retrieval as complete_mock_nearest does, and join
     the answers' action rows into a single response in the output grammar."""
-    demos, test_bins, test_instruction = read_prompt(bundle.body)
-    answers = []
-    for segment in test_instruction.split(CHAIN_SEPARATOR):
-        try:
-            text = _nearest_output(demos, test_bins, segment)
-        except OracleError as exc:
-            raise OracleError(f"segment {segment!r} is unresolvable: {exc}") from None
-        written = _TABLE[3]  # _nearest_output has set _TABLE to demos' table
-        answer = written.get(text)
-        if answer is None:  # parse_bins raises on an output without rows
-            answer = written[text] = ", ".join(ACTION_TEXT % row for row in parse_bins(text))
-        answers.append(answer)
-    text = "{" + ", ".join(answers) + "}"
-    return CompletionResult(text=text, latency_ms=0, provider=Provider.MOCK_COMPOSITIONAL)
+    return complete_mock_compositional_batch([bundle])[0]

@@ -15,8 +15,9 @@ parse_bins reads a reply into a list of 7-int action rows. It is total:
 any byte string either yields rows or raises ParseError with a kind of
 no_actions, arity or range.
 parse_response is its API-edge view, the same rows as DiscreteActions.
-read_prompt inverts a prompt body back into its demos and test input; the
-offline oracles answer from what it reads.
+assemble_prompts joins the demo prefix once for a run's test inputs, and
+read_prompts inverts the bodies, reading a prefix once while it repeats;
+the offline oracles answer from what it reads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_row
 from .keyframes import KeyframeIndices
@@ -187,16 +188,19 @@ def build_closed_loop_example(
     )
 
 
-def assemble_prompt(
-    examples: Sequence[IclExample], test_input: str, system: str
-) -> PromptBundle:
-    """Join examples as `in > out` pairs and append the test input with a
-    trailing `> ` so the model completes the final output slot."""
-    if not test_input:
-        raise ValueError("test_input must be non-empty")
-    pieces = [f"{e.input} > {e.output}" for e in examples]
-    pieces.append(f"{test_input} > ")
-    return PromptBundle(system=system, body=", ".join(pieces[:-1]) + (", " if examples else "") + pieces[-1])
+def assemble_prompts(examples: Sequence[IclExample], test_inputs: Iterable[str], system: str) -> Iterator[PromptBundle]:
+    """Join examples as `in > out, ` pairs once, then yield that prefix plus each
+    test input and a trailing `> `, so the model completes the final output slot."""
+    prefix = "".join([f"{e.input} > {e.output}, " for e in examples])
+    for test_input in test_inputs:
+        if not test_input:
+            raise ValueError("test_input must be non-empty")
+        yield PromptBundle(system=system, body=prefix + test_input + " > ")
+
+
+def assemble_prompt(examples: Sequence[IclExample], test_input: str, system: str) -> PromptBundle:
+    """assemble_prompts for one test input."""
+    return next(assemble_prompts(examples, [test_input], system))
 
 
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
@@ -316,8 +320,10 @@ class PromptDemo(NamedTuple):
     output: str
 
 
-_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d+(?:, \d+){5})\], ")
-_DEMO_PAIR = re.compile(r"(\{[^{}]*\}) > (\{[^{}]*\}), ")
+# An input observation; and one with a bin of more than 6 digits, parse_bins' limit, which keeps int64 distances exact.
+_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d{1,6}(?:, \d{1,6}){5})\], ")
+_LONG_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[\d+(?:, \d+){5}\], ")
+_DEMO_PAIR = re.compile(r"(\{[^}]*\}) > (\{[^}]*\}), ")  # `[^}]` scans fast; a pair must hold just two `{`
 
 
 @functools.lru_cache(maxsize=1024)  # per text: a base's five default sweeps send about 175 distinct inputs
@@ -330,29 +336,33 @@ def _read_input(text: str) -> tuple[tuple[int, ...], str]:
     while (match := _INPUT_OBSERVATION.match(text, cursor)) is not None:
         bins.extend(map(int, match.group(1).split(", ")))
         cursor = match.end()
+    if _LONG_OBSERVATION.match(text, cursor):
+        raise ValueError(f"example input has a bin of more than 6 digits at offset {cursor}")
     instruction = text[cursor:-1]
     if not bins or not instruction:
         raise ValueError(f"example input needs observations and an instruction: {text[:40]!r}")
     return tuple(bins), instruction
 
 
-@functools.lru_cache(maxsize=1)
-def _read_demos(prefix: str) -> tuple[PromptDemo, ...]:
-    # Split once per run (its episodes share this prefix); _read_input reads each demo input once per text.
-    demos = []
-    cursor = 0
-    while (match := _DEMO_PAIR.match(prefix, cursor)) is not None:
-        demos.append(PromptDemo(*_read_input(match.group(1)), match.group(2)))
-        cursor = match.end()
-    if cursor != len(prefix):
-        raise ValueError(f"prompt body is not a sequence of demos at offset {cursor}")
-    return tuple(demos)
+def read_prompts(bodies: Iterable[str]) -> Iterator[tuple[tuple[PromptDemo, ...], tuple[int, ...], str]]:
+    """Inverse of assemble_prompts over build_example_input inputs: per body, the demos, then the test
+    input's pose bins and instruction. A body's demo prefix is read only when it is not the last one read."""
+    prefix, demos = "", ()  # what an empty prefix reads as
+    for body in bodies:
+        if not body.endswith("} > "):
+            raise ValueError("prompt body must end with the test input and '> '")
+        split = body.rfind("{")
+        if split != len(prefix) or not body.startswith(prefix):
+            prefix, read, cursor = body[:split], [], 0
+            while (match := _DEMO_PAIR.match(prefix, cursor)) and match.group().count("{") == 2:
+                read.append(PromptDemo(*_read_input(match.group(1)), match.group(2)))
+                cursor = match.end()
+            if cursor != len(prefix):
+                raise ValueError(f"prompt body is not a sequence of demos at offset {cursor}")
+            demos = tuple(read)
+        yield (demos, *_read_input(body[split:-3]))
 
 
 def read_prompt(body: str) -> tuple[tuple[PromptDemo, ...], tuple[int, ...], str]:
-    """Inverse of assemble_prompt over build_example_input inputs: the demos,
-    then the test input's concatenated pose bins and its instruction."""
-    if not body.endswith("} > "):
-        raise ValueError("prompt body must end with the test input and '> '")
-    split = body.rfind("{")
-    return (_read_demos(body[:split]), *_read_input(body[split:-3]))
+    """read_prompts for one body."""
+    return next(read_prompts([body]))

@@ -642,8 +642,8 @@ def test_build_prompt_is_run_evals_first_prompt(tmp_path, monkeypatch, task, loo
     main(["build-prompt", *flags, "--out", str(out)])
     sent = []
 
-    def record(bundle):
-        sent.append(bundle)
+    def record(bundles):
+        sent.extend(bundles)
         raise _FirstPrompt
 
     monkeypatch.setattr(harness, "_provider", lambda config: record)

@@ -289,10 +289,10 @@ def test_run_eval_success_rate_matches_records():
 
 
 def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
-    def bad_completion(bundle):
-        return CompletionResult(text="no actions here", latency_ms=0, provider=Provider.MOCK_NEAREST)
+    def bad_completions(bundles):
+        return [CompletionResult(text="no actions here", latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles]
 
-    monkeypatch.setattr(harness, "complete_mock_nearest", bad_completion)
+    monkeypatch.setattr(harness, "complete_mock_nearest_batch", bad_completions)
     report = run_eval(config(n_demos=2, n_eval=3))
     assert len(report.records) == 3
     assert all(r.parse_error for r in report.records)
@@ -347,8 +347,8 @@ def test_replies_at_the_corner_bins_run_every_action(monkeypatch, task, bounds):
     reply = "{" + ", ".join(str(list(row)) for row in _CORNERS) + "}"
     monkeypatch.setattr(
         harness,
-        "complete_mock_nearest",
-        lambda bundle: CompletionResult(text=reply, latency_ms=0, provider=Provider.MOCK_NEAREST),
+        "complete_mock_nearest_batch",
+        lambda bundles: [CompletionResult(text=reply, latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles],
     )
     report = run_eval(config(task, n_demos=2, n_eval=3, bounds=bounds))
     for r in report.records:
@@ -371,8 +371,10 @@ def test_a_reply_grasping_the_bottom_cube_scores_a_failed_episode(monkeypatch):
     replies = iter(replies)
     monkeypatch.setattr(
         harness,
-        "complete_mock_nearest",
-        lambda bundle: CompletionResult(text=next(replies), latency_ms=0, provider=Provider.MOCK_NEAREST),
+        "complete_mock_nearest_batch",
+        lambda bundles: [
+            CompletionResult(text=next(replies), latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles
+        ],
     )
     records = run_eval(cfg).records
     assert [(r.success, r.parse_error, r.n_actions, r.failure) for r in records] == [(False, False, 3, None)] * 2
@@ -546,16 +548,16 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     # but each distinct reply text is parsed once, each (eval seed, reply)
     # replayed once, and each n_demos scanned once.
     cfg = config(task, n_demos=3, n_eval=4, provider=provider)
-    provider_name = "complete_" + provider.value.replace("-", "_")
+    provider_name = "complete_" + provider.value.replace("-", "_") + "_batch"
     replies, parsed, scanned, cloned = [], [], [], []
     real_complete, real_parse, real_scan, real_clone = (
         getattr(harness, provider_name), harness.parse_bins, harness._scan_demo_seeds, WorldState.clone
     )
 
-    def complete(bundle):
-        result = real_complete(bundle)
-        replies.append(result.text)
-        return result
+    def complete(bundles):
+        results = real_complete(bundles)
+        replies.extend(result.text for result in results)
+        return results
 
     monkeypatch.setattr(harness, provider_name, complete)
     monkeypatch.setattr(harness, "parse_bins", lambda text: parsed.append(text) or real_parse(text))

@@ -625,6 +625,9 @@ def test_mock_nearest_checks_lengths_on_every_prompt_of_a_prefix():
         with pytest.raises(ValueError, match=r"^demo 0 has obs vector length 6, test has 12$"):
             complete_mock_nearest(_bundle(pool, (1,) * 12, "push the red button"))
     assert complete_mock_nearest(_bundle(pool, (2,) * 6, "push the red button")).text == pool[1][2]
+    # So does a batch holding both widths behind one prefix and instruction.
+    with pytest.raises(ValueError, match=r"^demo 0 has obs vector length 6, test has 12$"):
+        llm.complete_mock_nearest_batch([_bundle(pool, (1,) * w, "push the red button") for w in (6, 12)])
 
 
 def _compositional_via_actions(bundle):
@@ -651,22 +654,136 @@ def test_mock_compositional_matches_the_action_path(task, loop):
             assert complete_mock_compositional(bundle).text == _compositional_via_actions(bundle)
 
 
-def test_mock_compositional_rows_never_cross_prompts(monkeypatch):
-    # Prompts A, B, A from two configs whose demos differ: each reply equals
-    # one computed from an empty table, and the table holds only rows of the
-    # demo outputs of the prompt it last read.
+def test_mock_compositional_rows_never_cross_prompts():
+    # Prompts A, B, A from two configs whose demos differ, in one batch: each
+    # reply equals its lone call's and the one built from its own prompt's
+    # demos alone, so no row of another prompt's demo outputs reaches it.
     a, b = (
         list(eval_prompts(RunConfig(task=TaskId.PUSH_MULTIPLE_BUTTONS, n_demos=4, n_eval=3, seed=seed)))
         for seed in (0, 40)
     )
     assert read_prompt(a[0][1].body)[0] != read_prompt(b[0][1].body)[0]
-    for _, bundle in a + b + a:
-        got = complete_mock_compositional(bundle).text
-        outputs = {d.output for d in read_prompt(bundle.body)[0]}
-        assert llm._TABLE[3] and set(llm._TABLE[3]) <= outputs
-        with monkeypatch.context() as cold:
-            cold.setattr(llm, "_TABLE", ((), [], {}, {}))
-            assert got == complete_mock_compositional(bundle).text
+    bundles = [bundle for _, bundle in a + b + a]
+    for bundle, result in zip(bundles, llm.complete_mock_compositional_batch(bundles)):
+        assert result.text == complete_mock_compositional(bundle).text == _compositional_via_actions(bundle)
+
+
+_SINGLE_STEPS = (
+    "push the red button", "push the blue button", "push the green button", "slide the block onto the target"
+)
+
+
+def _lone_then_batch(one, batch, bundles):
+    """(texts, (type, message) of the first error) of a loop of lone calls, then of one batch call."""
+    texts, error = [], None
+    try:
+        for bundle in bundles:
+            texts.append(one(bundle).text)
+    except Exception as exc:
+        error = (type(exc), str(exc))
+    try:
+        got = ([r.text for r in batch(bundles)], None)
+    except Exception as exc:
+        got = ([], (type(exc), str(exc)))
+    return (texts if error is None else [], error), got
+
+
+def test_a_batch_answers_as_a_loop_of_lone_calls():
+    # Mixed prefixes (each query on the first pool is followed by the same
+    # query on a twin prefix of equal length with mirrored bins; a pool of
+    # mixed widths, one that will not read, an empty one), exact,
+    # template-only and chained instructions, and mismatched widths: each
+    # mock's batch gives the loop's texts, or raises its first error with the
+    # same type and message. So does a batch of the bundles a lone call answers.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def bins(width):
+        return st.lists(st.integers(0, 9), min_size=width, max_size=width).map(tuple)
+
+    rows = ("{[1, 0, 0, 0, 0, 0, 1]}", "{[2, 3, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0, 1]}", "{[5, 0, 0, 0, 0, 0, 1]}")
+    outputs = st.sampled_from([*rows, "{no rows}"])  # the compositional mock cannot parse the last one
+    pool = st.sampled_from([6, 12]).flatmap(
+        lambda w: st.lists(st.tuples(bins(w), st.sampled_from(_SINGLE_STEPS[:3]), outputs), min_size=1, max_size=4)
+    )
+    chained = st.lists(st.sampled_from(_SINGLE_STEPS), min_size=2, max_size=3).map(CHAIN_SEPARATOR.join)
+    # Mostly answerable prompts, so that a batch often runs past its first few bundles.
+    instructions = st.one_of(st.sampled_from(_SINGLE_STEPS[:2]), st.sampled_from(_SINGLE_STEPS), chained)
+
+    @hypothesis.given(st.lists(pool, min_size=1, max_size=2), st.data())
+    def check(pools, data):
+        twin = [(tuple(9 - b for b in demo_bins), *rest) for demo_bins, *rest in pools[0]]
+        mixed = [
+            ((1,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+            ((1,) * 12, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
+        ]
+        unreadable = [((1234567, 0, 0, 0, 0, 0), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}")]
+        pools = [pools[0]] * 8 + pools[1:] * 3 + [mixed, unreadable, []]  # the last three always fail
+        bundles = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            demos = data.draw(st.sampled_from(pools))
+            width = data.draw(st.sampled_from([len(demos[0][0]) if demos else 6] * 4 + [6, 12]))
+            test_bins, instruction = data.draw(bins(width)), data.draw(instructions)
+            bundles.append(_bundle(demos, test_bins, instruction))
+            if demos is pools[0]:  # the same query on the twin prefix, right after
+                bundles.append(_bundle(twin, test_bins, instruction))
+        for one, batch in (
+            (complete_mock_nearest, llm.complete_mock_nearest_batch),
+            (complete_mock_compositional, llm.complete_mock_compositional_batch),
+        ):
+            lone, got = _lone_then_batch(one, batch, bundles)
+            assert got == lone
+            answered = [b for b in bundles if _lone_then_batch(one, batch, [b])[0][1] is None]
+            lone, got = _lone_then_batch(one, batch, answered)  # no error cuts this batch short
+            assert got == lone
+
+    check()
+
+
+def test_a_batch_rereads_a_prefix_of_equal_length():
+    # Adjacent prompts whose demo prefixes have one length but differ in a bin
+    # are answered from their own demos.
+    pool = [
+        ((1,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+        ((3,) * 6, "push the red button", "{[3, 0, 0, 0, 0, 0, 1]}"),
+    ]
+    moved = [((5, 1, 1, 1, 1, 1), *pool[0][1:]), pool[1]]
+    bundles = [_bundle(pool, (2,) * 6, "push the red button"), _bundle(moved, (2,) * 6, "push the red button")]
+    assert len(bundles[0].body) == len(bundles[1].body)
+    texts = [r.text for r in llm.complete_mock_nearest_batch(bundles)]
+    assert texts == [pool[0][2], pool[1][2]] == [complete_mock_nearest(b).text for b in bundles]
+
+
+@pytest.mark.parametrize("provider", [Provider.MOCK_NEAREST, Provider.MOCK_COMPOSITIONAL], ids=lambda p: p.value)
+def test_run_eval_completes_its_prompts_in_one_batch_call(monkeypatch, provider):
+    name = "complete_" + provider.value.replace("-", "_") + "_batch"
+    real, calls = getattr(harness, name), []
+    monkeypatch.setattr(harness, name, lambda bundles: calls.append(list(bundles)) or real(bundles))
+    cfg = RunConfig(task=TaskId.PUSH_MULTIPLE_BUTTONS, n_demos=3, n_eval=5, provider=provider)
+    if provider is Provider.MOCK_NEAREST:
+        cfg = dataclasses.replace(cfg, task=TaskId.PUSH_BUTTON)
+    report = run_eval(cfg)
+    assert calls == [[bundle for _, bundle in eval_prompts(cfg)]] and len(calls[0]) == cfg.n_eval
+    assert len(report.records) == cfg.n_eval
+
+
+def test_mock_reads_no_bin_of_more_than_six_digits():
+    # 3037000500 squared overflows int64, and 2**63 does not fit in one:
+    # read_prompt refuses a bin of more than 6 digits, parse_bins' limit, so
+    # no mock answers from a wrapped distance or raises OverflowError.
+    wide = (3037000500, 0, 0, 0, 0, 0)
+    overflowing = [
+        ((0,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
+        (wide, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
+    ]
+    huge = [((2**63, 0, 0, 0, 0, 0), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}")]
+    for bundle in (_bundle(overflowing, wide, "push the red button"), _bundle(huge, (0,) * 6, "push the red button")):
+        for read in (read_prompt, complete_mock_nearest, complete_mock_compositional):
+            with pytest.raises(ValueError, match="more than 6 digits"):
+                read(bundle.body if read is read_prompt else bundle)
+    six = (999999, 0, 0, 0, 0, 0)
+    pool = [overflowing[0], (six, *overflowing[1][1:])]
+    assert complete_mock_nearest(_bundle(pool, six, "push the red button")).text == pool[1][2]
 
 
 def test_mock_compositional_concatenates_segments():

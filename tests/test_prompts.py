@@ -363,6 +363,9 @@ def test_read_prompt_inverts_assemble_prompt():
         "{red button: [1, 2, 3, 4, 5, 6]} > ",  # no instruction
         "hello {red button: [1, 2, 3, 4, 5, 6], push} > ",  # text before the demos
         "{red button: [1, 2, 3, 4, 5, 6], push} > {[1]} {red button: [1, 2, 3, 4, 5, 6], push} > ",
+        "{red {button: [1, 2, 3, 4, 5, 6], push} > {[1]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # `{` in a demo input
+        "{red button: [1, 2, 3, 4, 5, 6], push} > {[1, {2]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # and output
+        "{red button: [1234567, 2, 3, 4, 5, 6], push} > ",  # a bin of more than 6 digits
     ],
 )
 def test_read_prompt_rejects_bodies_assemble_prompt_cannot_make(body):
