@@ -5,13 +5,13 @@ out-of-range values clamped to the edge bins. Rotation uses 72 bins of
 5 degrees each over [0, 360). Dediscretization returns bin centers, so
 the reconstruction error is at most half a bin per component.
 
-Inside the pipeline bins are tuples of plain ints, six per pose and seven
+Inside the pipeline bins are rows of plain ints, six per pose and seven
 per action, whose columns and bin counts ROW_COLUMNS states once.
-`pose_bin_row` bins any six numbers, bit for bit equal to the scalar
-functions and the only binner besides them; `row_pose` maps a row back to
-its bin centers, read from center_table, for a replay and dediscretize_pose.
-DiscretePose and DiscreteAction are the validated per-value view at the API
-edge.
+`pose_bin_rows` bins an M x 6 array of poses in one numpy pass, bit for bit
+equal to the scalar functions and the only binner besides them; `pose_bin_row`
+is its one-row case. `row_pose` maps a row back to its bin centers, read from
+center_table, for a replay and dediscretize_pose. DiscretePose and
+DiscreteAction are the validated per-value view at the API edge.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .model import Action, GripperState, Pose6, WorkspaceBounds, wrap_angle
 
@@ -33,6 +35,7 @@ ROW_COLUMNS = (
     ("tx", TRANSLATION_BINS), ("ty", TRANSLATION_BINS), ("tz", TRANSLATION_BINS),
     ("rr", ROTATION_BINS), ("rp", ROTATION_BINS), ("ry", ROTATION_BINS), ("g", 2),
 )
+_TOP_BINS = np.array([bins - 1 for _, bins in ROW_COLUMNS[:6]], dtype=np.float64)  # a pose column's last bin
 
 
 @dataclass(frozen=True)
@@ -103,25 +106,23 @@ def dediscretize_rotation(bin_index: int) -> float:
     return math.radians((bin_index + 0.5) * DEGREES_PER_BIN)
 
 
-def pose_bin_row(pose: Sequence[float], bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
-    """Six numbers x, y, z, roll, pitch, yaw, the angles wrapped as a Pose6's
-    and an Episode's are, as six bins: discretize_translation's and
-    discretize_rotation's arithmetic inline, without their checks, as bounds
-    hold min < max."""
+def pose_bin_rows(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
+    """M x 6 poses (x, y, z, roll, pitch, yaw, the angles wrapped as a Pose6's are)
+    as M x 6 int bins: discretize_translation's and discretize_rotation's
+    arithmetic per column, without their checks, as bounds hold min < max."""
     (x0, x1), (y0, y1), (z0, z1) = bounds.limits
-    x, y, z, roll, pitch, yaw = pose
-    n, k, top, last = TRANSLATION_BINS, _DEGREES_PER_RADIAN, TRANSLATION_BINS - 1, ROTATION_BINS - 1
-    tx, ty, tz = (x - x0) / (x1 - x0) * n, (y - y0) / (y1 - y0) * n, (z - z0) / (z1 - z0) * n
-    rr, rp, ry = roll * k / DEGREES_PER_BIN, pitch * k / DEGREES_PER_BIN, yaw * k / DEGREES_PER_BIN
-    # Clamped to the edge bins as min and max would; degrees are >= 0, so int() floors.
-    return (
-        0 if tx < 0.0 else top if tx >= top else int(tx),
-        0 if ty < 0.0 else top if ty >= top else int(ty),
-        0 if tz < 0.0 else top if tz >= top else int(tz),
-        last if rr >= last else int(rr),
-        last if rp >= last else int(rp),
-        last if ry >= last else int(ry),
-    )
+    raw = np.empty_like(poses)
+    with np.errstate(over="ignore"):  # a raw bin past the float range is +-inf, as in Python
+        np.multiply((poses[:, :3] - (x0, y0, z0)) / (x1 - x0, y1 - y0, z1 - z0), TRANSLATION_BINS, out=raw[:, :3])
+        np.divide(poses[:, 3:] * _DEGREES_PER_RADIAN, DEGREES_PER_BIN, out=raw[:, 3:])
+    # Clamped to the edge bins as min and max would; degrees are >= 0, so the cast floors.
+    np.maximum(raw[:, :3], 0.0, out=raw[:, :3])
+    return np.minimum(raw, _TOP_BINS, out=raw).astype(np.int64)
+
+
+def pose_bin_row(pose: Sequence[float], bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
+    """pose_bin_rows on one row of six numbers."""
+    return tuple(pose_bin_rows(np.array([pose], dtype=np.float64), bounds)[0].tolist())
 
 
 def discretize_pose(pose: Pose6, bounds: WorkspaceBounds) -> DiscretePose:

@@ -15,11 +15,10 @@ replies (_score), so a remote run sends nothing before every prompt exists;
 `iclmanip build-prompt` prints the first bundle.
 
 Worlds are planned once per base config: one process-wide store holds its base
-(task, seed, bounds), keeps each pristine reset and expert episode (a pool's
-unplanned experts are planned in one sim.scripted_experts pass) and memoizes
+(task, seed, bounds), keeps each pristine reset and expert episode and memoizes
 the pure stages that arms repeat (demo seed scans, demo keyframes, noise draws,
 demo examples, test slot text, reply Actions and scores), each keyed on exactly
-the inputs it reads beyond the base. Calls on one base, such as every arm of
+the inputs it reads beyond the base; what a call lacks is made in one batch. Calls on one base, such as every arm of
 every sweep of a config, share the store; a call on another base replaces it.
 Providers are never memoized, but a reply text is parsed once per base, and a
 reply already scored on that eval world is not replayed again, nor its world copied.
@@ -59,7 +58,6 @@ from .model import (
     Action,
     Episode,
     GripperState,
-    ObjectObservation,
     WorkspaceBounds,
     _write_file,
 )
@@ -68,9 +66,9 @@ from .prompts import (
     ParseError,
     PromptBundle,
     assemble_prompts,
-    build_closed_loop_example,
-    build_example_input,
-    build_icl_example,
+    build_closed_loop_examples,
+    build_example_inputs,
+    build_icl_examples,
     default_system_prompts,
     parse_bins,
 )
@@ -80,11 +78,9 @@ from .sim import (
     WorldState,
     check_success,
     execute_action,
-    observations_of,
     pose_noise_draws,
     replay_observations,
     reset,
-    scale_pose_noise,
     scripted_experts,
     seed_words,
     task_spec,
@@ -271,18 +267,23 @@ class _Plans:
             value = self._memo[key] = make()
             return value
 
+    def memo_all(self, keys: Sequence[tuple], make: Callable[[list[tuple]], Sequence]) -> list:
+        """memo over several keys: one make(missing) call builds every value not yet held, in order."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        if missing:
+            self._memo.update(zip(missing, make(missing), strict=True))
+        return [self._memo[key] for key in keys]
+
     def reset(self, task: TaskId, seed: int) -> tuple[WorldState, str, TaskVariation]:
         return self.memo(("reset", task, seed), lambda: reset(task, seed, self.bounds))
 
     def experts(self, task: TaskId, seeds: Sequence[int]) -> list[Episode]:
         """The expert episode on each seed's reset world, memoized per seed;
         the seeds not yet planned are planned in one scripted_experts call."""
-        keys = [("expert", task, seed) for seed in seeds]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
-        if missing:
-            worlds = [self.reset(task, seed)[:2] for _, _, seed in missing]
-            self._memo.update(zip(missing, scripted_experts(task, worlds)))
-        return [self._memo[key] for key in keys]
+        return self.memo_all(
+            [("expert", task, seed) for seed in seeds],
+            lambda missing: scripted_experts(task, [self.reset(task, seed)[:2] for _, _, seed in missing]),
+        )
 
 
 _STORE = _Plans()
@@ -361,14 +362,11 @@ def _noise_seed(base: int, *tags: int) -> int:
     return int(np.random.SeedSequence(seed_words(base, *tags)).generate_state(1)[0])
 
 
-def _noised(
-    observations: Sequence[ObjectObservation], config: RunConfig, plans: _Plans, *tags: int
-) -> tuple[ObjectObservation, ...]:
+def _draws(config: RunConfig, plans: _Plans, n: int, *tags: int) -> np.ndarray | None:
+    """The n x 6 noise draws of one noised block, or None when the run has no noise."""
     if not config.noise:
-        return tuple(observations)
-    n = len(observations)
-    draws = plans.memo(("draws", n, *tags), lambda: pose_noise_draws(n, _noise_seed(config.seed, *tags)))
-    return scale_pose_noise(observations, config.noise, draws)
+        return None
+    return plans.memo(("draws", n, *tags), lambda: pose_noise_draws(n, _noise_seed(config.seed, *tags)))
 
 
 _DEMO_NOISE_TAG = 1
@@ -381,47 +379,48 @@ def _keyframes_for(config: RunConfig, seed: int, episode: Episode, plans: _Plans
     return sample_uniform(episode.length, config.uniform_interval)
 
 
-# The RunConfig fields beyond the base that _demo_example reads: with the
-# demo seed and pool position, its memo key.
+# The RunConfig fields beyond the base that _demo_examples reads; with seed and position, a demo's memo key.
 _DEMO_FIELDS = operator.attrgetter("keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise")
 
 
-def _demo_example(
-    config: RunConfig, position: int, seed: int, episode: Episode, plans: _Plans
-) -> IclExample:
-    frames = _keyframes_for(config, seed, episode, plans)
-    if len(frames) < 2:
+def _demo_examples(config: RunConfig, plans: _Plans, demos: list[tuple[int, int, Episode]]) -> list[IclExample]:
+    """The example on each (pool position, seed, episode), built in one call; a
+    demo's keyframe check raises after the earlier demos' noise, as one by one."""
+    frames = [_keyframes_for(config, seed, episode, plans) for _, seed, episode in demos]
+    short = next((i for i, f in enumerate(frames) if len(f) < 2), len(demos))
+    items = []
+    for (position, seed, episode), kf in zip(demos[:short], frames):
+        if config.loop_mode is LoopMode.OPEN:
+            scene = episode.objects
+            items.append((episode, kf, scene, _draws(config, plans, len(scene), _DEMO_NOISE_TAG, position)))
+            continue
+        # Closed loop re-observes the scene at each keyframe; replay the
+        # expert to know where objects actually are.
+        observed = replay_observations(plans.reset(demo_task(config.task), seed)[0].clone(), episode, kf)
+        draws = [_draws(config, plans, len(observed[t]), _DEMO_NOISE_TAG, position, t) for t in kf]
+        items.append((episode, kf, [observed[t] for t in kf], draws))
+    build = build_icl_examples if config.loop_mode is LoopMode.OPEN else build_closed_loop_examples
+    examples = build(items, config.bounds, config.noise)
+    if short < len(demos):
         raise ValueError(
-            f"demo seed {seed} has {len(frames)} keyframe at delta {config.delta}; "
+            f"demo seed {demos[short][1]} has {len(frames[short])} keyframe at delta {config.delta}; "
             "a demo needs at least 2, so lower delta"
         )
-    if config.loop_mode is LoopMode.OPEN:
-        start = _noised(episode.objects, config, plans, _DEMO_NOISE_TAG, position)
-        return build_icl_example(episode, frames, config.bounds, start)
-    # Closed loop re-observes the scene at each keyframe; replay the
-    # expert to know where objects actually are.
-    world = plans.reset(demo_task(config.task), seed)[0].clone()
-    observed = replay_observations(world, episode, frames)
-    return build_closed_loop_example(
-        episode,
-        frames,
-        config.bounds,
-        [_noised(observed[t], config, plans, _DEMO_NOISE_TAG, position, t) for t in frames],
-    )
+    return examples
 
 
 def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
     """The demo seeds and the ICL example built on each, in pool order. A scan
     reaching the derived eval seeds is a ValueError before any expert is planned;
-    then every expert not yet planned, all in one pass, and each example once per
-    (seed, position, _DEMO_FIELDS) on a base. The list is the caller's own."""
+    then the experts, then the examples, not yet made, each in one pass, an
+    example once per (seed, position, _DEMO_FIELDS) on a base. The list is the caller's own."""
     plans = _plans(config)
     seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
-    episodes = plans.experts(demo_task(config.task), seeds)
-    examples = [
-        plans.memo(("demo", seed, i, fields), lambda: _demo_example(config, i, seed, ep, plans))
-        for i, (seed, ep) in enumerate(zip(seeds, episodes))
-    ]
+    episodes = dict(zip(seeds, plans.experts(demo_task(config.task), seeds)))
+    examples = plans.memo_all(
+        [("demo", seed, i, fields) for i, seed in enumerate(seeds)],
+        lambda missing: _demo_examples(config, plans, [(i, seed, episodes[seed]) for _, seed, i, _ in missing]),
+    )
     return seeds, examples
 
 
@@ -465,12 +464,13 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     system = default_system_prompts()[config.system_prompt_index]
     seeds = eval_seeds(config)
 
-    def test_input(j: int, seed: int) -> str:
-        world, instruction, _ = plans.reset(config.task, seed)
-        noised = _noised(observations_of(world), config, plans, _TEST_NOISE_TAG, j)
-        return build_example_input(noised, instruction, config.bounds)
+    def test_inputs(missing: list[tuple]) -> list[str]:
+        # A world's objects are read as its observations: each has a name and a pose.
+        worlds = [(plans.reset(config.task, seed)[:2], j) for _, seed, j, _ in missing]
+        items = [(w.objects, i, _draws(config, plans, len(w.objects), _TEST_NOISE_TAG, j)) for (w, i), j in worlds]
+        return build_example_inputs(items, config.bounds, config.noise)
 
-    slots = (plans.memo(("slot", seed, j, config.noise), lambda: test_input(j, seed)) for j, seed in enumerate(seeds))
+    slots = plans.memo_all([("slot", seed, j, config.noise) for j, seed in enumerate(seeds)], test_inputs)
     yield from zip(seeds, assemble_prompts(examples, slots, system))
 
 

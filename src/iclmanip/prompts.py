@@ -9,9 +9,9 @@ for byte:
     example out   {[action], [action], ...}
     prompt body   in > out, in > out, ..., test_in >
 
-Inside the pipeline bins stay tuples of plain ints: examples are formatted
-from pose_bin_row's six bins of each keyframe pose and observed pose, and
-parse_bins reads a reply into a list of 7-int action rows. It is total:
+The batch builders bin every observed pose (noised by k times its draws if
+asked) and every keyframe pose in one pass and format only int rows; the
+one-item builders are their noiseless case. parse_bins reads a reply into 7-int rows. It is total:
 any byte string either yields rows or raises ParseError with a kind of
 no_actions, arity or range.
 parse_response is its API-edge view, the same rows as DiscreteActions.
@@ -25,11 +25,15 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_row
+import numpy as np
+
+from .discretize import ROW_COLUMNS, DiscreteAction, DiscretePose, pose_bin_rows
 from .keyframes import KeyframeIndices
 from .model import Episode, ObjectObservation, WorkspaceBounds
+from .sim import scale_pose_rows
 
 SYSTEM_PROMPT_ORIGINAL = (
     "You are a Franka Panda robot with a parallel gripper. We provide you with some "
@@ -98,7 +102,7 @@ class ParseError(Exception):
         self.position = position
 
 
-_OBSERVATION_TEXT = "%s: [%d, %d, %d, %d, %d, %d]"
+_POSE_TEXT = "[%d, %d, %d, %d, %d, %d]"  # an observation is its name, ": " and this
 ACTION_TEXT = "[%d, %d, %d, %d, %d, %d, %d]"
 
 
@@ -106,86 +110,118 @@ def format_action(action: DiscreteAction) -> str:
     return ACTION_TEXT % action.as_tuple()
 
 
-def _action_texts(episode: Episode, frames: Sequence[int], bounds: WorkspaceBounds) -> list[str]:
-    """The formatted actions at `frames`."""
-    index = list(frames)
-    poses, bits = episode.poses[index].tolist(), episode.gripper_bits[index].tolist()
-    return [ACTION_TEXT % (*pose_bin_row(pose, bounds), bit) for pose, bit in zip(poses, bits)]
+Scene = Sequence[ObjectObservation]  # one block in roster order: anything with a name and a pose
 
 
-def build_example_input(
-    observations: Sequence[ObjectObservation], instruction: str, bounds: WorkspaceBounds
-) -> str:
-    """Format the input half of an example: observations then the instruction."""
-    if not observations:
-        raise ValueError("need at least one observation")
-    if not instruction:
-        raise ValueError("instruction must be non-empty")
-    texts = [_OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose.as_list(), bounds)) for o in observations]
-    return "{" + ", ".join(texts) + ", " + instruction + "}"
+def _examples(
+    items: Sequence[tuple[Sequence[Scene], Sequence[np.ndarray] | None, str, Episode | None, Sequence[int]]],
+    bounds: WorkspaceBounds, k: float | None,
+) -> list[tuple[str, str]]:
+    """Per item (blocks, their draws, instruction, episode, frames): the input, the
+    first block then the instruction, and the output, the actions at the frames,
+    each but the first after its frame's block if any. Every observed pose, moved
+    by k times its draws when k is set, and every action pose are binned at once."""
+    observed = [o for blocks, *_ in items for block in blocks for o in block]
+    poses = np.array([o.pose.as_list() for o in observed], dtype=np.float64).reshape(-1, 6)
+    if k and observed:
+        poses = scale_pose_rows(poses, k, np.concatenate([d for _, draws, *_ in items for d in draws]))
+    acted = [(episode, frames) for *_, episode, frames in items if frames]
+    bins = pose_bin_rows(np.concatenate([poses, *(ep.poses.take(f, axis=0) for ep, f in acted)]), bounds)
+    texts = iter([f"{o.name}: {text}" for o, text in zip(observed, _row_texts(_POSE_TEXT, bins[: len(observed)]))])
+    bits = np.concatenate([np.zeros(0, np.int64), *(ep.gripper_bits.take(f) for ep, f in acted)])
+    actions = iter(_row_texts(ACTION_TEXT, np.column_stack((bins[len(observed):], bits))))
+    out = []
+    for blocks, _, instruction, _, frames in items:
+        seen = [", ".join(islice(texts, len(block))) for block in blocks]
+        done = list(islice(actions, len(frames)))
+        if not seen[0]:
+            raise ValueError("need at least one observation")
+        if not instruction:
+            raise ValueError("instruction must be non-empty")
+        parts = done[:1] + [f"{b}, {a}" for b, a in zip(seen[1:], done[1:])] + done[len(seen):]
+        out.append(("{" + seen[0] + ", " + instruction + "}", "{" + ", ".join(parts) + "}"))
+    return out
+
+
+def _row_texts(template: str, rows: np.ndarray) -> list[str]:
+    """template % row for each row of an int array, in one % call: the texts hold no NUL, so it splits them."""
+    return ("\0".join([template] * len(rows)) % tuple(rows.ravel().tolist())).split("\0")
+
+
+def build_example_inputs(
+    items: Sequence[tuple[Scene, str, np.ndarray | None]], bounds: WorkspaceBounds, k: float | None = None
+) -> list[str]:
+    """The input half of an example per (observations, instruction, draws): the
+    observations, moved by k times their draws when k is set, then the instruction."""
+    return [text for text, _ in _examples([([s], [d], i, None, ()) for s, i, d in items], bounds, k)]
+
+
+def build_example_input(observations: Scene, instruction: str, bounds: WorkspaceBounds) -> str:
+    """build_example_inputs for one input, without noise."""
+    return build_example_inputs([(observations, instruction, None)], bounds)[0]
 
 
 def _check_keyframes(episode: Episode, keyframes: KeyframeIndices) -> None:
     if len(keyframes) < 2:
         raise ValueError(f"need at least 2 keyframes to build an example, got {len(keyframes)}")
     if keyframes.episode_length != episode.length:
-        raise ValueError(
-            f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}"
-        )
+        raise ValueError(f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}")
 
 
-def build_icl_example(
-    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds,
-    observations: Sequence[ObjectObservation] | None = None,
-) -> IclExample:
-    """Open-loop example: initial observations (default: the episode's objects) in, keyframe actions out.
+def build_icl_examples(
+    items: Sequence[tuple[Episode, KeyframeIndices, Scene | None, np.ndarray | None]],
+    bounds: WorkspaceBounds, k: float | None = None,
+) -> list[IclExample]:
+    """Open-loop examples, per (episode, keyframes, observations, draws): the
+    initial observations (default: the episode's objects), moved by k times
+    their draws when k is set, in; keyframe actions out.
 
     The first keyframe's action is dropped; the starting action carries no
     information because every episode begins from the same home state.
     """
-    _check_keyframes(episode, keyframes)
-    start = episode.objects if observations is None else observations
-    return IclExample(
-        input=build_example_input(start, episode.instruction, bounds),
-        output="{" + ", ".join(_action_texts(episode, keyframes[1:], bounds)) + "}",
-    )
+    for episode, keyframes, _, _ in items:
+        _check_keyframes(episode, keyframes)
+    blocks = [([ep.objects if s is None else s], [d], ep.instruction, ep, kf[1:]) for ep, kf, s, d in items]
+    return [IclExample(*texts) for texts in _examples(blocks, bounds, k)]
 
 
-def build_closed_loop_example(
-    episode: Episode,
-    keyframes: KeyframeIndices,
-    bounds: WorkspaceBounds,
-    observations: Sequence[Sequence[ObjectObservation]],
+def build_icl_example(
+    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds, observations: Scene | None = None
 ) -> IclExample:
-    """Closed-loop example: one observation block per keyframe, paired with
-    that keyframe's action.
+    """build_icl_examples for one episode, without noise."""
+    return build_icl_examples([(episode, keyframes, observations, None)], bounds)[0]
+
+
+def build_closed_loop_examples(
+    items: Sequence[tuple[Episode, KeyframeIndices, Sequence[Scene], Sequence[np.ndarray] | None]],
+    bounds: WorkspaceBounds, k: float | None = None,
+) -> list[IclExample]:
+    """Closed-loop examples, per (episode, keyframes, observations, draws):
+    one observation block per keyframe, moved by k times its draws when k
+    is set, paired with that keyframe's action.
 
     Input holds the first keyframe's observations plus the instruction;
     output interleaves the remaining blocks with the actions, starting with
     the first keyframe's action. `observations` holds the scene seen at
     each keyframe, in keyframe order, in the episode's roster order.
     """
-    _check_keyframes(episode, keyframes)
-    if len(observations) != len(keyframes):
-        raise ValueError(f"got {len(observations)} observation blocks for {len(keyframes)} keyframes")
-    roster = tuple(o.name for o in episode.objects)
-    # Per roster slot, the last pose formatted and its text: a still object keeps its pose.
-    seen: list[tuple[object, str]] = [(None, "")] * len(roster)
-    blocks: list[str] = []
-    for t, scene in zip(keyframes, observations):
-        names = tuple(o.name for o in scene)
-        if names != roster:
-            raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
-        for i, o in enumerate(scene):
-            if o.pose is not seen[i][0]:
-                seen[i] = (o.pose, _OBSERVATION_TEXT % (o.name, *pose_bin_row(o.pose.as_list(), bounds)))
-        blocks.append(", ".join([text for _, text in seen]))
-    actions = _action_texts(episode, keyframes, bounds)
-    parts = [actions[0]] + [text for pair in zip(blocks[1:], actions[1:]) for text in pair]
-    return IclExample(
-        input="{" + blocks[0] + ", " + episode.instruction + "}",
-        output="{" + ", ".join(parts) + "}",
-    )
+    for episode, keyframes, observations, _ in items:
+        _check_keyframes(episode, keyframes)
+        if len(observations) != len(keyframes):
+            raise ValueError(f"got {len(observations)} observation blocks for {len(keyframes)} keyframes")
+        roster = tuple(o.name for o in episode.objects)
+        for t, scene in zip(keyframes, observations):
+            if (names := tuple(o.name for o in scene)) != roster:
+                raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
+    blocks = [(observations, draws, ep.instruction, ep, kf) for ep, kf, observations, draws in items]
+    return [IclExample(*texts) for texts in _examples(blocks, bounds, k)]
+
+
+def build_closed_loop_example(
+    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds, observations: Sequence[Scene]
+) -> IclExample:
+    """build_closed_loop_examples for one episode, without noise."""
+    return build_closed_loop_examples([(episode, keyframes, observations, None)], bounds)[0]
 
 
 def assemble_prompts(examples: Sequence[IclExample], test_inputs: Iterable[str], system: str) -> Iterator[PromptBundle]:

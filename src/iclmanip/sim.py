@@ -44,6 +44,7 @@ from .model import (
     Pose6,
     WorkspaceBounds,
     wrap_angle,
+    wrap_angles,
 )
 
 CUBE_EDGE_M = 0.04
@@ -66,6 +67,7 @@ CHAIN_SEPARATOR = ", then "  # joins the steps of a chained instruction
 
 BASE_SIGMA_TRANSLATION_M = 0.0168
 BASE_SIGMA_ROTATION_RAD = math.radians(4.61)
+_BASE_SIGMAS = np.array((BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_RAD,) * 3)
 
 
 class TaskId(Enum):
@@ -645,17 +647,28 @@ def add_pose_noise(
     return scale_pose_noise(observations, k, pose_noise_draws(len(observations), seed))
 
 
-def pose_noise_draws(n: int, seed: int) -> list[list[float]]:
+def pose_noise_draws(n: int, seed: int) -> np.ndarray:
     """The n x 6 standard normal draws that add_pose_noise scales by k."""
-    return np.random.default_rng(seed_words(seed)).normal(0.0, 1.0, size=(n, 6)).tolist()
+    return np.random.default_rng(seed_words(seed)).normal(0.0, 1.0, size=(n, 6))
+
+
+def scale_pose_rows(poses: np.ndarray, k: float, draws: np.ndarray) -> np.ndarray:
+    """Move each axis of an M x 6 pose array by its draw times k times the axis's
+    base sigma, then wrap the angles as Pose6 does. The first row that leaves
+    the float range raises the ValueError that Pose6 raises for it."""
+    with np.errstate(over="ignore"):  # d * k past the float range is +-inf, as in Python
+        moved = poses + draws * k * _BASE_SIGMAS
+    finite = np.isfinite(moved).all(axis=1)
+    if not finite.all():
+        Pose6(*moved[np.argmin(finite)].tolist())  # raises for the first bad row's first bad axis
+    moved[:, 3:] = wrap_angles(moved[:, 3:])
+    return moved
 
 
 def scale_pose_noise(
     observations: Sequence[ObjectObservation], k: float, draws: Sequence[Sequence[float]]
 ) -> tuple[ObjectObservation, ...]:
-    """Move each pose axis by its draw times k times the axis's base sigma."""
-    sigmas = (BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_RAD,) * 3
-    return tuple(
-        ObjectObservation(obs.name, Pose6(*(v + d * k * s for v, d, s in zip(obs.pose.as_list(), draw, sigmas))))
-        for obs, draw in zip(observations, draws)
-    )
+    """scale_pose_rows on the observations' poses."""
+    poses = np.array([obs.pose.as_list() for obs in observations], dtype=np.float64).reshape(-1, 6)
+    moved = scale_pose_rows(poses, k, np.asarray(draws, dtype=np.float64).reshape(-1, 6)).tolist()
+    return tuple(ObjectObservation(obs.name, Pose6(*pose)) for obs, pose in zip(observations, moved))

@@ -206,6 +206,20 @@ def test_eval_with_noise_beyond_any_bin_exits_0(capsys):
     assert "n=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "loop, message",
+    [("open", "Pose6.x must be finite, got inf"), ("closed", "Pose6.z must be finite, got -inf")],
+)
+def test_eval_with_noise_past_the_float_range_exits_with_the_first_bad_axis(loop, message):
+    # k = 1e308 takes some draw times k times sigma past the float range.
+    # The run stops on the first such axis of the first noised block, in
+    # pool order: demos before test slots, then objects, then x ... yaw.
+    argv = ["eval", "--task", "stack_cube", "--n-demos", "2", "--n-eval", "2", "--noise-k", "1e308"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--loop-mode", loop])
+    assert err.value.code == message
+
+
 def test_noise_flag_parses(capsys):
     rc = main(
         [

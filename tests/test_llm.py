@@ -813,7 +813,10 @@ def test_mock_compositional_reports_bad_segment():
         complete_mock_compositional(
             _bundle(pool, (1,) * 6, "push the red button, then slide the block onto the target")
         )
-    assert "slide the block onto the target" in str(err.value)
+    assert str(err.value) == (
+        "segment 'slide the block onto the target' is unresolvable: "
+        "no demo instruction matches 'slide the block onto the target'"
+    )
 
 
 def test_mock_empty_pool():
