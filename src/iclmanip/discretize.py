@@ -8,10 +8,10 @@ the reconstruction error is at most half a bin per component.
 Inside the pipeline bins are rows of plain ints, six per pose and seven
 per action, whose columns and bin counts ROW_COLUMNS states once.
 `pose_bin_rows` bins an M x 6 array of poses in one numpy pass, bit for bit
-equal to the scalar functions and the only binner besides them; `pose_bin_row`
-is its one-row case. `row_pose` maps a row back to its bin centers, read from
-center_table, for a replay and dediscretize_pose. DiscretePose and
-DiscreteAction are the validated per-value view at the API edge.
+equal to the scalar functions and the only binner besides them. `row_pose`
+maps a row back to its bin centers, read from center_table, for a replay and
+dediscretize_action. DiscretePose and DiscreteAction are the validated
+per-value view at the API edge.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +77,7 @@ class DiscreteAction:
 
 def discretize_translation(value: float, axis_min: float, axis_max: float) -> int:
     """Bin = floor of the normalized position scaled to 100, clamped to [0, 99].
-    Clamping first sends raw = +-inf to an edge bin, as pose_bin_row does."""
+    Clamping first sends raw = +-inf to an edge bin, as pose_bin_rows does."""
     if not axis_min < axis_max:
         raise ValueError(f"axis_min {axis_min} must be < axis_max {axis_max}")
     raw = (value - axis_min) / (axis_max - axis_min) * TRANSLATION_BINS
@@ -120,15 +119,6 @@ def pose_bin_rows(poses: np.ndarray, bounds: WorkspaceBounds) -> np.ndarray:
     return np.minimum(raw, _TOP_BINS, out=raw).astype(np.int64)
 
 
-def pose_bin_row(pose: Sequence[float], bounds: WorkspaceBounds) -> tuple[int, int, int, int, int, int]:
-    """pose_bin_rows on one row of six numbers."""
-    return tuple(pose_bin_rows(np.array([pose], dtype=np.float64), bounds)[0].tolist())
-
-
-def discretize_pose(pose: Pose6, bounds: WorkspaceBounds) -> DiscretePose:
-    return DiscretePose(*pose_bin_row(pose.as_list(), bounds))
-
-
 @functools.lru_cache(maxsize=16)
 def center_table(bounds: WorkspaceBounds) -> tuple[tuple[float, ...], ...]:
     """Every bin index's center (dediscretize_translation or _rotation), one
@@ -144,13 +134,10 @@ def row_pose(row: tuple[int, ...], bounds: WorkspaceBounds) -> Pose6:
     return Pose6(*(column[b] for column, b in zip(center_table(bounds), row)))
 
 
-def dediscretize_pose(dp: DiscretePose, bounds: WorkspaceBounds) -> Pose6:
-    return row_pose(dp.as_tuple(), bounds)
-
-
 def discretize_action(action: Action, bounds: WorkspaceBounds) -> DiscreteAction:
-    return DiscreteAction(discretize_pose(action.pose, bounds), action.gripper.to_bit())
+    pose = pose_bin_rows(np.array([action.pose.as_list()], dtype=np.float64), bounds)[0].tolist()
+    return DiscreteAction(DiscretePose(*pose), action.gripper.to_bit())
 
 
 def dediscretize_action(da: DiscreteAction, bounds: WorkspaceBounds) -> Action:
-    return Action(dediscretize_pose(da.pose, bounds), GripperState.from_bit(da.gripper))
+    return Action(row_pose(da.pose.as_tuple(), bounds), GripperState.from_bit(da.gripper))

@@ -2,11 +2,14 @@
 
 Each turns PromptBundles into CompletionResults, so the evaluation harness
 does not care which one produced the text; it hands a run's bundles to one
-batch call, of which each complete_mock_* is the one-bundle case. Like a
-model, the mocks see only the prompt: prompts.read_prompts reads the demos and
-test input back out of each body, so retrieval is a distance over the bins
-printed in the prompt. A batch reads its demo prefix once, searches once per
-prefix, instruction and width, and writes each retrieved output's rows once.
+batch call. Like a model, the mocks see only the prompt: prompts.read_prompts
+reads the demos and test input back out of each body, so retrieval is a
+distance over the bins printed in the prompt. The nearest demo has the
+smallest squared distance in concatenated bin space among the demos whose
+instruction matches the test instruction (exact first, color-wildcarded
+template as fallback), ties going to the lowest demo index. A batch reads its
+demo prefix once, searches once per prefix, instruction and width, and writes
+each retrieved output's rows once.
 
 The remote provider speaks HTTP through the standard library's
 urllib.request, imported inside its first request rather than with this
@@ -239,7 +242,7 @@ def _search(demos: tuple[PromptDemo, ...], instruction: str, queries: list[tuple
     ]
     if not candidates:
         return OracleError(f"no demo instruction matches {instruction!r}")
-    # Bins have at most 6 digits (read_prompt), so int64 squared distances are exact.
+    # Bins have at most 6 digits (read_prompts), so int64 squared distances are exact.
     offsets = np.array(queries, dtype=np.int64)[:, None, :] - np.array([d.bins for d in candidates], dtype=np.int64)
     # argmin keeps the first of equal distances: the lowest demo index
     return iter([candidates[k].output for k in (offsets * offsets).sum(axis=2).argmin(axis=1).tolist()])
@@ -287,16 +290,8 @@ complete_mock_nearest_batch = functools.partial(_complete_mocks, provider=Provid
 complete_mock_compositional_batch = functools.partial(_complete_mocks, provider=Provider.MOCK_COMPOSITIONAL)
 
 
-def complete_mock_nearest(bundle: PromptBundle) -> CompletionResult:
-    """Return the output of the demo nearest the test input: the smallest
-    squared distance in concatenated bin space among demos whose instruction
-    matches the test instruction (exact first, color-wildcarded template as
-    fallback), ties going to the lowest demo index."""
-    return complete_mock_nearest_batch([bundle])[0]
-
-
 def complete_mock_compositional(bundle: PromptBundle) -> CompletionResult:
     """Split the test instruction into its chained steps (sim.CHAIN_SEPARATOR),
-    answer each segment by retrieval as complete_mock_nearest does, and join
-    the answers' action rows into a single response in the output grammar."""
+    answer each segment with its nearest demo's output, and join the answers'
+    action rows into a single response in the output grammar."""
     return complete_mock_compositional_batch([bundle])[0]

@@ -10,10 +10,11 @@ for byte:
     prompt body   in > out, in > out, ..., test_in >
 
 The batch builders bin every observed pose (noised by k times its draws if
-asked) and every keyframe pose in one pass and format only int rows; the
-one-item builders are their noiseless case. parse_bins reads a reply into 7-int rows. It is total:
-any byte string either yields rows or raises ParseError with a kind of
-no_actions, arity or range.
+asked) and every keyframe pose in one pass and format only int rows;
+build_icl_example and build_example_input are their one-item noiseless case.
+parse_bins reads a reply into 7-int rows. It is total: any byte string
+either yields rows or raises ParseError with a kind of no_actions, arity or
+range.
 parse_response is its API-edge view, the same rows as DiscreteActions.
 assemble_prompts joins the demo prefix once for a run's test inputs, and
 read_prompts inverts the bodies, reading a prefix once while it repeats;
@@ -217,13 +218,6 @@ def build_closed_loop_examples(
     return [IclExample(*texts) for texts in _examples(blocks, bounds, k)]
 
 
-def build_closed_loop_example(
-    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds, observations: Sequence[Scene]
-) -> IclExample:
-    """build_closed_loop_examples for one episode, without noise."""
-    return build_closed_loop_examples([(episode, keyframes, observations, None)], bounds)[0]
-
-
 def assemble_prompts(examples: Sequence[IclExample], test_inputs: Iterable[str], system: str) -> Iterator[PromptBundle]:
     """Join examples as `in > out, ` pairs once, then yield that prefix plus each
     test input and a trailing `> `, so the model completes the final output slot."""
@@ -242,7 +236,7 @@ def assemble_prompt(examples: Sequence[IclExample], test_input: str, system: str
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
-# Brackets as build_icl_example and build_closed_loop_example write them,
+# Brackets as build_icl_examples and build_closed_loop_examples write them,
 # in ASCII digits: an observation echo (six bins after "name: ", no
 # groups) or an action (seven bins, one group each).
 _BIN = r"[0-9]{1,6}"
@@ -397,8 +391,3 @@ def read_prompts(bodies: Iterable[str]) -> Iterator[tuple[tuple[PromptDemo, ...]
                 raise ValueError(f"prompt body is not a sequence of demos at offset {cursor}")
             demos = tuple(read)
         yield (demos, *_read_input(body[split:-3]))
-
-
-def read_prompt(body: str) -> tuple[tuple[PromptDemo, ...], tuple[int, ...], str]:
-    """read_prompts for one body."""
-    return next(read_prompts([body]))

@@ -644,7 +644,9 @@ def add_pose_noise(
         raise ValueError(f"noise scale k must be >= 0, got {k}")
     if k == 0:
         return tuple(observations)
-    return scale_pose_noise(observations, k, pose_noise_draws(len(observations), seed))
+    poses = np.array([obs.pose.as_list() for obs in observations], dtype=np.float64).reshape(-1, 6)
+    moved = scale_pose_rows(poses, k, pose_noise_draws(len(observations), seed)).tolist()
+    return tuple(ObjectObservation(obs.name, Pose6(*pose)) for obs, pose in zip(observations, moved))
 
 
 def pose_noise_draws(n: int, seed: int) -> np.ndarray:
@@ -664,11 +666,3 @@ def scale_pose_rows(poses: np.ndarray, k: float, draws: np.ndarray) -> np.ndarra
     moved[:, 3:] = wrap_angles(moved[:, 3:])
     return moved
 
-
-def scale_pose_noise(
-    observations: Sequence[ObjectObservation], k: float, draws: Sequence[Sequence[float]]
-) -> tuple[ObjectObservation, ...]:
-    """scale_pose_rows on the observations' poses."""
-    poses = np.array([obs.pose.as_list() for obs in observations], dtype=np.float64).reshape(-1, 6)
-    moved = scale_pose_rows(poses, k, np.asarray(draws, dtype=np.float64).reshape(-1, 6)).tolist()
-    return tuple(ObjectObservation(obs.name, Pose6(*pose)) for obs, pose in zip(observations, moved))

@@ -1,10 +1,11 @@
 """Property tests of the batch builders.
 
-pose_bin_rows bins an array of poses in one pass; every row equals
-pose_bin_row's bins and the scalar functions' bins for it. eval_prompts
-builds a run's demo examples and test inputs in one call each; every body
-equals the body that a loop over the one-item builders gives, and a
-failing build raises the error that a one-at-a-time build raises first.
+pose_bin_rows bins an array of poses in one pass; every row equals its
+bins alone and the scalar functions' bins for it. eval_prompts builds a
+run's demo examples and test inputs in one call each; every body equals
+the body that the builders give one item at a time, on single runs and on
+every arm of the five sweeps, and a failing build raises the error that a
+one-at-a-time build raises first.
 
 Example counts come from the active hypothesis profile (tests/conftest.py).
 """
@@ -19,18 +20,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from iclmanip import harness
+from iclmanip.cli import _build_run_config, build_parser
 from iclmanip.discretize import (
     ROTATION_BINS,
     TRANSLATION_BINS,
     discretize_rotation,
     discretize_translation,
-    pose_bin_row,
     pose_bin_rows,
 )
 from iclmanip.harness import LoopMode, RunConfig, eval_prompts
 from iclmanip.keyframes import KeyframeIndices
-from iclmanip.prompts import build_closed_loop_example, build_example_input, build_icl_example
-from iclmanip.sim import TaskId, scale_pose_noise
+from iclmanip.sim import TaskId
 
 from conftest import ASYMMETRIC, BOUNDS
 
@@ -61,71 +61,82 @@ def pose_arrays(draw):
 
 
 @given(pose_arrays())
-def test_pose_bin_rows_equals_pose_bin_row_on_every_row(case):
+def test_pose_bin_rows_equals_a_one_row_call_on_every_row(case):
     bounds, rows = case
     binned = pose_bin_rows(np.array(rows, dtype=np.float64), bounds)
     assert binned.dtype == np.int64 and binned.shape == (len(rows), 6)
     for row, bins in zip(rows, binned.tolist()):
         scalar = [discretize_translation(v, lo, hi) for v, (lo, hi) in zip(row, bounds.limits)]
         scalar += [discretize_rotation(a) for a in row[3:]]
-        assert tuple(bins) == pose_bin_row(row, bounds) == tuple(scalar), row
-
-
-def _noised(scene, k, draws):
-    return scale_pose_noise(scene, k, draws) if k else scene
+        assert bins == pose_bin_rows(np.array([row], dtype=np.float64), bounds)[0].tolist() == scalar, row
 
 
 def _one_at_a_time(monkeypatch):
-    """Rebind the harness's batch builders to loops over the one-item builders."""
-    monkeypatch.setattr(
-        harness,
-        "build_example_inputs",
-        lambda items, bounds, k: [build_example_input(_noised(s, k, d), i, bounds) for s, i, d in items],
-    )
-    monkeypatch.setattr(
-        harness,
-        "build_icl_examples",
-        lambda items, bounds, k: [build_icl_example(e, f, bounds, _noised(s, k, d)) for e, f, s, d in items],
-    )
-    monkeypatch.setattr(
-        harness,
-        "build_closed_loop_examples",
-        lambda items, bounds, k: [
-            build_closed_loop_example(e, f, bounds, [_noised(s, k, d) for s, d in zip(blocks, draws)] if k else blocks)
-            for e, f, blocks, draws in items
-        ],
-    )
+    """Rebind the harness's batch builders to loops that hand them one item at a time."""
+    for name in ("build_example_inputs", "build_icl_examples", "build_closed_loop_examples"):
+        batch = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda items, bounds, k, batch=batch: [x for it in items for x in batch([it], bounds, k)]
+        )
 
 
-def _outcome(cfg):
-    """The bodies of cfg's prompts on a cold store, or the error that building them raises."""
+def _outcome(configs):
+    """The bodies of the configs' prompts, built in turn on one cold store, or
+    the error that building them raises."""
     harness._STORE = harness._Plans()
     try:
-        return [bundle.body for _, bundle in eval_prompts(cfg)]
+        return [bundle.body for cfg in configs for _, bundle in eval_prompts(cfg)]
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("noise", [None, 0.7, 5e307, 1e308])
-@pytest.mark.parametrize("loop", list(LoopMode))
-@pytest.mark.parametrize(
-    "task, seed, fields",
-    [
-        (TaskId.STACK_CUBE, 0, {}),
-        (TaskId.PUSH_MULTIPLE_BUTTONS, 3, {"provider": "mock-compositional"}),
-        (TaskId.DESTACK_CUBE, 30000000007, {"keyframe_mode": "uniform", "uniform_interval": 7}),
-    ],
-    ids=["stack_cube", "chained", "two-word-seed"],
-)
-def test_eval_prompts_equal_a_loop_over_the_one_item_builders(monkeypatch, noise, loop, task, seed, fields):
-    cfg = RunConfig(task, n_demos=4, n_eval=5, seed=seed, noise=noise, loop_mode=loop, **fields)
-    batch = _outcome(cfg)
+def _sweep_arms(flags):
+    """Every arm of the five sweeps of `iclmanip ablate sampling shots noise prompts loop <flags>`, in order."""
+    args = build_parser().parse_args(["ablate", *harness.SWEEPS, *flags.split(), "--n-demos", "4", "--n-eval", "5"])
+    config = _build_run_config(args)
+    values = {name: getattr(args, f"{name}_values", None) for name in harness.SWEEPS}
+    return [cfg for name in harness.SWEEPS for cfg, _ in harness.sweep_arms(config, name, values[name])]
+
+
+# One run per task, loop mode and noise; then each flag set of CI's "Sweeps warm vs cold" step, with
+# all five sweeps' arms run in turn on one store, as one ablate process runs them. A CSV row sees a
+# prompt only through its reply, so a body that the batch builds otherwise shows only here.
+_RUNS = [
+    pytest.param(
+        [RunConfig(task, n_demos=4, n_eval=5, seed=seed, noise=noise, loop_mode=loop, **fields)],
+        id=f"{name}-{loop}-{noise}",
+    )
+    for name, task, seed, fields in [
+        ("stack_cube", TaskId.STACK_CUBE, 0, {}),
+        ("chained", TaskId.PUSH_MULTIPLE_BUTTONS, 3, {"provider": "mock-compositional"}),
+        ("two-word-seed", TaskId.DESTACK_CUBE, 30000000007, {"keyframe_mode": "uniform", "uniform_interval": 7}),
+    ]
+    for loop in LoopMode
+    for noise in (None, 0.7, 5e307, 1e308)
+] + [
+    pytest.param(_sweep_arms(flags), id=f"sweeps {flags}")
+    for flags in (
+        "--task push_button",
+        "--task push_multiple_buttons --provider mock-compositional",
+        "--task push_multiple_buttons --provider mock-compositional --loop-mode closed --noise-k 0.7",
+        "--task stack_cube --loop-mode closed --noise-k 0.7 --seed 3",
+        "--task destack_cube",
+        "--task slide_block --loop-mode closed --noise-k 0.7 --seed 5",
+        "--task destack_cube --seed 30000000007 --loop-mode closed --noise-k 0.7",
+        "--task push_multiple_buttons --provider mock-compositional --intervals 3 7 --scales 0.3 2.5",
+    )
+]
+
+
+@pytest.mark.parametrize("configs", _RUNS)
+def test_eval_prompts_equal_a_loop_over_the_one_item_builders(monkeypatch, configs):
+    batch = _outcome(configs)
     _one_at_a_time(monkeypatch)
-    assert _outcome(cfg) == batch
-    if noise == 1e308:
+    assert _outcome(configs) == batch
+    if configs[0].noise == 1e308:
         assert batch[0] is ValueError and "must be finite" in batch[1]
     else:
-        assert len(batch) == cfg.n_eval
+        assert len(batch) == sum(cfg.n_eval for cfg in configs)
 
 
 @pytest.mark.parametrize("loop", list(LoopMode))

@@ -13,14 +13,13 @@ from iclmanip.discretize import (
     DiscreteAction,
     DiscretePose,
     dediscretize_action,
-    dediscretize_pose,
     dediscretize_rotation,
     dediscretize_translation,
     discretize_action,
-    discretize_pose,
     discretize_rotation,
     discretize_translation,
-    pose_bin_row,
+    pose_bin_rows,
+    row_pose,
 )
 from iclmanip.model import Action, GripperState, Pose6
 
@@ -93,11 +92,11 @@ def test_pose_round_trip():
             float(rng.uniform(0, 2 * math.pi)),
             float(rng.uniform(0, 2 * math.pi)),
         )
-        dp = discretize_pose(p, BOUNDS)
-        back = dediscretize_pose(dp, BOUNDS)
+        bins = pose_bin_rows(np.array([p.as_list()]), BOUNDS)[0].tolist()
+        back = row_pose(bins, BOUNDS)
         assert abs(back.x - p.x) <= 0.005 + 1e-12
         assert abs(back.z - p.z) <= 0.0025 + 1e-12  # z span is half as wide
-        assert discretize_pose(back, BOUNDS) == dp
+        assert pose_bin_rows(np.array([back.as_list()]), BOUNDS)[0].tolist() == bins
 
 
 def test_discrete_pose_validation():
@@ -117,13 +116,13 @@ def test_discrete_pose_validation():
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
 def test_row_table_matches_the_scalar_functions(bounds):
-    # dediscretize_pose reads center_table: every bin index of every pose
-    # column must give exactly the scalar function's center.
+    # row_pose reads center_table: every bin index of every pose column
+    # must give exactly the scalar function's center.
     for i in range(TRANSLATION_BINS):
-        back = dediscretize_pose(DiscretePose(i, i, i, 0, 0, 0), bounds)
+        back = row_pose((i, i, i, 0, 0, 0), bounds)
         assert [back.x, back.y, back.z] == [dediscretize_translation(i, lo, hi) for lo, hi in bounds.limits]
     for i in range(ROTATION_BINS):
-        back = dediscretize_pose(DiscretePose(0, 0, 0, i, i, i), bounds)
+        back = row_pose((0, 0, 0, i, i, i), bounds)
         assert [back.roll, back.pitch, back.yaw] == [dediscretize_rotation(i)] * 3
     # Each column of ROW_COLUMNS takes its last bin and rejects one past it.
     assert [name for name, _ in ROW_COLUMNS] == ["tx", "ty", "tz", "rr", "rp", "ry", "g"]
@@ -178,14 +177,14 @@ def _pose_rows(bounds):
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])
-def test_pose_bin_row_equals_discretize_pose(bounds):
+def test_one_row_bins_equal_the_scalar_functions(bounds):
     # The oracle is each column's scalar function on the raw row, which
-    # pose_bin_row inlines; discretize_pose is built on pose_bin_row, so it
-    # is checked against the same oracle.
+    # pose_bin_rows inlines; discretize_action bins its pose through
+    # pose_bin_rows, so it is checked against the same oracle.
     for row in _pose_rows(bounds).tolist():
         expected = tuple(
             discretize_translation(v, lo, hi) for v, (lo, hi) in zip(row[:3], bounds.limits)
         ) + tuple(discretize_rotation(a) for a in row[3:])
         pose = Pose6(*row)
-        assert pose_bin_row(pose.as_list(), bounds) == expected
-        assert discretize_pose(pose, bounds).as_tuple() == expected
+        assert tuple(pose_bin_rows(np.array([pose.as_list()]), bounds)[0].tolist()) == expected
+        assert discretize_action(Action(pose, GripperState.OPEN), bounds).pose.as_tuple() == expected

@@ -41,7 +41,7 @@ from iclmanip.harness import (
     run_eval,
     sweep,
 )
-from iclmanip.discretize import center_table, pose_bin_row
+from iclmanip.discretize import center_table, pose_bin_rows
 from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
@@ -364,7 +364,7 @@ def test_a_reply_grasping_the_bottom_cube_scores_a_failed_episode(monkeypatch):
         world, _, variation = reset(cfg.task, seed, cfg.bounds)
         bottom = world.object(variation.bottom)
         rows = [
-            [*pose_bin_row((bottom.pose.x, bottom.pose.y, z, 0.0, 0.0, 0.0), cfg.bounds), bit]
+            [*pose_bin_rows(np.array([(bottom.pose.x, bottom.pose.y, z, 0, 0, 0)]), cfg.bounds)[0].tolist(), bit]
             for z, bit in ((0.15, 1), (0.025, 1), (0.025, 0))
         ]
         replies.append(", ".join(map(str, rows)))

@@ -29,7 +29,6 @@ from iclmanip.llm import (
     TokenBucket,
     TransportError,
     complete_mock_compositional,
-    complete_mock_nearest,
     complete_remote,
     instruction_template,
 )
@@ -39,7 +38,7 @@ from iclmanip.prompts import (
     assemble_prompt,
     format_action,
     parse_response,
-    read_prompt,
+    read_prompts,
 )
 from iclmanip.sim import CHAIN_SEPARATOR, PlacementError, TaskId
 
@@ -557,13 +556,13 @@ def test_mock_nearest_matches_brute_force():
             exact = [i for i, (_, instr, _) in enumerate(pool) if instruction_template(instr) == t]
         if not exact:
             with pytest.raises(OracleError):
-                complete_mock_nearest(bundle)
+                llm.complete_mock_nearest_batch([bundle])
             continue
         best = min(
             exact,
             key=lambda i: (sum((a - b) ** 2 for a, b in zip(pool[i][0], test_bins)), i),
         )
-        result = complete_mock_nearest(bundle)
+        result = llm.complete_mock_nearest_batch([bundle])[0]
         assert result.text == pool[best][2]
         assert result.latency_ms == 0
 
@@ -574,17 +573,17 @@ def test_mock_nearest_answers_from_the_prompt_text():
         ((40,) * 6, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
     ]
     bundle = _bundle(pool, (20,) * 6, "push the red button")
-    assert complete_mock_nearest(bundle).text == "{[1, 0, 0, 0, 0, 0, 1]}"
+    assert llm.complete_mock_nearest_batch([bundle])[0].text == "{[1, 0, 0, 0, 0, 0, 1]}"
     edited = PromptBundle(
         system=bundle.system,
         body=bundle.body.replace("{[1, 0, 0, 0, 0, 0, 1]}", "{[5, 6, 7, 0, 0, 0, 0]}"),
     )
-    assert complete_mock_nearest(edited).text == "{[5, 6, 7, 0, 0, 0, 0]}"
+    assert llm.complete_mock_nearest_batch([edited])[0].text == "{[5, 6, 7, 0, 0, 0, 0]}"
     # Moving the first demo's printed observation away hands the reply to the second.
     moved = PromptBundle(
         system=bundle.system, body=bundle.body.replace("[10, 10, 10, 10, 10, 10]", "[60, 60, 60, 60, 60, 60]")
     )
-    assert complete_mock_nearest(moved).text == "{[2, 0, 0, 0, 0, 0, 1]}"
+    assert llm.complete_mock_nearest_batch([moved])[0].text == "{[2, 0, 0, 0, 0, 0, 1]}"
 
 
 def test_mock_nearest_tie_breaks_to_lowest_index():
@@ -592,7 +591,7 @@ def test_mock_nearest_tie_breaks_to_lowest_index():
         ((10,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
         ((10,) * 6, "push the red button", "{[2, 0, 0, 0, 0, 0, 1]}"),
     ]
-    result = complete_mock_nearest(_bundle(pool, (0,) * 6, "push the red button"))
+    result = llm.complete_mock_nearest_batch([_bundle(pool, (0,) * 6, "push the red button")])[0]
     assert result.text == pool[0][2]
 
 
@@ -603,14 +602,14 @@ def test_mock_nearest_prefers_exact_instruction_over_closer_template():
         # Right color, far away.
         ((90,) * 6, "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}"),
     ]
-    result = complete_mock_nearest(_bundle(pool, (5,) * 6, "push the red button"))
+    result = llm.complete_mock_nearest_batch([_bundle(pool, (5,) * 6, "push the red button")])[0]
     assert result.text == pool[1][2]
 
 
 def test_mock_nearest_rejects_mismatched_vector_lengths():
     pool = [((1,) * 12, "push the red button", "{[0, 0, 0, 0, 0, 0, 1]}")]
     with pytest.raises(ValueError):
-        complete_mock_nearest(_bundle(pool, (1,) * 6, "push the red button"))
+        llm.complete_mock_nearest_batch([_bundle(pool, (1,) * 6, "push the red button")])
 
 
 def test_mock_nearest_checks_lengths_on_every_prompt_of_a_prefix():
@@ -620,11 +619,11 @@ def test_mock_nearest_checks_lengths_on_every_prompt_of_a_prefix():
         ((1,) * 6, "push the red button", "{[3, 0, 0, 0, 0, 0, 1]}"),
         ((2,) * 6, "push the red button", "{[4, 0, 0, 0, 0, 0, 1]}"),
     ]
-    assert complete_mock_nearest(_bundle(pool, (1,) * 6, "push the red button")).text == pool[0][2]
+    assert llm.complete_mock_nearest_batch([_bundle(pool, (1,) * 6, "push the red button")])[0].text == pool[0][2]
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^demo 0 has obs vector length 6, test has 12$"):
-            complete_mock_nearest(_bundle(pool, (1,) * 12, "push the red button"))
-    assert complete_mock_nearest(_bundle(pool, (2,) * 6, "push the red button")).text == pool[1][2]
+            llm.complete_mock_nearest_batch([_bundle(pool, (1,) * 12, "push the red button")])
+    assert llm.complete_mock_nearest_batch([_bundle(pool, (2,) * 6, "push the red button")])[0].text == pool[1][2]
     # So does a batch holding both widths behind one prefix and instruction.
     with pytest.raises(ValueError, match=r"^demo 0 has obs vector length 6, test has 12$"):
         llm.complete_mock_nearest_batch([_bundle(pool, (1,) * w, "push the red button") for w in (6, 12)])
@@ -633,7 +632,7 @@ def test_mock_nearest_checks_lengths_on_every_prompt_of_a_prefix():
 def _compositional_via_actions(bundle):
     """The compositional reply built the long way: brute-force retrieval per
     segment, each answer parsed into DiscreteActions and formatted back."""
-    demos, test_bins, instruction = read_prompt(bundle.body)
+    demos, test_bins, instruction = next(read_prompts([bundle.body]))
     actions = []
     for segment in instruction.split(CHAIN_SEPARATOR):
         template = instruction_template(segment)
@@ -662,7 +661,7 @@ def test_mock_compositional_rows_never_cross_prompts():
         list(eval_prompts(RunConfig(task=TaskId.PUSH_MULTIPLE_BUTTONS, n_demos=4, n_eval=3, seed=seed)))
         for seed in (0, 40)
     )
-    assert read_prompt(a[0][1].body)[0] != read_prompt(b[0][1].body)[0]
+    assert next(read_prompts([a[0][1].body]))[0] != next(read_prompts([b[0][1].body]))[0]
     bundles = [bundle for _, bundle in a + b + a]
     for bundle, result in zip(bundles, llm.complete_mock_compositional_batch(bundles)):
         assert result.text == complete_mock_compositional(bundle).text == _compositional_via_actions(bundle)
@@ -673,12 +672,12 @@ _SINGLE_STEPS = (
 )
 
 
-def _lone_then_batch(one, batch, bundles):
-    """(texts, (type, message) of the first error) of a loop of lone calls, then of one batch call."""
+def _lone_then_batch(batch, bundles):
+    """(texts, (type, message) of the first error) of a loop of one-bundle batch calls, then of one batch call."""
     texts, error = [], None
     try:
         for bundle in bundles:
-            texts.append(one(bundle).text)
+            texts.append(batch([bundle])[0].text)
     except Exception as exc:
         error = (type(exc), str(exc))
     try:
@@ -727,14 +726,11 @@ def test_a_batch_answers_as_a_loop_of_lone_calls():
             bundles.append(_bundle(demos, test_bins, instruction))
             if demos is pools[0]:  # the same query on the twin prefix, right after
                 bundles.append(_bundle(twin, test_bins, instruction))
-        for one, batch in (
-            (complete_mock_nearest, llm.complete_mock_nearest_batch),
-            (complete_mock_compositional, llm.complete_mock_compositional_batch),
-        ):
-            lone, got = _lone_then_batch(one, batch, bundles)
+        for batch in (llm.complete_mock_nearest_batch, llm.complete_mock_compositional_batch):
+            lone, got = _lone_then_batch(batch, bundles)
             assert got == lone
-            answered = [b for b in bundles if _lone_then_batch(one, batch, [b])[0][1] is None]
-            lone, got = _lone_then_batch(one, batch, answered)  # no error cuts this batch short
+            answered = [b for b in bundles if _lone_then_batch(batch, [b])[0][1] is None]
+            lone, got = _lone_then_batch(batch, answered)  # no error cuts this batch short
             assert got == lone
 
     check()
@@ -751,7 +747,7 @@ def test_a_batch_rereads_a_prefix_of_equal_length():
     bundles = [_bundle(pool, (2,) * 6, "push the red button"), _bundle(moved, (2,) * 6, "push the red button")]
     assert len(bundles[0].body) == len(bundles[1].body)
     texts = [r.text for r in llm.complete_mock_nearest_batch(bundles)]
-    assert texts == [pool[0][2], pool[1][2]] == [complete_mock_nearest(b).text for b in bundles]
+    assert texts == [pool[0][2], pool[1][2]] == [llm.complete_mock_nearest_batch([b])[0].text for b in bundles]
 
 
 @pytest.mark.parametrize("provider", [Provider.MOCK_NEAREST, Provider.MOCK_COMPOSITIONAL], ids=lambda p: p.value)
@@ -769,7 +765,7 @@ def test_run_eval_completes_its_prompts_in_one_batch_call(monkeypatch, provider)
 
 def test_mock_reads_no_bin_of_more_than_six_digits():
     # 3037000500 squared overflows int64, and 2**63 does not fit in one:
-    # read_prompt refuses a bin of more than 6 digits, parse_bins' limit, so
+    # read_prompts refuses a bin of more than 6 digits, parse_bins' limit, so
     # no mock answers from a wrapped distance or raises OverflowError.
     wide = (3037000500, 0, 0, 0, 0, 0)
     overflowing = [
@@ -778,12 +774,12 @@ def test_mock_reads_no_bin_of_more_than_six_digits():
     ]
     huge = [((2**63, 0, 0, 0, 0, 0), "push the red button", "{[1, 0, 0, 0, 0, 0, 1]}")]
     for bundle in (_bundle(overflowing, wide, "push the red button"), _bundle(huge, (0,) * 6, "push the red button")):
-        for read in (read_prompt, complete_mock_nearest, complete_mock_compositional):
+        for read in (read_prompts, llm.complete_mock_nearest_batch, llm.complete_mock_compositional_batch):
             with pytest.raises(ValueError, match="more than 6 digits"):
-                read(bundle.body if read is read_prompt else bundle)
+                list(read([bundle.body if read is read_prompts else bundle]))
     six = (999999, 0, 0, 0, 0, 0)
     pool = [overflowing[0], (six, *overflowing[1][1:])]
-    assert complete_mock_nearest(_bundle(pool, six, "push the red button")).text == pool[1][2]
+    assert llm.complete_mock_nearest_batch([_bundle(pool, six, "push the red button")])[0].text == pool[1][2]
 
 
 def test_mock_compositional_concatenates_segments():
@@ -803,7 +799,7 @@ def test_mock_compositional_single_segment_equals_nearest():
     pool = [((1,) * 6, "push the red button", "{[4, 0, 0, 0, 0, 0, 1]}")]
     bundle = _bundle(pool, (1,) * 6, "push the red button")
     a = complete_mock_compositional(bundle)
-    b = complete_mock_nearest(bundle)
+    b = llm.complete_mock_nearest_batch([bundle])[0]
     assert parse_response(a.text) == parse_response(b.text)
 
 
@@ -821,7 +817,7 @@ def test_mock_compositional_reports_bad_segment():
 
 def test_mock_empty_pool():
     with pytest.raises(OracleError):
-        complete_mock_nearest(_bundle([], (1,) * 6, "push the red button"))
+        llm.complete_mock_nearest_batch([_bundle([], (1,) * 6, "push the red button")])
 
 
 # -- import hygiene -----------------------------------------------------------

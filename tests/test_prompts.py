@@ -32,13 +32,13 @@ from iclmanip.prompts import (
     ParseError,
     PromptBundle,
     assemble_prompt,
-    build_closed_loop_example,
+    build_closed_loop_examples,
     build_example_input,
     build_icl_example,
     default_system_prompts,
     format_action,
     parse_response,
-    read_prompt,
+    read_prompts,
 )
 from iclmanip import prompts
 
@@ -150,7 +150,7 @@ def test_closed_loop_demo_matches_golden():
     )
     # Static scene: every keyframe sees the same observations, so the two
     # observation blocks in the prompt must be byte-identical.
-    example = build_closed_loop_example(ep, KeyframeIndices((0, 4), 5), BOUNDS, [button, button])
+    example = build_closed_loop_examples([(ep, KeyframeIndices((0, 4), 5), [button, button], None)], BOUNDS)[0]
     test_obs = (ObjectObservation("red button", pose(0, 50, 0)),)
     test_input = build_example_input(test_obs, "push the red button", BOUNDS)
     bundle = assemble_prompt([example], test_input, default_system_prompts()[0])
@@ -167,10 +167,10 @@ def test_closed_loop_rejects_missing_or_renamed_observations():
     )
     frames = KeyframeIndices((0, 1), 2)
     with pytest.raises(ValueError):
-        build_closed_loop_example(ep, frames, BOUNDS, [button])
+        build_closed_loop_examples([(ep, frames, [button], None)], BOUNDS)
     renamed = (ObjectObservation("blue button", pose(50, 0, 0)),)
     with pytest.raises(ValueError):
-        build_closed_loop_example(ep, frames, BOUNDS, [button, renamed])
+        build_closed_loop_examples([(ep, frames, [button, renamed], None)], BOUNDS)
 
 
 _EDGE_ANGLES = (0.0, -0.0, 2 * math.pi, -2 * math.pi, 2 * math.pi - 1e-15, 1e-300, -1e-300)
@@ -319,9 +319,9 @@ def test_parse_megabyte_input():
     assert len(got) == 1
 
 
-def test_read_prompt_inverts_assemble_prompt():
+def test_read_prompts_inverts_assemble_prompt():
     stack = "stack the blue cube on the yellow cube"
-    demos, test_bins, test_instruction = read_prompt(golden("open_loop_3demo.txt"))
+    demos, test_bins, test_instruction = next(read_prompts([golden("open_loop_3demo.txt")]))
     assert [d.bins for d in demos] == [
         (0, 0, 0, 0, 0, 0, 50, 50, 0, 0, 0, 1),
         (60, 70, 0, 0, 0, 0, 30, 20, 0, 0, 2, 0),
@@ -337,7 +337,7 @@ def test_read_prompt_inverts_assemble_prompt():
     assert test_instruction == stack
 
     # Closed-loop outputs carry observation blocks; they come back verbatim.
-    (demo,), test_bins, _ = read_prompt(golden("closed_loop_1demo.txt"))
+    (demo,), test_bins, _ = next(read_prompts([golden("closed_loop_1demo.txt")]))
     assert demo.bins == (50, 0, 0, 0, 0, 0)
     assert demo.output == (
         "{[50, 50, 60, 0, 0, 0, 1], red button: [50, 0, 0, 0, 0, 0], [50, 0, 0, 0, 0, 0, 1]}"
@@ -350,7 +350,7 @@ def test_read_prompt_inverts_assemble_prompt():
         "push the red button, then push the blue button",
         BOUNDS,
     )
-    demos, test_bins, test_instruction = read_prompt(assemble_prompt([], test_input, "s").body)
+    demos, test_bins, test_instruction = next(read_prompts([assemble_prompt([], test_input, "s").body]))
     assert demos == ()
     assert test_bins == (1, 2, 3, 0, 0, 0)
     assert test_instruction == "push the red button, then push the blue button"
@@ -368,9 +368,9 @@ def test_read_prompt_inverts_assemble_prompt():
         "{red button: [1234567, 2, 3, 4, 5, 6], push} > ",  # a bin of more than 6 digits
     ],
 )
-def test_read_prompt_rejects_bodies_assemble_prompt_cannot_make(body):
+def test_read_prompts_rejects_bodies_assemble_prompt_cannot_make(body):
     with pytest.raises(ValueError):
-        read_prompt(body)
+        next(read_prompts([body]))
 
 
 def test_read_input_cache_answers_as_a_cold_read():
@@ -386,11 +386,11 @@ def test_read_input_cache_answers_as_a_cold_read():
     a, b = body(11, 12), body(13, 14)
     assert len(a) == len(b) and a != b
     prompts._read_input.cache_clear()
-    warm = [read_prompt(text) for text in (a, b, a)]
+    warm = [next(read_prompts([text])) for text in (a, b, a)]
     cold = []
     for text in (a, b, a):
         prompts._read_input.cache_clear()
-        cold.append(read_prompt(text))
+        cold.append(next(read_prompts([text])))
     assert warm == cold
     assert [bins[0] for _, bins, _ in warm] == [12, 14, 12]
     assert prompts._read_input.cache_info().maxsize is not None
@@ -399,7 +399,7 @@ def test_read_input_cache_answers_as_a_cold_read():
     size = prompts._read_input.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="observations and an instruction"):
-            read_prompt("{red button: [1, 2, 3, 4, 5, 6]} > ")
+            next(read_prompts(["{red button: [1, 2, 3, 4, 5, 6]} > "]))
     assert prompts._read_input.cache_info().currsize == size
 
 
