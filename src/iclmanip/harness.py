@@ -243,8 +243,8 @@ class EvalReport:
 
 
 def demo_task(task: TaskId) -> TaskId:
-    """Multi-button evaluations learn from single-button demos."""
-    return TaskId.PUSH_BUTTON if task is TaskId.PUSH_MULTIPLE_BUTTONS else task
+    """The task whose demos teach this one: multi-button runs learn from single-button demos."""
+    return task_spec(task).demos_from or task
 
 
 class _Plans:

@@ -8,9 +8,11 @@ summed, or on the table (_settle, which also stacks destack_cube's start).
 An empty gripper entering a button's press zone logs a press of it.
 Everything is a pure function of (task, seed, bounds), so runs reproduce.
 
-Each task's static facts (roster, variations, placement group and
-instruction template) are one TaskSpec in _SPECS; its goal and its expert
-are its branches of check_success and scripted_expert.
+Everything task-specific is one TaskSpec row in _SPECS: its roster,
+variations (or a drawn chain), placement group, stacked start, instruction
+template, goal predicate, the expert's placement rule (or a press chain)
+and the task its demos come from. reset, check_success and the expert
+read the row; none of them names a task.
 
 Object pose convention: z is the object's resting base height (bottom
 face), so a cube sitting on the table has z = 0 and a cube stacked on
@@ -32,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -147,15 +149,19 @@ class TaskVariation:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Static facts of a task: its roster (the object order of every world),
-    the variations reset draws from, its placement group and its instruction
-    template."""
+    """Every fact of a task, as one row of _SPECS."""
 
     task: TaskId
-    roster: tuple[tuple[str, Kind, float], ...]
-    variations: tuple[TaskVariation, ...]
+    roster: tuple[tuple[str, Kind, float], ...]  # the object order of every world
+    variations: tuple[TaskVariation, ...]  # empty: reset draws a chain of 1-6 roster names
     group: int  # tasks in one group draw identical layouts at equal seeds
     template: str  # filled from a variation by render_instruction
+    goal: Callable[[WorldState, TaskVariation], bool]  # read only with an empty gripper
+    # The expert picks the first object the instruction names and releases it
+    # at place(world, first, second); None: it presses the named buttons in order.
+    place: Callable[[WorldState, SimObject, SimObject], tuple[float, float, float]] | None
+    stacked: bool = False  # the roster's two cubes start one on the other
+    demos_from: TaskId | None = None  # the task whose demos teach this one; None: its own
 
 
 class PlacementError(Exception):
@@ -179,17 +185,45 @@ _CUBE_VARIATIONS = (
 )
 _BUTTON_VARIATIONS = tuple(TaskVariation(buttons=(name,)) for name, _, _ in _BUTTONS)
 
-# One spec per task. push_button and push_multiple_buttons share a placement
-# group so single-button demos can exist in a multi-button world; a chain's
-# variations are sampled sequences, not enumerable.
+
+def _stacked(world: WorldState, variation: TaskVariation) -> bool:
+    top, bottom = world.object(variation.top), world.object(variation.bottom)
+    return (
+        math.hypot(top.pose.x - bottom.pose.x, top.pose.y - bottom.pose.y) <= bottom.size / 2.0
+        and abs(top.pose.z - bottom.top()) <= STACK_TOLERANCE_M
+    )
+
+
+def _on_table(world: WorldState, variation: TaskVariation) -> bool:
+    moved = world.object(variation.top)
+    return moved.pose.z <= moved.size / 2.0 + STACK_TOLERANCE_M
+
+
+def _on_target(world: WorldState, variation: TaskVariation) -> bool:
+    """The block's center lies inside the (possibly rotated) target square."""
+    block, target = world.object("block"), world.object("target")
+    dx, dy = block.pose.x - target.pose.x, block.pose.y - target.pose.y
+    c, s = math.cos(-target.pose.yaw), math.sin(-target.pose.yaw)
+    return abs(c * dx - s * dy) <= target.size and abs(s * dx + c * dy) <= target.size
+
+
+# One row per task, the one place where its facts are stated. push_button and
+# push_multiple_buttons share a placement group so single-button demos can
+# exist in a multi-button world.
 _SPECS = {
     spec.task: spec
     for spec in (
-        TaskSpec(TaskId.STACK_CUBE, _CUBES, _CUBE_VARIATIONS, 0, "stack the {top} on the {bottom}"),
-        TaskSpec(TaskId.DESTACK_CUBE, _CUBES, _CUBE_VARIATIONS, 1, "destack the {top} that is on the {bottom}"),
-        TaskSpec(TaskId.PUSH_BUTTON, _BUTTONS, _BUTTON_VARIATIONS, 2, "push the {button}"),
-        TaskSpec(TaskId.PUSH_MULTIPLE_BUTTONS, _BUTTONS, (), 2, "push the {button}"),
-        TaskSpec(TaskId.SLIDE_BLOCK, _SLIDE, (TaskVariation(),), 3, "slide the block onto the target"),
+        TaskSpec(TaskId.STACK_CUBE, _CUBES, _CUBE_VARIATIONS, 0, "stack the {top} on the {bottom}", _stacked,
+                 lambda world, top, bottom: (bottom.pose.x, bottom.pose.y, bottom.top() + top.size / 2.0)),
+        TaskSpec(TaskId.DESTACK_CUBE, _CUBES, _CUBE_VARIATIONS, 1, "destack the {top} that is on the {bottom}",
+                 _on_table, lambda world, top, _: (*_free_spot(world, top.pose.x, top.pose.y), top.size / 2.0),
+                 stacked=True),
+        TaskSpec(TaskId.PUSH_BUTTON, _BUTTONS, _BUTTON_VARIATIONS, 2, "push the {button}",
+                 lambda world, v: v.buttons[0] in world.press_log, None),
+        TaskSpec(TaskId.PUSH_MULTIPLE_BUTTONS, _BUTTONS, (), 2, "push the {button}",
+                 lambda world, v: tuple(world.press_log) == v.buttons, None, demos_from=TaskId.PUSH_BUTTON),
+        TaskSpec(TaskId.SLIDE_BLOCK, _SLIDE, (TaskVariation(),), 3, "slide the block onto the target", _on_target,
+                 lambda world, block, target: (target.pose.x, target.pose.y, block.size / 2.0)),
     )
 }
 
@@ -275,7 +309,7 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
     spec = _SPECS[task]
     rng = np.random.default_rng(seed_words(spec.group, seed))  # default_rng([group, seed])'s state
     for _ in range(MAX_RESET_DRAWS):
-        if task is TaskId.DESTACK_CUBE:
+        if spec.stacked:
             x, y, yaw_bottom, yaw_top = (low + span * rng.random(4)).tolist()
             placements = [(x, y, yaw_bottom), (x, y, yaw_top)]
             separated = True
@@ -289,7 +323,7 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         if not separated:
             continue
 
-        if task is TaskId.PUSH_MULTIPLE_BUTTONS:
+        if not spec.variations:
             count = int(rng.integers(1, 7))
             names = tuple(spec.roster[int(i)][0] for i in rng.integers(0, len(spec.roster), size=count))
             variation = TaskVariation(buttons=names)
@@ -298,14 +332,14 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         else:
             variation = spec.variations[int(rng.integers(0, len(spec.variations)))]
 
-        if task is TaskId.DESTACK_CUBE and variation.top == spec.roster[0][0]:
+        if spec.stacked and variation.top == spec.roster[0][0]:
             placements.reverse()  # drawn bottom cube first; objects follow the roster
         objects = [
             SimObject(name, kind, Pose6(x, y, 0.0, 0.0, 0.0, yaw), size)
             for (name, kind, size), (x, y, yaw) in zip(spec.roster, placements)
         ]
         world = WorldState(objects, HOME_POSE, GripperState.OPEN, bounds)
-        if task is TaskId.DESTACK_CUBE:
+        if spec.stacked:
             _settle(world, world.object(variation.top))  # drawn at the bottom cube's x, y
         if check_success(task, world, variation):
             continue  # e.g. the block sampled already inside the target square
@@ -427,37 +461,9 @@ def replay_observations(
 
 
 def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> bool:
-    """Task-specific goal predicate on the current world state; no task is
-    done while the gripper still holds a cube."""
-    if world.attached is not None:
-        return False
-    if task is TaskId.STACK_CUBE:
-        top = world.object(variation.top)
-        bottom = world.object(variation.bottom)
-        xy_ok = (
-            math.hypot(top.pose.x - bottom.pose.x, top.pose.y - bottom.pose.y)
-            <= bottom.size / 2.0
-        )
-        z_ok = abs(top.pose.z - bottom.top()) <= STACK_TOLERANCE_M
-        return xy_ok and z_ok
-    if task is TaskId.DESTACK_CUBE:
-        moved = world.object(variation.top)
-        return moved.pose.z <= moved.size / 2.0 + STACK_TOLERANCE_M
-    if task is TaskId.PUSH_BUTTON:
-        return variation.buttons[0] in world.press_log
-    if task is TaskId.PUSH_MULTIPLE_BUTTONS:
-        return tuple(world.press_log) == variation.buttons
-    if task is TaskId.SLIDE_BLOCK:
-        block = world.object("block")
-        target = world.object("target")
-        dx = block.pose.x - target.pose.x
-        dy = block.pose.y - target.pose.y
-        c = math.cos(-target.pose.yaw)
-        s = math.sin(-target.pose.yaw)
-        local_x = c * dx - s * dy
-        local_y = s * dx + c * dy
-        return abs(local_x) <= target.size and abs(local_y) <= target.size
-    raise ValueError(f"unknown task {task!r}")
+    """The task's goal predicate on the current world state, read only
+    once the gripper holds no cube."""
+    return world.attached is None and _SPECS[task].goal(world, variation)
 
 
 def synth_joint_velocities(poses: np.ndarray) -> np.ndarray:
@@ -570,38 +576,28 @@ def _pick_and_place(
 def _plan(task: TaskId, world: WorldState, instruction: str) -> list[_Waypoint]:
     """The expert's waypoints for the world and instruction."""
     names = [o.name for o in world.objects]
-    if task in (TaskId.STACK_CUBE, TaskId.DESTACK_CUBE):
+    place = _SPECS[task].place
+    if place is not None:
         ordered = _names_in_order(instruction, names)
         if len(ordered) != 2:
-            raise ExpertError(f"cannot identify two cubes in instruction {instruction!r}")
+            raise ExpertError(f"cannot identify two objects in instruction {instruction!r}")
         moving, other = world.object(ordered[0]), world.object(ordered[1])
-        if task is TaskId.STACK_CUBE:
-            # Place so the carried cube's base lands on the other cube's top.
-            place_z = other.top() + moving.size / 2.0
-            return _pick_and_place(moving, other.pose.x, other.pose.y, place_z)
-        spot_x, spot_y = _free_spot(world, moving.pose.x, moving.pose.y)
-        return _pick_and_place(moving, spot_x, spot_y, moving.size / 2.0)
-    if task is TaskId.SLIDE_BLOCK:
-        block = world.object("block")
-        target = world.object("target")
-        return _pick_and_place(block, target.pose.x, target.pose.y, block.size / 2.0)
-    if task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
-        sequence = []
-        for segment in instruction.split(CHAIN_SEPARATOR):
-            hit = _names_in_order(segment, names)
-            if len(hit) != 1:
-                raise ExpertError(f"cannot identify a button in segment {segment!r}")
-            sequence.append(world.object(hit[0]))
-        waypoints = [
-            _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
-            for button in sequence
-            for z in (TRAVEL_HEIGHT_M, PRESS_Z_M)
-        ]
-        last = sequence[-1]
-        waypoints.append(_Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
-        waypoints.append(_Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN))
-        return waypoints
-    raise ExpertError(f"no expert for task {task!r}")
+        return _pick_and_place(moving, *place(world, moving, other))
+    sequence = []
+    for segment in instruction.split(CHAIN_SEPARATOR):
+        hit = _names_in_order(segment, names)
+        if len(hit) != 1:
+            raise ExpertError(f"cannot identify a button in segment {segment!r}")
+        sequence.append(world.object(hit[0]))
+    waypoints = [
+        _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
+        for button in sequence
+        for z in (TRAVEL_HEIGHT_M, PRESS_Z_M)
+    ]
+    last = sequence[-1]
+    waypoints.append(_Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
+    waypoints.append(_Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN))
+    return waypoints
 
 
 def scripted_experts(task: TaskId, items: Sequence[tuple[WorldState, str]]) -> list[Episode]:

@@ -1,8 +1,9 @@
 """The narrated demo scripts print byte-identical stdout.
 
-Each script runs in a fresh interpreter on this checkout's sources, with
-its temporary directory set to the test's own; that path is replaced by a
-fixed placeholder before hashing. A change that moves a demo's output on
+Each script runs in a fresh interpreter on this checkout's sources under
+`python -W error`, so any warning, numpy's included, ends it with a
+traceback; its temporary directory is the test's own, and that path is
+replaced by a fixed placeholder before hashing. A change that moves a demo's output on
 purpose re-pins its hash here and says why.
 """
 
@@ -33,7 +34,7 @@ def test_every_demo_is_pinned():
 def test_demo_stdout_is_pinned(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

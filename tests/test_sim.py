@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import iclmanip.sim as sim
+from iclmanip.harness import demo_task
 from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.model import (
     Action,
@@ -327,7 +328,10 @@ def test_task_spec_rosters():
     assert len(task_spec(TaskId.PUSH_BUTTON).variations) == 4
     for task in TaskId:  # one stored spec per task
         assert task_spec(task) is task_spec(task) and task_spec(task).task is task
-    assert task_spec(TaskId.PUSH_BUTTON).group == task_spec(TaskId.PUSH_MULTIPLE_BUTTONS).group
+        # Demos are planned on the demo task's worlds and shown beside this
+        # task's: one roster and one placement group give both one layout.
+        source = task_spec(demo_task(task))
+        assert (source.roster, source.group) == (task_spec(task).roster, task_spec(task).group)
     assert len({task_spec(t).group for t in TaskId}) == 4
 
 
@@ -850,10 +854,21 @@ def test_expert_step_size_and_dwells():
     assert sum(1 for s in steps if s < 1e-12) >= 8
 
 
-def test_expert_rejects_unknown_instruction():
-    world, _, _ = reset(TaskId.PUSH_BUTTON, 0, BOUNDS)
+@pytest.mark.parametrize(
+    "task, instruction",
+    [
+        (TaskId.PUSH_BUTTON, "push the purple button"),
+        (TaskId.STACK_CUBE, "stack the blue cube on the purple cube"),
+        (TaskId.DESTACK_CUBE, "destack the purple cube that is on the yellow cube"),
+        (TaskId.SLIDE_BLOCK, "slide the block onto the shelf"),
+        (TaskId.PUSH_MULTIPLE_BUTTONS, "push the red button, then push the purple button"),
+    ],
+    ids=["button", "stack", "destack", "slide", "chain"],
+)
+def test_expert_rejects_unknown_instruction(task, instruction):
+    world, _, _ = reset(task, 0, BOUNDS)
     with pytest.raises(ExpertError):
-        scripted_expert(TaskId.PUSH_BUTTON, world, "push the purple button")
+        scripted_expert(task, world, instruction)
 
 
 def test_observations_match_roster_order():
@@ -940,6 +955,57 @@ def test_far_apart_cubes_make_long_episodes():
     assert best > 200
 
 
+# ------------------------------------------------------- behaviour pin
+
+# Tool-tip heights: in a press zone, a cube's center, just over a cube, a
+# stacked cube's center, travel height.
+BEHAVIOUR_Z_M = (0.005, 0.02, 0.045, 0.06, 0.15)
+
+# sha256 over the behaviour_digests lines: pinned while each task's start,
+# expert and goal were branches of reset, _plan and check_success.
+SIM_BEHAVIOUR_SHA256 = "911c0e1ba61840e4a6d128090aea8f28a336543780dc1c036af4a153299630cf"
+
+
+def behaviour_digests():
+    """(task, seed, success, sha256) of 100 seeds per task, each reset and
+    then driven by 40 random actions from default_rng([7, task index, seed]):
+    xy near a random object (sigma 2 cm), z from BEHAVIOUR_Z_M, a uniform
+    yaw, the gripper closed with p = 0.5. The digest covers the final
+    object poses (float.hex), supports, held cube, press log, any error and
+    check_success, so grasp, carry, settle, press and every goal predicate
+    are pinned on actions no expert takes."""
+    rows = []
+    for index, task in enumerate(TaskId):
+        for seed in range(100):
+            world, _, variation = reset(task, seed, BOUNDS)
+            rng = np.random.default_rng([7, index, seed])
+            error = ""
+            try:
+                for _ in range(40):
+                    near = world.objects[int(rng.integers(len(world.objects)))].pose
+                    x, y = rng.normal((near.x, near.y), 0.02).tolist()
+                    z = BEHAVIOUR_Z_M[int(rng.integers(len(BEHAVIOUR_Z_M)))]
+                    yaw = float(rng.uniform(-math.pi, math.pi))
+                    grip = CLOSED if rng.random() < 0.5 else OPEN
+                    execute_action(world, act(x, y, z, grip, yaw))
+            except (ExecutionError, RuntimeError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            success = check_success(task, world, variation)
+            state = "|".join(
+                f"{_pose_hex(ObjectObservation(o.name, o.pose))} on {o.supported_by}" for o in world.objects
+            )
+            line = f"{state}|held {world.attached}|pressed {','.join(world.press_log)}|{error}|{success}"
+            rows.append((task.value, seed, success, hashlib.sha256(line.encode()).hexdigest()))
+    return rows
+
+
+def test_random_actions_are_pinned_bit_for_bit():
+    rows = behaviour_digests()
+    assert _sha256_lines(" ".join(map(str, row)) for row in rows) == SIM_BEHAVIOUR_SHA256
+    for task in TaskId:  # every goal predicate is reached both ways
+        assert 0 < sum(success for name, _, success, _ in rows if name == task.value) < 100
+
+
 # ----------------------------------------------------------------- noise
 
 
@@ -980,3 +1046,11 @@ def test_noise_preserves_names_and_wraps_angles():
         noisy = add_pose_noise(obs, 2.0, seed=seed)[0]
         assert noisy.name == "blue cube"
         assert all(0 <= a < 2 * math.pi for a in noisy.pose.as_list()[3:])
+
+
+if __name__ == "__main__":
+    # One line per behaviour-pin episode: a change that moves
+    # SIM_BEHAVIOUR_SHA256 diffs this output against its parent's to list
+    # the episodes it moved. Run as PYTHONPATH=src python tests/test_sim.py
+    for row in behaviour_digests():
+        print(*row)
