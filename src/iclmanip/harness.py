@@ -79,7 +79,7 @@ from .sim import (
     check_success,
     execute_action,
     pose_noise_draws,
-    replay_observations,
+    replay_pose_rows,
     reset,
     scripted_experts,
     seed_words,
@@ -97,11 +97,13 @@ SYSTEM_PROMPT_INDICES = tuple(range(len(default_system_prompts())))
 
 
 class KeyframeMode(Enum):
+    __hash__ = object.__hash__  # as sim.TaskId
     KEYFRAMES = "keyframes"
     UNIFORM = "uniform"
 
 
 class LoopMode(Enum):
+    __hash__ = object.__hash__  # as sim.TaskId
     OPEN = "open"
     CLOSED = "closed"
 
@@ -384,21 +386,20 @@ _DEMO_FIELDS = operator.attrgetter("keyframe_mode", "delta", "uniform_interval",
 
 
 def _demo_examples(config: RunConfig, plans: _Plans, demos: list[tuple[int, int, Episode]]) -> list[IclExample]:
-    """The example on each (pool position, seed, episode), built in one call; a
-    demo's keyframe check raises after the earlier demos' noise, as one by one."""
+    """The example on each (pool position, seed, episode), built in one call after one replay of a closed pool's
+    experts; a demo's keyframe check raises after the earlier demos' noise, as one by one."""
     frames = [_keyframes_for(config, seed, episode, plans) for _, seed, episode in demos]
     short = next((i for i, f in enumerate(frames) if len(f) < 2), len(demos))
-    items = []
-    for (position, seed, episode), kf in zip(demos[:short], frames):
-        if config.loop_mode is LoopMode.OPEN:
-            scene = episode.objects
-            items.append((episode, kf, scene, _draws(config, plans, len(scene), _DEMO_NOISE_TAG, position)))
-            continue
-        # Closed loop re-observes the scene at each keyframe; replay the
-        # expert to know where objects actually are.
-        observed = replay_observations(plans.reset(demo_task(config.task), seed)[0].clone(), episode, kf)
-        draws = [_draws(config, plans, len(observed[t]), _DEMO_NOISE_TAG, position, t) for t in kf]
-        items.append((episode, kf, [observed[t] for t in kf], draws))
+    kept = list(zip(demos[:short], frames))
+    draws = functools.partial(_draws, config, plans)
+    if config.loop_mode is LoopMode.OPEN:
+        items = [(ep, kf, ep.objects, draws(len(ep.objects), _DEMO_NOISE_TAG, i)) for (i, _, ep), kf in kept]
+    else:
+        rows = replay_pose_rows([(plans.reset(demo_task(config.task), seed)[0], ep, kf) for (_, seed, ep), kf in kept])
+        items = [
+            (ep, kf, [o.name for o in ep.objects], block, [draws(len(ep.objects), _DEMO_NOISE_TAG, i, t) for t in kf])
+            for ((i, _, ep), kf), block in zip(kept, rows)
+        ]
     build = build_icl_examples if config.loop_mode is LoopMode.OPEN else build_closed_loop_examples
     examples = build(items, config.bounds, config.noise)
     if short < len(demos):

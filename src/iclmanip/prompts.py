@@ -114,26 +114,30 @@ def format_action(action: DiscreteAction) -> str:
 Scene = Sequence[ObjectObservation]  # one block in roster order: anything with a name and a pose
 
 
+def _scene_poses(scenes: Sequence[Scene]) -> np.ndarray:
+    """Every pose of the scenes, in order, as one observations x 6 array of rows."""
+    return np.array([o.pose.as_list() for scene in scenes for o in scene], dtype=np.float64).reshape(-1, 6)
+
+
 def _examples(
-    items: Sequence[tuple[Sequence[Scene], Sequence[np.ndarray] | None, str, Episode | None, Sequence[int]]],
-    bounds: WorkspaceBounds, k: float | None,
+    items: Sequence[tuple[Sequence[str], int, Sequence[np.ndarray | None], str, Episode | None, Sequence[int]]],
+    poses: np.ndarray, bounds: WorkspaceBounds, k: float | None,
 ) -> list[tuple[str, str]]:
-    """Per item (blocks, their draws, instruction, episode, frames): the input, the
-    first block then the instruction, and the output, the actions at the frames,
-    each but the first after its frame's block if any. Every observed pose, moved
-    by k times its draws when k is set, and every action pose are binned at once."""
-    observed = [o for blocks, *_ in items for block in blocks for o in block]
-    poses = np.array([o.pose.as_list() for o in observed], dtype=np.float64).reshape(-1, 6)
-    if k and observed:
-        poses = scale_pose_rows(poses, k, np.concatenate([d for _, draws, *_ in items for d in draws]))
+    """Per item (names, blocks, draws per block, instruction, episode, frames), whose blocks' rows of the named
+    objects come next in `poses`: the input, the first block then the instruction, and the output, the actions at
+    the frames, each but the first after its frame's block if any. Every observed pose, moved by k times its draws
+    when k is set, and every action pose are binned at once."""
+    if k and len(poses):
+        poses = scale_pose_rows(poses, k, np.concatenate([d for _, _, draws, *_ in items for d in draws]))
     acted = [(episode, frames) for *_, episode, frames in items if frames]
     bins = pose_bin_rows(np.concatenate([poses, *(ep.poses.take(f, axis=0) for ep, f in acted)]), bounds)
-    texts = iter([f"{o.name}: {text}" for o, text in zip(observed, _row_texts(_POSE_TEXT, bins[: len(observed)]))])
+    names = [name for block_names, blocks, *_ in items for _ in range(blocks) for name in block_names]
+    texts = iter([f"{name}: {text}" for name, text in zip(names, _row_texts(_POSE_TEXT, bins[: len(poses)]))])
     bits = np.concatenate([np.zeros(0, np.int64), *(ep.gripper_bits.take(f) for ep, f in acted)])
-    actions = iter(_row_texts(ACTION_TEXT, np.column_stack((bins[len(observed):], bits))))
+    actions = iter(_row_texts(ACTION_TEXT, np.column_stack((bins[len(poses):], bits))))
     out = []
-    for blocks, _, instruction, _, frames in items:
-        seen = [", ".join(islice(texts, len(block))) for block in blocks]
+    for block_names, blocks, _, instruction, _, frames in items:
+        seen = [", ".join(islice(texts, len(block_names))) for _ in range(blocks)]
         done = list(islice(actions, len(frames)))
         if not seen[0]:
             raise ValueError("need at least one observation")
@@ -154,7 +158,8 @@ def build_example_inputs(
 ) -> list[str]:
     """The input half of an example per (observations, instruction, draws): the
     observations, moved by k times their draws when k is set, then the instruction."""
-    return [text for text, _ in _examples([([s], [d], i, None, ()) for s, i, d in items], bounds, k)]
+    blocks = [([o.name for o in s], 1, [d], i, None, ()) for s, i, d in items]
+    return [text for text, _ in _examples(blocks, _scene_poses([s for s, _, _ in items]), bounds, k)]
 
 
 def build_example_input(observations: Scene, instruction: str, bounds: WorkspaceBounds) -> str:
@@ -182,8 +187,9 @@ def build_icl_examples(
     """
     for episode, keyframes, _, _ in items:
         _check_keyframes(episode, keyframes)
-    blocks = [([ep.objects if s is None else s], [d], ep.instruction, ep, kf[1:]) for ep, kf, s, d in items]
-    return [IclExample(*texts) for texts in _examples(blocks, bounds, k)]
+    scenes = [ep.objects if s is None else s for ep, _, s, _ in items]
+    blocks = [([o.name for o in s], 1, [d], ep.instruction, ep, kf[1:]) for s, (ep, kf, _, d) in zip(scenes, items)]
+    return [IclExample(*texts) for texts in _examples(blocks, _scene_poses(scenes), bounds, k)]
 
 
 def build_icl_example(
@@ -194,28 +200,27 @@ def build_icl_example(
 
 
 def build_closed_loop_examples(
-    items: Sequence[tuple[Episode, KeyframeIndices, Sequence[Scene], Sequence[np.ndarray] | None]],
+    items: Sequence[tuple[Episode, KeyframeIndices, Sequence[str], np.ndarray, Sequence[np.ndarray] | None]],
     bounds: WorkspaceBounds, k: float | None = None,
 ) -> list[IclExample]:
-    """Closed-loop examples, per (episode, keyframes, observations, draws):
+    """Closed-loop examples, per (episode, keyframes, names, rows, draws):
     one observation block per keyframe, moved by k times its draws when k
     is set, paired with that keyframe's action.
 
     Input holds the first keyframe's observations plus the instruction;
     output interleaves the remaining blocks with the actions, starting with
-    the first keyframe's action. `observations` holds the scene seen at
-    each keyframe, in keyframe order, in the episode's roster order.
+    the first keyframe's action. `rows` is the scene seen at each keyframe, a
+    keyframes x objects x 6 array as sim.replay_pose_rows gives, of the roster `names`.
     """
-    for episode, keyframes, observations, _ in items:
-        _check_keyframes(episode, keyframes)
-        if len(observations) != len(keyframes):
-            raise ValueError(f"got {len(observations)} observation blocks for {len(keyframes)} keyframes")
-        roster = tuple(o.name for o in episode.objects)
-        for t, scene in zip(keyframes, observations):
-            if (names := tuple(o.name for o in scene)) != roster:
-                raise ValueError(f"observation names {names} at t={t} differ from episode roster {roster}")
-    blocks = [(observations, draws, ep.instruction, ep, kf) for ep, kf, observations, draws in items]
-    return [IclExample(*texts) for texts in _examples(blocks, bounds, k)]
+    for ep, keyframes, names, rows, _ in items:
+        _check_keyframes(ep, keyframes)
+        if len(rows) != len(keyframes):
+            raise ValueError(f"got {len(rows)} observation blocks for {len(keyframes)} keyframes")
+        if (names := tuple(names)) != (roster := tuple(o.name for o in ep.objects)) or rows.shape[1] != len(names):
+            raise ValueError(f"observation names {names} for {rows.shape[1]} poses differ from episode roster {roster}")
+    blocks = [(names, len(rows), draws, ep.instruction, ep, kf) for ep, kf, names, rows, draws in items]
+    poses = np.concatenate([np.zeros((0, 6)), *(rows.reshape(-1, 6) for *_, rows, _ in items)])
+    return [IclExample(*texts) for texts in _examples(blocks, poses, bounds, k)]
 
 
 def assemble_prompts(examples: Sequence[IclExample], test_inputs: Iterable[str], system: str) -> Iterator[PromptBundle]:

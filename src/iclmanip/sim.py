@@ -22,8 +22,8 @@ Scripted experts record array-backed episodes: scripted_experts lays out
 each leg and dwell of a whole pool's plans in one numpy pass as rows of the
 T x 6 pose and T gripper-bit arrays, and the T x 7 joint velocities follow
 from the pose steps; scripted_expert is its one-world case.
-execute_action takes one per-frame Action; replay_observations replays a
-whole episode, executing only the frames that change what is observed.
+execute_action takes one per-frame Action; replay_pose_rows replays a whole
+demo pool as pose arrays, executing only the frames where the gripper changes.
 The inflated reach limits every action is checked against, and reset's
 bounds check and placement draws, are computed once per WorkspaceBounds.
 """
@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ _BASE_SIGMAS = np.array((BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_R
 
 
 class TaskId(Enum):
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves: a C hash, not Enum's of the name
     STACK_CUBE = "stack_cube"
     DESTACK_CUBE = "destack_cube"
     PUSH_BUTTON = "push_button"
@@ -429,35 +430,38 @@ def execute_action(world: WorldState, action: Action) -> None:
     _validate_world(world)
 
 
-def replay_observations(
-    world: WorldState, episode: Episode, frames: Iterable[int]
-) -> dict[int, tuple[ObjectObservation, ...]]:
-    """Replay a dense episode from `world` and return the scene
-    observations after each timestep in `frames`.
-
-    The result, and the ExecutionError raised for the first pose outside
-    the inflated bounds, equal those of executing every frame in order.
-    One vectorized pass checks every pose first; then execute_action runs
-    only where the gripper bit changes and at the requested frames. A
-    skipped frame only moves the gripper, which observations do not show,
-    and the held cube, which tracks the gripper and is put under it again
-    at the next executed frame; a press it would log is not observed
-    either. `world` is mutated; its press log counts executed frames only.
-    """
-    lo, hi = np.array(_reach_limits(world.bounds)).T
-    xyz = episode.poses[:, :3]
-    outside = np.flatnonzero(((xyz < lo) | (xyz > hi)).any(axis=1))
-    if outside.size:
-        _check_reachable(world.bounds, xyz[outside[0]].tolist())
-    bits = episode.gripper_bits
-    previous = np.concatenate(([world.gripper.to_bit()], bits[:-1]))
-    wanted = set(frames)
-    observed = {}
-    for t in sorted(wanted.union(np.flatnonzero(bits != previous).tolist())):
-        execute_action(world, episode.action(t))
-        if t in wanted:
-            observed[t] = observations_of(world)
-    return observed
+def replay_pose_rows(items: Sequence[tuple[WorldState, Episode, Sequence[int]]]) -> list[np.ndarray]:
+    """Per (world, episode, frames) of a pool, replayed on a copy of the world: a frames x objects x 6 array of
+    the objects' pose rows after each frame, bit for bit those that executing every frame leaves. One pass checks
+    every pose and raises the ExecutionError that a one-by-one replay raises first; then execute_action runs only
+    where the gripper bit changes. In between, only the gripper moves, which is not observed, and the held cube,
+    whose row is the frame's pose with z lowered by half its edge, roll and pitch 0, and its own yaw."""
+    if not items:
+        return []
+    lengths = np.array([episode.length for _, episode, _ in items])
+    starts = np.cumsum(lengths) - lengths
+    poses = np.concatenate([episode.poses for _, episode, _ in items])
+    owner = np.repeat(np.arange(len(items)), lengths)
+    limits = np.array([_reach_limits(world.bounds) for world, _, _ in items])[owner]
+    for t in np.flatnonzero(((poses[:, :3] < limits[..., 0]) | (poses[:, :3] > limits[..., 1])).any(axis=1))[:1]:
+        _check_reachable(items[owner[t]][0].bounds, poses[t, :3].tolist())  # the first item's first pose outside
+    bits = np.concatenate([episode.gripper_bits for _, episode, _ in items])
+    previous = np.concatenate(([0], bits[:-1]))
+    previous[starts] = [world.gripper.to_bit() for world, _, _ in items]
+    changes = np.flatnonzero(bits != previous)
+    scenes = []  # at each start and change: per object its pose row and, held, half its edge (else -1)
+    for (world, episode, _), start, toggles in zip(items, starts, np.split(changes, changes.searchsorted(starts[1:]))):
+        world = world.clone() if toggles.size else world
+        for t in [None, *(toggles - start).tolist()]:
+            if t is not None:
+                execute_action(world, episode.action(t))
+            scenes.append([[*o.pose.as_list(), o.size / 2 if o.name == world.attached else -1] for o in world.objects])
+    at = np.concatenate([np.arange(s, s + ep.length)[np.asarray(f, np.intp)] for (_, ep, f), s in zip(items, starts)])
+    rows = np.array(scenes)[owner[at] + np.searchsorted(changes, at, side="right")]
+    frame, cube = np.nonzero(rows[..., 6] >= 0)
+    rows[frame, cube, :5] = np.pad(poses[at[frame], :3], ((0, 0), (0, 2)))  # roll and pitch 0
+    rows[frame, cube, 2] -= rows[frame, cube, 6]
+    return np.split(rows[..., :6], np.cumsum([len(frames) for _, _, frames in items])[:-1])
 
 
 def check_success(task: TaskId, world: WorldState, variation: TaskVariation) -> bool:

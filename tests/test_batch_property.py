@@ -72,12 +72,14 @@ def test_pose_bin_rows_equals_a_one_row_call_on_every_row(case):
 
 
 def _one_at_a_time(monkeypatch):
-    """Rebind the harness's batch builders to loops that hand them one item at a time."""
+    """Rebind the harness's batch builders and replay to loops that hand them one item at a time."""
     for name in ("build_example_inputs", "build_icl_examples", "build_closed_loop_examples"):
         batch = getattr(harness, name)
         monkeypatch.setattr(
             harness, name, lambda items, bounds, k, batch=batch: [x for it in items for x in batch([it], bounds, k)]
         )
+    replay = harness.replay_pose_rows
+    monkeypatch.setattr(harness, "replay_pose_rows", lambda items: [x for it in items for x in replay([it])])
 
 
 def _outcome(configs):
@@ -98,7 +100,7 @@ def _sweep_arms(flags):
     return [cfg for name in harness.SWEEPS for cfg, _ in harness.sweep_arms(config, name, values[name])]
 
 
-# One run per task, loop mode and noise; then each flag set of CI's "Sweeps warm vs cold" step, with
+# One run per task, loop mode and noise; then each flag set of test_cli.py's WARM_COLD_FLAGS, with
 # all five sweeps' arms run in turn on one store, as one ablate process runs them. A CSV row sees a
 # prompt only through its reply, so a body that the batch builds otherwise shows only here.
 _RUNS = [

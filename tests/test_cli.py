@@ -18,6 +18,7 @@ import iclmanip
 import iclmanip.cli as cli
 import iclmanip.harness as harness
 import iclmanip.llm as llm
+import iclmanip.prompts as prompts
 from iclmanip.cli import _build_run_config, build_parser, main
 from iclmanip.llm import ProtocolError, TransportError
 from iclmanip.model import _write_plan
@@ -722,6 +723,63 @@ def test_ablate_runs_several_sweeps_on_one_plan_store(tmp_path, monkeypatch, cap
         single_rows += (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
     assert combined == singles
     assert rows[1:] == sorted(single_rows, key=_arm_seed)
+
+
+# Flag sets on which all five sweeps on one plan store must write the rows of
+# each sweep run cold: a single-step task; a chained one answered by the
+# compositional mock, open loop and closed loop noised (each arm's prompt
+# prefix has its own table of demo rows); closed-loop, noised ones whose demos
+# replay their experts' pools; the stacked start of destack_cube; a base seed
+# of two uint32 words; and sweep values of their own, each given only to its
+# sweep when run cold (`ablate SWEEP` refuses the value flag of a sweep not named).
+WARM_COLD_FLAGS = [
+    ("--task push_button", {}),
+    ("--task push_multiple_buttons --provider mock-compositional", {}),
+    ("--task push_multiple_buttons --provider mock-compositional --loop-mode closed --noise-k 0.7", {}),
+    ("--task stack_cube --loop-mode closed --noise-k 0.7 --seed 3", {}),
+    ("--task destack_cube", {}),
+    ("--task slide_block --loop-mode closed --noise-k 0.7 --seed 5", {}),
+    ("--task destack_cube --seed 30000000007 --loop-mode closed --noise-k 0.7", {}),
+    (
+        "--task push_multiple_buttons --provider mock-compositional",
+        {"sampling": "--intervals 3 7", "noise": "--scales 0.3 2.5"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, values", WARM_COLD_FLAGS, ids=[" ".join([flags, *values.values()]) for flags, values in WARM_COLD_FLAGS]
+)
+def test_sweeps_on_one_plan_store_write_the_rows_of_each_sweep_run_cold(tmp_path, monkeypatch, flags, values):
+    # Warm: one ablate call runs the five sweeps on one plan store; run again
+    # onto its own CSV, on the store it left, it rewrites the same bytes and
+    # leaves no temporary file. Cold: each sweep runs on an empty store, reads
+    # every prompt input through _read_input's uncached function, so a wrong
+    # cache key shows as warm rows unlike cold ones, and completes one prompt
+    # per mock call, so a batch that answers a prompt unlike a lone call shows too.
+    common = [*flags.split(), "--n-demos", "4", "--n-eval", "5"]
+    warm = tmp_path / "warm.csv"
+    command = ["ablate", *harness.SWEEPS, *common, *" ".join(values.values()).split(), "--csv", str(warm)]
+    assert main(command) == 0
+    first = warm.read_bytes()
+    assert main(command) == 0
+    assert warm.read_bytes() == first
+    assert list(tmp_path.glob(".*.tmp")) == []
+    monkeypatch.setattr(prompts, "_read_input", prompts._read_input.__wrapped__)
+    one_at_a_time = {
+        "complete_mock_nearest_batch": lambda bundles: [llm.complete_mock_nearest_batch([b])[0] for b in bundles],
+        "complete_mock_compositional_batch": lambda bundles: [llm.complete_mock_compositional(b) for b in bundles],
+    }
+    for name, complete in one_at_a_time.items():
+        monkeypatch.setattr(harness, name, complete)
+    cold = []
+    for sweep in harness.SWEEPS:
+        monkeypatch.setattr(harness, "_STORE", harness._Plans())
+        out = tmp_path / f"cold-{sweep}.csv"
+        assert main(["ablate", sweep, *common, *values.get(sweep, "").split(), "--csv", str(out)]) == 0
+        cold += out.read_text().splitlines()[1:]
+    assert len(set(cold)) == len(cold) >= 2 * 5 * len(harness.SWEEPS)  # each sweep, at least two arms of 5 seeds
+    assert sorted(warm.read_text().splitlines()[1:]) == sorted(cold)
 
 
 def _arm_seed(row):

@@ -622,8 +622,8 @@ def test_demo_pool_on_a_warm_store_plans_and_builds_nothing(monkeypatch):
     first = harness.build_demo_pool(cfg)
     calls = []
     monkeypatch.setattr(harness, "scripted_experts", lambda task, items: calls.extend(world for world, _ in items))
-    for name in ("build_icl_examples", "build_closed_loop_examples"):
-        monkeypatch.setattr(harness, name, lambda *args: calls.append("example"))
+    for name in ("build_icl_examples", "build_closed_loop_examples", "replay_pose_rows"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
     assert harness.build_demo_pool(cfg) == first
     assert calls == []
 

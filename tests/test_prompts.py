@@ -150,7 +150,8 @@ def test_closed_loop_demo_matches_golden():
     )
     # Static scene: every keyframe sees the same observations, so the two
     # observation blocks in the prompt must be byte-identical.
-    example = build_closed_loop_examples([(ep, KeyframeIndices((0, 4), 5), [button, button], None)], BOUNDS)[0]
+    rows = np.array([[button[0].pose.as_list()]] * 2)
+    example = build_closed_loop_examples([(ep, KeyframeIndices((0, 4), 5), ["red button"], rows, None)], BOUNDS)[0]
     test_obs = (ObjectObservation("red button", pose(0, 50, 0)),)
     test_input = build_example_input(test_obs, "push the red button", BOUNDS)
     bundle = assemble_prompt([example], test_input, default_system_prompts()[0])
@@ -166,11 +167,13 @@ def test_closed_loop_rejects_missing_or_renamed_observations():
         button, "push the red button", [pose(50, 50, 60), pose(50, 0, 0)]
     )
     frames = KeyframeIndices((0, 1), 2)
-    with pytest.raises(ValueError):
-        build_closed_loop_examples([(ep, frames, [button], None)], BOUNDS)
-    renamed = (ObjectObservation("blue button", pose(50, 0, 0)),)
-    with pytest.raises(ValueError):
-        build_closed_loop_examples([(ep, frames, [button, renamed], None)], BOUNDS)
+    row = button[0].pose.as_list()
+    with pytest.raises(ValueError, match="got 1 observation blocks for 2 keyframes"):
+        build_closed_loop_examples([(ep, frames, ["red button"], np.array([[row]]), None)], BOUNDS)
+    with pytest.raises(ValueError, match="differ from episode roster"):
+        build_closed_loop_examples([(ep, frames, ["blue button"], np.array([[row]] * 2), None)], BOUNDS)
+    with pytest.raises(ValueError, match="differ from episode roster"):  # a second object's rows
+        build_closed_loop_examples([(ep, frames, ["red button"], np.array([[row, row]] * 2), None)], BOUNDS)
 
 
 _EDGE_ANGLES = (0.0, -0.0, 2 * math.pi, -2 * math.pi, 2 * math.pi - 1e-15, 1e-300, -1e-300)

@@ -4,6 +4,7 @@ velocities, observation noise.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from iclmanip.harness import demo_task
 from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.model import (
     Action,
+    Episode,
     GripperState,
     ObjectObservation,
     Pose6,
@@ -41,7 +43,7 @@ from iclmanip.sim import (
     execute_action,
     observations_of,
     render_instruction,
-    replay_observations,
+    replay_pose_rows,
     reset,
     scripted_expert,
     scripted_experts,
@@ -775,7 +777,7 @@ def test_expert_episodes_replay_to_success():
 
 
 def dense_replay_observations(world, episode, frames):
-    """Reference for replay_observations: execute every frame in order."""
+    """Reference for replay_pose_rows: execute every frame in order."""
     wanted = set(frames)
     observed = {}
     for t, action in enumerate(episode.actions):
@@ -785,9 +787,24 @@ def dense_replay_observations(world, episode, frames):
     return observed
 
 
-def replay_outcome(replay, world, episode, frames):
+def dense_rows(world, episode, frames):
+    """The reference's scene at each frame, in frame order, as float.hex pose rows."""
+    observed = dense_replay_observations(world.clone(), episode, frames)
+    return [[[v.hex() for v in o.pose.as_list()] for o in observed[t]] for t in frames]
+
+
+def event_rows(world, episode, frames):
+    """replay_pose_rows on the one item, as float.hex pose rows; the world is not mutated."""
+    before = [(o.name, o.pose, o.supported_by) for o in world.objects]
+    (rows,) = replay_pose_rows([(world, episode, frames)])
+    assert rows.dtype == np.float64 and rows.shape == (len(frames), len(world.objects), 6)
+    assert [(o.name, o.pose, o.supported_by) for o in world.objects] == before
+    return [[[v.hex() for v in obj] for obj in scene] for scene in rows.tolist()]
+
+
+def replay_outcome(replay, *args):
     try:
-        return replay(world.clone(), episode, frames)
+        return replay(*args)
     except ExecutionError as exc:
         return f"ExecutionError: {exc}"
 
@@ -803,11 +820,11 @@ def test_event_replay_matches_dense_replay(task, bounds):
         world, instruction, _ = reset(task, seed, bounds)
         episode = scripted_expert(task, world, instruction)
         for frames in (extract_keyframes(episode, 0.01), sample_uniform(episode.length, 10)):
-            dense = replay_outcome(dense_replay_observations, world, episode, frames)
-            event = replay_outcome(replay_observations, world, episode, frames)
+            dense = replay_outcome(dense_rows, world, episode, frames)
+            event = replay_outcome(event_rows, world, episode, frames)
             assert event == dense, (task.value, seed, list(frames))
             if not isinstance(dense, str):
-                assert sorted(dense) == list(frames)
+                assert len(dense) == len(frames)
             outcomes.append(dense)
     errors = {o for o in outcomes if isinstance(o, str)}
     if bounds is HIGH_FLOOR and task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS):
@@ -816,9 +833,75 @@ def test_event_replay_matches_dense_replay(task, bounds):
         assert not errors
 
 
-def test_event_replay_executes_only_toggles_and_requested_frames(monkeypatch):
-    world, instruction, _ = reset(TaskId.STACK_CUBE, 3, BOUNDS)
-    episode = scripted_expert(TaskId.STACK_CUBE, world, instruction)
+def pool_outcome(items):
+    """replay_pose_rows on a pool: each item's rows as (shape, bytes), or the error text."""
+    return replay_outcome(lambda: [(rows.shape, rows.tobytes()) for rows in replay_pose_rows(items)])
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, HIGH_FLOOR], ids=["default", "high-floor"])
+@pytest.mark.parametrize("task", list(TaskId), ids=lambda t: t.value)
+def test_a_pool_replayed_at_once_equals_each_demo_replayed_alone(task, bounds):
+    items = []
+    for seed in range(12):
+        world, instruction, _ = reset(task, seed, bounds)
+        episode = scripted_expert(task, world, instruction)
+        if seed % 3 == 2:  # the gripper starts and stays closed for 5 frames, on the first free cube if any, tilted
+            world = world.clone()
+            bits = episode.gripper_bits.copy()
+            bits[:5] = CLOSED.to_bit()
+            episode = Episode(instruction, episode.objects, episode.poses, bits, episode.joint_velocities)
+            world.gripper = CLOSED
+            free = [o for o in world.objects if o.kind is Kind.CUBE]
+            free = [o for o in free if o.name not in {o.supported_by for o in world.objects}]
+            world.attached = free[0].name if free else None
+            if free:
+                free[0].pose = Pose6(*free[0].pose.translation(), 0.25, -0.5, free[0].pose.yaw)
+        frames = extract_keyframes(episode, 0.01) if seed % 2 else sample_uniform(episode.length, 7)
+        items.append((world, episode, frames))
+        assert replay_outcome(event_rows, *items[-1]) == replay_outcome(dense_rows, *items[-1])
+    buttons = task in (TaskId.PUSH_BUTTON, TaskId.PUSH_MULTIPLE_BUTTONS)
+    assert any(world.attached for world, _, _ in items) is not buttons
+    alone = [pool_outcome([item]) for item in items]
+    for start, stop in ((0, 12), (0, 1), (11, 12), (3, 9)):
+        first_error = next((o for o in alone[start:stop] if isinstance(o, str)), None)
+        assert pool_outcome(items[start:stop]) == (first_error or [r for o in alone[start:stop] for r in o])
+    assert replay_pose_rows([]) == []
+    if not isinstance(alone[0], str):
+        world, episode, _ = items[0]
+        with pytest.raises(IndexError):  # a frame past its own episode, not one of the next episode's
+            replay_pose_rows([(world, episode, [episode.length]), *items[1:2]])
+
+
+def _pushed(seed, bounds, t=None, **moved):
+    """A push_button demo on (seed, bounds), with the pose at frame t moved to the given x, y or z."""
+    world, instruction, _ = reset(TaskId.PUSH_BUTTON, seed, bounds)
+    episode = scripted_expert(TaskId.PUSH_BUTTON, world, instruction)
+    poses = episode.poses.copy()
+    for axis, value in moved.items():
+        poses[t, "xyz".index(axis)] = value
+    return world, Episode(instruction, episode.objects, poses, episode.gripper_bits, episode.joint_velocities), [0, 9]
+
+
+def test_a_pool_raises_the_error_that_a_one_by_one_replay_raises_first():
+    # A push demo passes on the default box and fails at its first press on
+    # HIGH_FLOOR (z); one moved out in x and z before its press fails on x,
+    # one moved out in y at its last frame on y. Each pool of them raises what
+    # its first failing demo raises alone, and a pool that none fails in
+    # gives each demo's rows.
+    demos = [_pushed(0, BOUNDS), _pushed(1, HIGH_FLOOR), _pushed(2, HIGH_FLOOR, 5, x=0.9, z=-1.0),
+             _pushed(3, BOUNDS, -1, y=-0.9), _pushed(4, BOUNDS)]
+    alone = [pool_outcome([demo]) for demo in demos]
+    assert [o[:29] if isinstance(o, str) else None for o in alone] == [
+        None, "ExecutionError: action pose z", "ExecutionError: action pose x", "ExecutionError: action pose y", None
+    ]
+    for order in itertools.permutations(range(len(demos))):
+        for stop in (1, 2, 3, 5):
+            pool = [demos[i] for i in order[:stop]]
+            first_error = next((alone[i] for i in order[:stop] if isinstance(alone[i], str)), None)
+            assert pool_outcome(pool) == (first_error or [r for i in order[:stop] for r in alone[i]]), order[:stop]
+
+
+def test_event_replay_executes_only_the_gripper_changes(monkeypatch):
     executed = []
     original = sim.execute_action
 
@@ -827,11 +910,19 @@ def test_event_replay_executes_only_toggles_and_requested_frames(monkeypatch):
         original(w, action)
 
     monkeypatch.setattr(sim, "execute_action", recording)
+    world, instruction, _ = reset(TaskId.STACK_CUBE, 3, BOUNDS)
+    episode = scripted_expert(TaskId.STACK_CUBE, world, instruction)
     bits = episode.gripper_bits
     toggles = [t for t in range(1, episode.length) if bits[t] != bits[t - 1]]
-    replay_observations(world.clone(), episode, [5, 40])
-    assert len(executed) == len(set(toggles) | {5, 40})
+    replay_pose_rows([(world, episode, [5, 40])])
+    assert executed == [episode.action(t) for t in toggles]
     assert len(toggles) == 2  # one grasp, one release
+    world, instruction, _ = reset(TaskId.PUSH_MULTIPLE_BUTTONS, 3, BOUNDS)
+    chain = scripted_expert(TaskId.PUSH_MULTIPLE_BUTTONS, world, instruction)
+    assert len(instruction.split(sim.CHAIN_SEPARATOR)) > 1
+    executed.clear()
+    replay_pose_rows([(world, chain, extract_keyframes(chain, 0.01))] * 3)
+    assert executed == []  # a press chain never closes the gripper
 
 
 def test_expert_does_not_mutate_world():
