@@ -81,6 +81,15 @@ def test_unreadable_config_file_exits_before_any_episode_runs(tmp_path, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["generate-demos", "build-prompt", "eval", "ablate"])
+def test_help_of_each_subcommand_exits_0(command, capsys):
+    # Each --help formats every flag's help text, the RunConfig-made ones included.
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: iclmanip {command}")
+
+
 def test_missing_task_exits():
     with pytest.raises(SystemExit):
         main(["eval", "--n-eval", "2"])
@@ -102,9 +111,12 @@ def test_generate_demos_round_trips(tmp_path):
         ]
     )
     assert rc == 0
+    # The package has no episode reader: the file must read with json alone.
     episodes = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(episodes) == 3
+    assert all(set(ep) == {"instruction", "objects", "velocities", "actions"} for ep in episodes)
     assert all(len(ep["actions"]) == len(ep["velocities"]) >= 60 for ep in episodes)
+    assert all(a["gripper"] in (0, 1) for ep in episodes for a in ep["actions"])
     names = {tuple(o["name"] for o in ep["objects"]) for ep in episodes}
     assert names == {("blue cube", "yellow cube")}
 

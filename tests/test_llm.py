@@ -20,6 +20,7 @@ import pytest
 
 import iclmanip
 from iclmanip import harness, llm
+from iclmanip.cli import main
 from iclmanip.harness import LoopMode, RunConfig, eval_prompts, run_eval
 from iclmanip.llm import (
     CompletionTimeout,
@@ -47,7 +48,8 @@ CREDENTIAL = "sk-test-0000-secret-credential"
 
 class _Script:
     """Per-test server behavior: a list of (status, body) or (status, body,
-    headers) plus a request log."""
+    headers) plus a request log, each request stamped with its arrival
+    time on time.monotonic."""
 
     def __init__(self, steps):
         self.steps = list(steps)
@@ -62,6 +64,7 @@ def _make_server(script):
             body = self.rfile.read(length)
             script.requests.append(
                 {
+                    "at": time.monotonic(),
                     "path": self.path,
                     "auth": self.headers.get("Authorization"),
                     "json": json.loads(body) if body else None,
@@ -496,6 +499,33 @@ def test_token_bucket_spacing_with_fake_clock():
     assert sleeps == [0.5, 0.5, 0.5]
 
 
+def test_one_ablate_process_spaces_every_request_at_the_rate_on_a_real_clock(monkeypatch):
+    # The spacing holds across the arms of one ablate run, on the real clock
+    # and time.sleep: at 5 requests/s no two arrivals are under 150 ms apart.
+    monkeypatch.setenv("TEST_RUN_CREDENTIAL", CREDENTIAL)
+    script = _Script([(200, _ok_body("{[50, 50, 10, 0, 0, 0, 1]}"))] * 6)
+    server, endpoint = _make_server(script)
+    try:
+        rc = main(
+            [
+                "ablate", "prompts",
+                "--task", "push_button",
+                "--provider", "remote",
+                "--endpoint", endpoint,
+                "--credential-env", "TEST_RUN_CREDENTIAL",
+                "--requests-per-second", "5",
+                "--n-demos", "2",
+                "--n-eval", "2",
+            ]
+        )
+    finally:
+        _stop(server)
+    assert rc == 0
+    arrivals = [seen["at"] for seen in script.requests]
+    gaps_ms = [round(1000 * (b - a)) for a, b in zip(arrivals, arrivals[1:])]
+    assert len(arrivals) == 6 and min(gaps_ms) >= 150, gaps_ms
+
+
 def test_token_bucket_validation():
     for rate in (0, 1e-10, float("nan")):  # below MIN_RATE_PER_SECOND, or no number
         with pytest.raises(ValueError):
@@ -852,8 +882,10 @@ run_eval(RunConfig(task=TaskId.PUSH_BUTTON, n_demos=2, n_eval=2, provider=Provid
 {_HTTP_MODULES}
 from iclmanip.cli import main
 main(["build-prompt", "--task", "push_button", "--n-demos", "2", "--out", "bundle.json"])
+{_HTTP_MODULES}
+main(["eval", "--task", "stack_cube", "--n-demos", "2", "--n-eval", "2"])
 {_HTTP_MODULES}"""
-    assert _loaded_http_modules(code, tmp_path) == ["[]"] * 3
+    assert _loaded_http_modules(code, tmp_path) == ["[]"] * 4
 
 
 def test_remote_completion_needs_no_third_party_http_stack(tmp_path):
