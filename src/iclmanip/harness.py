@@ -393,11 +393,11 @@ def _demo_examples(config: RunConfig, plans: _Plans, demos: list[tuple[int, int,
     kept = list(zip(demos[:short], frames))
     draws = functools.partial(_draws, config, plans)
     if config.loop_mode is LoopMode.OPEN:
-        items = [(ep, kf, ep.objects, draws(len(ep.objects), _DEMO_NOISE_TAG, i)) for (i, _, ep), kf in kept]
+        items = [(ep, kf, draws(len(ep.objects), _DEMO_NOISE_TAG, i)) for (i, _, ep), kf in kept]
     else:
         rows = replay_pose_rows([(plans.reset(demo_task(config.task), seed)[0], ep, kf) for (_, seed, ep), kf in kept])
         items = [
-            (ep, kf, [o.name for o in ep.objects], block, [draws(len(ep.objects), _DEMO_NOISE_TAG, i, t) for t in kf])
+            (ep, kf, block, [draws(len(ep.objects), _DEMO_NOISE_TAG, i, t) for t in kf])
             for ((i, _, ep), kf), block in zip(kept, rows)
         ]
     build = build_icl_examples if config.loop_mode is LoopMode.OPEN else build_closed_loop_examples
@@ -410,8 +410,8 @@ def _demo_examples(config: RunConfig, plans: _Plans, demos: list[tuple[int, int,
     return examples
 
 
-def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample]]:
-    """The demo seeds and the ICL example built on each, in pool order. A scan
+def build_demo_pool(config: RunConfig) -> list[IclExample]:
+    """The ICL example built on each of demo_seeds(config), in pool order. A scan
     reaching the derived eval seeds is a ValueError before any expert is planned;
     then the experts, then the examples, not yet made, each in one pass, an
     example once per (seed, position, _DEMO_FIELDS) on a base. The list is the caller's own."""
@@ -422,7 +422,7 @@ def build_demo_pool(config: RunConfig) -> tuple[tuple[int, ...], list[IclExample
         [("demo", seed, i, fields) for i, seed in enumerate(seeds)],
         lambda missing: _demo_examples(config, plans, [(i, seed, episodes[seed]) for _, seed, i, _ in missing]),
     )
-    return seeds, examples
+    return examples
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,7 +461,7 @@ def eval_prompts(config: RunConfig) -> Iterator[tuple[int, PromptBundle]]:
     build-prompt` both read their prompts from here.
     """
     plans = _plans(config)
-    _, examples = build_demo_pool(config)
+    examples = build_demo_pool(config)
     system = default_system_prompts()[config.system_prompt_index]
     seeds = eval_seeds(config)
 
@@ -488,17 +488,17 @@ def _reply_actions(plans: _Plans, text: str) -> tuple[Action, ...] | str:
     return tuple(by_row[row] for row in rows)
 
 
-def _score(config: RunConfig, plans: _Plans, seed: int, text: str) -> tuple[bool, int, bool, str | None]:
-    """(parse_error, n_actions, success, failure) of a reply on an eval
+def _score(config: RunConfig, plans: _Plans, seed: int, text: str) -> tuple[int, bool, str | None]:
+    """(n_actions, success, failure) of a reply on an eval
     seed's world: its Actions, read once per text on a base, replayed on a copy of the pristine reset."""
     actions = plans.memo(("reply", text), lambda: _reply_actions(plans, text))
     if isinstance(actions, str):
-        return True, 0, False, actions
+        return 0, False, actions
     world, _, variation = plans.reset(config.task, seed)
     world = world.clone()  # execute_action mutates it
     for action in actions:
         execute_action(world, action)
-    return False, len(actions), check_success(config.task, world, variation), None
+    return len(actions), check_success(config.task, world, variation), None
 
 
 def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
@@ -521,10 +521,11 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
     results = complete([bundle for _, bundle in prompts])
     records = []
     for (seed, bundle), result in zip(prompts, results):
-        parse_error, n_actions, success, failure = plans.memo(
+        n_actions, success, failure = plans.memo(
             ("score", seed, result.text), lambda: _score(config, plans, seed, result.text)
         )
         prompt_chars = len(bundle.system) + len(bundle.body)
+        parse_error = failure is not None
         records.append(EpisodeRecord(seed, success, parse_error, n_actions, result.latency_ms, prompt_chars, failure))
     return EvalReport(arm=arm, records=tuple(records), config=config)
 

@@ -21,10 +21,9 @@ from .model import Episode, velocity_norms
 
 @dataclass(frozen=True)
 class KeyframeIndices:
-    """Strictly increasing timestep indices; the last one is always T-1."""
+    """Strictly increasing timestep indices; the last is T-1, so episode_length is indices[-1] + 1."""
 
     indices: tuple[int, ...]
-    episode_length: int
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
@@ -35,10 +34,10 @@ class KeyframeIndices:
                 raise ValueError(f"KeyframeIndices must be strictly increasing, got {self.indices}")
         if self.indices[0] < 0:
             raise ValueError(f"KeyframeIndices must be non-negative, got {self.indices}")
-        if self.indices[-1] != self.episode_length - 1:
-            raise ValueError(
-                f"last keyframe {self.indices[-1]} must be episode_length-1 = {self.episode_length - 1}"
-            )
+
+    @property
+    def episode_length(self) -> int:
+        return self.indices[-1] + 1
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -74,7 +73,7 @@ def extract_keyframes(episode: Episode, delta: float) -> KeyframeIndices:
     run_ends = mask.copy()
     run_ends[:-1] &= ~mask[1:]
     run_ends[-1] = True
-    return KeyframeIndices(tuple(np.flatnonzero(run_ends).tolist()), episode.length)
+    return KeyframeIndices(tuple(np.flatnonzero(run_ends).tolist()))
 
 
 def sample_uniform(episode_length: int, interval: int) -> KeyframeIndices:
@@ -86,4 +85,4 @@ def sample_uniform(episode_length: int, interval: int) -> KeyframeIndices:
     picks = list(range(0, episode_length, interval))
     if picks[-1] != episode_length - 1:
         picks.append(episode_length - 1)
-    return KeyframeIndices(tuple(picks), episode_length)
+    return KeyframeIndices(tuple(picks))

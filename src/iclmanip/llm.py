@@ -31,6 +31,8 @@ import numpy as np
 from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompts
 from .sim import CHAIN_SEPARATOR
 
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5  # the wait before the second attempt; it doubles before each later one
 MAX_RETRY_AFTER_S = 60.0
 MIN_RATE_PER_SECOND = 1e-9  # one request per about 32 years
 
@@ -43,11 +45,10 @@ class Provider(Enum):
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """What comes back: raw text plus latency and which provider answered."""
+    """What comes back: raw text plus latency."""
 
     text: str
     latency_ms: int
-    provider: Provider
 
     def __post_init__(self):
         if self.latency_ms < 0:
@@ -83,7 +84,7 @@ class TokenBucket:
 
     def __init__(
         self,
-        rate_per_second: float = 1.0,
+        rate_per_second: float,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -145,15 +146,13 @@ def complete_remote(
     model: str = "",
     max_tokens: int = 1024,
     timeout_s: float = 60.0,
-    max_attempts: int = 3,
-    backoff_base_s: float = 0.5,
     rate_limiter: TokenBucket | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionResult:
     """POST a chat completion and return the first choice's content.
 
     Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
-    retried with exponential backoff for `max_attempts` total attempts; a
+    retried with exponential backoff for MAX_ATTEMPTS total attempts; a
     retryable status whose Retry-After header gives delay-seconds waits that
     long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, a
     redirect too, raises TransportError after one attempt, and an endpoint
@@ -161,8 +160,6 @@ def complete_remote(
     URL) raises it before connecting. The credential is sent only as the
     Authorization header, as given, and never appears in a raised message.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     import json
     from http.client import HTTPException
     from urllib.error import URLError
@@ -185,9 +182,9 @@ def complete_remote(
     last_error: TransportError | None = None
     retry_after_s: float | None = None
     started = time.monotonic()
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt > 0:
-            sleep(backoff_base_s * (2 ** (attempt - 1)) if retry_after_s is None else retry_after_s)
+            sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)) if retry_after_s is None else retry_after_s)
             retry_after_s = None
         if rate_limiter is not None:
             rate_limiter.acquire()
@@ -213,7 +210,7 @@ def complete_remote(
         if not isinstance(content, str):
             raise ProtocolError(f"completion content is {type(content).__name__}, expected str")
         latency_ms = int((time.monotonic() - started) * 1000)
-        return CompletionResult(text=content, latency_ms=latency_ms, provider=Provider.REMOTE)
+        return CompletionResult(text=content, latency_ms=latency_ms)
     assert last_error is not None
     raise last_error
 
@@ -282,7 +279,7 @@ def _complete_mocks(bundles: Sequence[PromptBundle], provider: Provider) -> list
         texts.append("{" + ", ".join(answers) + "}" if chained else answers[0])
     if unread is not None:
         raise unread
-    made = {text: CompletionResult(text=text, latency_ms=0, provider=provider) for text in set(texts)}
+    made = {text: CompletionResult(text=text, latency_ms=0) for text in set(texts)}
     return [made[text] for text in texts]  # one frozen result per distinct text
 
 

@@ -170,55 +170,51 @@ def build_example_input(observations: Scene, instruction: str, bounds: Workspace
 def _check_keyframes(episode: Episode, keyframes: KeyframeIndices) -> None:
     if len(keyframes) < 2:
         raise ValueError(f"need at least 2 keyframes to build an example, got {len(keyframes)}")
-    if keyframes.episode_length != episode.length:
-        raise ValueError(f"keyframes were taken on length {keyframes.episode_length}, episode has {episode.length}")
+    if keyframes[-1] != episode.length - 1:
+        raise ValueError(f"keyframes end at step {keyframes[-1]}; the episode's last step is {episode.length - 1}")
 
 
 def build_icl_examples(
-    items: Sequence[tuple[Episode, KeyframeIndices, Scene | None, np.ndarray | None]],
-    bounds: WorkspaceBounds, k: float | None = None,
+    items: Sequence[tuple[Episode, KeyframeIndices, np.ndarray | None]], bounds: WorkspaceBounds, k: float | None = None
 ) -> list[IclExample]:
-    """Open-loop examples, per (episode, keyframes, observations, draws): the
-    initial observations (default: the episode's objects), moved by k times
-    their draws when k is set, in; keyframe actions out.
+    """Open-loop examples, per (episode, keyframes, draws): the episode's objects,
+    moved by k times their draws when k is set, in; keyframe actions out.
 
     The first keyframe's action is dropped; the starting action carries no
     information because every episode begins from the same home state.
     """
-    for episode, keyframes, _, _ in items:
+    for episode, keyframes, _ in items:
         _check_keyframes(episode, keyframes)
-    scenes = [ep.objects if s is None else s for ep, _, s, _ in items]
-    blocks = [([o.name for o in s], 1, [d], ep.instruction, ep, kf[1:]) for s, (ep, kf, _, d) in zip(scenes, items)]
-    return [IclExample(*texts) for texts in _examples(blocks, _scene_poses(scenes), bounds, k)]
+    blocks = [([o.name for o in ep.objects], 1, [d], ep.instruction, ep, kf[1:]) for ep, kf, d in items]
+    poses = _scene_poses([ep.objects for ep, _, _ in items])
+    return [IclExample(*texts) for texts in _examples(blocks, poses, bounds, k)]
 
 
-def build_icl_example(
-    episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds, observations: Scene | None = None
-) -> IclExample:
+def build_icl_example(episode: Episode, keyframes: KeyframeIndices, bounds: WorkspaceBounds) -> IclExample:
     """build_icl_examples for one episode, without noise."""
-    return build_icl_examples([(episode, keyframes, observations, None)], bounds)[0]
+    return build_icl_examples([(episode, keyframes, None)], bounds)[0]
 
 
 def build_closed_loop_examples(
-    items: Sequence[tuple[Episode, KeyframeIndices, Sequence[str], np.ndarray, Sequence[np.ndarray] | None]],
+    items: Sequence[tuple[Episode, KeyframeIndices, np.ndarray, Sequence[np.ndarray] | None]],
     bounds: WorkspaceBounds, k: float | None = None,
 ) -> list[IclExample]:
-    """Closed-loop examples, per (episode, keyframes, names, rows, draws):
-    one observation block per keyframe, moved by k times its draws when k
-    is set, paired with that keyframe's action.
+    """Closed-loop examples, per (episode, keyframes, rows, draws): one
+    observation block per keyframe, moved by k times its draws when k is
+    set, paired with that keyframe's action.
 
     Input holds the first keyframe's observations plus the instruction;
     output interleaves the remaining blocks with the actions, starting with
     the first keyframe's action. `rows` is the scene seen at each keyframe, a
-    keyframes x objects x 6 array as sim.replay_pose_rows gives, of the roster `names`.
+    keyframes x objects x 6 array as sim.replay_pose_rows gives, of the episode's objects.
     """
-    for ep, keyframes, names, rows, _ in items:
+    for ep, keyframes, rows, _ in items:
         _check_keyframes(ep, keyframes)
         if len(rows) != len(keyframes):
             raise ValueError(f"got {len(rows)} observation blocks for {len(keyframes)} keyframes")
-        if (names := tuple(names)) != (roster := tuple(o.name for o in ep.objects)) or rows.shape[1] != len(names):
-            raise ValueError(f"observation names {names} for {rows.shape[1]} poses differ from episode roster {roster}")
-    blocks = [(names, len(rows), draws, ep.instruction, ep, kf) for ep, kf, names, rows, draws in items]
+        if rows.shape[1] != len(ep.objects):
+            raise ValueError(f"observation rows hold {rows.shape[1]} objects; the episode has {len(ep.objects)}")
+    blocks = [([o.name for o in ep.objects], len(rows), draws, ep.instruction, ep, kf) for ep, kf, rows, draws in items]
     poses = np.concatenate([np.zeros((0, 6)), *(rows.reshape(-1, 6) for *_, rows, _ in items)])
     return [IclExample(*texts) for texts in _examples(blocks, poses, bounds, k)]
 

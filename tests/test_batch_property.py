@@ -155,7 +155,7 @@ def test_a_pool_raises_the_first_error_of_a_one_at_a_time_build(monkeypatch, loo
 
     def keyframes(config, seed, episode, plans):
         if seed == seeds[short]:
-            return KeyframeIndices((episode.length - 1,), episode.length)
+            return KeyframeIndices((episode.length - 1,))
         return real(config, seed, episode, plans)
 
     monkeypatch.setattr(harness, "_keyframes_for", keyframes)

@@ -290,7 +290,7 @@ def test_run_eval_success_rate_matches_records():
 
 def test_run_eval_scores_parse_failures_without_aborting(monkeypatch):
     def bad_completions(bundles):
-        return [CompletionResult(text="no actions here", latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles]
+        return [CompletionResult(text="no actions here", latency_ms=0) for _ in bundles]
 
     monkeypatch.setattr(harness, "complete_mock_nearest_batch", bad_completions)
     report = run_eval(config(n_demos=2, n_eval=3))
@@ -348,7 +348,7 @@ def test_replies_at_the_corner_bins_run_every_action(monkeypatch, task, bounds):
     monkeypatch.setattr(
         harness,
         "complete_mock_nearest_batch",
-        lambda bundles: [CompletionResult(text=reply, latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles],
+        lambda bundles: [CompletionResult(text=reply, latency_ms=0) for _ in bundles],
     )
     report = run_eval(config(task, n_demos=2, n_eval=3, bounds=bounds))
     for r in report.records:
@@ -373,7 +373,7 @@ def test_a_reply_grasping_the_bottom_cube_scores_a_failed_episode(monkeypatch):
         harness,
         "complete_mock_nearest_batch",
         lambda bundles: [
-            CompletionResult(text=next(replies), latency_ms=0, provider=Provider.MOCK_NEAREST) for _ in bundles
+            CompletionResult(text=next(replies), latency_ms=0) for _ in bundles
         ],
     )
     records = run_eval(cfg).records
@@ -603,17 +603,17 @@ def test_sweeps_leave_every_pristine_world_as_reset_drew_it(task):
 
 def test_demo_pool_callers_get_their_own_list():
     cfg = config(n_demos=2)
-    seeds, examples = harness.build_demo_pool(cfg)
+    examples = harness.build_demo_pool(cfg)
     expected = list(examples)
     examples.clear()
-    assert harness.build_demo_pool(cfg) == (seeds, expected)
+    assert harness.build_demo_pool(cfg) == expected
     assert len(expected) == 2
 
 
 def test_smaller_demo_pool_holds_the_larger_pools_first_examples():
-    _, large = harness.build_demo_pool(config(n_demos=4))
-    seeds, small = harness.build_demo_pool(config(n_demos=2))
-    assert seeds == demo_seeds(config(n_demos=4))[:2]
+    large = harness.build_demo_pool(config(n_demos=4))
+    small = harness.build_demo_pool(config(n_demos=2))
+    assert demo_seeds(config(n_demos=2)) == demo_seeds(config(n_demos=4))[:2]
     assert all(a is b for a, b in zip(small, large[:2], strict=True))
 
 

@@ -171,14 +171,14 @@ def test_delta_must_be_positive():
 
 
 def test_keyframe_indices_validation():
-    KeyframeIndices((0, 3, 9), 10)
+    assert KeyframeIndices((0, 3, 9)).episode_length == 10
     with pytest.raises(ValueError):
-        KeyframeIndices((3, 0, 9), 10)  # not increasing
+        KeyframeIndices(())
     with pytest.raises(ValueError):
-        KeyframeIndices((0, 3), 10)  # last != T-1
+        KeyframeIndices((3, 0, 9))  # not increasing
     with pytest.raises(ValueError):
-        KeyframeIndices((-1, 9), 10)
-    k = KeyframeIndices((0, 3, 9), 10)
+        KeyframeIndices((-1, 9))
+    k = KeyframeIndices((0, 3, 9))
     assert len(k) == 3 and k[1] == 3 and list(k) == [0, 3, 9]
 
 

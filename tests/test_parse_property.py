@@ -76,8 +76,6 @@ def test_parse_response_recovers_decorated_actions(reply):
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
-_STRICT_ACTION = r"\[\d+(?:, \d+){6}\]"
-_STRICT_BODY = re.compile(r"\{" + _STRICT_ACTION + r"(?:, " + _STRICT_ACTION + r")*\}")
 
 _COMPONENT_LIMITS = (
     ("tx", TRANSLATION_BINS),
@@ -127,27 +125,23 @@ def _is_observation_echo(text: str, bracket_start: int) -> bool:
     return j >= 0 and text[j] == ":"
 
 
-def oracle_parse_response(text: str | bytes, strict: bool = False) -> list[DiscreteAction]:
+def oracle_parse_response(text: str | bytes) -> list[DiscreteAction]:
     """Extract the predicted action sequence from a model reply.
 
-    Lenient mode tolerates surrounding prose, markdown fences, optional
-    braces, and observation echoes; it fails only on integer brackets with
-    the wrong arity, bins out of range, or no actions at all. Strict mode
-    additionally requires the exact output grammar.
+    It tolerates surrounding prose, markdown fences, optional braces, and
+    observation echoes; it fails only on integer brackets with the wrong
+    arity, bins out of range, or no actions at all.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     if not isinstance(text, str):
         raise ParseError("no_actions", 0, f"expected text, got {type(text).__name__}")
-    if strict:
-        if not _STRICT_BODY.fullmatch(text):
-            raise ParseError("grammar", 0, "text does not match the strict output grammar")
     cleaned = _FENCE.sub("", text)
     actions: list[DiscreteAction] = []
     for match in _BRACKET.finditer(cleaned):
         # Colon-preceded brackets holding an action's 7 integers ("Step 1: [...]")
         # are actions, not echoes.
-        echo = not strict and _is_observation_echo(cleaned, match.start())
+        echo = _is_observation_echo(cleaned, match.start())
         try:
             values = _int_list(match.group(1))
         except ParseError as exc:
