@@ -7,46 +7,30 @@ is always included, so a few hundred frames reduce to a handful.
 
 Both criteria are masks over the episode's arrays: the row norms of its
 T x 7 joint velocities (model.velocity_norms, a plain sum of squares per
-row) and the changes in its T gripper bits.
+row) and the changes in its T gripper bits. KeyframeIndices is a tuple of
+ints, checked at construction: non-empty, non-negative, strictly increasing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Episode, velocity_norms
 
 
-@dataclass(frozen=True)
-class KeyframeIndices:
-    """Strictly increasing timestep indices; the last is T-1, so episode_length is indices[-1] + 1."""
+class KeyframeIndices(tuple):
+    """Strictly increasing, non-negative timestep indices, as a tuple of ints; the last is T-1."""
 
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not self.indices:
+    def __new__(cls, indices):
+        self = super().__new__(cls, (int(i) for i in indices))
+        if not self:
             raise ValueError("KeyframeIndices must be non-empty")
-        for a, b in zip(self.indices, self.indices[1:]):
+        for a, b in zip(self, self[1:]):
             if not a < b:
-                raise ValueError(f"KeyframeIndices must be strictly increasing, got {self.indices}")
-        if self.indices[0] < 0:
-            raise ValueError(f"KeyframeIndices must be non-negative, got {self.indices}")
-
-    @property
-    def episode_length(self) -> int:
-        return self.indices[-1] + 1
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __getitem__(self, item):
-        return self.indices[item]
+                raise ValueError(f"KeyframeIndices must be strictly increasing, got {self}")
+        if self[0] < 0:
+            raise ValueError(f"KeyframeIndices must be non-negative, got {self}")
+        return self
 
 
 def _qualifying_mask(episode: Episode, delta: float) -> np.ndarray:

@@ -239,7 +239,7 @@ def _search(demos: tuple[PromptDemo, ...], instruction: str, queries: list[tuple
     ]
     if not candidates:
         return OracleError(f"no demo instruction matches {instruction!r}")
-    # Bins have at most 6 digits (read_prompts), so int64 squared distances are exact.
+    # Bins have at most prompts.MAX_BIN_DIGITS digits (read_prompts), so int64 squared distances are exact.
     offsets = np.array(queries, dtype=np.int64)[:, None, :] - np.array([d.bins for d in candidates], dtype=np.int64)
     # argmin keeps the first of equal distances: the lowest demo index
     return iter([candidates[k].output for k in (offsets * offsets).sum(axis=2).argmin(axis=1).tolist()])

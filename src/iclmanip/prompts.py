@@ -237,10 +237,11 @@ def assemble_prompt(examples: Sequence[IclExample], test_input: str, system: str
 _BRACKET = re.compile(r"\[([^\[\]]*)\]")
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 _FENCE = re.compile(r"```[a-zA-Z0-9_-]*")
+MAX_BIN_DIGITS = 6  # the most digits of a bin read from a reply or a prompt, so int64 squared distances are exact
 # Brackets as build_icl_examples and build_closed_loop_examples write them,
 # in ASCII digits: an observation echo (six bins after "name: ", no
 # groups) or an action (seven bins, one group each).
-_BIN = r"[0-9]{1,6}"
+_BIN = r"[0-9]{1,%d}" % MAX_BIN_DIGITS
 _CANONICAL_BRACKET = re.compile(
     r": \[" + ", ".join([_BIN] * 6) + r"\]|\[" + ", ".join([f"({_BIN})"] * 7) + r"\]"
 )
@@ -258,7 +259,7 @@ def _int_list(content: str) -> list[int] | None:
         if not _INT_TOKEN.fullmatch(t):
             return None
         digits = t.lstrip("+-")
-        if len(digits) > 6:
+        if len(digits) > MAX_BIN_DIGITS:
             # Cannot be a valid bin; flag as range rather than converting
             # arbitrarily long digit strings.
             raise ParseError("range", 0, f"integer {t[:12]}... far outside any bin range")
@@ -351,24 +352,22 @@ class PromptDemo(NamedTuple):
     output: str
 
 
-# An input observation; and one with a bin of more than 6 digits, parse_bins' limit, which keeps int64 distances exact.
-_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d{1,6}(?:, \d{1,6}){5})\], ")
+# An input observation; and one with a bin of more than MAX_BIN_DIGITS digits.
+_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d{1,%d}(?:, \d{1,%d}){5})\], " % ((MAX_BIN_DIGITS,) * 2))
 _LONG_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[\d+(?:, \d+){5}\], ")
 _DEMO_PAIR = re.compile(r"(\{[^}]*\}) > (\{[^}]*\}), ")  # `[^}]` scans fast; a pair must hold just two `{`
 
 
 @functools.lru_cache(maxsize=1024)  # per text: a base's five default sweeps send about 175 distinct inputs
 def _read_input(text: str) -> tuple[tuple[int, ...], str]:
-    # Observations use [...] and never braces, so `{` and `}` only frame the input.
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"example input must be wrapped in braces: {text[:40]!r}")
+    # read_prompts passes a braced input. Observations use [...] and never braces, so `{` and `}` only frame it.
     bins: list[int] = []
     cursor = 1
     while (match := _INPUT_OBSERVATION.match(text, cursor)) is not None:
         bins.extend(map(int, match.group(1).split(", ")))
         cursor = match.end()
     if _LONG_OBSERVATION.match(text, cursor):
-        raise ValueError(f"example input has a bin of more than 6 digits at offset {cursor}")
+        raise ValueError(f"example input has a bin of more than {MAX_BIN_DIGITS} digits at offset {cursor}")
     instruction = text[cursor:-1]
     if not bins or not instruction:
         raise ValueError(f"example input needs observations and an instruction: {text[:40]!r}")

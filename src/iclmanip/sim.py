@@ -2,11 +2,12 @@
 
 Kinematic only: the gripper teleports to each commanded pose. Closing it
 grasps the nearest cube within GRASP_RADIUS_M that no cube rests on; the
-held cube's center follows the tool tip, keeping its own yaw; opening it
-settles the cube on the highest cube nearer in x, y than their half edges
-summed, or on the table (_settle, which also stacks destack_cube's start).
-An empty gripper entering a button's press zone logs a press of it.
-Everything is a pure function of (task, seed, bounds), so runs reproduce.
+held cube's center follows the tool tip, keeping its own yaw (the carry rule,
+stated once in _carried_pose for execute_action and replay_pose_rows); opening
+it settles the cube on the highest cube nearer in x, y than their half edges
+summed, or on the table (_settle, which also stacks destack_cube's start). An
+empty gripper entering a button's press zone logs a press of it. Everything
+is a pure function of (task, seed, bounds), so runs reproduce.
 
 Everything task-specific is one TaskSpec row in _SPECS: its roster,
 variations (or a drawn chain), placement group, stacked start, instruction
@@ -39,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
+    TWO_PI,
     Action,
     Episode,
     GripperState,
@@ -276,7 +278,7 @@ def _placement_draws(bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
             )
     lo_x, hi_x, lo_y, hi_y = _placement_region(bounds)
     low = np.array((lo_x, lo_y, 0.0, 0.0))
-    span = np.array((hi_x, hi_y, 2.0 * math.pi, 2.0 * math.pi)) - low
+    span = np.array((hi_x, hi_y, TWO_PI, TWO_PI)) - low
     low.flags.writeable = span.flags.writeable = False  # every reset on the box shares them
     return low, span
 
@@ -378,6 +380,11 @@ def _check_reachable(bounds: WorkspaceBounds, translation: Sequence[float]) -> N
             raise ExecutionError(f"action pose {axis}={v:.3f} outside inflated bounds [{lo:.3f}, {hi:.3f}]")
 
 
+def _carried_pose(x, y, z, edge, yaw):
+    """The carry rule, on floats or arrays alike: a held cube's base half its edge below the tip, roll and pitch 0."""
+    return x, y, z - edge / 2.0, 0.0, 0.0, yaw
+
+
 def execute_action(world: WorldState, action: Action) -> None:
     """One macro-step: teleport the gripper, then apply grasp/release/press
     rules at the destination. Mutates the world in place.
@@ -407,11 +414,10 @@ def execute_action(world: WorldState, action: Action) -> None:
         if best is not None:
             world.attached = best[1].name
 
-    # Whatever is held follows the gripper (cube center at the tool tip) and
-    # settles where the gripper opens.
+    # Whatever is held follows the gripper and settles where the gripper opens.
     if world.attached is not None:
         held = world.object(world.attached)
-        held.pose = Pose6(pose.x, pose.y, pose.z - held.size / 2.0, 0.0, 0.0, held.pose.yaw)
+        held.pose = Pose6(*_carried_pose(pose.x, pose.y, pose.z, held.size, held.pose.yaw))
         held.supported_by = None
         if action.gripper is GripperState.OPEN:
             world.attached = None
@@ -431,11 +437,10 @@ def execute_action(world: WorldState, action: Action) -> None:
 
 
 def replay_pose_rows(items: Sequence[tuple[WorldState, Episode, Sequence[int]]]) -> list[np.ndarray]:
-    """Per (world, episode, frames) of a pool, replayed on a copy of the world: a frames x objects x 6 array of
-    the objects' pose rows after each frame, bit for bit those that executing every frame leaves. One pass checks
-    every pose and raises the ExecutionError that a one-by-one replay raises first; then execute_action runs only
-    where the gripper bit changes. In between, only the gripper moves, which is not observed, and the held cube,
-    whose row is the frame's pose with z lowered by half its edge, roll and pitch 0, and its own yaw."""
+    """Per (world, episode, frames) of a pool, replayed on a copy of the world: a frames x objects x 6 array of the
+    objects' pose rows after each frame, bit for bit those of executing every frame. One pass checks every pose and
+    raises the ExecutionError that a one-by-one replay raises first; execute_action then runs only where the gripper
+    bit changes. In between, only the unobserved gripper and the held cube move: _carried_pose gives the cube's rows."""
     if not items:
         return []
     lengths = np.array([episode.length for _, episode, _ in items])
@@ -449,18 +454,18 @@ def replay_pose_rows(items: Sequence[tuple[WorldState, Episode, Sequence[int]]])
     previous = np.concatenate(([0], bits[:-1]))
     previous[starts] = [world.gripper.to_bit() for world, _, _ in items]
     changes = np.flatnonzero(bits != previous)
-    scenes = []  # at each start and change: per object its pose row and, held, half its edge (else -1)
+    scenes = []  # at each start and change: per object its pose row and, held, its edge (else -1)
     for (world, episode, _), start, toggles in zip(items, starts, np.split(changes, changes.searchsorted(starts[1:]))):
         world = world.clone() if toggles.size else world
         for t in [None, *(toggles - start).tolist()]:
             if t is not None:
                 execute_action(world, episode.action(t))
-            scenes.append([[*o.pose.as_list(), o.size / 2 if o.name == world.attached else -1] for o in world.objects])
+            scenes.append([[*o.pose.as_list(), o.size if o.name == world.attached else -1] for o in world.objects])
     at = np.concatenate([np.arange(s, s + ep.length)[np.asarray(f, np.intp)] for (_, ep, f), s in zip(items, starts)])
     rows = np.array(scenes)[owner[at] + np.searchsorted(changes, at, side="right")]
     frame, cube = np.nonzero(rows[..., 6] >= 0)
-    rows[frame, cube, :5] = np.pad(poses[at[frame], :3], ((0, 0), (0, 2)))  # roll and pitch 0
-    rows[frame, cube, 2] -= rows[frame, cube, 6]
+    carried = _carried_pose(*poses[at[frame], :3].T, rows[frame, cube, 6], rows[frame, cube, 5])
+    rows[frame, cube, :6] = np.column_stack(np.broadcast_arrays(*carried))
     return np.split(rows[..., :6], np.cumsum([len(frames) for _, _, frames in items])[:-1])
 
 
@@ -518,7 +523,7 @@ def _expand_waypoints(
             dist = math.sqrt((wp.x - x) ** 2 + (wp.y - y) ** 2 + (wp.z - z) ** 2)
             steps = max(1, math.ceil(dist / STEP_SIZE_M)) if dist > 0 else 0
             if steps:
-                turn = ((wp.yaw - yaw + math.pi) % (2.0 * math.pi)) - math.pi
+                turn = ((wp.yaw - yaw + math.pi) % TWO_PI) - math.pi
                 segments.append((here, (wp.x - x, wp.y - y, wp.z - z, turn), steps, bit))
             here = (wp.x, wp.y, wp.z, wrap_angle(wp.yaw))
             segments.append((here, None, 1, bit))

@@ -33,6 +33,7 @@ from iclmanip.keyframes import KeyframeIndices
 from iclmanip.sim import TaskId
 
 from conftest import ASYMMETRIC, BOUNDS
+from test_cli import WARM_COLD_FLAGS
 
 
 def _near(edge):
@@ -117,16 +118,7 @@ _RUNS = [
     for noise in (None, 0.7, 5e307, 1e308)
 ] + [
     pytest.param(_sweep_arms(flags), id=f"sweeps {flags}")
-    for flags in (
-        "--task push_button",
-        "--task push_multiple_buttons --provider mock-compositional",
-        "--task push_multiple_buttons --provider mock-compositional --loop-mode closed --noise-k 0.7",
-        "--task stack_cube --loop-mode closed --noise-k 0.7 --seed 3",
-        "--task destack_cube",
-        "--task slide_block --loop-mode closed --noise-k 0.7 --seed 5",
-        "--task destack_cube --seed 30000000007 --loop-mode closed --noise-k 0.7",
-        "--task push_multiple_buttons --provider mock-compositional --intervals 3 7 --scales 0.3 2.5",
-    )
+    for flags in (" ".join([flags, *values.values()]) for flags, values in WARM_COLD_FLAGS)
 ]
 
 

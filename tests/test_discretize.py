@@ -112,6 +112,14 @@ def test_discrete_pose_validation():
         DiscretePose(0.5, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         DiscretePose(True, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="must be a DiscretePose"):
+        DiscreteAction((0, 0, 0, 0, 0, 0), 1)
+    with pytest.raises(ValueError, match="axis_min 0.5 must be < axis_max 0.5"):
+        discretize_translation(0.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"translation bin 100 out of range \[0, 100\)"):
+        dediscretize_translation(TRANSLATION_BINS, -0.5, 0.5)
+    with pytest.raises(ValueError, match=r"rotation bin -1 out of range \[0, 72\)"):
+        dediscretize_rotation(-1)
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])

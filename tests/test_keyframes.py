@@ -171,7 +171,6 @@ def test_delta_must_be_positive():
 
 
 def test_keyframe_indices_validation():
-    assert KeyframeIndices((0, 3, 9)).episode_length == 10
     with pytest.raises(ValueError):
         KeyframeIndices(())
     with pytest.raises(ValueError):

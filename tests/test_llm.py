@@ -524,6 +524,11 @@ def test_one_ablate_process_spaces_every_request_at_the_rate_on_a_real_clock(mon
     assert len(arrivals) == 6 and min(gaps_ms) >= 150, gaps_ms
 
 
+def test_completion_result_rejects_negative_latency():
+    with pytest.raises(ValueError, match="latency_ms must be >= 0, got -1"):
+        llm.CompletionResult("[1, 2, 3, 4, 5, 6, 1]", -1)
+
+
 def test_token_bucket_validation():
     for rate in (0, 1e-10, float("nan")):  # below MIN_RATE_PER_SECOND, or no number
         with pytest.raises(ValueError):

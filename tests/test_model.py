@@ -16,6 +16,7 @@ import iclmanip.model as model
 from iclmanip.cli import main
 from iclmanip.harness import RunConfig, demo_episodes, emit_csv, run_eval
 from iclmanip.model import (
+    Action,
     Episode,
     GripperState,
     ObjectObservation,
@@ -48,6 +49,17 @@ def test_pose_rejects_bad_values():
         Pose6("0.1", 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         Pose6(True, 0, 0, 0, 0, 0)
+    # The values that hold a pose check their fields too.
+    pose = Pose6(0.0, 0.0, 0.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="Action.pose must be a Pose6"):
+        Action([0.0, 0.0, 0.1, 0.0, 0.0, 0.0], GripperState.OPEN)
+    with pytest.raises(ValueError, match="Action.gripper must be a GripperState"):
+        Action(pose, 1)
+    for name in ("", None):
+        with pytest.raises(ValueError, match="ObjectObservation.name must be a non-empty string"):
+            ObjectObservation(name, pose)
+    with pytest.raises(ValueError, match="ObjectObservation.pose must be a Pose6"):
+        ObjectObservation("red button", (0.0, 0.0, 0.1, 0.0, 0.0, 0.0))
 
 
 _POSE_FIELDS = ("x", "y", "z", "roll", "pitch", "yaw")
@@ -135,6 +147,10 @@ def test_episode_validation():
         Episode(ep.instruction, ep.objects, ep.poses, ep.gripper_bits, ep.joint_velocities[:-1])
     with pytest.raises(ValueError):
         Episode(ep.instruction, ep.objects, *(array[:1] for array in arrays))
+    with pytest.raises(ValueError, match=r"Episode.poses must have shape \(T, 6\), got \(3, 5\)"):
+        Episode(ep.instruction, ep.objects, ep.poses[:, :5], ep.gripper_bits, ep.joint_velocities)
+    with pytest.raises(ValueError, match=r"Episode.poses must be a \(T, 6\) array of numbers"):
+        Episode(ep.instruction, ep.objects, [[0.0] * 6, [0.0] * 5, [0.0] * 6], ep.gripper_bits, ep.joint_velocities)
     dup = (ep.objects[0], ep.objects[0])
     with pytest.raises(ValueError):
         Episode(ep.instruction, dup, *arrays)

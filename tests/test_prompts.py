@@ -276,6 +276,10 @@ def test_parse_error_kinds():
         parse_response("no brackets here")
     assert err.value.kind == "no_actions"
 
+    with pytest.raises(ParseError, match="expected text, got int") as err:
+        parse_response(42)
+    assert err.value.kind == "no_actions"
+
     with pytest.raises(ParseError) as err:
         parse_response("{[1, 2, 3, 4, 5, 6, 7, 8]}")
     assert err.value.kind == "arity"
@@ -367,6 +371,7 @@ def test_read_prompts_inverts_assemble_prompt():
         "{red {button: [1, 2, 3, 4, 5, 6], push} > {[1]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # `{` in a demo input
         "{red button: [1, 2, 3, 4, 5, 6], push} > {[1, {2]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # and output
         "{red button: [1234567, 2, 3, 4, 5, 6], push} > ",  # a bin of more than 6 digits
+        "{red button: [1, 2, 3, 4, 5, 6], push}",  # no trailing "> "
     ],
 )
 def test_read_prompts_rejects_bodies_assemble_prompt_cannot_make(body):
@@ -409,6 +414,12 @@ def test_icl_example_rejects_empty_fields():
         IclExample("", "{}")
     with pytest.raises(ValueError):
         IclExample("{}", "")
+    with pytest.raises(ValueError, match="need at least one observation"):
+        build_example_input((), "push the red button", BOUNDS)
+    with pytest.raises(ValueError, match="instruction must be non-empty"):
+        build_example_input((ObjectObservation("red button", pose(1, 2, 3)),), "", BOUNDS)
+    with pytest.raises(ValueError, match="test_input must be non-empty"):
+        assemble_prompt([], "", "s")
 
 
 def test_format_observation_shape():

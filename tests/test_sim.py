@@ -358,6 +358,11 @@ def test_execute_rejects_poses_outside_inflated_bounds():
         execute_action(world, act(0.0, 0.0, 0.61))  # z span 0.5 inflates to 0.55
 
 
+def test_object_lookup_names_a_missing_object():
+    with pytest.raises(KeyError, match="no object named 'red cube' in world"):
+        two_cube_world().object("red cube")
+
+
 def test_grasp_requires_transition_and_proximity():
     world = two_cube_world()
     blue = world.object("blue cube")
