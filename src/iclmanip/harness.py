@@ -90,9 +90,6 @@ DEFAULT_BOUNDS = WorkspaceBounds(-0.5, 0.5, -0.5, 0.5, 0.0, 0.5)
 EVAL_SEED_OFFSET = 100_000
 CSV_HEADER = ("task", "provider", "arm", "seed", "success", "parse_error", "n_actions", "latency_ms")
 
-DEFAULT_SAMPLING_INTERVALS = (5, 10, 20, 40, 80)
-DEFAULT_SHOT_COUNTS = (1, 2, 5, 10)
-DEFAULT_NOISE_SCALES = (0.5, 1.0, 1.5, 2.0)
 SYSTEM_PROMPT_INDICES = tuple(range(len(default_system_prompts())))
 
 
@@ -536,7 +533,7 @@ def run_eval(config: RunConfig, arm: str = "eval") -> EvalReport:
 SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
     "sampling": (
         (lambda c: (dataclasses.replace(c, keyframe_mode=KeyframeMode.KEYFRAMES), "keyframes"),),
-        DEFAULT_SAMPLING_INTERVALS,
+        (5, 10, 20, 40, 80),
         lambda c, n: (
             dataclasses.replace(c, keyframe_mode=KeyframeMode.UNIFORM, uniform_interval=n),
             f"uniform-{n}",
@@ -544,12 +541,12 @@ SWEEPS: dict[str, tuple[tuple[Callable, ...], tuple, Callable]] = {
     ),
     "shots": (
         (),
-        DEFAULT_SHOT_COUNTS,
+        (1, 2, 5, 10),
         lambda c, n: (dataclasses.replace(c, n_demos=n), f"shots-{n}"),
     ),
     "noise": (
         (),
-        DEFAULT_NOISE_SCALES,
+        (0.5, 1.0, 1.5, 2.0),
         lambda c, k: (dataclasses.replace(c, noise=k), f"noise-{k:g}"),
     ),
     "prompts": (
@@ -584,23 +581,17 @@ def sweep(config: RunConfig, name: str, values: Sequence | None = None) -> list[
     return [run_eval(cfg, arm=label) for cfg, label in sweep_arms(config, name, values)]
 
 
-def ablate_sampling(
-    config: RunConfig, intervals: Sequence[int] = DEFAULT_SAMPLING_INTERVALS
-) -> list[EvalReport]:
+def ablate_sampling(config: RunConfig, intervals: Sequence[int] | None = None) -> list[EvalReport]:
     """Keyframe selection vs fixed-interval sampling, shared seeds."""
     return sweep(config, "sampling", intervals)
 
 
-def ablate_shots(
-    config: RunConfig, shot_counts: Sequence[int] = DEFAULT_SHOT_COUNTS
-) -> list[EvalReport]:
+def ablate_shots(config: RunConfig, shot_counts: Sequence[int] | None = None) -> list[EvalReport]:
     """Demo-count sweep; smaller pools are prefixes of larger ones."""
     return sweep(config, "shots", shot_counts)
 
 
-def ablate_noise(
-    config: RunConfig, scales: Sequence[float] = DEFAULT_NOISE_SCALES
-) -> list[EvalReport]:
+def ablate_noise(config: RunConfig, scales: Sequence[float] | None = None) -> list[EvalReport]:
     """Observation-noise sweep; noise hits demo and test observations."""
     return sweep(config, "noise", scales)
 

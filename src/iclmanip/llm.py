@@ -29,10 +29,11 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .prompts import ACTION_TEXT, PromptBundle, PromptDemo, parse_bins, read_prompts
-from .sim import CHAIN_SEPARATOR
+from .sim import CHAIN_SEPARATOR, COLORS
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5  # the wait before the second attempt; it doubles before each later one
+TIMEOUT_S = 60.0  # per attempt
 MAX_RETRY_AFTER_S = 60.0
 MIN_RATE_PER_SECOND = 1e-9  # one request per about 32 years
 
@@ -65,7 +66,7 @@ class TransportError(Exception):
 
 
 class CompletionTimeout(TransportError):
-    """The request exceeded the configured timeout on every attempt."""
+    """Every attempt failed, the last by running past TIMEOUT_S."""
 
 
 class ProtocolError(Exception):
@@ -145,20 +146,19 @@ def complete_remote(
     *,
     model: str = "",
     max_tokens: int = 1024,
-    timeout_s: float = 60.0,
     rate_limiter: TokenBucket | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionResult:
     """POST a chat completion and return the first choice's content.
 
-    Transient failures (connection errors, timeouts, 408, 429 and 5xx) are
-    retried with exponential backoff for MAX_ATTEMPTS total attempts; a
-    retryable status whose Retry-After header gives delay-seconds waits that
-    long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx status, a
-    redirect too, raises TransportError after one attempt, and an endpoint
-    or credential that is not visible ASCII (the endpoint an http or https
-    URL) raises it before connecting. The credential is sent only as the
-    Authorization header, as given, and never appears in a raised message.
+    Transient failures (connection errors, attempts past TIMEOUT_S, 408, 429
+    and 5xx) are retried with exponential backoff for MAX_ATTEMPTS total
+    attempts; a retryable status whose Retry-After header gives delay-seconds
+    waits that long instead (at most MAX_RETRY_AFTER_S). Any other non-2xx
+    status, a redirect too, raises TransportError after one attempt, and an
+    endpoint or credential that is not visible ASCII (the endpoint an http or
+    https URL) raises it before connecting. The credential is sent only as
+    the Authorization header, as given, and never appears in a raised message.
     """
     import json
     from http.client import HTTPException
@@ -189,11 +189,11 @@ def complete_remote(
         if rate_limiter is not None:
             rate_limiter.acquire()
         try:
-            status, reply_headers, raw = http_post(url, body, headers, timeout_s)
+            status, reply_headers, raw = http_post(url, body, headers, TIMEOUT_S)
         except (OSError, HTTPException) as exc:  # URLError wraps a failure to connect
             reason = exc.reason if isinstance(exc, URLError) else exc
             if isinstance(reason, TimeoutError):
-                last_error = CompletionTimeout(f"request to {url} timed out after {timeout_s} s")
+                last_error = CompletionTimeout(f"request to {url} timed out after {TIMEOUT_S} s")
             else:
                 last_error = TransportError(f"request to {url} failed: {reason}")
             continue
@@ -215,7 +215,7 @@ def complete_remote(
     raise last_error
 
 
-_COLOR_WORDS = re.compile(r"\b(?:red|yellow|green|blue)\b")
+_COLOR_WORDS = re.compile(r"\b(?:%s)\b" % "|".join(COLORS))
 
 
 def instruction_template(text: str) -> str:

@@ -353,8 +353,8 @@ class PromptDemo(NamedTuple):
 
 
 # An input observation; and one with a bin of more than MAX_BIN_DIGITS digits.
-_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(\d{1,%d}(?:, \d{1,%d}){5})\], " % ((MAX_BIN_DIGITS,) * 2))
-_LONG_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[\d+(?:, \d+){5}\], ")
+_INPUT_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[(%s(?:, %s){5})\], " % (_BIN, _BIN))
+_LONG_OBSERVATION = re.compile(r"[^{}\[\]:,]+: \[[0-9]+(?:, [0-9]+){5}\], ")
 _DEMO_PAIR = re.compile(r"(\{[^}]*\}) > (\{[^}]*\}), ")  # `[^}]` scans fast; a pair must hold just two `{`
 
 
@@ -371,6 +371,8 @@ def _read_input(text: str) -> tuple[tuple[int, ...], str]:
     instruction = text[cursor:-1]
     if not bins or not instruction:
         raise ValueError(f"example input needs observations and an instruction: {text[:40]!r}")
+    if "[" in instruction:
+        raise ValueError(f"example input has an observation it cannot read at offset {cursor}")
     return tuple(bins), instruction
 
 

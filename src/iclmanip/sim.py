@@ -180,7 +180,8 @@ class ExpertError(Exception):
 
 
 _CUBES = (("blue cube", Kind.CUBE, CUBE_EDGE_M), ("yellow cube", Kind.CUBE, CUBE_EDGE_M))
-_BUTTONS = tuple((f"{c} button", Kind.BUTTON, BUTTON_RADIUS_M) for c in ("red", "yellow", "green", "blue"))
+COLORS = ("red", "yellow", "green", "blue")  # of the buttons; llm.instruction_template wildcards them
+_BUTTONS = tuple((f"{c} button", Kind.BUTTON, BUTTON_RADIUS_M) for c in COLORS)
 _SLIDE = (("block", Kind.CUBE, CUBE_EDGE_M), ("target", Kind.TARGET, TARGET_HALF_M))
 _CUBE_VARIATIONS = (
     TaskVariation(top="blue cube", bottom="yellow cube"),
@@ -566,9 +567,8 @@ def _free_spot(
     raise ExpertError("no free table spot inside the placement region")
 
 
-def _pick_and_place(
-    pick: SimObject, place_x: float, place_y: float, place_z: float
-) -> list[_Waypoint]:
+def _pick_and_place(pick: SimObject, place_x: float, place_y: float, place_z: float) -> list[_Waypoint]:
+    """Grasp pick, carry it at TRAVEL_HEIGHT_M and release it at the place point; _plan appends the homing tail."""
     px, py, pz = pick.center()
     yaw = pick.pose.yaw
     return [
@@ -577,13 +577,12 @@ def _pick_and_place(
         _Waypoint(px, py, TRAVEL_HEIGHT_M, yaw, GripperState.CLOSED),
         _Waypoint(place_x, place_y, TRAVEL_HEIGHT_M, yaw, GripperState.CLOSED),
         _Waypoint(place_x, place_y, place_z, yaw, GripperState.OPEN),
-        _Waypoint(place_x, place_y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN),
-        _Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN),
     ]
 
 
 def _plan(task: TaskId, world: WorldState, instruction: str) -> list[_Waypoint]:
-    """The expert's waypoints for the world and instruction."""
+    """The expert's waypoints for the world and instruction: a pick and place or a chain of presses, then
+    the homing tail, gripper open: up to TRAVEL_HEIGHT_M over the last waypoint at yaw 0, then HOME_POSE."""
     names = [o.name for o in world.objects]
     place = _SPECS[task].place
     if place is not None:
@@ -591,20 +590,21 @@ def _plan(task: TaskId, world: WorldState, instruction: str) -> list[_Waypoint]:
         if len(ordered) != 2:
             raise ExpertError(f"cannot identify two objects in instruction {instruction!r}")
         moving, other = world.object(ordered[0]), world.object(ordered[1])
-        return _pick_and_place(moving, *place(world, moving, other))
-    sequence = []
-    for segment in instruction.split(CHAIN_SEPARATOR):
-        hit = _names_in_order(segment, names)
-        if len(hit) != 1:
-            raise ExpertError(f"cannot identify a button in segment {segment!r}")
-        sequence.append(world.object(hit[0]))
-    waypoints = [
-        _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
-        for button in sequence
-        for z in (TRAVEL_HEIGHT_M, PRESS_Z_M)
-    ]
-    last = sequence[-1]
-    waypoints.append(_Waypoint(last.pose.x, last.pose.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
+        waypoints = _pick_and_place(moving, *place(world, moving, other))
+    else:
+        sequence = []
+        for segment in instruction.split(CHAIN_SEPARATOR):
+            hit = _names_in_order(segment, names)
+            if len(hit) != 1:
+                raise ExpertError(f"cannot identify a button in segment {segment!r}")
+            sequence.append(world.object(hit[0]))
+        waypoints = [
+            _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
+            for button in sequence
+            for z in (TRAVEL_HEIGHT_M, PRESS_Z_M)
+        ]
+    last = waypoints[-1]
+    waypoints.append(_Waypoint(last.x, last.y, TRAVEL_HEIGHT_M, 0.0, GripperState.OPEN))
     waypoints.append(_Waypoint(HOME_POSE.x, HOME_POSE.y, HOME_POSE.z, 0.0, GripperState.OPEN))
     return waypoints
 

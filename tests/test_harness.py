@@ -429,25 +429,32 @@ def test_closed_loop_prompts_are_strictly_longer():
     assert closed_chars > open_chars
 
 
-def test_ablate_sampling_arm_labels():
+def test_ablate_sampling_arm_labels(monkeypatch):
     reports = ablate_sampling(config(n_demos=2, n_eval=2), intervals=(5, 20))
     assert [r.arm for r in reports] == ["keyframes", "uniform-5", "uniform-20"]
     assert reports[1].config.keyframe_mode is KeyframeMode.UNIFORM
     assert reports[0].config.keyframe_mode is KeyframeMode.KEYFRAMES
+    # With no values the sweep runs the table's defaults.
+    monkeypatch.setattr(harness, "run_eval", lambda cfg, arm: arm)
+    assert ablate_sampling(config()) == ["keyframes", "uniform-5", "uniform-10", "uniform-20", "uniform-40", "uniform-80"]
 
 
-def test_ablate_shots_arm_labels_and_nesting():
+def test_ablate_shots_arm_labels_and_nesting(monkeypatch):
     reports = ablate_shots(config(n_demos=2, n_eval=2), shot_counts=(1, 3))
     assert [r.arm for r in reports] == ["shots-1", "shots-3"]
     small = demo_seeds(reports[0].config)
     large = demo_seeds(reports[1].config)
     assert large[: len(small)] == small
+    monkeypatch.setattr(harness, "run_eval", lambda cfg, arm: arm)
+    assert ablate_shots(config()) == ["shots-1", "shots-2", "shots-5", "shots-10"]
 
 
-def test_ablate_noise_arm_labels():
+def test_ablate_noise_arm_labels(monkeypatch):
     reports = ablate_noise(config(n_demos=2, n_eval=2), scales=(0.5, 1.0, 2.0))
     assert [r.arm for r in reports] == ["noise-0.5", "noise-1", "noise-2"]
     assert reports[2].config.noise == 2.0
+    monkeypatch.setattr(harness, "run_eval", lambda cfg, arm: arm)
+    assert ablate_noise(config()) == ["noise-0.5", "noise-1", "noise-1.5", "noise-2"]
 
 
 @pytest.mark.parametrize(

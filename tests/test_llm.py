@@ -114,9 +114,7 @@ def test_remote_happy_path():
     script = _Script([(200, _ok_body())])
     server, endpoint = _make_server(script)
     try:
-        result = complete_remote(
-            BUNDLE, endpoint, CREDENTIAL, model="test-model", max_tokens=64, timeout_s=5
-        )
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, model="test-model", max_tokens=64)
     finally:
         _stop(server)
     assert result.text == "{[1, 2, 3, 4, 5, 6, 1]}"
@@ -138,9 +136,7 @@ def test_remote_retries_through_transient_failures():
     server, endpoint = _make_server(script)
     sleeps = []
     try:
-        result = complete_remote(
-            BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append
-        )
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     finally:
         _stop(server)
     assert result.text == "ok"
@@ -154,7 +150,7 @@ def test_remote_retries_timeout_and_rate_limit_statuses(status):
     script = _Script([(status, "later"), (200, _ok_body("ok"))])
     server, endpoint = _make_server(script)
     try:
-        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=lambda s: None)
     finally:
         _stop(server)
     assert result.text == "ok"
@@ -180,7 +176,7 @@ def test_remote_sleeps_for_retry_after_seconds(retry_after, slept):
     server, endpoint = _make_server(script)
     sleeps = []
     try:
-        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+        result = complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     finally:
         _stop(server)
     assert result.text == "ok"
@@ -192,7 +188,7 @@ def test_remote_retry_after_applies_to_the_next_attempt_only():
     server, endpoint = _make_server(script)
     sleeps = []
     try:
-        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     finally:
         _stop(server)
     assert sleeps == [2.0, 1.0]
@@ -205,7 +201,7 @@ def test_remote_client_errors_fail_after_one_request(status):
     sleeps = []
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     finally:
         _stop(server)
     assert err.value.status == status
@@ -218,26 +214,21 @@ def test_remote_gives_up_after_max_attempts():
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=lambda s: None)
     finally:
         _stop(server)
     assert err.value.status == 500
     assert len(script.requests) == llm.MAX_ATTEMPTS == 3
 
 
-def test_remote_timeout_raises_completion_timeout():
+def test_remote_timeout_raises_completion_timeout(monkeypatch):
     script = _Script([(200, _ok_body())] * 3)
     script.delay_s = 0.5
     server, endpoint = _make_server(script)
+    monkeypatch.setattr(llm, "TIMEOUT_S", 0.05)
     try:
-        with pytest.raises(CompletionTimeout):
-            complete_remote(
-                BUNDLE,
-                endpoint,
-                CREDENTIAL,
-                timeout_s=0.05,
-                sleep=lambda s: None,
-            )
+        with pytest.raises(CompletionTimeout, match="timed out after 0.05 s"):
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=lambda s: None)
     finally:
         _stop(server)
 
@@ -248,7 +239,7 @@ def test_remote_malformed_response_fails_fast():
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(ProtocolError):
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL)
     finally:
         _stop(server)
     assert len(script.requests) == 1
@@ -259,7 +250,7 @@ def test_remote_null_content_fails_after_one_request():
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(ProtocolError, match="completion content is NoneType, expected str"):
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL)
     finally:
         _stop(server)
     assert len(script.requests) == 1
@@ -351,7 +342,7 @@ def test_remote_errors_never_leak_the_credential():
     server, endpoint = _make_server(script)
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=lambda s: None)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=lambda s: None)
     finally:
         _stop(server)
     assert CREDENTIAL not in str(err.value)
@@ -359,7 +350,7 @@ def test_remote_errors_never_leak_the_credential():
 
     # Connection refused: the server is down now.
     with pytest.raises(TransportError) as err:
-        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=1, sleep=lambda s: None)
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=lambda s: None)
     assert CREDENTIAL not in str(err.value)
 
 
@@ -384,7 +375,7 @@ def test_remote_endpoint_that_is_no_url_fails_after_one_attempt(monkeypatch, end
     # Checked once before the first attempt, so no request is made at all.
     posts, sleeps = _count_posts(monkeypatch), []
     with pytest.raises(TransportError) as err:
-        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=1, sleep=sleeps.append)
+        complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     assert type(err.value) is TransportError and err.value.status is None
     assert posts == []
     assert sleeps == []
@@ -403,7 +394,7 @@ def test_remote_bad_credential_fails_after_one_attempt_without_echoing_it(monkey
     posts, sleeps = _count_posts(monkeypatch), []
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(BUNDLE, endpoint, credential, timeout_s=5, sleep=sleeps.append)
+            complete_remote(BUNDLE, endpoint, credential, sleep=sleeps.append)
     finally:
         _stop(server)
     assert posts == []
@@ -422,7 +413,7 @@ def test_remote_redirect_fails_after_one_request_without_following(status):
     sleeps = []
     try:
         with pytest.raises(TransportError) as err:
-            complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5, sleep=sleeps.append)
+            complete_remote(BUNDLE, endpoint, CREDENTIAL, sleep=sleeps.append)
     finally:
         _stop(server)
         _stop(other)
@@ -444,17 +435,17 @@ def test_remote_redirect_fails_after_one_request_without_following(status):
     ],
 )
 def test_remote_retries_failures_to_get_an_answer(monkeypatch, error, kind):
-    attempts, sleeps = [], []
+    timeouts, sleeps = [], []
 
     def failing_post(url, body, headers, timeout_s):
-        attempts.append(url)
+        timeouts.append(timeout_s)
         raise error
 
     monkeypatch.setattr(llm, "http_post", failing_post)
     with pytest.raises(TransportError) as err:
-        complete_remote(BUNDLE, "http://127.0.0.1:9", CREDENTIAL, timeout_s=1, sleep=sleeps.append)
+        complete_remote(BUNDLE, "http://127.0.0.1:9", CREDENTIAL, sleep=sleeps.append)
     assert type(err.value) is kind and err.value.status is None
-    assert len(attempts) == 3
+    assert timeouts == [llm.TIMEOUT_S] * 3
     assert sleeps == [0.5, 1.0]
 
 
@@ -466,7 +457,7 @@ def test_remote_sends_the_bearer_credential_whatever_netrc_says(monkeypatch, tmp
     script = _Script([(200, _ok_body())])
     server, endpoint = _make_server(script)
     try:
-        complete_remote(BUNDLE, endpoint, CREDENTIAL, timeout_s=5)
+        complete_remote(BUNDLE, endpoint, CREDENTIAL)
     finally:
         _stop(server)
     assert [seen["auth"] for seen in script.requests] == [f"Bearer {CREDENTIAL}"]
@@ -898,7 +889,7 @@ from iclmanip.llm import complete_remote
 from iclmanip.prompts import PromptBundle
 {_HTTP_MODULES}
 sys.modules["requests"] = None  # importing requests now raises ImportError
-result = complete_remote(PromptBundle(system="sys", body="body > "), {endpoint!r}, {CREDENTIAL!r}, timeout_s=5)
+result = complete_remote(PromptBundle(system="sys", body="body > "), {endpoint!r}, {CREDENTIAL!r})
 assert result.text == "ok", result
 del sys.modules["requests"]
 {_HTTP_MODULES}"""

@@ -371,6 +371,10 @@ def test_read_prompts_inverts_assemble_prompt():
         "{red {button: [1, 2, 3, 4, 5, 6], push} > {[1]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # `{` in a demo input
         "{red button: [1, 2, 3, 4, 5, 6], push} > {[1, {2]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # and output
         "{red button: [1234567, 2, 3, 4, 5, 6], push} > ",  # a bin of more than 6 digits
+        "{red button: [\u0661, 2, 3, 4, 5, 6], push} > ",  # a bin in Arabic-Indic digits
+        "{red button: [\uff11, 2, 3, 4, 5, 6], push} > ",  # and in a full-width digit
+        "{blue cube: [1, 2, 3, 4, 5, 6], red button: [1, 2, 3], push} > ",  # an observation of three bins
+        "{blue cube: [1, 2, 3, 4, 5, 6], red button: [1, 2, 3], push} > {[1]}, {red button: [1, 2, 3, 4, 5, 6], push} > ",  # in a demo input
         "{red button: [1, 2, 3, 4, 5, 6], push}",  # no trailing "> "
     ],
 )
