@@ -91,6 +91,8 @@ EVAL_SEED_OFFSET = 100_000
 CSV_HEADER = ("task", "provider", "arm", "seed", "success", "parse_error", "n_actions", "latency_ms")
 
 SYSTEM_PROMPT_INDICES = tuple(range(len(default_system_prompts())))
+_FLOORS = {"n_demos": 1, "n_eval": 1, "uniform_interval": 1, "max_tokens": 1,
+           "requests_per_second": MIN_RATE_PER_SECOND, "noise": 0, "seed": 0}
 
 
 class KeyframeMode(Enum):
@@ -135,9 +137,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("n_demos", "n_eval", "uniform_interval", "max_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, floor in _FLOORS.items():
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor:g}, got {value}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.system_prompt_index not in SYSTEM_PROMPT_INDICES:
@@ -145,12 +148,6 @@ class RunConfig:
             raise ValueError(
                 f"system_prompt_index must be {', '.join(map(str, rest))}, or {last}, got {self.system_prompt_index}"
             )
-        if self.requests_per_second < MIN_RATE_PER_SECOND:
-            raise ValueError(f"requests_per_second must be >= {MIN_RATE_PER_SECOND:g}, got {self.requests_per_second}")
-        if self.noise is not None and self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_seeds is not None:
             seeds = tuple(_integer(f"eval_seeds[{i}]", s) for i, s in enumerate(self.eval_seeds))
             object.__setattr__(self, "eval_seeds", seeds)

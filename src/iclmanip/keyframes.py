@@ -57,7 +57,7 @@ def extract_keyframes(episode: Episode, delta: float) -> KeyframeIndices:
     run_ends = mask.copy()
     run_ends[:-1] &= ~mask[1:]
     run_ends[-1] = True
-    return KeyframeIndices(tuple(np.flatnonzero(run_ends).tolist()))
+    return KeyframeIndices(np.flatnonzero(run_ends).tolist())
 
 
 def sample_uniform(episode_length: int, interval: int) -> KeyframeIndices:
@@ -69,4 +69,4 @@ def sample_uniform(episode_length: int, interval: int) -> KeyframeIndices:
     picks = list(range(0, episode_length, interval))
     if picks[-1] != episode_length - 1:
         picks.append(episode_length - 1)
-    return KeyframeIndices(tuple(picks))
+    return KeyframeIndices(picks)

@@ -100,12 +100,7 @@ class Pose6:
                 raise ValueError(f"Pose6.{name} must be a number, got {v!r}")
             if not math.isfinite(v):
                 raise ValueError(f"Pose6.{name} must be finite, got {v!r}")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "roll", wrap_angle(float(self.roll)))
-        object.__setattr__(self, "pitch", wrap_angle(float(self.pitch)))
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
+            object.__setattr__(self, name, float(v) if name in ("x", "y", "z") else wrap_angle(float(v)))
 
     def translation(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -252,7 +252,7 @@ _ROW_BINS = tuple(bins for _, bins in ROW_COLUMNS)
 def _int_list(content: str) -> list[int] | None:
     """Parse a comma-separated integer list, or None if it is not one."""
     tokens = [t.strip() for t in content.split(",")]
-    if not tokens or any(not t for t in tokens):
+    if any(not t for t in tokens):
         return None
     values = []
     for t in tokens:

@@ -35,6 +35,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -316,16 +317,10 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
         if spec.stacked:
             x, y, yaw_bottom, yaw_top = (low + span * rng.random(4)).tolist()
             placements = [(x, y, yaw_bottom), (x, y, yaw_top)]
-            separated = True
         else:
             placements = (low[:3] + span[:3] * rng.random((len(spec.roster), 3))).tolist()
-            separated = all(
-                math.hypot(a[0] - b[0], a[1] - b[1]) >= MIN_SEPARATION_M
-                for i, a in enumerate(placements)
-                for b in placements[i + 1 :]
-            )
-        if not separated:
-            continue
+            if any(math.hypot(a[0] - b[0], a[1] - b[1]) < MIN_SEPARATION_M for a, b in combinations(placements, 2)):
+                continue
 
         if not spec.variations:
             count = int(rng.integers(1, 7))
@@ -522,7 +517,7 @@ def _expand_waypoints(
         for wp in waypoints:
             x, y, z, yaw = here
             dist = math.sqrt((wp.x - x) ** 2 + (wp.y - y) ** 2 + (wp.z - z) ** 2)
-            steps = max(1, math.ceil(dist / STEP_SIZE_M)) if dist > 0 else 0
+            steps = math.ceil(dist / STEP_SIZE_M)
             if steps:
                 turn = ((wp.yaw - yaw + math.pi) % TWO_PI) - math.pi
                 segments.append((here, (wp.x - x, wp.y - y, wp.z - z, turn), steps, bit))
@@ -548,12 +543,9 @@ def _expand_waypoints(
     return poses, np.repeat(np.array(bits, dtype=np.int8), counts), np.array(lengths)
 
 
-def _names_in_order(instruction: str, names: Sequence[str]) -> list[str]:
-    found = sorted(
-        ((instruction.find(n), n) for n in names if instruction.find(n) >= 0),
-        key=lambda p: p[0],
-    )
-    return [n for _, n in found]
+def _named(text: str, world: WorldState) -> list[SimObject]:
+    """The world's objects whose names text holds, in order of first mention; ties keep roster order."""
+    return sorted((o for o in world.objects if o.name in text), key=lambda o: text.find(o.name))
 
 
 def _free_spot(
@@ -583,21 +575,20 @@ def _pick_and_place(pick: SimObject, place_x: float, place_y: float, place_z: fl
 def _plan(task: TaskId, world: WorldState, instruction: str) -> list[_Waypoint]:
     """The expert's waypoints for the world and instruction: a pick and place or a chain of presses, then
     the homing tail, gripper open: up to TRAVEL_HEIGHT_M over the last waypoint at yaw 0, then HOME_POSE."""
-    names = [o.name for o in world.objects]
     place = _SPECS[task].place
     if place is not None:
-        ordered = _names_in_order(instruction, names)
+        ordered = _named(instruction, world)
         if len(ordered) != 2:
             raise ExpertError(f"cannot identify two objects in instruction {instruction!r}")
-        moving, other = world.object(ordered[0]), world.object(ordered[1])
+        moving, other = ordered
         waypoints = _pick_and_place(moving, *place(world, moving, other))
     else:
         sequence = []
         for segment in instruction.split(CHAIN_SEPARATOR):
-            hit = _names_in_order(segment, names)
+            hit = _named(segment, world)
             if len(hit) != 1:
                 raise ExpertError(f"cannot identify a button in segment {segment!r}")
-            sequence.append(world.object(hit[0]))
+            sequence.append(hit[0])
         waypoints = [
             _Waypoint(button.pose.x, button.pose.y, z, 0.0, GripperState.OPEN)
             for button in sequence

@@ -45,7 +45,7 @@ from iclmanip.discretize import center_table, pose_bin_rows
 from iclmanip.keyframes import extract_keyframes, sample_uniform
 from iclmanip.llm import CompletionResult, Provider, TransportError
 from iclmanip.model import WorkspaceBounds
-from iclmanip.sim import TaskId, WorldState, reset, scripted_expert, task_spec
+from iclmanip.sim import TaskId, TaskVariation, WorldState, reset, scripted_expert, task_spec
 
 from conftest import ASYMMETRIC, BOUNDS
 
@@ -134,6 +134,23 @@ def test_non_finite_values_are_rejected_by_name(field, value):
         RunConfig(task=TaskId.PUSH_BUTTON, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         RunConfig.from_mapping({"task": "push_button", field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_demos", 0, "n_demos must be >= 1, got 0"),
+        ("n_eval", 0, "n_eval must be >= 1, got 0"),
+        ("uniform_interval", 0, "uniform_interval must be >= 1, got 0"),
+        ("max_tokens", 0, "max_tokens must be >= 1, got 0"),
+        ("requests_per_second", 9e-10, "requests_per_second must be >= 1e-09, got 9e-10"),
+        ("noise", -1e-09, "noise must be >= 0, got -1e-09"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_each_floor_is_rejected_by_name(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(task=TaskId.PUSH_BUTTON, **{field: value})
 
 
 def test_negative_seeds_are_rejected_by_name():
@@ -254,6 +271,15 @@ def test_demo_seeds_smaller_pool_is_prefix_of_larger():
 
 def test_demo_seeds_depend_on_start_seed():
     assert demo_seeds(config(seed=0)) != demo_seeds(config(seed=50))
+
+
+def test_demo_seeds_give_up_after_the_reset_budget(monkeypatch):
+    seeds = []  # every seed scanned; no reset draws a slot's variation
+    monkeypatch.setattr(harness, "reset", lambda task, seed, bounds: seeds.append(seed) or (None, "", TaskVariation()))
+    cfg = config(task=TaskId.STACK_CUBE, n_demos=2, seed=5)
+    with pytest.raises(RuntimeError, match="^could not fill demo variation slots within budget for stack_cube$"):
+        demo_seeds(cfg)
+    assert seeds == list(range(5, 5 + 2 * 200))
 
 
 def test_eval_seeds_disjoint_from_demo_seeds():

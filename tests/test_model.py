@@ -147,6 +147,8 @@ def test_episode_validation():
         Episode(ep.instruction, ep.objects, ep.poses, ep.gripper_bits, ep.joint_velocities[:-1])
     with pytest.raises(ValueError):
         Episode(ep.instruction, ep.objects, *(array[:1] for array in arrays))
+    with pytest.raises(ValueError, match=r"^Episode must have T >= 2 timesteps, got T=0$"):
+        Episode(ep.instruction, ep.objects, [], [], [])
     with pytest.raises(ValueError, match=r"Episode.poses must have shape \(T, 6\), got \(3, 5\)"):
         Episode(ep.instruction, ep.objects, ep.poses[:, :5], ep.gripper_bits, ep.joint_velocities)
     with pytest.raises(ValueError, match=r"Episode.poses must be a \(T, 6\) array of numbers"):
@@ -225,6 +227,7 @@ def test_episode_per_frame_views():
     assert hash(make_episode([0.0, 0.5, 0.25], grips)) == hash(ep)
     assert ep != make_episode([0.0, 0.5, 0.25])
     assert ep != make_episode([0.0, 0.5, 0.3], grips)
+    assert (ep == "x") is False and ep != object()
 
 
 def test_workspace_bounds():

@@ -484,6 +484,15 @@ def test_held_cube_keeps_its_own_yaw():
     assert (blue.pose.z, blue.supported_by) == (0.0, None)
 
 
+def test_execute_refuses_a_cube_floating_over_its_supporter():
+    # destack_cube's start, built by hand, with the top cube raised 1 cm off its supporter.
+    yellow = SimObject("yellow cube", Kind.CUBE, Pose6(0.0, 0.0, 0, 0, 0, 0), CUBE_EDGE_M)
+    blue = SimObject("blue cube", Kind.CUBE, Pose6(0.0, 0.0, CUBE_EDGE_M + 0.01, 0, 0, 0), CUBE_EDGE_M, "yellow cube")
+    world = WorldState([blue, yellow], HOME_POSE, OPEN, BOUNDS)
+    with pytest.raises(RuntimeError, match="^invariant violation: 'blue cube' not resting on 'yellow cube' top$"):
+        execute_action(world, act(0.2, 0.2, 0.2))
+
+
 def test_a_cube_another_rests_on_cannot_be_grasped():
     # destack_cube's stacked start: closing on the bottom cube grasps nothing.
     world, _, var = reset(TaskId.DESTACK_CUBE, 0, BOUNDS)
