@@ -60,7 +60,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = _load_config_file(args.config) if args.config else {}
+    values = _load_config_file(args.config) if args.config is not None else {}
     for field in dataclasses.fields(RunConfig):
         flag = getattr(args, field.name, None)
         if flag is not None:
@@ -123,7 +123,7 @@ def _cmd_generate_demos(args: argparse.Namespace) -> int:
 def _cmd_build_prompt(args: argparse.Namespace) -> int:
     *_, bundle = next(eval_prompts(_build_run_config(args)))
     payload = json.dumps({"system": bundle.system, "body": bundle.body}, indent=2)
-    if args.out:
+    if args.out is not None:
         with _write_file(args.out, encoding="utf-8") as handle:
             handle.write(payload + "\n")
         print(f"wrote prompt bundle to {args.out}")
@@ -134,8 +134,8 @@ def _cmd_build_prompt(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     report = run_eval(_build_run_config(args))
-    if args.csv:
-        emit_csv([report], args.csv)
+    if args.out is not None:
+        emit_csv([report], args.out)
     print(_summary_line(report))
     return 0
 
@@ -149,8 +149,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     # Every arm of every sweep is built, and its label checked, before the first runs.
     arms = [arm for name in names for arm in sweep_arms(config, name, getattr(args, f"{name}_values", None))]
     reports = [run_eval(cfg, arm=label) for cfg, label in arms]
-    if args.csv:
-        emit_csv(reports, args.csv)
+    if args.out is not None:
+        emit_csv(reports, args.out)
     for report in reports:
         print(_summary_line(report))
     return 0
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run the closed pipeline and score it")
     _add_config_flags(p)
-    p.add_argument("--csv", help="write per-episode rows to this CSV file")
+    p.add_argument("--csv", dest="out", metavar="CSV", help="write per-episode rows to this CSV file")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run ablation sweeps")
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     for name, (flag, kind, text) in _SWEEP_VALUE_FLAGS.items():
         p.add_argument(flag, dest=f"{name}_values", metavar=flag[2:].upper(), type=kind, nargs="+", help=text)
-    p.add_argument("--csv", help="write per-episode rows to this CSV file")
+    p.add_argument("--csv", dest="out", metavar="CSV", help="write per-episode rows to this CSV file")
     p.set_defaults(func=_cmd_ablate)
     return parser
 
@@ -191,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = getattr(args, "csv", None) or getattr(args, "out", None)  # a command has one of the two
-        if out:
-            _check_writable(out)
+        if args.out is not None:  # every command's output path, from --out or --csv
+            _check_writable(args.out)
         return args.func(args)
     except (ValueError, PlacementError, ExpertError, ExecutionError, TransportError, ProtocolError,
             OSError) as exc:

@@ -14,14 +14,12 @@ builds every prompt, then hands them all to the provider's batch callable
 replies (_score), so a remote run sends nothing before every prompt exists;
 `iclmanip build-prompt` prints the first bundle.
 
-Worlds are planned once per base config: one process-wide store holds its base
-(task, seed, bounds), keeps each pristine reset and expert episode and memoizes
-the pure stages that arms repeat (demo seed scans, demo keyframes, noise draws,
-demo examples, test slot text, reply Actions and scores), each keyed on exactly
-the inputs it reads beyond the base; what a call lacks is made in one batch. Calls on one base, such as every arm of
-every sweep of a config, share the store; a call on another base replaces it.
-Providers are never memoized, but a reply text is parsed once per base, and a
-reply already scored on that eval world is not replayed again, nor its world copied.
+Worlds are planned once per base config (task, seed, bounds): the plan store
+(_Plans, which states its contract) keeps each pristine reset and expert
+episode and memoizes the pure stages that arms repeat (demo seed scans, demo
+keyframes, noise draws, demo examples, test slot text, reply Actions and
+scores). Providers are never memoized, but a reply text is parsed once per base,
+and a reply already scored on that eval world is not replayed again, nor its world copied.
 
 The eval loop keeps a reply as Actions: prompts.parse_bins reads its text
 into 7-int tuples, and each row makes one Action through discretize.row_pose and
@@ -244,14 +242,15 @@ def demo_task(task: TaskId) -> TaskId:
 
 
 class _Plans:
-    """Pristine resets and expert episodes, and memoized pure stages, for
-    one base config (task, seed, bounds); no key repeats the base. Nothing
-    handed out may be mutated: callers clone a world before executing
-    actions in it. The store outlives the call that filled it and serves
-    later calls on the same base (see _plans)."""
+    """The plan store of one base config (task, seed, bounds), _store's one entry: calls on
+    that base, such as every arm of every sweep of a config, share it until a call on
+    another base replaces it. Each stage it memoizes is keyed on exactly the inputs it
+    reads beyond the base, and what a call lacks is made in one batch. Each public
+    function takes its store once, from _plans, and hands it down. Nothing handed out
+    may be mutated: callers clone a world before executing actions in it."""
 
-    def __init__(self, task: TaskId | None = None, seed: int | None = None, bounds: WorkspaceBounds | None = None):
-        self.task, self.seed, self.bounds = task, seed, bounds
+    def __init__(self, bounds: WorkspaceBounds):
+        self.bounds = bounds
         self._memo: dict[tuple, Any] = {}
 
     def memo(self, key: tuple, make: Callable[[], Any]) -> Any:
@@ -282,18 +281,15 @@ class _Plans:
         )
 
 
-_STORE = _Plans()
+@functools.lru_cache(maxsize=1)
+def _store(task: TaskId, seed: int, bounds: WorkspaceBounds) -> _Plans:
+    """The plan store of a base (see _Plans)."""
+    return _Plans(bounds)
 
 
 def _plans(config: RunConfig) -> _Plans:
-    """The store for config's base (task, seed, bounds). A new base
-    replaces the old store in one rebinding; each public function takes
-    its store once, here, and hands it down."""
-    global _STORE
-    store = _STORE
-    if (store.task, store.seed, store.bounds) != (config.task, config.seed, config.bounds):
-        store = _STORE = _Plans(config.task, config.seed, config.bounds)
-    return store
+    """The plan store of config's base (see _Plans)."""
+    return _store(config.task, config.seed, config.bounds)
 
 
 def demo_seeds(config: RunConfig) -> tuple[int, ...]:
@@ -412,11 +408,10 @@ def build_demo_pool(config: RunConfig) -> list[IclExample]:
     plans = _plans(config)
     seeds, fields = demo_seeds(config), _DEMO_FIELDS(config)
     episodes = dict(zip(seeds, plans.experts(demo_task(config.task), seeds)))
-    examples = plans.memo_all(
+    return plans.memo_all(
         [("demo", seed, i, fields) for i, seed in enumerate(seeds)],
         lambda missing: _demo_examples(config, plans, [(i, seed, episodes[seed]) for _, seed, i, _ in missing]),
     )
-    return examples
 
 
 @functools.lru_cache(maxsize=None)

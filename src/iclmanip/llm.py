@@ -279,8 +279,7 @@ def _complete_mocks(bundles: Sequence[PromptBundle], provider: Provider) -> list
         texts.append("{" + ", ".join(answers) + "}" if chained else answers[0])
     if unread is not None:
         raise unread
-    made = {text: CompletionResult(text=text, latency_ms=0) for text in set(texts)}
-    return [made[text] for text in texts]  # one frozen result per distinct text
+    return [CompletionResult(text=text, latency_ms=0) for text in texts]
 
 
 complete_mock_nearest_batch = functools.partial(_complete_mocks, provider=Provider.MOCK_NEAREST)

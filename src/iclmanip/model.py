@@ -287,6 +287,8 @@ def _write_plan(path: str | Path) -> tuple[os.stat_result | None, str | Path | i
     """path's stat (None if it has none), what _write_file opens or renames onto, and the fresh
     name it writes first: none for this process's stdout, which is fd 1, nor for another path
     that exists, but not as a regular file with one link, which is opened in place."""
+    if path == "":  # it would resolve to the working directory
+        raise ValueError("the output path is empty")
     info = None
     with contextlib.suppress(OSError):  # path has no stat, or fd 1 is closed
         info = os.stat(path)
@@ -316,8 +318,8 @@ def _check_writable(path: str | Path) -> None:
 def _write_file(path: str | Path, **open_args) -> Iterator[IO[str]]:
     """Open path to write text (see _write_plan). A file with a fresh name, once whole, takes
     the old file's mode bits, the old file is unlinked and the new one renamed onto it:
-    rewriting a file in place, or renaming over it, can stall on the disk. If writing
-    raises, the fresh file is removed and the old one stays."""
+    rewriting a file in place, or renaming over it, can stall on the disk. If writing or
+    unlinking raises, the fresh file is removed and the old one stays."""
     info, target, temp = _write_plan(path)
     if temp is None:
         if target == 1:
@@ -331,10 +333,10 @@ def _write_file(path: str | Path, **open_args) -> Iterator[IO[str]]:
             yield handle
         if info is not None:
             os.chmod(temp, stat.S_IMODE(info.st_mode))
+        target.unlink(missing_ok=True)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    target.unlink(missing_ok=True)
     temp.rename(target)
 
 

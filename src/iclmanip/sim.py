@@ -534,12 +534,11 @@ def _expand_waypoints(
     counts = np.array(counts)
     base = np.repeat(np.array(bases), counts, axis=0)
     span = np.repeat(np.array([d or (0.0,) * 4 for d in spans]), counts, axis=0)
-    is_leg = np.repeat([d is not None for d in spans], counts)
     # frac = s/steps for the s-th frame (from 1) of each leg
     s = np.arange(len(base)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
     frac = s / np.repeat(counts, counts)
     poses = np.zeros((len(base), 6))
-    poses[:, [0, 1, 2, 5]] = np.where(is_leg[:, np.newaxis], base + span * frac[:, np.newaxis], base)
+    poses[:, [0, 1, 2, 5]] = base + span * frac[:, np.newaxis]  # a hold's span is zero
     return poses, np.repeat(np.array(bits, dtype=np.int8), counts), np.array(lengths)
 
 

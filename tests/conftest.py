@@ -40,7 +40,7 @@ def fresh_plan_store(monkeypatch):
     """Each test starts on an empty process-wide plan store and no rate
     limiter, so no test is served worlds planned, or patched, by an earlier
     one, nor waits on an earlier one's requests."""
-    monkeypatch.setattr(harness, "_STORE", harness._Plans())
+    harness._store.cache_clear()
     harness._bucket.cache_clear()
 
 

@@ -86,7 +86,7 @@ def _one_at_a_time(monkeypatch):
 def _outcome(configs):
     """The bodies of the configs' prompts, built in turn on one cold store, or
     the error that building them raises."""
-    harness._STORE = harness._Plans()
+    harness._store.cache_clear()
     try:
         return [bundle.body for cfg in configs for _, bundle in eval_prompts(cfg)]
     except ValueError as exc:

@@ -370,6 +370,28 @@ def test_unwritable_output_path_exits_naming_it(tmp_path, command, out_flag):
 
 
 @pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("eval --csv", "the output path is empty"),
+        ("ablate loop --csv", "the output path is empty"),
+        ("build-prompt --out", "the output path is empty"),
+        ("generate-demos --out", "the output path is empty"),
+        ("eval --config", "cannot read config file : "),
+    ],
+)
+def test_empty_path_exits_before_anything_is_planned(tmp_path, monkeypatch, flag, message):
+    # An empty path is refused as any other bad path is, not taken for no path.
+    monkeypatch.setattr(harness, "scripted_experts", lambda *args: pytest.fail("an expert was planned"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as err:
+        main([*flag.split(), "", "--task", "push_button", "--n-demos", "2", "--n-eval", "2"])
+    assert err.value.code.startswith(message) and "\n" not in err.value.code
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
+
+
+@pytest.mark.parametrize(
     "file_values, flags, field",
     [
         ({}, ["--delta", "nan"], "delta"),
@@ -786,7 +808,7 @@ def test_sweeps_on_one_plan_store_write_the_rows_of_each_sweep_run_cold(tmp_path
         monkeypatch.setattr(harness, name, complete)
     cold = []
     for sweep in harness.SWEEPS:
-        monkeypatch.setattr(harness, "_STORE", harness._Plans())
+        harness._store.cache_clear()
         out = tmp_path / f"cold-{sweep}.csv"
         assert main(["ablate", sweep, *common, *values.get(sweep, "").split(), "--csv", str(out)]) == 0
         cold += out.read_text().splitlines()[1:]

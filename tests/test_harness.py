@@ -530,7 +530,7 @@ def test_emit_csv_format_and_determinism(tmp_path):
 
     # Re-running the same arms reproduces the file byte for byte, computed
     # cold rather than served by the plan store.
-    harness._STORE = harness._Plans()
+    harness._store.cache_clear()
     emit_csv(ablate_prompts(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -599,7 +599,7 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     )
     monkeypatch.setattr(WorldState, "clone", lambda world: cloned.append(world) or real_clone(world))
     reports = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
-    store = harness._STORE
+    store = harness._plans(cfg)
     monkeypatch.undo()
 
     seeds = [record.seed for report in reports for record in report.records]
@@ -614,7 +614,7 @@ def test_sweeps_scan_seeds_and_parse_replies_once(monkeypatch, task, provider):
     assert sum(id(world) in eval_worlds for world in cloned) == len(scored), "an eval world is copied only to score"
 
     with monkeypatch.context() as cold:
-        cold.setattr(harness, "_STORE", harness._Plans())
+        harness._store.cache_clear()
         cold.setattr(harness._Plans, "memo", lambda self, key, make: make())
         expected = [r for name in SWEEPS for r in getattr(harness, f"ablate_{name}")(cfg)]
     assert [r.records for r in reports] == [r.records for r in expected]
@@ -626,7 +626,7 @@ def test_sweeps_leave_every_pristine_world_as_reset_drew_it(task):
     cfg = config(task, n_demos=3, n_eval=4)
     for name in SWEEPS:
         getattr(harness, f"ablate_{name}")(cfg)
-    worlds = {key[1:]: out[0] for key, out in harness._STORE._memo.items() if key[0] == "reset"}
+    worlds = {key[1:]: out[0] for key, out in harness._plans(cfg)._memo.items() if key[0] == "reset"}
     assert {seed for _, seed in worlds} >= set(eval_seeds(cfg))
     mutated = [
         key for key, world in worlds.items() if pickle.dumps(world) != pickle.dumps(reset(*key, cfg.bounds)[0])
@@ -681,7 +681,7 @@ def test_an_overlapping_demo_scan_stops_at_the_first_accepted_eval_seed(monkeypa
     full = demo_seeds(dataclasses.replace(cfg, eval_seeds=tuple(range(n_eval))))
     first = next(seed for seed in full if 30 <= seed < 30 + n_eval)
     assert first < full[-1]
-    monkeypatch.setattr(harness, "_STORE", harness._Plans())  # a cold scan
+    harness._store.cache_clear()  # a cold scan
     resets = []
     real_reset = harness.reset
     monkeypatch.setattr(harness, "reset", lambda *args: resets.append(args[1]) or real_reset(*args))
@@ -772,9 +772,9 @@ def test_demo_frames_on_a_warm_store_follow_the_rule_setting(first, second):
     base = config(TaskId.STACK_CUBE, seed=3, n_demos=3, n_eval=2)
     a, b = dataclasses.replace(base, **first), dataclasses.replace(base, **second)
     assert min(_frame_counts(b)) >= 2 and _frame_counts(a) != _frame_counts(b)
-    harness._STORE = harness._Plans()
+    harness._store.cache_clear()
     cold = run_eval(b).records, next(eval_prompts(b))
-    harness._STORE = harness._Plans()
+    harness._store.cache_clear()
     run_eval(a)
     assert (run_eval(b).records, next(eval_prompts(b))) == cold
 
@@ -805,17 +805,17 @@ def test_sweep_csv_matches_golden_hash(tmp_path, task, name):
 def test_a_new_base_config_replaces_the_plan_store():
     cfg = config(n_demos=2, n_eval=2)
     run_eval(cfg)
-    store = weakref.ref(harness._STORE)
+    store = weakref.ref(harness._plans(cfg))
     ablate_prompts(cfg)
     run_eval(dataclasses.replace(cfg, n_demos=3, noise=1.0, loop_mode=LoopMode.CLOSED))
-    assert harness._STORE is store(), "a call on the same (task, seed, bounds) keeps the store"
+    assert harness._plans(cfg) is store(), "a call on the same (task, seed, bounds) keeps the store"
     wider = WorkspaceBounds(-0.6, 0.6, -0.6, 0.6, 0.0, 0.6)
     for change in ({"seed": 1}, {"task": TaskId.STACK_CUBE}, {"bounds": wider}):
         cfg = dataclasses.replace(cfg, **change)
         run_eval(cfg)
         gc.collect()
         assert store() is None, f"{change} left the previous store alive"
-        store = weakref.ref(harness._STORE)
+        store = weakref.ref(harness._plans(cfg))
 
 
 def test_calls_on_two_bases_in_threads_match_serial_runs():
@@ -900,6 +900,6 @@ def test_warm_plan_store_matches_a_cold_build(monkeypatch, change):
         expected = _prompts_and_records(varied)
     assert (expected == expected_base) == (change in _PROVIDER_ONLY)
 
-    harness._STORE = harness._Plans()
+    harness._store.cache_clear()
     assert _prompts_and_records(base) == expected_base
     assert _prompts_and_records(varied) == expected

@@ -340,6 +340,35 @@ def test_write_that_raises_leaves_the_old_bytes_and_no_temp_file(writers, name, 
 
 
 @pytest.mark.parametrize("name", WRITERS)
+def test_failed_unlink_of_the_old_file_leaves_its_bytes_and_no_temp_file(writers, name, tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old,rows\n1,2\n")
+    unlink = Path.unlink
+
+    def refuse_the_old_file(self, missing_ok=False):
+        if self == path.resolve():
+            raise PermissionError(13, "Permission denied", str(self))
+        unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refuse_the_old_file)
+    with pytest.raises((OSError, SystemExit), match="Permission denied"):
+        writers[name](path)
+    assert path.read_bytes() == b"old,rows\n1,2\n"
+    assert _names(tmp_path) == {"out.csv"}
+
+
+@pytest.mark.parametrize("name", [*WRITERS, "eval --csv"])
+def test_empty_path_is_refused_and_writes_nothing(writers, name, tmp_path, monkeypatch):
+    # "" would name the working directory, and its fresh name would sit in the parent.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises((ValueError, SystemExit), match="^the output path is empty$"):
+        writers[name]("")
+    assert _names(tmp_path) == {"work"} and _names(work) == set()
+
+
+@pytest.mark.parametrize("name", WRITERS)
 def test_symlinked_target_stays_a_symlink(writers, name, tmp_path):
     expected = _written(writers, name, tmp_path)
     (tmp_path / "data").mkdir()
