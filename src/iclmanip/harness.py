@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .discretize import row_pose
-from .keyframes import KeyframeIndices, extract_keyframes, sample_uniform
+from .keyframes import extract_keyframes_batch, sample_uniform
 from .llm import (
     MIN_RATE_PER_SECOND,
     CompletionResult,
@@ -365,12 +365,6 @@ _DEMO_NOISE_TAG = 1
 _TEST_NOISE_TAG = 2
 
 
-def _keyframes_for(config: RunConfig, seed: int, episode: Episode, plans: _Plans) -> KeyframeIndices:
-    if config.keyframe_mode is KeyframeMode.KEYFRAMES:
-        return plans.memo(("keyframes", seed, config.delta), lambda: extract_keyframes(episode, config.delta))
-    return sample_uniform(episode.length, config.uniform_interval)
-
-
 # The RunConfig fields beyond the base that _demo_examples reads; with seed and position, a demo's memo key.
 _DEMO_FIELDS = operator.attrgetter("keyframe_mode", "delta", "uniform_interval", "loop_mode", "noise")
 
@@ -378,7 +372,14 @@ _DEMO_FIELDS = operator.attrgetter("keyframe_mode", "delta", "uniform_interval",
 def _demo_examples(config: RunConfig, plans: _Plans, demos: list[tuple[int, int, Episode]]) -> list[IclExample]:
     """The example on each (pool position, seed, episode), built in one call after one replay of a closed pool's
     experts; a demo's keyframe check raises after the earlier demos' noise, as one by one."""
-    frames = [_keyframes_for(config, seed, episode, plans) for _, seed, episode in demos]
+    if config.keyframe_mode is KeyframeMode.KEYFRAMES:  # missing keyframes come from one batch call
+        episodes = {seed: episode for _, seed, episode in demos}
+        frames = plans.memo_all(
+            [("keyframes", seed, config.delta) for _, seed, _ in demos],
+            lambda missing: extract_keyframes_batch([episodes[seed] for _, seed, _ in missing], config.delta),
+        )
+    else:
+        frames = [sample_uniform(episode.length, config.uniform_interval) for _, _, episode in demos]
     short = next((i for i, f in enumerate(frames) if len(f) < 2), len(demos))
     kept = list(zip(demos[:short], frames))
     draws = functools.partial(_draws, config, plans)
@@ -601,21 +602,12 @@ def ablate_loop(config: RunConfig) -> list[EvalReport]:
 def emit_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Write per-episode rows sorted by (arm, seed); stable across reruns. An
     existing CSV is replaced only once the new one is whole (model._write_file)."""
-    rows = []
-    for report in reports:
-        for record in report.records:
-            rows.append(
-                (
-                    report.config.task.value,
-                    report.config.provider.value,
-                    report.arm,
-                    record.seed,
-                    int(record.success),
-                    int(record.parse_error),
-                    record.n_actions,
-                    record.latency_ms,
-                )
-            )
+    rows = [
+        (task, provider, report.arm, r.seed, int(r.success), int(r.parse_error), r.n_actions, r.latency_ms)
+        for report in reports
+        for task, provider in [(report.config.task.value, report.config.provider.value)]  # once per report
+        for r in report.records
+    ]
     rows.sort(key=lambda r: (r[2], r[3]))
     with _write_file(path, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

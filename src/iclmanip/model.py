@@ -3,7 +3,7 @@
 Poses and actions are small frozen per-frame values. An Episode holds
 its dense trajectory as read-only numpy arrays instead (T x 6 poses,
 T gripper bits, T x 7 joint velocities) and builds Actions only when
-asked for them.
+asked for them; Episode.pool checks a pool's arrays once, as one block.
 
 save_episodes writes episodes as line-delimited JSON, one episode per
 line, with full float round-trip precision, for other tools to read.
@@ -167,6 +167,38 @@ def _checked_array(value, name: str, columns: int | None) -> np.ndarray:
     return array
 
 
+def _checked_fields(heads, poses, gripper_bits, joint_velocities, lengths=None) -> tuple[list, tuple[np.ndarray, ...]]:
+    """Each (instruction, objects) head's objects as a tuple, and the arrays of its Episode, `lengths[i]` rows
+    each (one episode if None) end to end in one block, checked once; then angles wrapped, bits as int8, read-only."""
+    scenes = [tuple(objects) for _, objects in heads]
+    for (instruction, _), objects in zip(heads, scenes):
+        if not isinstance(instruction, str) or not instruction:
+            raise ValueError("Episode.instruction must be a non-empty string")
+        if not objects:
+            raise ValueError("Episode.objects must be non-empty")
+        names = [o.name for o in objects]
+        if len(set(names)) != len(names):
+            raise ValueError(f"Episode.objects names must be unique, got {names}")
+    poses = _checked_array(poses, "poses", 6)
+    bits = _checked_array(gripper_bits, "gripper_bits", None)
+    velocities = _checked_array(joint_velocities, "joint_velocities", 7)
+    if len(velocities) != len(poses) or len(bits) != len(poses):
+        raise ValueError(
+            f"Episode length mismatch: {len(velocities)} velocities vs {len(poses)} poses "
+            f"vs {len(bits)} gripper bits"
+        )
+    if (shortest := len(poses) if lengths is None else min(lengths)) < 2:
+        raise ValueError(f"Episode must have T >= 2 timesteps, got T={shortest}")
+    bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
+    if bad.size:
+        raise ValueError(f"Episode.gripper_bits[{bad[0]}] must be 0 or 1, got {float(bits[bad[0]])!r}")
+    poses[:, 3:] = wrap_angles(poses[:, 3:])
+    block = (poses, bits.astype(np.int8), velocities)
+    for array in block:
+        array.flags.writeable = False
+    return scenes, block
+
+
 @dataclass(frozen=True, eq=False)
 class Episode:
     """One recorded demonstration, held as read-only arrays.
@@ -179,9 +211,9 @@ class Episode:
     - `gripper_bits`: T gripper commands, 1 open and 0 closed;
     - `joint_velocities`: T x 7 joint velocities, rad/s.
 
-    The arrays are validated once here. Per-frame objects exist only at
-    the API edge: `action(t)` builds one Action, and the cached `actions`
-    view builds all of them.
+    The arrays are validated once here, or once per pool by `pool`.
+    Per-frame objects exist only at the API edge: `action(t)` builds one
+    Action, and the cached `actions` view builds all of them.
     """
 
     instruction: str
@@ -191,32 +223,30 @@ class Episode:
     joint_velocities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        if not isinstance(self.instruction, str) or not self.instruction:
-            raise ValueError("Episode.instruction must be a non-empty string")
-        if not self.objects:
-            raise ValueError("Episode.objects must be non-empty")
-        names = [o.name for o in self.objects]
-        if len(set(names)) != len(names):
-            raise ValueError(f"Episode.objects names must be unique, got {names}")
-        poses = _checked_array(self.poses, "poses", 6)
-        bits = _checked_array(self.gripper_bits, "gripper_bits", None)
-        velocities = _checked_array(self.joint_velocities, "joint_velocities", 7)
-        if len(velocities) != len(poses) or len(bits) != len(poses):
-            raise ValueError(
-                f"Episode length mismatch: {len(velocities)} velocities vs {len(poses)} poses "
-                f"vs {len(bits)} gripper bits"
-            )
-        if len(poses) < 2:
-            raise ValueError(f"Episode must have T >= 2 timesteps, got T={len(poses)}")
-        bad = np.flatnonzero((bits != 0.0) & (bits != 1.0))
-        if bad.size:
-            raise ValueError(f"Episode.gripper_bits[{bad[0]}] must be 0 or 1, got {float(bits[bad[0]])!r}")
-        poses[:, 3:] = wrap_angles(poses[:, 3:])
-        bits = bits.astype(np.int8)
-        for name, array in (("poses", poses), ("gripper_bits", bits), ("joint_velocities", velocities)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        heads = [(self.instruction, self.objects)]
+        (objects,), arrays = _checked_fields(heads, self.poses, self.gripper_bits, self.joint_velocities)
+        for name, value in zip(self.__match_args__[1:], (objects, *arrays)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def pool(cls, heads, poses, gripper_bits, joint_velocities, lengths) -> list[Episode]:
+        """The Episodes of (instruction, objects) heads whose arrays lie end to end, lengths[i] rows each:
+        the block is checked once, and they hold read-only views of it. A bad pool raises the error that
+        building its episodes one by one raises first."""
+        ends = np.cumsum(lengths).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
+        try:
+            scenes, block = _checked_fields(heads, poses, gripper_bits, joint_velocities, lengths)
+            if ends[-1] != len(block[0]):
+                raise ValueError(f"Episode.pool lengths {lengths} do not add up to {len(block[0])} rows")
+        except (AttributeError, TypeError, ValueError):  # the errors a one-by-one build raises
+            for (instruction, objects), (a, b) in zip(heads, spans):
+                cls(instruction, objects, poses[a:b], gripper_bits[a:b], joint_velocities[a:b])
+            raise
+        episodes = [cls.__new__(cls) for _ in spans]  # checked above: __post_init__ is not run again
+        for episode, (instruction, _), objects, (a, b) in zip(episodes, heads, scenes, spans, strict=True):
+            vars(episode).update(zip(cls.__match_args__, (instruction, objects, *(array[a:b] for array in block))))
+        return episodes
 
     @property
     def length(self) -> int:

@@ -22,7 +22,8 @@ another has z equal to the supporter's top face.
 Scripted experts record array-backed episodes: scripted_experts lays out
 each leg and dwell of a whole pool's plans in one numpy pass as rows of the
 T x 6 pose and T gripper-bit arrays, and the T x 7 joint velocities follow
-from the pose steps; scripted_expert is its one-world case.
+from the pose steps; Episode.pool checks the block once and hands each
+episode read-only views of it. scripted_expert is the one-world case.
 execute_action takes one per-frame Action; replay_pose_rows replays a whole
 demo pool as pose arrays, executing only the frames where the gripper changes.
 The inflated reach limits every action is checked against, and reset's
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -487,8 +488,7 @@ def synth_joint_velocities(poses: np.ndarray) -> np.ndarray:
     return np.repeat(components[:, np.newaxis], 7, axis=1)
 
 
-@dataclass(frozen=True)
-class _Waypoint:
+class _Waypoint(NamedTuple):
     x: float
     y: float
     z: float
@@ -603,7 +603,8 @@ def scripted_experts(task: TaskId, items: Sequence[tuple[WorldState, str]]) -> l
     """Plan and record a demonstration for each (world, instruction) in one
     array pass: one _expand_waypoints call, then one synth_joint_velocities
     call on the concatenated poses, each episode's first row set to the 0.0
-    its own call gives. Does not mutate the worlds. Each episode is dense
+    its own call gives, then one Episode.pool check of the whole block, whose
+    views the episodes hold. Does not mutate the worlds. Each episode is dense
     (>= 60 steps); replaying its keyframe actions through execute_action
     solves the task.
     """
@@ -613,12 +614,9 @@ def scripted_experts(task: TaskId, items: Sequence[tuple[WorldState, str]]) -> l
         [(world.gripper_pose, world.gripper, _plan(task, world, instruction)) for world, instruction in items]
     )
     velocities = synth_joint_velocities(poses)
-    ends = np.cumsum(lengths)
-    velocities[ends[:-1]] = 0.0  # no step leads into an episode's first row
-    return [
-        Episode(instruction, observations_of(world), poses[a:b], bits[a:b], velocities[a:b])
-        for (world, instruction), a, b in zip(items, (ends - lengths).tolist(), ends.tolist())
-    ]
+    velocities[np.cumsum(lengths)[:-1]] = 0.0  # no step leads into an episode's first row
+    heads = [(instruction, observations_of(world)) for world, instruction in items]
+    return Episode.pool(heads, poses, bits, velocities, lengths)
 
 
 def scripted_expert(task: TaskId, world: WorldState, instruction: str) -> Episode:

@@ -5,7 +5,9 @@ bins alone and the scalar functions' bins for it. eval_prompts builds a
 run's demo examples and test inputs in one call each; every body equals
 the body that the builders give one item at a time, on single runs and on
 every arm of the five sweeps, and a failing build raises the error that a
-one-at-a-time build raises first.
+one-at-a-time build raises first. extract_keyframes_batch keyframes a pool
+with one mask; each episode's frames equal its own extract_keyframes and
+the oracle's.
 
 Example counts come from the active hypothesis profile (tests/conftest.py).
 """
@@ -29,11 +31,13 @@ from iclmanip.discretize import (
     pose_bin_rows,
 )
 from iclmanip.harness import LoopMode, RunConfig, eval_prompts
-from iclmanip.keyframes import KeyframeIndices
+from iclmanip.keyframes import KeyframeIndices, extract_keyframes, extract_keyframes_batch
+from iclmanip.model import GripperState
 from iclmanip.sim import TaskId
 
-from conftest import ASYMMETRIC, BOUNDS
+from conftest import ASYMMETRIC, BOUNDS, make_episode
 from test_cli import WARM_COLD_FLAGS
+from test_keyframes import oracle_extract
 
 
 def _near(edge):
@@ -70,6 +74,26 @@ def test_pose_bin_rows_equals_a_one_row_call_on_every_row(case):
         scalar = [discretize_translation(v, lo, hi) for v, (lo, hi) in zip(row, bounds.limits)]
         scalar += [discretize_rotation(a) for a in row[3:]]
         assert bins == pose_bin_rows(np.array([row], dtype=np.float64), bounds)[0].tolist() == scalar, row
+
+
+# Norms below and above delta = 0.1, so one-frame qualifying runs are common; random bits
+# put gripper changes at the pool's episode boundaries as often as inside an episode.
+_trace = st.integers(2, 9).flatmap(
+    lambda T: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=T, max_size=T),
+        st.lists(st.sampled_from(list(GripperState)), min_size=T, max_size=T),
+    )
+)
+
+
+@given(st.lists(_trace, min_size=1, max_size=6))
+def test_extract_keyframes_batch_equals_each_episode_alone(traces):
+    episodes = [make_episode(norms, grips) for norms, grips in traces]
+    pooled = extract_keyframes_batch(episodes, 0.1)
+    assert len(pooled) == len(episodes)
+    for frames, episode, (norms, grips) in zip(pooled, episodes, traces):
+        assert type(frames) is KeyframeIndices
+        assert list(frames) == list(extract_keyframes(episode, 0.1)) == oracle_extract(norms, grips, 0.1)
 
 
 def _one_at_a_time(monkeypatch):
@@ -143,14 +167,13 @@ def test_a_pool_raises_the_first_error_of_a_one_at_a_time_build(monkeypatch, loo
     plans = harness._plans(cfg)
     seeds = harness.demo_seeds(cfg)
     episodes = plans.experts(cfg.task, seeds)
-    real = harness._keyframes_for
+    real = harness.extract_keyframes_batch
 
-    def keyframes(config, seed, episode, plans):
-        if seed == seeds[short]:
-            return KeyframeIndices((episode.length - 1,))
-        return real(config, seed, episode, plans)
+    def keyframes(batch, delta):
+        frames = real(batch, delta)
+        return [KeyframeIndices((ep.length - 1,)) if ep is episodes[short] else f for ep, f in zip(batch, frames)]
 
-    monkeypatch.setattr(harness, "_keyframes_for", keyframes)
+    monkeypatch.setattr(harness, "extract_keyframes_batch", keyframes)
     demos = [(i, seed, episode) for i, (seed, episode) in enumerate(zip(seeds, episodes))]
 
     def first_error(groups):

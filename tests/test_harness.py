@@ -738,9 +738,11 @@ def test_sweeps_extract_keyframes_and_draw_noise_once(monkeypatch):
     # keyframes arm already extracted: one extraction per (demo, delta).
     # The noise arms differ only in k: one draw per noised block.
     extracted, drawn = [], []
-    real_extract, real_draws = harness.extract_keyframes, harness.pose_noise_draws
+    real_extract, real_draws = harness.extract_keyframes_batch, harness.pose_noise_draws
     monkeypatch.setattr(
-        harness, "extract_keyframes", lambda ep, delta: extracted.append((id(ep), delta)) or real_extract(ep, delta)
+        harness,
+        "extract_keyframes_batch",
+        lambda eps, delta: extracted.extend((id(ep), delta) for ep in eps) or real_extract(eps, delta),
     )
     monkeypatch.setattr(harness, "pose_noise_draws", lambda n, seed: drawn.append(seed) or real_draws(n, seed))
     cfg = config(n_demos=3, n_eval=2)

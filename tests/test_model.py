@@ -158,6 +158,37 @@ def test_episode_validation():
         Episode(ep.instruction, dup, *arrays)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("pose", "Episode.poses[2] must be finite, got [0.002, inf, 0.1, 0.0, 0.0, 0.0]"),
+        ("bit", "Episode.gripper_bits[1] must be 0 or 1, got 2.0"),
+        ("short", "Episode must have T >= 2 timesteps, got T=1"),
+    ],
+)
+def test_a_pool_with_a_bad_second_episode_raises_the_one_by_one_error(bad, message):
+    episodes = [make_episode([0.0, 0.5, 0.0, 0.5]), make_episode([0.5, 0.0, 0.5]), make_episode([0.0, 0.0])]
+    heads = [(ep.instruction, ep.objects) for ep in episodes]
+    arrays = [[np.array(getattr(ep, name)) for ep in episodes] for name in ("poses", "gripper_bits", "joint_velocities")]
+    pool = Episode.pool(heads, *(np.concatenate(parts) for parts in arrays), [ep.length for ep in episodes])
+    assert pool == episodes and all(ep.poses.base is pool[0].poses.base for ep in pool)
+    for ep in pool:
+        for array in (ep.poses, ep.gripper_bits, ep.joint_velocities):
+            assert not array.flags.writeable
+    if bad == "pose":
+        arrays[0][1][2, 1] = math.inf
+    elif bad == "bit":
+        arrays[1][1][1] = 2
+    else:
+        arrays = [[part[:1] if i == 1 else part for i, part in enumerate(parts)] for parts in arrays]
+    with pytest.raises(ValueError) as alone:
+        for head, *parts in zip(heads, *arrays):
+            Episode(*head, *parts)
+    with pytest.raises(ValueError) as pooled:
+        Episode.pool(heads, *(np.concatenate(parts) for parts in arrays), [len(p) for p in arrays[0]])
+    assert str(pooled.value) == str(alone.value) == message
+
+
 def per_frame_norms(velocities):
     """The per-frame norm rule: a plain Python sum of squares per row."""
     return [math.sqrt(sum(v * v for v in row)) for row in velocities.tolist()]
