@@ -93,9 +93,8 @@ def dediscretize_translation(bin_index: int, axis_min: float, axis_max: float) -
 
 
 def discretize_rotation(angle_rad: float) -> int:
-    """Normalize to [0, 360) degrees and take the 5-degree bin."""
-    deg = math.degrees(wrap_angle(angle_rad))
-    return min(math.floor(deg / DEGREES_PER_BIN), ROTATION_BINS - 1)
+    """Normalize to [0, 360) degrees and take the 5-degree bin: below 2 pi, monotonic steps keep it <= 71."""
+    return math.floor(math.degrees(wrap_angle(angle_rad)) / DEGREES_PER_BIN)
 
 
 def dediscretize_rotation(bin_index: int) -> float:

@@ -28,6 +28,10 @@ execute_action takes one per-frame Action; replay_pose_rows replays a whole
 demo pool as pose arrays, executing only the frames where the gripper changes.
 The inflated reach limits every action is checked against, and reset's
 bounds check and placement draws, are computed once per WorkspaceBounds.
+reset's generator is default_rng([group, seed]), seeded from seed_state's row
+of a cached block of 64 aligned seeds, hashed in one uint32 pass of NumPy's
+SeedSequence (test_sim's seed_state property test); harness._noise_seed keeps
+a SeedSequence per call, as its per-keyframe tags would hash sparse blocks.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ CHAIN_SEPARATOR = ", then "  # joins the steps of a chained instruction
 BASE_SIGMA_TRANSLATION_M = 0.0168
 BASE_SIGMA_ROTATION_RAD = math.radians(4.61)
 _BASE_SIGMAS = np.array((BASE_SIGMA_TRANSLATION_M,) * 3 + (BASE_SIGMA_ROTATION_RAD,) * 3)
+_SEED_OUTPUT_CONSTS = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)[:, None]  # seed_state's output hash
 
 
 class TaskId(Enum):
@@ -268,6 +273,46 @@ def seed_words(*values: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of words: xor its constant, times the next, xorshift by 16."""
+    h = (words ^ consts[:-1]) * consts[1:]
+    return h ^ (h >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_block(prefix: tuple[int, ...], block: int) -> np.ndarray:
+    """Row v % 64 is SeedSequence(seed_words(*prefix, v)).generate_state(4, np.uint64) for the 64 v of an aligned
+    block, in one uint32 pass of NumPy's SeedSequence (NEP 19); its v differ only in the low 6 bits of one word."""
+    entropy = seed_words(*prefix, block << 6)
+    words = np.zeros((max(len(entropy), 4), 64), dtype=np.uint32)  # a pool word past the entropy hashes 0
+    words[: len(entropy)] = entropy[:, None]
+    words[len(seed_words(*prefix))] += np.arange(64, dtype=np.uint32)
+    consts, k = np.cumprod([0x43B0D7E5] + [0x931E8875] * 4 * len(words), dtype=np.uint32)[:, None], 4
+    words[:4] = _hash(words[:4], consts[:5])  # the pool
+    for src in range(len(words)):  # each pool word into the three others, then each word past the pool into all
+        dst = [d for d in range(4) if d != src]
+        r = words[dst] * 0xCA01F9DD - _hash(words[src], consts[k : k + len(dst) + 1]) * 0x4973F715
+        words[dst], k = r ^ (r >> 16), k + len(dst)
+    state = _hash(words[[0, 1, 2, 3] * 2], _SEED_OUTPUT_CONSTS)
+    rows = (state[0::2] | state[1::2].astype(np.uint64) << 32).T.copy()  # little-endian word pairs
+    rows.flags.writeable = False  # every caller of the block shares it
+    return rows
+
+
+def seed_state(*values: int) -> np.ndarray:
+    """default_rng(seed_words(*values))'s PCG64 seed state, from the cached block of 64 holding the last value."""
+    *prefix, value = values
+    return _seed_block(tuple(prefix), value >> 6)[value & 63]
+
+
+@functools.cache
+def _state_row() -> type:
+    """The ISeedSequence that hands PCG64 (its one caller) a seed_state row: made on the first reset, as a
+    numpy.random import with the package would slow every start."""
+    methods = {"__init__": lambda self, row: setattr(self, "row", row), "generate_state": lambda self, *_: self.row}
+    return type("StateRow", (np.random.bit_generator.ISeedSequence,), methods)
+
+
 @functools.lru_cache(maxsize=16)
 def _placement_draws(bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
     """reset's bounds check, then low and span of its (x, y, yaw, yaw) draws:
@@ -313,7 +358,7 @@ def reset(task: TaskId, seed: int, bounds: WorkspaceBounds) -> tuple[WorldState,
     """
     low, span = _placement_draws(bounds)
     spec = _SPECS[task]
-    rng = np.random.default_rng(seed_words(spec.group, seed))  # default_rng([group, seed])'s state
+    rng = np.random.Generator(np.random.PCG64(_state_row()(seed_state(spec.group, seed))))  # default_rng([group, seed])
     for _ in range(MAX_RESET_DRAWS):
         if spec.stacked:
             x, y, yaw_bottom, yaw_top = (low + span * rng.random(4)).tolist()

@@ -53,6 +53,7 @@ def test_rotation_hand_examples():
     assert discretize_rotation(math.radians(-1.0)) == 71
     assert discretize_rotation(math.radians(359.999)) == 71
     assert discretize_rotation(2 * math.pi) == 0
+    assert discretize_rotation(math.nextafter(2 * math.pi, 0.0)) == 71  # the largest wrapped angle
     assert dediscretize_rotation(0) == pytest.approx(math.radians(2.5))
     assert dediscretize_rotation(71) == pytest.approx(math.radians(357.5))
 
@@ -120,6 +121,8 @@ def test_discrete_pose_validation():
         dediscretize_translation(TRANSLATION_BINS, -0.5, 0.5)
     with pytest.raises(ValueError, match=r"rotation bin -1 out of range \[0, 72\)"):
         dediscretize_rotation(-1)
+    with pytest.raises(ValueError, match=r"rotation bin 72 out of range \[0, 72\)"):
+        dediscretize_rotation(ROTATION_BINS)
 
 
 @pytest.mark.parametrize("bounds", [BOUNDS, ASYMMETRIC])

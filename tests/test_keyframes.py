@@ -175,6 +175,8 @@ def test_keyframe_indices_validation():
         KeyframeIndices(())
     with pytest.raises(ValueError):
         KeyframeIndices((3, 0, 9))  # not increasing
+    with pytest.raises(ValueError, match="strictly increasing"):
+        KeyframeIndices((0, 3, 3, 9))  # a repeat
     with pytest.raises(ValueError):
         KeyframeIndices((-1, 9))
     k = KeyframeIndices((0, 3, 9))
@@ -203,5 +205,6 @@ def test_sample_uniform_properties():
 def test_sample_uniform_validation():
     with pytest.raises(ValueError):
         sample_uniform(1, 5)
-    with pytest.raises(ValueError):
-        sample_uniform(10, 0)
+    for interval in (0, -1):
+        with pytest.raises(ValueError, match="^interval must be >= 1, got"):
+            sample_uniform(10, interval)

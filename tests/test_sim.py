@@ -6,6 +6,10 @@ velocities, observation noise.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,42 @@ def test_seed_words_give_the_generator_state_of_the_seed_list():
     check()
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         seed_words(0, -1)
+
+
+def test_seed_state_blocks_give_the_seed_sequence_state_of_each_seed():
+    """Each row of a cached block of 64 seeds is SeedSequence's state for its seed, on 1 to 5+ entropy words."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    near_word_edges = st.builds(
+        lambda e, d: max(2**e + d, 0), st.sampled_from((32, 64, 96)), st.integers(-130, 130)
+    )
+    values = st.one_of(near_word_edges, st.integers(0, 2**130))
+
+    @hypothesis.given(st.lists(st.integers(0, 2**70), min_size=1, max_size=3), values)
+    @hypothesis.example([0], 0)
+    @hypothesis.example([3], 2**32 - 1)
+    @hypothesis.example([1, 2, 3], 2**64)
+    @hypothesis.example([2**64, 2**40, 7], 2**130)
+    def check(prefix, value):
+        expected = np.random.SeedSequence(seed_words(*prefix, value)).generate_state(4, np.uint64)
+        assert np.array_equal(sim.seed_state(*prefix, value), expected)
+
+    check()
+    for values in ((0, -1), (-1, 5)):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            sim.seed_state(*values)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        reset(TaskId.STACK_CUBE, -1, BOUNDS)
+
+
+def test_importing_the_package_loads_no_numpy_random():
+    """reset builds its generator type on first use, so a fresh import stays clear of numpy.random."""
+    code = "import sys, iclmanip; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
+    src = str(Path(sim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_pose_noise_is_pinned_bit_for_bit():
